@@ -130,6 +130,26 @@ def _parse_vector(text: str, L: int, name: str) -> tuple[float, ...]:
     return values
 
 
+def _load_vectors(path: str, key: str) -> list[tuple[float, ...]]:
+    """Rate or allocation vectors from a JSON file holding a list of numeric
+    lists, either bare or under ``key`` in an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {key} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ArgumentError(f"malformed {key} JSON: {exc}") from exc
+    if isinstance(data, dict):
+        if key not in data:
+            raise ArgumentError(f"{key} JSON object has no {key!r} key")
+        data = data[key]
+    try:
+        return [tuple(float(v) for v in row) for row in data]
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{key} must be a list of numeric lists: {exc}") from exc
+
+
 def _csv_value(x: float) -> str:
     if x >= R_MAX:
         return "CAP"
@@ -221,14 +241,7 @@ def _cmd_omega_map(args) -> int:
 
 def _cmd_refine(args) -> int:
     instance = _load_instance(args.instance)
-    try:
-        with open(args.stages) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ArgumentError(f"cannot read stages file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"malformed stages JSON: {exc}") from exc
-    stages = data["stages"] if isinstance(data, dict) else data
+    stages = _load_vectors(args.stages, "stages")
     report = refinement.check_refinement(instance, stages, tol=args.tol)
     _emit(args, report.to_dict())
     return 0 if report.feasible else 1
@@ -247,12 +260,7 @@ def _cmd_simulate(args) -> int:
     instance = _load_instance(args.instance)
     config = montecarlo.SimConfig(n_samples=args.n, seed=args.seed)
     if args.chain:
-        try:
-            with open(args.chain) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ArgumentError(f"cannot read chain file: {exc}") from exc
-        chain = data["chain"] if isinstance(data, dict) else data
+        chain = _load_vectors(args.chain, "chain")
         report = montecarlo.simulate_refinement(instance, chain, config)
     else:
         if not args.r:

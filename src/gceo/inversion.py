@@ -31,32 +31,32 @@ segment (Omega_3).  Encoders are ordered by noise internally
 
 General solver
 --------------
-``d_star`` bisects t = 1/D between the prior precision and the saturation
-precision; each candidate t is tested for convex feasibility of
+Every other query (three or more encoders, or ``method="bisection"``) is
+one jointly convex program in x = (r, u), u = ln(1/D):
 
-    { w in [0, 1/sigma_n2) : sum w >= t - prior,
-      distortion-targeted subset ranks <= subset rate sums }
+    maximize u  subject to, for every subset A of the finite encoders,
+    u/2 - (1/2) ln(p0 + w(A^c)) + sum_{i in A} r_i <= R(A),
 
-in the precision-weight coordinates w_i = (1 - exp(-2 r_i)) / sigma_n2[i]
-(every constraint is convex there), using multi-start projected coordinate
-descent on the max-violation function with exact one-dimensional line
-minimization (the pieces split into one increasing and several decreasing
-hulls, so each coordinate step is a bracketed crossing search).  The final
-iterate only locates the solution to O(sqrt(bisection tol)), so the
-active decode-block structure is then read off the iterate (indices with
-equal sigma_n2[i] * exp(2 r_i) share a block; blocks decode in decreasing
-order of that constant) and the exact allocation is re-solved block by
-block from the group sum rates, each block a monotone scalar root-find.
-If the extracted structure fails verification the ordered block
-structures are enumerated outright (desk scale) and the valid candidate
-of maximal precision is returned.
+with w_i = (1 - exp(-2 r_i)) / sigma_n2[i], r_i in [0, R_i] and u between
+ln p0 and the saturation level.  The empty set's row is the distortion
+constraint e^u <= p0 + sum w.  Each constraint is convex in (r, u),
+because -ln of a positive concave function is convex (Boyd & Vandenberghe,
+Convex Optimization, ch. 4).  SLSQP solves it with an analytic Jacobian
+over the subset-membership matrix, in the coordinates q_i = exp(-r_i),
+where the program stays convex and saturated encoders keep their
+curvature.
 
-Because the optimal structure is always one of the ordered decode-block
-partitions, the auto path for three or four finite rates skips the
-bisection and enumerates the partitions directly (13 or 75 candidates,
-each one scalar root-find per block); ``method="bisection"`` forces the
-bisection path, which the test suite cross-validates against both the
-closed forms and the enumeration.
+The SLSQP iterate only locates the optimum.  Its active decode-block
+structure is read off it (indices with equal sigma_n2[i] * exp(2 r_i) share
+a block; blocks decode in decreasing order of that constant), and the exact
+allocation is re-solved block by block from the group sum rates, each block
+a monotone scalar root-find.  A snapped allocation is accepted only if it
+lies in the region and passes a KKT certificate: nonnegative multipliers on
+the active constraints (found by NNLS) must leave a stationarity residual
+of at most KKT_LIMIT.  For a convex program that proves global optimality;
+if no structure passes, ``ConvergenceError`` is raised.  The residual is
+reported on the result as ``kkt_residual``.  ``method="bisection"`` is the
+historical name for forcing this solver on two encoders.
 """
 
 from __future__ import annotations
@@ -65,18 +65,26 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from scipy.optimize import brentq
+import numpy as np
+from scipy.optimize import brentq, minimize, nnls
 
 from .errors import ArgumentError, ConvergenceError
-from .model import CeoInstance, R_MAX, d_min, exp_neg2r, is_cap
+from .model import CeoInstance, R_MAX, exp_neg2r, is_cap
 from .polymatroid import mask_to_indices
 
-T_TOL = 1e-8
 RESIDUAL_LIMIT = 1e-5
 OMEGA_TOL = 1e-7
-_PCD_STARTS = 8
+# Largest KKT stationarity residual a general-solver answer may carry.  The
+# exact optimum measures <= 1e-14; a neighbouring wrong block structure
+# measures >= 1e-8 even where its distortion is within 1e-9 of D*.
+KKT_LIMIT = 1e-10
+# Constraint rows with slack at most this count as active in the certificate.
+_ACTIVE_TOL = 1e-9
+# Relative water-filling-constant gaps under which encoders share a block.
+_SNAP_ETAS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+_SLSQP_FTOL = 1e-10
+_SLSQP_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,7 @@ class InversionResult:
     method: str
     residuals: float
     branch: str | None = None
+    kkt_residual: float | None = None  # certificate of the general solver
 
     def to_dict(self) -> dict:
         return {
@@ -93,6 +102,8 @@ class InversionResult:
             "d_star": self.d_star,
             "method": self.method,
             "residuals": self.residuals,
+            "branch": self.branch,
+            "kkt_residual": self.kkt_residual,
         }
 
 
@@ -202,250 +213,147 @@ def _solve_blocks(sn, R, blocks, p0: float):
     return r
 
 
-def _ordered_partitions(items: tuple[int, ...]):
-    if not items:
-        yield ()
-        return
-    for size in range(1, len(items) + 1):
-        for first in combinations(items, size):
-            remaining = tuple(i for i in items if i not in first)
-            for tail in _ordered_partitions(remaining):
-                yield (first,) + tail
-
-
 # ----------------------------------------------------------------------
-# Inner feasibility test: multi-start projected coordinate descent on the
-# max-violation function, in precision-weight coordinates.
+# General solver: one convex program in (r, u = ln 1/D), snapped to an
+# exact decode-block solution and certified by KKT multipliers.
 # ----------------------------------------------------------------------
 
 
-class _Feasibility:
-    def __init__(self, sn, R, p0: float):
-        self.sn = list(sn)
-        self.R = list(R)
-        self.p0 = p0
-        self.n = n = len(sn)
-        self.full = (1 << n) - 1
-        self.sum_R = [0.0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            self.sum_R[mask] = self.sum_R[mask ^ low] + R[low.bit_length() - 1]
-        # Keep 1 - sn*w representable: w within 1e-15 of saturation changes
-        # the precision by under 1e-15, far below the bisection tolerance.
-        self.ub = [(1.0 - 1e-15) / s for s in self.sn]
-
-    def violation(self, w, t: float) -> float:
-        n = self.n
-        sumw = [0.0] * (1 << n)
-        sumln = [0.0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            i = low.bit_length() - 1
-            sumw[mask] = sumw[mask ^ low] + w[i]
-            sumln[mask] = sumln[mask ^ low] + math.log(1.0 - self.sn[i] * w[i])
-        worst = t - self.p0 - sumw[self.full]
-        half_ln_t = 0.5 * math.log(t)
-        for mask in range(1, 1 << n):
-            v = (
-                half_ln_t
-                - 0.5 * math.log(self.p0 + sumw[self.full ^ mask])
-                - 0.5 * sumln[mask]
-                - self.sum_R[mask]
-            )
-            worst = max(worst, v)
-        return worst
-
-    def minimize(self, w0, t: float, stop_below: float, max_sweeps: int = 80):
-        """Coordinate descent from w0; early exit once below ``stop_below``."""
-        n = self.n
-        w = list(w0)
-        best = self.violation(w, t)
-        if best <= stop_below:
-            return best, w
-        half_ln_t = 0.5 * math.log(t)
-        for _ in range(max_sweeps):
-            improved = 0.0
-            for i in range(n):
-                old = w[i]
-                # Constant parts of every piece at the current iterate.
-                c_up = -math.inf
-                dec = []  # (q, c) pieces: c - 0.5*ln(q + x)
-                for mask in range(1, 1 << n):
-                    others_ln = 0.0
-                    others_w = 0.0
-                    for j in range(n):
-                        if j != i and mask >> j & 1:
-                            others_ln += math.log(1.0 - self.sn[j] * w[j])
-                        if j != i and not mask >> j & 1:
-                            others_w += w[j]
-                    if mask >> i & 1:
-                        c = (
-                            half_ln_t
-                            - self.sum_R[mask]
-                            - 0.5 * others_ln
-                            - 0.5 * math.log(self.p0 + others_w)
-                        )
-                        c_up = max(c_up, c)
-                    else:
-                        dec.append((self.p0 + others_w, half_ln_t - self.sum_R[mask] - 0.5 * others_ln))
-                lin_const = t - self.p0 - sum(w[j] for j in range(n) if j != i)
-
-                def g_up(x):
-                    return c_up - 0.5 * math.log(1.0 - self.sn[i] * x)
-
-                def g_down(x):
-                    val = lin_const - x
-                    for q, c in dec:
-                        val = max(val, c - 0.5 * math.log(q + x))
-                    return val
-
-                ub = self.ub[i]
-                if g_up(0.0) >= g_down(0.0):
-                    x_new = 0.0
-                elif g_up(ub) <= g_down(ub):
-                    x_new = ub
-                else:
-                    lo_x, hi_x = 0.0, ub
-                    for _ in range(60):
-                        mid = 0.5 * (lo_x + hi_x)
-                        if g_up(mid) >= g_down(mid):
-                            hi_x = mid
-                        else:
-                            lo_x = mid
-                    x_new = 0.5 * (lo_x + hi_x)
-                if x_new != old:
-                    w[i] = x_new
-                    new_val = self.violation(w, t)
-                    if new_val <= best:
-                        improved += best - new_val
-                        best = new_val
-                    else:
-                        w[i] = old
-                if best <= stop_below:
-                    return best, w
-            if improved < 1e-14:
-                break
-        return best, w
+@lru_cache(maxsize=None)
+def _subset_matrix(n: int) -> np.ndarray:
+    """0/1 membership rows of every subset mask 0 .. 2^n - 1 (row 0 is empty)."""
+    rows = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+    rows.flags.writeable = False
+    return rows
 
 
-_FIXED_STARTS = (
-    (0.0, 0.12417, 0.8673, 0.3512, 0.61992, 0.04557, 0.95071, 0.73199),
-    (0.59866, 0.15602, 0.15599, 0.05808, 0.86618, 0.60112, 0.70807, 0.02058),
-    (0.83244, 0.21234, 0.18182, 0.18340, 0.30424, 0.52476, 0.43195, 0.29123),
-    (0.61185, 0.13949, 0.29214, 0.36636, 0.45607, 0.78518, 0.19967, 0.51423),
-    (0.59241, 0.04645, 0.60754, 0.17052, 0.06505, 0.94889, 0.96563, 0.80840),
-    (0.30461, 0.09767, 0.68423, 0.44015, 0.12204, 0.49518, 0.03439, 0.90932),
-)
+class _RegionProgram:
+    """max u over x = (q, u), q_i = exp(-r_i), subject to c_A(x) >= 0 for
+    every subset A, with
 
+        c_A(q, u) = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) + sum_{i in A} ln q_i
 
-def _inner_feasible(fea: _Feasibility, t: float, warm, tol: float = 1e-11):
-    """(feasible?, best iterate) by multi-start projected coordinate descent."""
-    n = fea.n
-    starts = []
-    if warm is not None:
-        starts.append(list(warm))
-    starts.append([0.0] * n)
-    frac = min(1.0, max(0.0, (t - fea.p0) / max(sum(fea.ub), 1e-300)))
-    starts.append([frac * u for u in fea.ub])
-    for row in _FIXED_STARTS[: _PCD_STARTS - len(starts)]:
-        starts.append([row[i % len(row)] * fea.ub[i] for i in range(n)])
-    best_val, best_w = math.inf, None
-    for w0 in starts:
-        val, w = fea.minimize(w0, t, stop_below=-tol)
-        if val < best_val:
-            best_val, best_w = val, w
-        if best_val <= -tol:
-            return True, best_w
-    return best_val <= tol, best_w
-
-
-# ----------------------------------------------------------------------
-# General solver.
-# ----------------------------------------------------------------------
-
-
-def _enumerate_reduced(sn, R, p0: float):
-    """r by exhaustive ordered decode-block enumeration (exact, small n).
-
-    The optimal allocation's structure is an ordered partition of the
-    encoders; every candidate is solved from its group sum rates and the
-    valid candidate of maximal precision is the optimum.
+    and w_i = (1 - q_i^2) / sigma_n2[i].  c_A >= 0 says R(A) covers the
+    rank of A at distortion exp(-u); the empty set's row, u <= ln(p0 + sum
+    w), is the distortion constraint.  Every c_A is concave (ln of a
+    positive concave function plus concave terms), so the feasible set is
+    convex and a feasible point that admits KKT multipliers is the global
+    optimum.  The program is the same in r, but in q the curvature of
+    saturated encoders (large r_i) is not flattened by exp(-2 r_i), which
+    stalls SLSQP in r well before the block structure is resolved.
     """
-    n = len(sn)
-    if n == 0:
-        return []
-    if n == 1:
-        return [_solve_l1(sn[0], R[0], p0)]
-    solution = _best_valid(sn, R, _ordered_partitions(tuple(range(n))), p0)
-    if solution is None:
-        raise ConvergenceError("no ordered decode-block structure fits the rate tuple")
-    return solution
+
+    def __init__(self, sn, R, p0: float):
+        self.n = len(sn)
+        self.p0 = p0
+        self.member = _subset_matrix(self.n)
+        self.outside = 1.0 - self.member
+        self.inv_sn = 1.0 / np.asarray(sn, dtype=float)
+        self.rate = self.member @ np.asarray(R, dtype=float)
+        self.bounds = [(math.exp(-v), 1.0) for v in R] + [
+            (math.log(p0), math.log(p0 + float(self.inv_sn.sum())))
+        ]
+
+    def _p_outside(self, q):
+        return self.p0 + self.outside @ ((1.0 - q * q) * self.inv_sn)
+
+    def slacks(self, x):
+        q, u = x[:-1], x[-1]
+        return self.rate - 0.5 * u + 0.5 * np.log(self._p_outside(q)) + self.member @ np.log(q)
+
+    def jacobian(self, x):
+        q = x[:-1]
+        jac = np.empty((len(self.rate), self.n + 1))
+        jac[:, :-1] = self.member / q - self.outside * (q * self.inv_sn) / self._p_outside(q)[:, None]
+        jac[:, -1] = -0.5
+        return jac
+
+    def maximize(self) -> np.ndarray:
+        """Allocation r at the SLSQP iterate, started from the feasible
+        corner r = 0, u = ln p0.
+
+        Only the iterate is used: the answer is re-solved exactly and
+        certified, so SLSQP's own success flag is not consulted.
+        """
+        x0 = np.ones(self.n + 1)
+        x0[-1] = math.log(self.p0)
+        grad = np.zeros(self.n + 1)
+        grad[-1] = -1.0
+        result = minimize(
+            lambda x: -x[-1],
+            x0,
+            jac=lambda x: grad,
+            method="SLSQP",
+            bounds=self.bounds,
+            constraints={"type": "ineq", "fun": self.slacks, "jac": self.jacobian},
+            options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER},
+        )
+        return -np.log(result.x[:-1])
+
+    def kkt_residual(self, r) -> float:
+        """Stationarity residual of the best multipliers at (r, ln precision).
+
+        Solves  sum_A lambda_A (-grad c_A) = grad u  over the active rows
+        with lambda >= 0 (NNLS), gradients taken in (r, u): rates are the
+        units in which a saturated encoder's exp(-2 r_i)-small influence on
+        u is measured.  The bounds never bind at a feasible point with
+        positive rates (R_i >= rank({i}) > r_i and the block solution has
+        r_i > 0), so they take no multiplier.
+        """
+        q = np.exp(-np.asarray(r, dtype=float))
+        p = self.p0 + float(((1.0 - q * q) * self.inv_sn).sum())
+        x = np.append(q, math.log(p))
+        active = self.slacks(x) <= _ACTIVE_TOL
+        jac = self.jacobian(x)[active]
+        jac[:, :-1] *= -q  # dq_i/dr_i
+        target = np.zeros(self.n + 1)
+        target[-1] = 1.0
+        _, residual = nnls(-jac.T, target)
+        return float(residual)
 
 
-def _general_reduced(sn, R, p0: float):
-    """r for a reduced problem (all rates finite positive) by bisection of
-    t = 1/D plus exact block refinement."""
-    n = len(sn)
-    if n == 0:
-        return []
-    if n == 1:
-        return [_solve_l1(sn[0], R[0], p0)]
-    fea = _Feasibility(sn, R, p0)
-    t_lo = p0
-    t_hi = p0 + sum(1.0 / s for s in sn)
-    warm = None
-    w_best = [0.0] * n
-    while t_hi - t_lo > T_TOL:
-        t_mid = 0.5 * (t_lo + t_hi)
-        ok, w = _inner_feasible(fea, t_mid, warm)
-        if ok:
-            t_lo, warm, w_best = t_mid, w, w
-        else:
-            t_hi = t_mid
+def _block_structures(sn, r):
+    """Decode-block structures read off an approximate optimum, finest first.
 
-    # Candidate structures: read off the bisection iterate by grouping
-    # nearly equal water-filling constants, and (at desk scale) the full
-    # ordered-partition family, which provably contains the optimum.  The
-    # certified-feasible t_lo filters provably suboptimal candidates.
-    candidates: dict = {}
-    k_vals = [sn[i] / max(1.0 - sn[i] * w_best[i], 1e-300) for i in range(n)]
-    order = sorted(range(n), key=lambda i: -k_vals[i])
-    for eta in (1e-4, 1e-3, 1e-2, 5e-2):
+    Encoders whose water-filling constants K_i = sigma_n2[i] exp(2 r_i) agree
+    to a relative eta share a block; blocks decode in decreasing K.
+    """
+    K = [s * math.exp(2.0 * v) for s, v in zip(sn, r)]
+    order = sorted(range(len(sn)), key=lambda i: -K[i])
+    seen = []
+    for eta in _SNAP_ETAS:
         blocks = [[order[0]]]
         for prev, cur in zip(order, order[1:]):
-            if abs(k_vals[prev] - k_vals[cur]) <= eta * max(k_vals[prev], k_vals[cur]):
+            if K[prev] - K[cur] <= eta * K[prev]:
                 blocks[-1].append(cur)
             else:
                 blocks.append([cur])
-        candidates[tuple(tuple(b) for b in blocks)] = None
-    if n <= 6:
-        for blocks in _ordered_partitions(tuple(range(n))):
-            candidates[blocks] = None
-    solution = _best_valid(sn, R, candidates, p0, min_precision=t_lo - 1e-6)
-    if solution is None:
-        raise ConvergenceError(
-            f"no consistent decode-block structure found (t in [{t_lo}, {t_hi}])"
-        )
-    return solution
+        if blocks not in seen:
+            seen.append(blocks)
+            yield blocks
 
 
-def _best_valid(sn, R, structures, p0: float, min_precision=None):
-    best_r, best_p = None, -math.inf
-    for blocks in structures:
+def _convex_reduced(sn, R, p0: float):
+    """(r, KKT residual) for a reduced problem with two or more positive rates.
+
+    The SLSQP iterate only locates the optimum; each block structure read
+    off it is solved exactly, and the first one that lies in the region and
+    passes the KKT certificate is the unique optimum.
+    """
+    program = _RegionProgram(sn, R, p0)
+    for blocks in _block_structures(sn, program.maximize()):
         r = _solve_blocks(sn, R, blocks, p0)
-        if r is None:
+        if r is None or _reduced_min_slack(sn, R, r, p0) < -1e-9:
             continue
-        if _reduced_min_slack(sn, R, r, p0) < -1e-9:
-            continue
-        p = p0 + sum(_weight(sn[i], r[i]) for i in range(len(sn)))
-        if min_precision is not None and p < min_precision:
-            continue
-        if p > best_p:
-            best_p, best_r = p, r
-    return best_r
+        residual = program.kkt_residual(r)
+        if residual <= KKT_LIMIT:
+            return r, residual
+    raise ConvergenceError(
+        "no decode-block structure near the convex optimum passes the KKT certificate"
+    )
 
 
-def _assemble(instance: CeoInstance, R, finite, r_finite, method: str, branch=None):
+def _assemble(instance: CeoInstance, R, finite, r_finite, method: str, branch=None, kkt_residual=None):
     L = instance.L
     r = [0.0] * L
     for i in range(L):
@@ -470,7 +378,12 @@ def _assemble(instance: CeoInstance, R, finite, r_finite, method: str, branch=No
     slack = _reduced_min_slack(finite_sn, finite_R, [r[i] for i in finite], p0) if finite else 0.0
     residuals = max(res78, res79, max(0.0, -slack))
     result = InversionResult(
-        r_star=tuple(r), d_star=d, method=method, residuals=residuals, branch=branch
+        r_star=tuple(r),
+        d_star=d,
+        method=method,
+        residuals=residuals,
+        branch=branch,
+        kkt_residual=kkt_residual,
     )
     if residuals > RESIDUAL_LIMIT:
         raise ConvergenceError(
@@ -655,27 +568,26 @@ def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag
 
 @lru_cache(maxsize=65536)
 def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionResult:
-    finite, p0 = _split_rates(instance, R)
     if method == "auto" and instance.L == 2:
         return r_star_l2(instance, R)
+    finite, p0 = _split_rates(instance, R)
     if len(finite) <= 1:
         r_finite = [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
-        tag = "closed_form_l1" if instance.L == 1 else "bisection"
-        return _assemble(instance, R, finite, r_finite, tag)
+        branch = None if instance.L == 1 else "reduced"
+        return _assemble(instance, R, finite, r_finite, "closed_form_l1", branch=branch)
     sn = [instance.sigma_n2[i] for i in finite]
     rates = [R[i] for i in finite]
-    if method == "auto" and len(finite) <= 4:
-        r_finite = _enumerate_reduced(sn, rates, p0)
-        return _assemble(instance, R, finite, r_finite, "enumeration")
-    r_finite = _general_reduced(sn, rates, p0)
-    return _assemble(instance, R, finite, r_finite, "bisection")
+    r_finite, kkt = _convex_reduced(sn, rates, p0)
+    return _assemble(instance, R, finite, r_finite, "convex", kkt_residual=kkt)
 
 
 def r_star(instance: CeoInstance, R, method: str = "auto") -> InversionResult:
     """Unique allocation achieving the minimal distortion of a rate tuple.
 
-    ``method`` is "auto" (closed forms for one or two encoders, the general
-    solver otherwise) or "bisection" (force the general solver).
+    ``method`` is "auto" (closed forms for one or two encoders, the convex
+    general solver otherwise) or "bisection", the historical name for
+    forcing the general solver.  Reduced problems with at most one finite
+    positive rate are always solved in closed form.
     """
     if method not in ("auto", "bisection"):
         raise ArgumentError(f"unknown method {method!r}")

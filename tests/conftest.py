@@ -9,16 +9,25 @@ The samplers encode the geometry facts the tests rely on:
 * growing only the last-decoded encoder's allocation, with every other
   coordinate frozen, produces a feasible refinement chain whose stages are
   the compatible vertices of the growing allocations.
+
+It also holds the exhaustive inverse-map oracle (every ordered decode-block
+partition, exact at desk scale) and registers a derandomized hypothesis
+profile so property tests draw the same examples on every run.
 """
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gceo.model import CeoInstance
+from gceo import inversion
 from gceo import polymatroid as pm
+
+settings.register_profile("gceo", derandomize=True, deadline=None, database=None)
+settings.load_profile("gceo")
 
 
 @pytest.fixture
@@ -114,3 +123,43 @@ def sample_omega_point(instance, rng, want, margin=1e-3, lo=0.02, hi=3.0, tries=
         if want == "OMEGA3" and t1 < -margin and t2 < -margin:
             return R
     raise RuntimeError(f"could not sample a point in {want} for {instance}")
+
+
+def ordered_partitions(items):
+    """Every ordered partition of ``items`` into nonempty blocks."""
+    if not items:
+        yield ()
+        return
+    for size in range(1, len(items) + 1):
+        for first in combinations(items, size):
+            remaining = tuple(i for i in items if i not in first)
+            for tail in ordered_partitions(remaining):
+                yield (first,) + tail
+
+
+def valid_block_allocations(sn, R, p0):
+    """(blocks, r, precision) for every decode-block structure whose exact
+    block solution lies in the region of a reduced problem."""
+    for blocks in ordered_partitions(tuple(range(len(sn)))):
+        r = inversion._solve_blocks(sn, R, blocks, p0)
+        if r is None or inversion._reduced_min_slack(sn, R, r, p0) < -1e-9:
+            continue
+        yield blocks, r, p0 + sum(inversion._weight(s, v) for s, v in zip(sn, r))
+
+
+def enumerate_r_star(sn, R, p0):
+    """Exhaustive oracle for a reduced problem: the optimal allocation is the
+    valid decode-block candidate of maximal precision (L <= 5)."""
+    assert len(sn) <= 5, "ordered-partition enumeration is a desk-scale oracle"
+    return max(valid_block_allocations(sn, R, p0), key=lambda c: c[2])[1]
+
+
+def roadmap_repro(seed, L):
+    """Random instance and boundary vertex of the ROADMAP inverse-map repros
+    (L=7 with seed 3, L=8 with seed 1): (instance, R, allocation)."""
+    rng = np.random.default_rng(seed)
+    sigma_x2 = float(rng.uniform(0.5, 2.0))
+    sigma_n2 = tuple(float(v) for v in rng.uniform(0.3, 3.0, L))
+    r = tuple(float(v) for v in rng.uniform(0.1, 2.0, L))
+    instance = CeoInstance(sigma_x2, sigma_n2)
+    return instance, boundary_vertex(instance, r), r

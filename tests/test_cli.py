@@ -157,3 +157,37 @@ class TestDeterminismAndErrors:
         _, out = run(["invert", "--instance", sym2_file, "--R", "1,1"])
         value = json.loads(out)["d_star"]
         assert f"{value:.17g}" in out
+
+
+class TestMalformedInputFiles:
+    """Malformed --stages / --chain files are usage errors (exit 2), never
+    a traceback (which would exit 1, the "answer false" code)."""
+
+    def _run_with(self, sym2_file, tmp_path, command, flag, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [command, "--instance", sym2_file, flag, str(path)]
+        if command == "simulate":
+            argv += ["--n", "1000"]
+        return run(argv)
+
+    def test_stages_object_without_key(self, sym2_file, tmp_path):
+        code, out = self._run_with(sym2_file, tmp_path, "refine", "--stages", '{"foo": 1}')
+        assert (code, out) == (2, "")
+
+    def test_stages_non_numeric_entry(self, sym2_file, tmp_path):
+        code, out = self._run_with(sym2_file, tmp_path, "refine", "--stages", '{"stages": [["a", 1]]}')
+        assert (code, out) == (2, "")
+
+    def test_chain_object_without_key(self, sym2_file, tmp_path):
+        code, out = self._run_with(sym2_file, tmp_path, "simulate", "--chain", '{"foo": 1}')
+        assert (code, out) == (2, "")
+
+    def test_chain_not_json(self, sym2_file, tmp_path):
+        code, out = self._run_with(sym2_file, tmp_path, "simulate", "--chain", "not json")
+        assert (code, out) == (2, "")
+
+    def test_well_formed_chain_still_runs(self, sym2_file, tmp_path):
+        code, out = self._run_with(sym2_file, tmp_path, "simulate", "--chain", '{"chain": [[0.2, 0.3], [0.4, 0.5]]}')
+        assert code == 0
+        assert len(json.loads(out)["z_scores"]) == 2

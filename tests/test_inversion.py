@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gceo.errors import ArgumentError
+from gceo import inversion
+from gceo.errors import ArgumentError, ConvergenceError
 from gceo.model import CeoInstance, R_MAX, d_min, distortion, precision
 from gceo.inversion import (
     OmegaTag,
@@ -22,9 +24,13 @@ from conftest import (
     ASYM_INSTANCES,
     boundary_vertex,
     compatible_decode_order,
+    dominant_face_point,
+    enumerate_r_star,
     random_alloc,
     random_instance,
+    roadmap_repro,
     sample_omega_point,
+    valid_block_allocations,
 )
 
 LN2 = math.log(2.0)
@@ -145,13 +151,15 @@ class TestRoundTrips:
             assert a.d_star == pytest.approx(b.d_star, rel=1e-6)
 
     def test_enumeration_vs_bisection_l3(self):
+        # The forced general solver against the exhaustive decode-block oracle.
         rng = np.random.default_rng(44)
         for _ in range(10):
             inst = random_instance(rng, 3)
             R = tuple(float(v) for v in rng.uniform(0.02, 2.5, 3))
-            a = r_star(inst, R, method="auto")
+            a = enumerate_r_star(*_reduced(inst, R))
             b = r_star(inst, R, method="bisection")
-            assert a.r_star == pytest.approx(b.r_star, abs=1e-6)
+            assert b.method == "convex"
+            assert b.r_star == pytest.approx(a, abs=1e-12)
 
     def test_monotone_map(self):
         rng = np.random.default_rng(45)
@@ -229,3 +237,93 @@ class TestOmega:
     def test_requires_two_encoders(self):
         with pytest.raises(ArgumentError):
             classify_omega(CeoInstance(1.0, (1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
+
+
+def _reduced(inst, R):
+    return list(inst.sigma_n2), list(R), 1.0 / inst.sigma_x2
+
+
+class TestConvexSolver:
+    @pytest.mark.parametrize("seed, L", [(3, 7), (1, 8)])
+    def test_roadmap_boundary_vertices_round_trip(self, seed, L):
+        # Neighbouring feasible allocations here pass every residual check
+        # and miss r by ~5e-3; only an optimality check tells them apart.
+        inst, R, r = roadmap_repro(seed, L)
+        res = r_star(inst, R)
+        assert res.method == "convex"
+        assert max(abs(a - b) for a, b in zip(res.r_star, r)) <= 1e-5
+        assert res.d_star == pytest.approx(distortion(inst, r), abs=1e-6)
+        assert res.kkt_residual <= inversion.KKT_LIMIT
+        assert res.residuals <= 1e-6
+
+    @settings(max_examples=40)
+    @given(
+        L=st.integers(min_value=3, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        on_boundary=st.booleans(),
+    )
+    def test_matches_enumeration(self, L, seed, on_boundary):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=0.05, hi=2.5)
+        R = boundary_vertex(inst, r) if on_boundary else dominant_face_point(inst, r, rng)
+        res = r_star(inst, R)
+        assert res.method == "convex"
+        assert res.kkt_residual <= inversion.KKT_LIMIT
+        assert res.r_star == pytest.approx(enumerate_r_star(*_reduced(inst, R)), abs=1e-9)
+        if on_boundary:
+            assert res.r_star == pytest.approx(r, abs=1e-5)
+
+    def test_certificate_rejects_suboptimal_structures(self):
+        # Every decode-block structure that lies in the region but is not
+        # the optimum must fail the KKT certificate; the optimum passes.
+        rng = np.random.default_rng(49)
+        rejected = 0
+        for L in (3, 4):
+            for k in range(6):
+                inst = random_instance(rng, L)
+                r = random_alloc(rng, L, lo=0.05, hi=2.5)
+                R = boundary_vertex(inst, r) if k % 2 == 0 else dominant_face_point(inst, r, rng)
+                sn, rates, p0 = _reduced(inst, R)
+                program = inversion._RegionProgram(sn, rates, p0)
+                best = enumerate_r_star(sn, rates, p0)
+                assert program.kkt_residual(best) <= inversion.KKT_LIMIT
+                for _, cand, _ in valid_block_allocations(sn, rates, p0):
+                    if max(abs(a - b) for a, b in zip(cand, best)) > 1e-9:
+                        assert program.kkt_residual(cand) > 1e3 * inversion.KKT_LIMIT
+                        rejected += 1
+        assert rejected >= 20
+
+    def test_certificate_rejects_wrong_l7_structure(self):
+        # Swap two adjacent decode blocks of the L=7 optimum: where the
+        # result is still in the region, the certificate must reject it.
+        inst, R, r = roadmap_repro(3, 7)
+        sn, rates, p0 = _reduced(inst, R)
+        program = inversion._RegionProgram(sn, rates, p0)
+        order = sorted(range(7), key=lambda i: -sn[i] * math.exp(2.0 * r[i]))
+        assert program.kkt_residual(inversion._solve_blocks(sn, rates, [[i] for i in order], p0)) <= inversion.KKT_LIMIT
+        checked = 0
+        for k in range(6):
+            swapped = order[:k] + [order[k + 1], order[k]] + order[k + 2:]
+            cand = inversion._solve_blocks(sn, rates, [[i] for i in swapped], p0)
+            if cand is None or inversion._reduced_min_slack(sn, rates, cand, p0) < -1e-9:
+                continue
+            assert program.kkt_residual(cand) > inversion.KKT_LIMIT
+            checked += 1
+        assert checked >= 1
+
+    def test_uncertified_answer_raises(self, monkeypatch):
+        monkeypatch.setattr(inversion, "KKT_LIMIT", -1.0)
+        inst = CeoInstance(1.3, (0.7, 1.1, 2.9))
+        with pytest.raises(ConvergenceError, match="KKT certificate"):
+            r_star(inst, (0.9, 1.3, 0.4))
+
+    def test_reports_how_it_was_computed(self, sym2):
+        general = r_star(CeoInstance(1.0, (0.5, 1.0, 2.0)), (0.8, 0.6, 0.7)).to_dict()
+        assert general["method"] == "convex"
+        assert general["branch"] is None
+        assert 0.0 <= general["kkt_residual"] <= inversion.KKT_LIMIT
+        closed = r_star(sym2, (2.0, 0.05)).to_dict()
+        assert (closed["method"], closed["branch"], closed["kkt_residual"]) == ("closed_form_l2", "omega1", None)
+        reduced = r_star(CeoInstance(1.0, (0.5, 1.0, 2.0)), (0.0, 0.6, 0.0)).to_dict()
+        assert (reduced["method"], reduced["branch"]) == ("closed_form_l1", "reduced")
