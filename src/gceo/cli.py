@@ -176,6 +176,8 @@ def _cmd_region(args) -> int:
             "vertices": vertices,
         })
         return 0
+    if args.R is None:
+        raise ArgumentError(f"region {args.action} needs --R")
     R = _parse_vector(args.R, instance.L, "R")
     if args.action == "check":
         slack = polymatroid.min_slack(instance, r, R)
@@ -284,10 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--instance", required=True, help="instance JSON file")
     common.add_argument("--output", default="-", help="output path or - for stdout")
-    common.add_argument(
-        "--format", choices=["json", "csv"], default=None,
-        help="json for all commands except omega-map, which emits csv",
-    )
     common.add_argument("--bits", action="store_true", help="add a bits display section")
     common.add_argument(
         "--tol", type=float, default=None,
@@ -347,12 +345,6 @@ def _resolve_defaults(args) -> None:
             args.tol = refinement.FEASIBILITY_TOL
         else:
             args.tol = 1e-9
-    # CSV is reserved for grid maps; everything else is composed as JSON.
-    wanted = "csv" if args.command == "omega-map" else "json"
-    if args.format is None:
-        args.format = wanted
-    elif args.format != wanted:
-        raise ArgumentError(f"{args.command} emits {wanted}, not {args.format}")
 
 
 def main(argv=None) -> int:

@@ -71,7 +71,7 @@ from scipy.optimize import brentq, minimize, nnls
 
 from .errors import ArgumentError, ConvergenceError
 from .model import CeoInstance, R_MAX, exp_neg2r, is_cap
-from .polymatroid import mask_to_indices
+from .polymatroid import _scan_min_slack
 
 RESIDUAL_LIMIT = 1e-5
 OMEGA_TOL = 1e-7
@@ -165,16 +165,7 @@ def _solve_l1(sn: float, rate: float, p0: float) -> float:
 
 def _reduced_min_slack(sn, R, r, p0: float) -> float:
     """Min subset-rate slack of the reduced region (conditioned on the base)."""
-    n = len(sn)
-    weights = [_weight(sn[i], r[i]) for i in range(n)]
-    p_all = p0 + sum(weights)
-    worst = math.inf
-    for mask in range(1, 1 << n):
-        idx = mask_to_indices(mask)
-        p_comp = p0 + sum(weights[i] for i in range(n) if not mask >> i & 1)
-        rank = 0.5 * math.log(p_all / p_comp) + sum(r[i] for i in idx)
-        worst = min(worst, sum(R[i] for i in idx) - rank)
-    return worst
+    return _scan_min_slack([a - b for a, b in zip(R, r)], [_weight(s, v) for s, v in zip(sn, r)], p0)
 
 
 def _solve_blocks(sn, R, blocks, p0: float):

@@ -22,8 +22,23 @@ Pareto-minimal tuples, and its faces are cut out by telescopic chains of
 "group sum-rate" hyperplanes  sum_{i in A} R_i = f(I, r) - f(A^c, r);
 supermodularity makes the tight chain nested whenever every r_i > 0.
 
-Subsets are bitmasks over encoder indices 0..L-1 (L <= 16, explicit
-enumeration).
+Region membership never enumerates subsets.  The slack of subset A,
+
+    sum_{i in A} R_i - f(A, r) = c(A) + (1/2) ln((p0 + W - w(A)) / (p0 + W)),
+
+with c_i = R_i - r_i, p0 = 1/sigma_x2 and W = sum w_i, is a modular
+function plus a concave function of the modular w(A).  Writing the
+concave term as the infimum of its tangent lines, some minimizer is a
+threshold set {i : c_i < mu w_i}: a prefix of the encoders sorted by
+c_i / w_i, plus every zero-weight encoder with c_i < 0 (Fujishige,
+Submodular Functions and Optimization).  Forcing each encoder in once
+keeps A nonempty, so the minimum costs O(L^2) after one sort
+(``_scan_min_slack``; the inverse map's reduced regions use it too).
+
+Subsets are bitmasks over encoder indices 0..L-1.  Tight-set detection in
+``identify_face``, ``all_vertices`` (L! orders) and
+``supermodularity_margin`` (all subset pairs) still enumerate, which is
+what keeps L <= MAX_ENCODERS.
 """
 
 from __future__ import annotations
@@ -102,17 +117,58 @@ def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
     )
 
 
+def _scan_min_slack(c, w, p0: float) -> float:
+    """min over nonempty A of c(A) + (1/2) ln((p0 + W - w(A)) / (p0 + W)).
+
+    Needs w_i >= 0, p0 > 0 and no NaN in c.  With encoder j forced in, a
+    minimizer over the others is {j} plus every zero-weight encoder with
+    c_i < 0 plus a prefix of the positive-weight encoders in increasing
+    c_i / w_i (ties in any order); every such set is scanned, O(n^2).
+    """
+    n = len(c)
+    order = sorted((i for i in range(n) if w[i] > 0.0), key=lambda i: c[i] / w[i])
+    # rest[k]: p0 plus the weights of order[k:], summed from the back so the
+    # complement precision of every prefix is a sum of nonnegative terms.
+    rest = [p0] * (len(order) + 1)
+    for k in range(len(order) - 1, -1, -1):
+        rest[k] = rest[k + 1] + w[order[k]]
+    free = [w[i] == 0.0 and c[i] < 0.0 for i in range(n)]
+    base = sum(c[i] for i in range(n) if free[i])
+    worst = math.inf
+    for j in range(n):
+        acc = base if free[j] else base + c[j]
+        held = w[j]  # weight of j while it still sits in the suffix
+        for k in range(len(order) + 1):
+            worst = min(worst, acc + 0.5 * math.log((rest[k] - held) / rest[0]))
+            if k < len(order):
+                if order[k] == j:
+                    held = 0.0
+                else:
+                    acc += c[order[k]]
+    return worst
+
+
 def min_slack(instance: CeoInstance, r, R) -> float:
-    """Minimum of sum_{i in A} R_i - f(A, r) over all nonempty subsets A."""
+    """Minimum of sum_{i in A} R_i - f(A, r) over all nonempty subsets A.
+
+    Negative and infinite rates are valid queries; NaN is rejected, as is
+    an infinite rate against an infinite allocation (their slack is
+    undefined).
+    """
     r = _check_allocation(instance, r)
     L = instance.L
     if len(R) != L:
         raise ArgumentError(f"rate vector has length {len(R)}, expected {L}")
-    worst = math.inf
-    for mask in iter_nonempty_subsets(L):
-        s = sum(R[i] for i in mask_to_indices(mask))
-        worst = min(worst, s - rank_f(instance, r, mask))
-    return worst
+    c = []
+    for i in range(L):
+        R_i = float(R[i])
+        if math.isnan(R_i):
+            raise ArgumentError(f"rate entries must not be NaN, got R_{i + 1} = nan")
+        if math.isnan(R_i - r[i]):
+            raise ArgumentError(f"R_{i + 1} - r_{i + 1} is undefined ({R_i} - {r[i]})")
+        c.append(R_i - r[i])
+    w = [precision_weight(instance, i, r[i]) for i in range(L)]
+    return _scan_min_slack(c, w, 1.0 / instance.sigma_x2)
 
 
 def region_contains(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:

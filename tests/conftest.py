@@ -10,9 +10,11 @@ The samplers encode the geometry facts the tests rely on:
   coordinate frozen, produces a feasible refinement chain whose stages are
   the compatible vertices of the growing allocations.
 
-It also holds the exhaustive inverse-map oracle (every ordered decode-block
-partition, exact at desk scale) and registers a derandomized hypothesis
-profile so property tests draw the same examples on every run.
+It also holds the exhaustive oracles (the region slack over every subset,
+and the inverse map over every ordered decode-block partition, both exact
+at desk scale; neither calls the code it checks) and registers a
+derandomized hypothesis profile so property tests draw the same examples
+on every run.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gceo.model import CeoInstance
+from gceo.model import CeoInstance, R_MAX
 from gceo import inversion
 from gceo import polymatroid as pm
 
@@ -125,6 +127,25 @@ def sample_omega_point(instance, rng, want, margin=1e-3, lo=0.02, hi=3.0, tries=
     raise RuntimeError(f"could not sample a point in {want} for {instance}")
 
 
+def exhaustive_slack(sn, R, r, p0):
+    """min over nonempty A of R(A) - r(A) - (1/2) ln(p_all / p_comp(A)) in a
+    region with base precision p0, by explicit numpy enumeration of all
+    2^n - 1 subsets (p_comp(A) = p0 plus the weights outside A)."""
+    n = len(sn)
+    inside = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    r = np.asarray(r, dtype=float)
+    e = np.where(r >= R_MAX, 0.0, np.exp(-2.0 * np.minimum(r, R_MAX)))
+    w = (1.0 - e) / np.asarray(sn, dtype=float)
+    p_comp = p0 + np.where(inside, 0.0, w).sum(axis=1)
+    gap = np.where(inside, np.asarray(R, dtype=float) - r, 0.0).sum(axis=1)
+    return float(np.min(gap - 0.5 * np.log((p0 + w.sum()) / p_comp)))
+
+
+def instance_slack(instance, r, R):
+    """Exhaustive min_slack oracle for an instance (base precision 1/sigma_x2)."""
+    return exhaustive_slack(instance.sigma_n2, R, r, 1.0 / instance.sigma_x2)
+
+
 def ordered_partitions(items):
     """Every ordered partition of ``items`` into nonempty blocks."""
     if not items:
@@ -142,7 +163,7 @@ def valid_block_allocations(sn, R, p0):
     block solution lies in the region of a reduced problem."""
     for blocks in ordered_partitions(tuple(range(len(sn)))):
         r = inversion._solve_blocks(sn, R, blocks, p0)
-        if r is None or inversion._reduced_min_slack(sn, R, r, p0) < -1e-9:
+        if r is None or exhaustive_slack(sn, R, r, p0) < -1e-9:
             continue
         yield blocks, r, p0 + sum(inversion._weight(s, v) for s, v in zip(sn, r))
 

@@ -54,6 +54,20 @@ class TestRegion:
         assert payload["dimension"] == 0
 
 
+class TestNanRates:
+    """A NaN rate is a usage error (exit 2), never an answer or a
+    numerical failure."""
+
+    @pytest.mark.parametrize("argv", [["region", "check"], ["region", "face"], ["schedule"]])
+    def test_nan_rates_exit_two(self, sym2_file, argv):
+        code, out = run(argv + ["--instance", sym2_file, "--r", "0.5,0.5", "--R", "nan,nan"])
+        assert (code, out) == (2, "")
+
+    def test_region_check_without_rates_exits_two(self, sym2_file):
+        code, out = run(["region", "check", "--instance", sym2_file, "--r", "0.5,0.5"])
+        assert (code, out) == (2, "")
+
+
 class TestInvertAndOmega:
     def test_invert(self, sym2_file):
         code, out = run(["invert", "--instance", sym2_file, "--R", "2,0.05"])

@@ -26,6 +26,7 @@ from conftest import (
     compatible_decode_order,
     dominant_face_point,
     enumerate_r_star,
+    exhaustive_slack,
     random_alloc,
     random_instance,
     roadmap_repro,
@@ -306,7 +307,7 @@ class TestConvexSolver:
         for k in range(6):
             swapped = order[:k] + [order[k + 1], order[k]] + order[k + 2:]
             cand = inversion._solve_blocks(sn, rates, [[i] for i in swapped], p0)
-            if cand is None or inversion._reduced_min_slack(sn, rates, cand, p0) < -1e-9:
+            if cand is None or exhaustive_slack(sn, rates, cand, p0) < -1e-9:
                 continue
             assert program.kkt_residual(cand) > inversion.KKT_LIMIT
             checked += 1

@@ -1,11 +1,15 @@
+import json
 import math
+import time
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gceo import cli, inversion
 from gceo.errors import ArgumentError
-from gceo.model import CeoInstance, precision
+from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision
 from gceo.polymatroid import (
     check_supermodular,
     identify_face,
@@ -20,7 +24,13 @@ from gceo.polymatroid import (
 )
 from gceo import scheduler
 
-from conftest import dominant_face_point, random_alloc, random_instance
+from conftest import (
+    dominant_face_point,
+    exhaustive_slack,
+    instance_slack,
+    random_alloc,
+    random_instance,
+)
 
 FULL2 = 0b11
 
@@ -225,3 +235,109 @@ def test_unconditioned_rank_complement_identity(sym2):
         assert unconditioned_rank(sym2, r, mask) == pytest.approx(
             full - rank_f(sym2, r, comp), abs=1e-12
         )
+
+
+def _weights(sn, r):
+    return [(1.0 - (0.0 if v >= R_MAX else math.exp(-2.0 * v))) / s for s, v in zip(sn, r)]
+
+
+@st.composite
+def slack_cases(draw):
+    """(sigma_n2, r, R, base precision, mode) of a region-slack query.
+
+    Hypothesis picks the structure; a drawn seed fills in generic values,
+    so weights and rate gaps are all distinct unless a mode ties them.
+    Allocations mix zero (zero-weight encoders), the R_MAX cap and interior
+    values; the rate gaps c = R - r are free, tied in their ratio c_i / w_i,
+    negative on zero-weight encoders, or positive and large enough that the
+    minimum is a singleton.
+    """
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Weights spread over three decades and gaps on the scale of the log
+    # term, so that sorting by c_i / w_i (not c_i or w_i) decides the minimum.
+    sn = [float(v) for v in 10.0 ** rng.uniform(-1.0, 1.0, n)]
+    kinds = draw(st.lists(st.sampled_from(["zero", "cap", "interior", "interior"]), min_size=n, max_size=n))
+    r = [{"zero": 0.0, "cap": R_MAX}.get(k, float(10.0 ** rng.uniform(-2.3, 0.5))) for k in kinds]
+    p0 = float(10.0 ** rng.uniform(-0.7, 0.7))
+    w = _weights(sn, r)
+    c = [float(v) for v in rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-2.0, 0.3)]
+    mode = draw(st.sampled_from(["free", "tied", "zero_weight", "singleton"]))
+    if mode == "tied":
+        ratio = float(rng.uniform(-1.0, 1.0))
+        tied = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        c = [ratio * wi if t else ci for ci, wi, t in zip(c, w, tied)]
+    elif mode == "zero_weight":
+        r = [0.0 if k % 2 == 0 else v for k, v in enumerate(r)]
+        c = [-abs(ci) - 0.01 if k % 2 == 0 else ci for k, ci in enumerate(c)]
+    elif mode == "singleton":
+        floor = 0.5 * math.log((p0 + sum(w)) / p0)
+        c = [floor + abs(ci) for ci in c]
+    return sn, r, [ci + ri for ci, ri in zip(c, r)], p0, mode
+
+
+class TestThresholdScan:
+    """The O(L^2) scan against explicit enumeration of every subset."""
+
+    @settings(max_examples=300)
+    @given(slack_cases())
+    def test_matches_exhaustive(self, case):
+        sn, r, R, p0, mode = case
+        expect = exhaustive_slack(sn, R, r, p0)
+        # A reduced region: the base also holds two capped encoders.
+        base = p0 + 1.0 / 0.7 + 1.0 / 2.3
+        assert inversion._reduced_min_slack(sn, R, r, base) == pytest.approx(
+            exhaustive_slack(sn, R, r, base), abs=1e-12
+        )
+        assert min_slack(CeoInstance(1.0 / p0, sn), r, R) == pytest.approx(expect, abs=1e-12)
+        if mode == "singleton":
+            w = _weights(sn, r)
+            total = p0 + sum(w)
+            singles = min(R[i] - r[i] + 0.5 * math.log((total - w[i]) / total) for i in range(len(sn)))
+            assert expect == pytest.approx(singles, abs=1e-12)
+
+    def test_infinite_rates_are_queries(self, sym2):
+        assert min_slack(sym2, (0.5, 0.5), (-math.inf, 1.0)) == -math.inf
+        one = min_slack(sym2, (0.5, 0.5), (math.inf, 1.0))
+        assert one == pytest.approx(instance_slack(sym2, (0.5, 0.5), (1e300, 1.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("R", [(math.nan, math.nan), (0.7, math.nan)])
+    def test_nan_rates_rejected(self, sym2, R):
+        with pytest.raises(ArgumentError, match="NaN"):
+            min_slack(sym2, (0.5, 0.5), R)
+        with pytest.raises(ArgumentError, match="NaN"):
+            region_contains(sym2, (0.5, 0.5), R)
+        with pytest.raises(ArgumentError, match="NaN"):
+            on_dominant_face(sym2, (0.5, 0.5), R)
+
+    def test_infinite_rate_against_infinite_allocation_rejected(self, sym2):
+        with pytest.raises(ArgumentError, match="undefined"):
+            min_slack(sym2, (math.inf, 0.5), (math.inf, 1.0))
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_region_check_at_max_encoders(self, tmp_path, inside):
+        # 2^16 - 1 subsets took seconds per query; the scan takes under a
+        # millisecond, so a return to enumeration fails the budget.
+        rng = np.random.default_rng(17)
+        L = MAX_ENCODERS
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=0.1, hi=2.0)
+        R = list(vertex(inst, r, tuple(int(v) for v in rng.permutation(L))))
+        if inside:
+            R = [v + 0.01 for v in R]
+        else:
+            R[3] -= 0.01
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        out = tmp_path / "out.json"
+        argv = [
+            "region", "check", "--instance", str(path), "--output", str(out),
+            "--r", ",".join(repr(v) for v in r), "--R", ",".join(repr(v) for v in R),
+        ]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        expect = instance_slack(inst, r, R)
+        assert (code == 0) == inside == (expect > 0.0)
+        assert json.loads(out.read_text())["slack"] == pytest.approx(expect, abs=1e-12)
+        assert elapsed < 1.0
