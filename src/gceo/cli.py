@@ -347,10 +347,27 @@ def _resolve_defaults(args) -> None:
             args.tol = 1e-9
 
 
+# Comma-separated vector options.  argparse reads a value such as
+# "-0.5,3" as an option string, so a separate value with a leading minus
+# is attached to its option ("--R -0.5,3" -> "--R=-0.5,3") before parsing.
+_VECTOR_OPTIONS = frozenset({"--R", "--r", "--alpha", "--from", "--grid"})
+
+
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_vectors(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -22,7 +22,11 @@ Closed forms
 For one encoder, r* solves the scalar sum-rate identity.  For two, the
 plane splits into three parametric branches driven by the minimum-sum-rate
 allocation (``tilde_params``): a water-filling level count L_D, the unique
-distortion D~ matching the sum rate, and the allocation r~.  When R_1
+distortion D~ matching the sum rate, and the allocation r~.  These are
+closed-form roots of the level equation, a quadratic (two levels) or
+linear (one level) equation in the precision gap 1/D_min(L_D) - 1/D~,
+written in exp(-sum rate) so that no sum rate overflows; no root-finder
+is involved.  When R_1
 exceeds the unconditioned single-encoder rate at r~_1 (region Omega_1),
 encoder 1 is decoded first at exactly that rate; symmetrically for
 Omega_2; otherwise r* = r~ and R sits strictly inside the minimum-sum-rate
@@ -408,10 +412,21 @@ def _sorted_order(instance: CeoInstance) -> tuple[int, int]:
 def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     """Minimum-sum-rate allocation for a two-encoder instance.
 
-    Solves, for the given total rate, the water-filling distortion D~ with
-    the level count L_D determined self-consistently (two levels first, one
-    level if the two-level condition fails at the solution), and returns
-    the allocation r~ in the noise-sorted encoder order.
+    With k water-filling levels and the gap g = 1/D_min(k) - 1/D~, the
+    level equation (1/2) ln(sigma_x2 / D~) + sum_{i <= k} r~_i = sum_rate,
+    r~_i = (1/2) ln(k / (sigma_n2[i] g)), is a polynomial in g with one
+    positive root.  Written in t = exp(-sum_rate), so that nothing
+    overflows at high rates:
+
+        two levels:  g = 2 P2 t / (t + sqrt(t^2 + sn1 sn2 P2 / sx2)),
+        one level:   g = sx2 P1 t^2 / (sx2 t^2 + sn1),
+
+    with Pk = 1/D_min(k).  Both encoders are active iff the two-level
+    solution has 1/D~ >= 1/D_c (up to 1e-12 relative), the precision at
+    which the noisier encoder starts to describe.  Rates follow the cap
+    convention of ``model``: r~ is clamped at R_MAX, and an infinite sum
+    rate gives D~ = D_min(k).  The allocation r~ is returned in the
+    noise-sorted encoder order.
     """
     if instance.L != 2:
         raise ArgumentError("tilde parameters are defined for two encoders")
@@ -423,32 +438,23 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     if sum_rate == 0.0:
         return TildeParams(l_d=1, d_tilde=sx2, r_tilde=(0.0, 0.0))
 
-    def inv_dmin(k):
-        return 1.0 / sx2 + (1.0 / sn1 if k >= 1 else 0.0) + (1.0 / sn2 if k >= 2 else 0.0)
+    t = math.exp(-sum_rate)
+    p1 = 1.0 / sx2 + 1.0 / sn1
+    p2 = p1 + 1.0 / sn2
+    inv_dc = p1 - 1.0 / sn2
+    l_d, p_max = 2, p2
+    gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2))
+    if p2 - gap < inv_dc * (1.0 - 1e-12):
+        l_d, p_max = 1, p1
+        gap = sx2 * p1 * t * t / (sx2 * t * t + sn1)
 
-    def level_equation(D, k):
-        value = math.log(sx2 / D)
-        for s in (sn1, sn2)[:k]:
-            value += math.log(k / (s * (inv_dmin(k) - 1.0 / D)))
-        return 0.5 * value - sum_rate
+    def level_rate(sn):
+        if gap == 0.0:
+            return R_MAX
+        return min(max(0.5 * math.log(l_d / (sn * gap)), 0.0), R_MAX)
 
-    # Two-level threshold: below D_c both encoders are active.
-    inv_dc = 1.0 / sx2 + 1.0 / sn1 - 1.0 / sn2
-    d_tilde = None
-    l_d = 2
-    lo = (1.0 + 1e-14) / inv_dmin(2)
-    if level_equation(sx2, 2) <= 0.0:
-        root = brentq(level_equation, lo, sx2, args=(2,), xtol=1e-300, rtol=8.9e-16)
-        if 1.0 / root >= inv_dc * (1.0 - 1e-12):
-            d_tilde = root
-    if d_tilde is None:
-        l_d = 1
-        lo = (1.0 + 1e-14) / inv_dmin(1)
-        d_tilde = brentq(level_equation, lo, sx2, args=(1,), xtol=1e-300, rtol=8.9e-16)
-    gap = inv_dmin(l_d) - 1.0 / d_tilde
-    r1 = 0.5 * math.log(l_d / (sn1 * gap))
-    r2 = 0.0 if l_d == 1 else 0.5 * math.log(2.0 / (sn2 * gap))
-    return TildeParams(l_d=l_d, d_tilde=d_tilde, r_tilde=(max(r1, 0.0), max(r2, 0.0)))
+    r2 = 0.0 if l_d == 1 else level_rate(sn2)
+    return TildeParams(l_d=l_d, d_tilde=1.0 / (p_max - gap), r_tilde=(level_rate(sn1), r2))
 
 
 def _axis_rate(sx2: float, sn: float, rho: float) -> float:

@@ -218,6 +218,11 @@ class GridNode:
     reachable: bool
 
 
+def _worst_slack(slacks) -> float:
+    """Smallest slack of a stage, +inf for none (a NaN slack never wins)."""
+    return min([math.inf] + [s for _, s in slacks])
+
+
 def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILITY_TOL):
     """Reachability map over a rectangular rate grid (two encoders).
 
@@ -226,13 +231,26 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     from ``R_from``; nodes that do not dominate ``R_from`` are unreachable
     by definition (stage rates never decrease).  Nodes are emitted in
     row-major order (R1 outer, R2 inner).
+
+    This is ``check_refinement([R_from, R])`` at every dominating node,
+    evaluated in one pass: ``R_from`` is validated and inverted once, and
+    stage 1 (0 -> R_from), the same for the whole map, is evaluated once.
+    Each dominating node then adds only its stage-2 slacks, from its own
+    inversion, through the same ``stage_slacks``.  A node that undershoots
+    ``R_from`` by at most 1e-12 in some coordinate is tested at the
+    coordinatewise maximum, as the chain test would see it.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
     lo, hi, step = (float(v) for v in grid)
     if not (step > 0.0 and hi >= lo):
         raise ArgumentError(f"bad grid spec {grid}")
-    R_from = tuple(float(v) for v in R_from)
+    (R_from,) = _validate_stages(instance, [R_from])
+    zero = (0.0, 0.0)
+    inv_from = r_star(instance, R_from)
+    stage1 = _worst_slack(
+        stage_slacks(instance, zero, R_from, zero, inv_from.r_star, inv_from.d_star)
+    )
     n = int(round((hi - lo) / step)) + 1
     nodes = []
     for a in range(n):
@@ -243,7 +261,13 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
             tag = classify_omega(instance, (R1, R2))
             if R1 >= R_from[0] - 1e-12 and R2 >= R_from[1] - 1e-12:
                 target = (max(R1, R_from[0]), max(R2, R_from[1]))
-                reach = check_refinement(instance, [R_from, target], tol).feasible
+                inv_t = inv if target == (R1, R2) else r_star(instance, target)
+                stage2 = _worst_slack(
+                    stage_slacks(
+                        instance, R_from, target, inv_from.r_star, inv_t.r_star, inv_t.d_star
+                    )
+                )
+                reach = min(stage1, stage2) >= -tol
             else:
                 reach = False
             nodes.append(

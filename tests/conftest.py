@@ -12,9 +12,9 @@ The samplers encode the geometry facts the tests rely on:
 
 It also holds the exhaustive oracles (the region slack over every subset,
 and the inverse map over every ordered decode-block partition, both exact
-at desk scale; neither calls the code it checks) and registers a
-derandomized hypothesis profile so property tests draw the same examples
-on every run.
+at desk scale; neither calls the code it checks), the per-node
+formulation of the reachability grid map, and registers a derandomized
+hypothesis profile so property tests draw the same examples on every run.
 """
 
 import math
@@ -27,6 +27,7 @@ from hypothesis import settings
 from gceo.model import CeoInstance, R_MAX
 from gceo import inversion
 from gceo import polymatroid as pm
+from gceo.refinement import GridNode, check_refinement
 
 settings.register_profile("gceo", derandomize=True, deadline=None, database=None)
 settings.load_profile("gceo")
@@ -184,3 +185,23 @@ def roadmap_repro(seed, L):
     r = tuple(float(v) for v in rng.uniform(0.1, 2.0, L))
     instance = CeoInstance(sigma_x2, sigma_n2)
     return instance, boundary_vertex(instance, r), r
+
+
+def grid_map_oracle(instance, R_from, grid, tol=1e-6):
+    """Reachability grid map node by node: classify, invert, and run the full
+    two-stage chain test ``check_refinement([R_from, target])`` at every node
+    that dominates the start (within 1e-12), target being the coordinatewise
+    maximum of node and start."""
+    lo, hi, step = grid
+    n = int(round((hi - lo) / step)) + 1
+    nodes = []
+    for a in range(n):
+        for b in range(n):
+            R = (lo + a * step, lo + b * step)
+            inv = inversion.r_star(instance, R)
+            reach = False
+            if R[0] >= R_from[0] - 1e-12 and R[1] >= R_from[1] - 1e-12:
+                target = (max(R[0], R_from[0]), max(R[1], R_from[1]))
+                reach = check_refinement(instance, [R_from, target], tol).feasible
+            nodes.append(GridNode(R, inversion.classify_omega(instance, R), inv.d_star, inv.r_star, reach))
+    return nodes

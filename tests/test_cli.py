@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -135,6 +135,36 @@ class TestRefineAndSimulate:
         assert payload["steps"][0]["encoder"] == 2
 
 
+class TestHighRates:
+    """Sum rates past ~36 nats, capped and infinite rates are answers
+    (exit 0), not numerical failures."""
+
+    def test_invert_high_equal_rates(self, sym2_file):
+        code, out = run(["invert", "--instance", sym2_file, "--R", "18,18"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["r_star"] == pytest.approx([18.0 - math.log(3.0) / 4.0] * 2, abs=1e-12)
+        assert payload["d_star"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    def test_omega_high_equal_rates(self, sym2_file):
+        code, out = run(["omega", "--instance", sym2_file, "--R", "18,18"])
+        assert (code, json.loads(out)["tag"]) == (0, "OMEGA3")
+
+    @pytest.mark.parametrize("rates", ["60,0.5", "1e6,1", "inf,1"])
+    def test_omega_capped_rate(self, sym2_file, rates):
+        code, out = run(["omega", "--instance", sym2_file, "--R", rates])
+        assert (code, json.loads(out)["tag"]) == (0, "OMEGA1")
+
+    def test_omega_map_to_25_nats(self, sym2_file, tmp_path):
+        out_path = tmp_path / "map.csv"
+        code, _ = run([
+            "omega-map", "--instance", sym2_file, "--from", "0.2,0.6",
+            "--grid", "0,25,1", "--output", str(out_path),
+        ])
+        assert code == 0
+        assert len(out_path.read_text().strip().splitlines()) == 1 + 26 * 26
+
+
 class TestOmegaMap:
     def test_csv_shape(self, sym2_file, tmp_path):
         out_path = tmp_path / "map.csv"
@@ -148,6 +178,13 @@ class TestOmegaMap:
         assert len(lines) == 1 + 9
         fields = lines[1].split(",")
         assert fields[6] in ("0", "1")
+
+    @pytest.mark.parametrize("start", ["--from=nan,0.5", "--from=-0.5,5"])
+    def test_bad_start_exits_two(self, sym2_file, start):
+        # No node of this grid dominates (-0.5, 5): the start is rejected
+        # before any node is visited.
+        code, out = run(["omega-map", "--instance", sym2_file, start, "--grid", "0,1,0.5"])
+        assert (code, out) == (2, "")
 
 
 class TestDeterminismAndErrors:
@@ -171,6 +208,33 @@ class TestDeterminismAndErrors:
         _, out = run(["invert", "--instance", sym2_file, "--R", "1,1"])
         value = json.loads(out)["d_star"]
         assert f"{value:.17g}" in out
+
+
+class TestNegativeVectorValues:
+    """A vector value with a negative first entry is read as a value, the
+    same as the --opt=value form, whatever the answer is."""
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "check", "--r", "0.5,0.5", "--R", "-0.5,3"],
+        ["region", "check", "--R", "1,1", "--r", "-0.5,0.5"],
+        ["hyperplane", "--D", "0.5", "--alpha", "-1,1"],
+        ["omega-map", "--grid", "0,1,0.5", "--from", "-0.5,5"],
+    ])
+    def test_separate_value_matches_attached(self, sym2_file, argv):
+        attached = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+
+        def outcome(args):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run(args + ["--instance", sym2_file])
+            return code, out, err.getvalue()
+
+        assert outcome(argv) == outcome(attached)
+
+    def test_negative_rate_is_a_region_miss(self, sym2_file):
+        code, out = run(["region", "check", "--instance", sym2_file, "--r", "0.5,0.5", "--R", "-0.5,3"])
+        assert code == 1
+        assert json.loads(out)["contains"] is False
 
 
 class TestMalformedInputFiles:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gceo import inversion
 from gceo.errors import ArgumentError, ConvergenceError
-from gceo.model import CeoInstance, R_MAX, d_min, distortion, precision
+from gceo.model import CeoInstance, R_MAX, d_min, distortion, exp_neg2r, precision
 from gceo.inversion import (
     OmegaTag,
     classify_omega,
@@ -63,6 +63,35 @@ class TestTildeParams:
     def test_negative_rate_rejected(self, sym2):
         with pytest.raises(ArgumentError):
             tilde_params(sym2, -0.1)
+
+    @settings(max_examples=300)
+    @given(
+        sigma_x2=st.floats(0.1, 10.0),
+        sigma_n2=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+        sum_rate=st.floats(0.0, 45.0),
+    )
+    def test_certificate(self, sigma_x2, sigma_n2, sum_rate):
+        # Distortion identity, sum-rate identity and water-filling, checked
+        # from the returned numbers alone (r~ is in noise-sorted order).
+        inst = CeoInstance(sigma_x2, sigma_n2)
+        tp = tilde_params(inst, sum_rate)
+        sn1, sn2 = sorted(sigma_n2)
+        r1, r2 = tp.r_tilde
+        weights = (1.0 - exp_neg2r(r1)) / sn1 + (1.0 - exp_neg2r(r2)) / sn2
+        assert 1.0 / tp.d_tilde == pytest.approx(1.0 / sigma_x2 + weights, rel=1e-12)
+        total = 0.5 * math.log(sigma_x2 / tp.d_tilde) + r1 + r2
+        assert total == pytest.approx(sum_rate, abs=1e-12 * max(1.0, sum_rate))
+        level1 = sn1 * math.exp(2.0 * r1)
+        if tp.l_d == 2:
+            assert level1 == pytest.approx(sn2 * math.exp(2.0 * r2), rel=1e-12)
+        else:
+            assert r2 == 0.0
+            assert level1 <= sn2 * (1.0 + 1e-12)
+
+    def test_infinite_sum_rate_caps(self, sym2):
+        tp = tilde_params(sym2, math.inf)
+        assert tp.r_tilde == (R_MAX, R_MAX)
+        assert tp.d_tilde == pytest.approx(d_min(sym2, 2), rel=1e-15)
 
     def test_matches_equal_weight_hyperplane(self, sym2):
         # The minimum-sum-rate allocation at a given total is the equal-weight

@@ -14,6 +14,8 @@ from gceo.refinement import (
 )
 
 from conftest import (
+    ASYM_INSTANCES,
+    grid_map_oracle,
     last_decoded_chain,
     random_instance,
     sample_omega_point,
@@ -194,3 +196,28 @@ class TestReachableGrid:
         inst = CeoInstance(1.0, (1.0, 1.0, 1.0))
         with pytest.raises(ArgumentError):
             reachable_set_l2(inst, (0, 0, 0), (0, 1, 0.5))
+
+    def test_matches_per_node_oracle(self, sym2):
+        # Starts on and off the grid, with a zero coordinate, and one that
+        # nodes undershoot by less than 1e-12 (tested at the start itself).
+        # At tol = 0 the undershooting node's bit also depends on which
+        # allocation stage 2 uses, the start's or the node's.
+        grid = (0.0, 2.0, 0.25)
+        starts = [(0.5, 0.75), (0.3, 1.1), (0.0, 0.8), (1.2, 0.0), (0.5 + 4e-13, 0.25 + 7e-13)]
+        rng = np.random.default_rng(71)
+        instances = [sym2, *ASYM_INSTANCES, *(random_instance(rng, 2) for _ in range(3))]
+        for inst in instances:
+            for start in starts + [tuple(float(v) for v in rng.uniform(0.0, 1.5, 2))]:
+                for tol in (1e-6, 0.0):
+                    got = reachable_set_l2(inst, start, grid, tol)
+                    assert got == grid_map_oracle(inst, start, grid, tol), (inst, start, tol)
+        # The undershooting node is tested as the repeat chain [start, start].
+        nodes = reachable_set_l2(sym2, starts[-1], grid)
+        assert [n.reachable for n in nodes if n.R == (0.5, 0.25)] == [True]
+
+    @pytest.mark.parametrize("start", [(math.nan, 0.5), (-0.5, 5.0), (0.5,)])
+    def test_start_validated_up_front(self, sym2, start):
+        # No node of this grid dominates (-0.5, 5), so only an up-front check
+        # can reject it.
+        with pytest.raises(ArgumentError):
+            reachable_set_l2(sym2, start, (0.0, 1.0, 0.5))
