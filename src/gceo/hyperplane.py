@@ -65,11 +65,15 @@ class HyperplaneResult:
 
 def _normalize_alpha(alpha) -> tuple[float, ...]:
     alpha = tuple(float(a) for a in alpha)
-    if any(a < 0.0 or math.isnan(a) for a in alpha):
-        raise ArgumentError(f"alpha must be componentwise >= 0, got {alpha}")
-    norm = math.sqrt(sum(a * a for a in alpha))
-    if norm == 0.0:
+    if not all(0.0 <= a < math.inf for a in alpha):
+        raise ArgumentError(f"alpha must be finite and componentwise >= 0, got {alpha}")
+    scale = max(alpha, default=0.0)
+    if scale == 0.0:
         raise ArgumentError("alpha must be nonzero")
+    # Dividing by the largest entry first keeps hypot clear of overflow and
+    # of subnormal norms.
+    alpha = tuple(a / scale for a in alpha)
+    norm = math.hypot(*alpha)
     return tuple(a / norm for a in alpha)
 
 

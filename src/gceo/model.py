@@ -117,7 +117,7 @@ def r_from_channel_noise(instance: CeoInstance, i: int, sigma_t2: float) -> floa
         return R_MAX
     if math.isinf(sigma_t2):
         return 0.0
-    return 0.5 * math.log((instance.sigma_n2[i] + sigma_t2) / sigma_t2)
+    return 0.5 * math.log1p(instance.sigma_n2[i] / sigma_t2)
 
 
 def channel_noise_from_r(instance: CeoInstance, i: int, r_i: float) -> float:
@@ -128,8 +128,9 @@ def channel_noise_from_r(instance: CeoInstance, i: int, r_i: float) -> float:
         return math.inf
     if is_cap(r_i):
         return 0.0
-    e = math.exp(-2.0 * r_i)
-    return instance.sigma_n2[i] * e / (1.0 - e)
+    # sigma_n2 e / (1 - e) with e = exp(-2 r_i), written so that tiny rates
+    # neither cancel nor divide by zero.
+    return instance.sigma_n2[i] / math.expm1(2.0 * r_i)
 
 
 def precision_weight(instance: CeoInstance, i: int, r_i: float) -> float:

@@ -28,15 +28,22 @@ accumulated side information Z, writing A-j for A without encoder j:
 
 Split candidates are tried in ascending encoder index, and a candidate
 whose remainder turns out infeasible deeper in the recursion hands over
-to the next one.  Every produced schedule is re-validated from scratch.
-All rates are computed from the joint Gaussian covariance of the involved
-variables via Schur-complement conditioning.
+to the next one.
+
+Every step rate is scalar precision algebra: descriptions are independent
+given X and same-encoder descriptions are nested, so
+I(Y_j; W | Z) = (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j), with p the
+source precision given a set of descriptions and rho the rate given X.
+The coarse noise of a split then has a closed form.  The covariance engine
+(``gaussian_mi``, Schur-complement conditioning of the joint Gaussian) is
+the independent oracle: every produced schedule is re-validated with it
+from scratch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +58,9 @@ from .model import (
 from . import polymatroid
 
 RATE_TOL = 1e-9
-_LOG_VAR_HI = 60.0
+# Same-encoder descriptions whose noises agree to this relative tolerance
+# are one variable (last-ulp differences between solvers).
+_DUP_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,7 @@ def gaussian_mi(
     # description at least as fine as the target pins it completely.  The
     # relative tolerance absorbs last-ulp differences between allocations
     # recovered through different solvers.
-    rel = 1e-10
+    rel = _DUP_REL
     cond: list = []
     kept: dict[int, list[float]] = {}
     for d in decoded:
@@ -198,15 +207,59 @@ def fine_description(instance: CeoInstance, r, i: int) -> Description:
     return Description(encoder=i, sigma_t2_total=channel_noise_from_r(instance, i, r[i]), stage=2)
 
 
+def _finest(descriptions) -> dict[int, float]:
+    """Finest test-channel noise per encoder among the given descriptions.
+
+    Infinite noise is vacuous and dropped.  Same-encoder descriptions within
+    ``_DUP_REL`` of each other are one variable, as in ``gaussian_mi``: a
+    finer one replaces the current only when it is finer by more than that.
+    """
+    finest: dict[int, float] = {}
+    for d in descriptions:
+        if d.sigma_t2_total < finest.get(d.encoder, math.inf) * (1.0 - _DUP_REL):
+            finest[d.encoder] = d.sigma_t2_total
+    return finest
+
+
+def _precision(instance: CeoInstance, finest: dict[int, float]) -> float:
+    """1/Var(X | descriptions): 1/sigma_x2 plus 1/(sigma_n2 + sigma_t2) per encoder."""
+    return 1.0 / instance.sigma_x2 + sum(
+        1.0 / (instance.sigma_n2[e] + t) for e, t in finest.items()
+    )
+
+
+def _rate(instance: CeoInstance, target: Description, decoded) -> float:
+    """I(Y_j; target | decoded) by precision algebra, j the target's encoder.
+
+    Descriptions are independent given X and same-encoder ones are nested,
+    so the rate is (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j): p the
+    source precision given a set, rho the rate given X, Z_j the finest
+    decoded description of j (rho = 0 without one).  It is 0 when Z_j is
+    at least as fine as the target, within the relative rule of
+    ``gaussian_mi``, which is the covariance oracle for this function.
+    """
+    j, t = target.encoder, target.sigma_t2_total
+    side = _finest(decoded)
+    t_side = side.get(j, math.inf)
+    if t == math.inf or t_side <= t * (1.0 + _DUP_REL):
+        return 0.0
+    p_side = _precision(instance, side)
+    side[j] = t
+    return (
+        0.5 * math.log(_precision(instance, side) / p_side)
+        + r_from_channel_noise(instance, j, t)
+        - r_from_channel_noise(instance, j, t_side)
+    )
+
+
 @dataclass
 class _Builder:
     instance: CeoInstance
-    r: tuple[float, ...]
     tol: float
-    fines: dict[int, Description] = field(default_factory=dict)
+    fines: dict[int, Description]
 
     def _mi(self, target, decoded):
-        return gaussian_mi(self.instance, target, decoded)
+        return _rate(self.instance, target, decoded)
 
     def peel(self, active: list[int], z: list[Description], rates: dict[int, float]) -> list[WzStep]:
         """Schedule the active encoders given already-decoded side info z."""
@@ -230,8 +283,8 @@ class _Builder:
                 return [WzStep(self.fines[j], top, tuple(z))] + rest
 
         # (b) split a candidate whose rate is strictly inside its range; a
-        # failing candidate (bad bracket or an infeasible remainder) just
-        # hands over to the next one.
+        # failing candidate (a coarse weight out of range or an infeasible
+        # remainder) just hands over to the next one.
         failures = []
         for j in active:
             top = self._mi(self.fines[j], z)
@@ -258,54 +311,27 @@ class _Builder:
         )
 
     def _split(self, j: int, other_fines, z, target_rate: float):
-        """Coarse noise variance for encoder j so that coarse-then-fine meets target_rate.
+        """Coarse stage for encoder j so that coarse-then-fine meets target_rate.
 
-        The objective rate(coarse(s) | z) + rate(fine | coarse(s), other fines, z)
-        decreases from the unconditioned to the conditioned rate as the coarse
-        noise s grows; the bracket signs are asserted and a sign violation
-        aborts the candidate.
+        A coarse weight w = 1/(sigma_n2_j + s) (s its noise) makes the two
+        stages sum to I_c + (1/2) ln((p_z + w) p_zo / (p_z (p_zo + w))),
+        with p_z = p(z), p_zo = p(z + other fines) and I_c the fine rate
+        given both.  The sum rises from I_c at w = 0 to the unconditioned
+        rate at the fine weight, and setting it to target_rate gives
+        w = p_z p_zo g / (p_zo - p_z - p_z g), g = exp(2 (target_rate - I_c)) - 1.
+        A w outside (0, w_fine) aborts the candidate.
         """
         fine = self.fines[j]
-        lo = math.log(fine.sigma_t2_total) + 1e-12 if fine.sigma_t2_total > 0 else -_LOG_VAR_HI
-        hi = _LOG_VAR_HI
-
-        def objective(x: float) -> float:
-            coarse = Description(j, math.exp(x), stage=1)
-            return (
-                self._mi(coarse, z)
-                + self._mi(fine, [coarse] + other_fines + z)
-                - target_rate
-            )
-
-        # At the lower edge the coarse description nearly duplicates the fine
-        # one and the covariance can lose rank in floating point; nudge up.
-        f_lo = None
-        for _ in range(8):
-            try:
-                f_lo = objective(lo)
-                break
-            except DegeneracyError:
-                lo += 1e-6
-        if f_lo is None:
-            raise InternalInconsistencyError("coarse bracket degenerate at the fine end")
-        f_hi = objective(hi)
-        if not (f_lo > 0.0 > f_hi):
-            raise InternalInconsistencyError(
-                f"split bracket not monotone: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-            )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = objective(mid)
-            if abs(f_mid) <= 0.1 * self.tol or hi - lo < 1e-15:
-                break
-            if f_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise InternalInconsistencyError("coarse-variance search did not converge")
-        coarse = Description(j, math.exp(mid), stage=1)
-        return coarse, self._mi(coarse, list(z))
+        p_z = _precision(self.instance, _finest(z))
+        p_zo = _precision(self.instance, _finest(other_fines + z))
+        gap = math.expm1(2.0 * (target_rate - self._mi(fine, other_fines + z)))
+        w = p_z * p_zo * gap / (p_zo - p_z - p_z * gap)
+        sigma_n2 = self.instance.sigma_n2[j]
+        w_fine = 1.0 / (sigma_n2 + fine.sigma_t2_total)
+        if not 0.0 < w < w_fine:
+            raise InternalInconsistencyError(f"coarse weight {w:.3e} outside (0, {w_fine:.3e})")
+        coarse = Description(j, 1.0 / w - sigma_n2, stage=1)
+        return coarse, self._mi(coarse, z)
 
 
 def build_schedule(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedule:
@@ -318,19 +344,16 @@ def build_schedule(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedu
     if not polymatroid.on_dominant_face(instance, r, R, max(tol, 1e-9) * 10):
         raise ArgumentError("rate tuple is not on the dominant face of the allocation")
     active = [i for i in range(instance.L) if r[i] > 0.0]
-    builder = _Builder(
-        instance,
-        r,
-        tol,
-        fines={i: fine_description(instance, r, i) for i in active},
-    )
+    builder = _Builder(instance, tol, {i: fine_description(instance, r, i) for i in active})
     steps = builder.peel(active, [], {i: R[i] for i in active})
+    return _validated(instance, steps, R, tol, "constructed schedule")
+
+
+def _validated(instance: CeoInstance, steps, R, tol: float, what: str) -> Schedule:
     schedule = Schedule(tuple(steps))
     report = validate_schedule(instance, schedule, R, max(tol * 100, 1e-7))
     if not report.ok:
-        raise InternalInconsistencyError(
-            "constructed schedule failed validation: " + "; ".join(report.diagnostics)
-        )
+        raise InternalInconsistencyError(f"{what} failed validation: " + "; ".join(report.diagnostics))
     return schedule
 
 
@@ -426,22 +449,11 @@ def schedule_for_face(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Sch
     """
     r = _check_allocation(instance, r)
     face = polymatroid.identify_face(instance, r, R, max(tol, polymatroid.FACE_TOL))
-    builder = _Builder(
-        instance,
-        r,
-        tol,
-        fines={i: fine_description(instance, r, i) for i in face.active},
-    )
+    builder = _Builder(instance, tol, {i: fine_description(instance, r, i) for i in face.active})
     steps: list[WzStep] = []
     z: list[Description] = []
     for block in face.blocks:
         block_steps = builder.peel(list(block), list(z), {i: R[i] for i in block})
         steps.extend(block_steps)
         z.extend(builder.fines[i] for i in block)
-    schedule = Schedule(tuple(steps))
-    report = validate_schedule(instance, schedule, R, max(tol * 100, 1e-7))
-    if not report.ok:
-        raise InternalInconsistencyError(
-            "face schedule failed validation: " + "; ".join(report.diagnostics)
-        )
-    return schedule
+    return _validated(instance, steps, R, tol, "face schedule")

@@ -4,6 +4,7 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gceo import cli
 
@@ -269,3 +270,88 @@ class TestMalformedInputFiles:
         code, out = self._run_with(sym2_file, tmp_path, "simulate", "--chain", '{"chain": [[0.2, 0.3], [0.4, 0.5]]}')
         assert code == 0
         assert len(json.loads(out)["z_scores"]) == 2
+
+
+class TestExtremeInputs:
+    """Infinite and out-of-range-scaled directions and rates near zero keep
+    the exit-code contract."""
+
+    def test_infinite_alpha_entry_exits_two(self, sym2_file):
+        code, out = run(["hyperplane", "--instance", sym2_file, "--alpha", "1,inf", "--D", "0.5"])
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("alpha", ["1e200,1e200", "1e-300,1e-300", "5e-324,5e-324"])
+    def test_scaled_alpha_gives_the_unit_answer(self, sym2_file, alpha):
+        def answer(a):
+            code, out = run(["hyperplane", "--instance", sym2_file, "--alpha", a, "--D", "0.5"])
+            assert code == 0
+            return json.loads(out)
+
+        unit, scaled = answer("1,1"), answer(alpha)
+        for key in ("alpha", "r_star", "contact_vertex", "phi", "nu"):
+            assert scaled[key] == pytest.approx(unit[key], abs=1e-12)
+
+    def test_simulate_tiny_rate(self, sym2_file):
+        code, out = run(["simulate", "--instance", sym2_file, "--r=1e-17,0.7", "--n", "10"])
+        assert code == 0
+        assert "NaN" not in out
+
+    def test_schedule_mixed_high_rates(self, tmp_path):
+        # Midpoint of the vertices of orders (0,1,2,3) and (3,2,1,0); every
+        # split candidate used to fail here (exit 3).
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"sigma_x2": 3.0, "sigma_n2": [0.44, 3.19, 0.14, 4.26]}))
+        code, out = run([
+            "schedule", "--instance", str(path), "--r", "4.5,7.6,7.5,3.7",
+            "--R", "5.076424721689904,7.638361989240483,8.461455434159205,3.8389763548837488",
+        ])
+        assert code == 0
+        assert json.loads(out)["total_steps"] <= 7
+
+
+_FUZZ_ENTRY = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-inf", "0", "-0", "5e-324", "-5e-324", "2.2e-308",
+        "1e308", "-1e308", "1.7976931348623157e308", "abc", "", "1e",
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.floats(min_value=0.0, max_value=8.0).map(repr),
+)
+# Two entries, as sym2 needs: wrong lengths are plain usage errors.
+_FUZZ_VECTOR = st.lists(_FUZZ_ENTRY, min_size=2, max_size=2).map(",".join)
+
+
+@pytest.fixture(scope="module")
+def sym2_module_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "sym2.json"
+    path.write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0, 1.0]}))
+    return str(path)
+
+
+_FUZZ_COMMANDS = (
+    ("hyperplane", "--alpha={v}", "--D={x}"),
+    ("schedule", "--r={v}", "--R={v}"),
+    ("region", "check", "--r={v}", "--R={v}"),
+    ("region", "face", "--r={v}", "--R={v}"),
+    ("invert", "--R={v}"),
+    ("omega", "--R={v}"),
+    ("simulate", "--r={v}", "--n", "10"),
+)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(_FUZZ_COMMANDS), data=st.data())
+def test_fuzzed_numbers_keep_the_exit_code_contract(sym2_module_file, command, data):
+    """Huge, subnormal, signed-zero, non-finite and non-numeric entries
+    never escape as exceptions, and a success never prints NaN."""
+    argv = [
+        part.format(v=data.draw(_FUZZ_VECTOR), x=data.draw(_FUZZ_ENTRY)) if "{" in part else part
+        for part in command
+    ]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv + ["--instance", sym2_module_file])
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        assert "NaN" not in out, argv

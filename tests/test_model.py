@@ -63,6 +63,17 @@ class TestRateNoiseBijection:
                 back = r_from_channel_noise(inst, i, channel_noise_from_r(inst, i, float(r)))
                 assert back == pytest.approx(float(r), rel=1e-12)
 
+    def test_round_trip_down_to_tiny_rates(self):
+        # exp(-2r) rounds to 1 below ~1e-16 nats; the map must neither
+        # divide by zero nor lose the rate there.
+        inst = CeoInstance(1.0, (0.3, 2.5))
+        for r in np.concatenate([[1e-300, 1e-17, 1e-9], np.logspace(-300, math.log10(40.0), 200)]):
+            for i in range(2):
+                noise = channel_noise_from_r(inst, i, float(r))
+                assert math.isfinite(noise) and noise > 0.0
+                back = r_from_channel_noise(inst, i, noise)
+                assert back == pytest.approx(float(r), rel=1e-12)
+
 
 class TestPrecisionDistortion:
     def test_zero_rates_give_prior(self, sym2):

@@ -3,12 +3,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gceo.errors import ArgumentError
 from gceo.model import CeoInstance, R_MAX, distortion
 from gceo.polymatroid import identify_face, rank_f, vertex
 from gceo.scheduler import (
     Description,
+    _Builder,
+    _rate,
     build_schedule,
     fine_description,
     gaussian_mi,
@@ -215,3 +218,120 @@ def test_final_distortion_matches(sym2):
     schedule = build_schedule(sym2, r, R)
     finest = [s.description for s in schedule.steps if s.description.stage == 2]
     assert source_mmse(sym2, finest) == pytest.approx(distortion(sym2, r), abs=1e-12)
+
+
+def _random_side_set(rng, fines):
+    """Side information mixing nested coarse stages, near-duplicates (within
+    1e-10 relative), vacuous descriptions and fine stages, in random order."""
+    side = []
+    for fine in fines:
+        enc, t = fine.encoder, fine.sigma_t2_total
+        for _ in range(int(rng.integers(0, 4))):
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                side.append(fine)
+            elif kind == 1:
+                side.append(Description(enc, t * float(rng.uniform(1.01, 20.0)), stage=1))
+            elif kind == 2:
+                side.append(Description(enc, t * (1.0 + float(rng.uniform(-5e-11, 5e-11)))))
+            else:
+                side.append(Description(enc, math.inf, stage=1))
+    rng.shuffle(side)
+    return side
+
+
+class TestScalarRate:
+    """The builder's precision-algebra rate against the covariance oracle.
+
+    Rates stay at or below 3 nats, where the oracle's own Schur-complement
+    error is ~1e-13 (it grows like exp(2r) ulps: ~1e-12 at 4 nats).
+    """
+
+    def test_matches_gaussian_mi(self):
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(600):
+            L = int(rng.integers(1, 6))
+            inst = random_instance(rng, L)
+            r = random_alloc(rng, L, lo=0.05, hi=3.0)
+            fines = [fine_description(inst, r, i) for i in range(L)]
+            side = _random_side_set(rng, fines)
+            j = int(rng.integers(0, L))
+            t = fines[j].sigma_t2_total
+            for target in (
+                fines[j],
+                Description(j, t * float(rng.uniform(1.01, 20.0)), stage=1),
+                Description(j, math.inf, stage=1),
+            ):
+                worst = max(worst, abs(_rate(inst, target, side) - gaussian_mi(inst, target, side)))
+        assert worst <= 1e-12
+
+    def test_finer_side_description_pins_target(self, sym2):
+        fine = Description(0, 0.5)
+        coarse = Description(0, 2.0, stage=1)
+        assert _rate(sym2, coarse, [fine]) == 0.0
+        assert _rate(sym2, fine, [Description(0, 0.5 * (1.0 + 5e-11))]) == 0.0
+        assert _rate(sym2, fine, [coarse]) > 0.0
+
+    def test_closed_form_split_meets_the_target(self):
+        rng = np.random.default_rng(32)
+        worst = 0.0
+        for _ in range(300):
+            L = int(rng.integers(2, 6))
+            inst = random_instance(rng, L)
+            r = random_alloc(rng, L, lo=0.05, hi=3.0)
+            fines = {i: fine_description(inst, r, i) for i in range(L)}
+            # Active encoders first, then side information from the rest.
+            n_active = int(rng.integers(2, L + 1))
+            active = list(range(n_active))
+            z = _random_side_set(rng, [fines[i] for i in range(n_active, L)])
+            j = int(rng.integers(0, n_active))
+            others = [fines[k] for k in active if k != j]
+            low = gaussian_mi(inst, fines[j], others + z)
+            high = gaussian_mi(inst, fines[j], z)
+            target = low + float(rng.uniform(0.01, 0.99)) * (high - low)
+            coarse, coarse_rate = _Builder(inst, 1e-9, fines)._split(j, others, z, target)
+            assert fines[j].sigma_t2_total < coarse.sigma_t2_total < math.inf
+            total = gaussian_mi(inst, coarse, z) + gaussian_mi(inst, fines[j], [coarse] + others + z)
+            worst = max(worst, abs(total - target), abs(coarse_rate - gaussian_mi(inst, coarse, z)))
+        assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("build", [build_schedule, schedule_for_face])
+def test_mixed_high_rate_midpoint_builds(build):
+    # Midpoint of two reversed vertices with rates up to ~8.5 nats: every
+    # split candidate used to fail here.
+    inst = CeoInstance(3.0, (0.44, 3.19, 0.14, 4.26))
+    r = (4.5, 7.6, 7.5, 3.7)
+    a = vertex(inst, r, (0, 1, 2, 3))
+    b = vertex(inst, r, (3, 2, 1, 0))
+    R = tuple((x + y) / 2 for x, y in zip(a, b))
+    schedule = build(inst, r, R)
+    assert schedule.total_steps <= 7
+    assert validate_schedule(inst, schedule, R).ok
+
+
+_ALLOCATION_ENTRY = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=6.0))
+
+
+@settings(max_examples=120)
+@given(
+    L=st.integers(min_value=2, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_dominant_face_schedules(L, seed, data):
+    """Both builders validate every dominant-face point, stay within
+    2 * (active encoders) - 1 steps and sum to R per encoder."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, L)
+    r = tuple(data.draw(st.lists(_ALLOCATION_ENTRY, min_size=L, max_size=L)))
+    R = dominant_face_point(inst, r, rng)
+    active = sum(1 for v in r if v > 0.0)
+    for build in (build_schedule, schedule_for_face):
+        schedule = build(inst, r, R)
+        assert validate_schedule(inst, schedule, R).ok
+        assert schedule.total_steps <= max(0, 2 * active - 1)
+        sums = schedule.per_encoder_rate(L)
+        for i in range(L):
+            assert abs(sums[i] - R[i]) <= 1e-12 * max(1.0, R[i])
