@@ -36,31 +36,47 @@ segment (Omega_3).  Encoders are ordered by noise internally
 General solver
 --------------
 Every other query (three or more encoders, or ``method="bisection"``) is
-one jointly convex program in x = (r, u), u = ln(1/D):
+solved by Fujishige's decomposition algorithm for the lexicographically
+optimal base of a polymatroid (Fujishige, "Lexicographically optimal base
+of a polymatroid with respect to a weight vector", Math. Oper. Res. 5,
+1980).  The optimum decodes its encoders in blocks.  Within a block the
+allocation water-fills, K = sigma_n2[i] exp(2 r_i) being one constant per
+block, and blocks decode in decreasing K.  Given the precision p of the
+blocks decoded so far, the next block is the set A of remaining encoders
+with the largest K_A, where K_A solves the block's group sum-rate equation
+
+    h_A(K) = (1/2) ln(1 + w(A)/p) + sum_{i in A} (1/2) ln(K / sigma_n2[i]) = R(A),
+
+w_i = 1/sigma_n2[i] - 1/K; ties go to the larger set.  Its precision is
+added to p and the search repeats on the rest.
+
+No subset is enumerated.  Since h_A grows with K, K_A > K iff
+g(A, K) = h_A(K) - R(A) < 0, and g(., K) is a modular function plus a
+concave function of the modular w(A): its minimizers are prefixes of the
+remaining encoders sorted by c_i / w_i (``polymatroid._min_threshold_set``).
+Every singleton has K_i > sigma_n2[i], so the answer lies above the largest
+remaining noise, where every encoder has w_i > 0.  A Dinkelbach iteration
+finds it from there: at the current K take the set minimizing g, move K to
+that set's K_A (a monotone scalar root), and stop when no set has g < 0;
+K rises strictly, so the loop ends, in practice within a few steps.
+
+Every answer is certified.  It must lie in the region (minimum subset slack
+>= -1e-9) and pass a KKT check of the same optimization written as one
+jointly convex program in x = (r, u), u = ln(1/D):
 
     maximize u  subject to, for every subset A of the finite encoders,
     u/2 - (1/2) ln(p0 + w(A^c)) + sum_{i in A} r_i <= R(A),
 
-with w_i = (1 - exp(-2 r_i)) / sigma_n2[i], r_i in [0, R_i] and u between
-ln p0 and the saturation level.  The empty set's row is the distortion
-constraint e^u <= p0 + sum w.  Each constraint is convex in (r, u),
-because -ln of a positive concave function is convex (Boyd & Vandenberghe,
-Convex Optimization, ch. 4).  SLSQP solves it with an analytic Jacobian
-over the subset-membership matrix, in the coordinates q_i = exp(-r_i),
-where the program stays convex and saturated encoders keep their
-curvature.
-
-The SLSQP iterate only locates the optimum.  Its active decode-block
-structure is read off it (indices with equal sigma_n2[i] * exp(2 r_i) share
-a block; blocks decode in decreasing order of that constant), and the exact
-allocation is re-solved block by block from the group sum rates, each block
-a monotone scalar root-find.  A snapped allocation is accepted only if it
-lies in the region and passes a KKT certificate: nonnegative multipliers on
-the active constraints (found by NNLS) must leave a stationarity residual
-of at most KKT_LIMIT.  For a convex program that proves global optimality;
-if no structure passes, ``ConvergenceError`` is raised.  The residual is
-reported on the result as ``kkt_residual``.  ``method="bisection"`` is the
-historical name for forcing this solver on two encoders.
+with w_i = (1 - exp(-2 r_i)) / sigma_n2[i]; the empty set's row is the
+distortion constraint.  Each row is convex in (r, u), because -ln of a
+positive concave function is convex (Boyd & Vandenberghe, Convex
+Optimization, ch. 4).  Multipliers are sought (NNLS) only on the suffix
+unions of the decode blocks and the distortion row, at most L + 1 rows,
+all active by construction; nonnegative multipliers there with a
+stationarity residual of at most KKT_LIMIT prove global optimality.
+Otherwise ``ConvergenceError`` is raised.  The residual is reported on the
+result as ``kkt_residual``.  ``method="bisection"`` is the historical name
+for forcing this solver on two encoders.
 """
 
 from __future__ import annotations
@@ -71,11 +87,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize, nnls
+from scipy.optimize import brentq, nnls
 
 from .errors import ArgumentError, ConvergenceError
 from .model import CeoInstance, R_MAX, exp_neg2r, is_cap
-from .polymatroid import _scan_min_slack
+from .polymatroid import _min_threshold_set, _scan_min_slack
 
 RESIDUAL_LIMIT = 1e-5
 OMEGA_TOL = 1e-7
@@ -85,10 +101,9 @@ OMEGA_TOL = 1e-7
 KKT_LIMIT = 1e-10
 # Constraint rows with slack at most this count as active in the certificate.
 _ACTIVE_TOL = 1e-9
-# Relative water-filling-constant gaps under which encoders share a block.
-_SNAP_ETAS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-_SLSQP_FTOL = 1e-10
-_SLSQP_MAXITER = 500
+# Block-test values g(A, K) within this many units of 1 + R(remaining
+# encoders) count as ties: ~100x the rounding of g at a fixed K.
+_TIE_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -172,6 +187,27 @@ def _reduced_min_slack(sn, R, r, p0: float) -> float:
     return _scan_min_slack([a - b for a, b in zip(R, r)], [_weight(s, v) for s, v in zip(sn, r)], p0)
 
 
+def _block_constant(noises, target: float, p: float, k_lo: float):
+    """Water-filling constant K > k_lo of a block with group sum rate
+    ``target`` decoded at base precision p, or None if h(k_lo) >= target.
+
+    h(K) = (1/2) ln(1 + sum (1/s - 1/K) / p) + sum (1/2) ln(K / s) grows
+    by at least n/2 per unit of ln K, which brackets the root.  Each term is
+    formed per encoder, as in the threshold scan, so that the two agree to
+    rounding even where K sits just above a noise.
+    """
+
+    def g(K):
+        weight = sum(1.0 / s - 1.0 / K for s in noises)
+        return 0.5 * math.log1p(weight / p) + sum(0.5 * math.log(K / s) for s in noises) - target
+
+    g_lo = g(k_lo)
+    if g_lo >= 0.0:
+        return None
+    k_hi = k_lo * math.exp(-2.0 * g_lo / len(noises)) * (1.0 + 1e-9)
+    return brentq(g, k_lo, k_hi, xtol=1e-300, rtol=8.9e-16)
+
+
 def _solve_blocks(sn, R, blocks, p0: float):
     """Allocation from a decode-ordered block structure, or None.
 
@@ -181,171 +217,110 @@ def _solve_blocks(sn, R, blocks, p0: float):
     rate is too small to support its joint description.
     """
     r = [0.0] * len(sn)
-    p_prev = p0
+    p = p0
     for block in blocks:
-        target = sum(R[i] for i in block)
         noises = [sn[i] for i in block]
-        k_lo = max(noises) * (1.0 + 1e-13)
-
-        def h(K, _noises=noises, _p=p_prev):
-            p_m = _p + sum(1.0 / s - 1.0 / K for s in _noises)
-            return 0.5 * math.log(p_m / _p) + sum(
-                0.5 * math.log(K / s) for s in _noises
-            )
-
-        if h(k_lo) >= target:
+        K = _block_constant(noises, sum(R[i] for i in block), p, max(noises) * (1.0 + 1e-13))
+        if K is None:
             return None
-        k_hi = k_lo * 4.0
-        cap_k = max(noises) * math.exp(2.0 * (R_MAX + 5.0))
-        while h(k_hi) < target:
-            k_hi *= 4.0
-            if k_hi > cap_k:
-                return None
-        K = brentq(lambda x: h(x) - target, k_lo, k_hi, xtol=1e-300, rtol=8.9e-16)
         for i in block:
             r[i] = 0.5 * math.log(K / sn[i])
-        p_prev += sum(1.0 / sn[i] - 1.0 / K for i in block)
+        p += sum(1.0 / s - 1.0 / K for s in noises)
     return r
 
 
 # ----------------------------------------------------------------------
-# General solver: one convex program in (r, u = ln 1/D), snapped to an
-# exact decode-block solution and certified by KKT multipliers.
+# General solver: Fujishige's decomposition, certified by KKT multipliers
+# on the decode chain.
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _subset_matrix(n: int) -> np.ndarray:
-    """0/1 membership rows of every subset mask 0 .. 2^n - 1 (row 0 is empty)."""
-    rows = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
-    rows.flags.writeable = False
-    return rows
+def _top_block(sn, R, members, p: float):
+    """(block, K): the set of ``members`` with the largest water-filling
+    constant K_A at base precision p, ties to the larger set.
 
-
-class _RegionProgram:
-    """max u over x = (q, u), q_i = exp(-r_i), subject to c_A(x) >= 0 for
-    every subset A, with
-
-        c_A(q, u) = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) + sum_{i in A} ln q_i
-
-    and w_i = (1 - q_i^2) / sigma_n2[i].  c_A >= 0 says R(A) covers the
-    rank of A at distortion exp(-u); the empty set's row, u <= ln(p0 + sum
-    w), is the distortion constraint.  Every c_A is concave (ln of a
-    positive concave function plus concave terms), so the feasible set is
-    convex and a feasible point that admits KKT multipliers is the global
-    optimum.  The program is the same in r, but in q the curvature of
-    saturated encoders (large r_i) is not flattened by exp(-2 r_i), which
-    stalls SLSQP in r well before the block structure is resolved.
+    Dinkelbach iteration from just above the largest noise: while the set
+    minimizing g(., K) has g < 0, its K_A exceeds K and becomes the next K.
+    Just above a small noise one ulp of K can move g by more than the tie
+    tolerance; a step that cannot raise K then ends the search.
     """
-
-    def __init__(self, sn, R, p0: float):
-        self.n = len(sn)
-        self.p0 = p0
-        self.member = _subset_matrix(self.n)
-        self.outside = 1.0 - self.member
-        self.inv_sn = 1.0 / np.asarray(sn, dtype=float)
-        self.rate = self.member @ np.asarray(R, dtype=float)
-        self.bounds = [(math.exp(-v), 1.0) for v in R] + [
-            (math.log(p0), math.log(p0 + float(self.inv_sn.sum())))
-        ]
-
-    def _p_outside(self, q):
-        return self.p0 + self.outside @ ((1.0 - q * q) * self.inv_sn)
-
-    def slacks(self, x):
-        q, u = x[:-1], x[-1]
-        return self.rate - 0.5 * u + 0.5 * np.log(self._p_outside(q)) + self.member @ np.log(q)
-
-    def jacobian(self, x):
-        q = x[:-1]
-        jac = np.empty((len(self.rate), self.n + 1))
-        jac[:, :-1] = self.member / q - self.outside * (q * self.inv_sn) / self._p_outside(q)[:, None]
-        jac[:, -1] = -0.5
-        return jac
-
-    def maximize(self) -> np.ndarray:
-        """Allocation r at the SLSQP iterate, started from the feasible
-        corner r = 0, u = ln p0.
-
-        Only the iterate is used: the answer is re-solved exactly and
-        certified, so SLSQP's own success flag is not consulted.
-        """
-        x0 = np.ones(self.n + 1)
-        x0[-1] = math.log(self.p0)
-        grad = np.zeros(self.n + 1)
-        grad[-1] = -1.0
-        result = minimize(
-            lambda x: -x[-1],
-            x0,
-            jac=lambda x: grad,
-            method="SLSQP",
-            bounds=self.bounds,
-            constraints={"type": "ineq", "fun": self.slacks, "jac": self.jacobian},
-            options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER},
+    tie = _TIE_REL * (1.0 + sum(R[i] for i in members))
+    K = max(sn[i] for i in members) * (1.0 + 1e-13)
+    block = None
+    while True:
+        low, prefix = _min_threshold_set(
+            [0.5 * math.log(K / sn[i]) - R[i] for i in members],
+            [1.0 / sn[i] - 1.0 / K for i in members],
+            p,
+            tie,
         )
-        return -np.log(result.x[:-1])
-
-    def kkt_residual(self, r) -> float:
-        """Stationarity residual of the best multipliers at (r, ln precision).
-
-        Solves  sum_A lambda_A (-grad c_A) = grad u  over the active rows
-        with lambda >= 0 (NNLS), gradients taken in (r, u): rates are the
-        units in which a saturated encoder's exp(-2 r_i)-small influence on
-        u is measured.  The bounds never bind at a feasible point with
-        positive rates (R_i >= rank({i}) > r_i and the block solution has
-        r_i > 0), so they take no multiplier.
-        """
-        q = np.exp(-np.asarray(r, dtype=float))
-        p = self.p0 + float(((1.0 - q * q) * self.inv_sn).sum())
-        x = np.append(q, math.log(p))
-        active = self.slacks(x) <= _ACTIVE_TOL
-        jac = self.jacobian(x)[active]
-        jac[:, :-1] *= -q  # dq_i/dr_i
-        target = np.zeros(self.n + 1)
-        target[-1] = 1.0
-        _, residual = nnls(-jac.T, target)
-        return float(residual)
+        found = [members[k] for k in prefix] or block
+        if low >= -tie:
+            break
+        K_next = _block_constant([sn[i] for i in found], sum(R[i] for i in found), p, K)
+        if K_next is None or not K_next > K:
+            break  # K is the top constant to an ulp; ``found`` ties with ``block``
+        K, block = K_next, found
+    if found != block:  # the first step's set, or a tie merged into the block
+        noises = [sn[i] for i in found]
+        K = _block_constant(noises, sum(R[i] for i in found), p, max(noises) * (1.0 + 1e-13))
+        if K is None:
+            raise ConvergenceError("decomposition stalled: the threshold scan and h_A disagree")
+    return found, K
 
 
-def _block_structures(sn, r):
-    """Decode-block structures read off an approximate optimum, finest first.
+def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
+    """Stationarity residual of the best multipliers at (r, ln precision)
+    on the decode chain: the suffix unions of ``blocks`` (listed in decode
+    order) and the empty set's distortion row.
 
-    Encoders whose water-filling constants K_i = sigma_n2[i] exp(2 r_i) agree
-    to a relative eta share a block; blocks decode in decreasing K.
+    Solves  sum_A lambda_A (-grad c_A) = grad u  with lambda >= 0 (NNLS),
+    c_A = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) - r(A) and gradients in
+    (r, u), over the chain rows that are active; zero multipliers on every
+    other row complete a full KKT certificate.  The bounds r_i in [0, R_i]
+    never bind at a block solution with positive rates, so they take no
+    multiplier.
     """
-    K = [s * math.exp(2.0 * v) for s, v in zip(sn, r)]
-    order = sorted(range(len(sn)), key=lambda i: -K[i])
-    seen = []
-    for eta in _SNAP_ETAS:
-        blocks = [[order[0]]]
-        for prev, cur in zip(order, order[1:]):
-            if K[prev] - K[cur] <= eta * K[prev]:
-                blocks[-1].append(cur)
-            else:
-                blocks.append([cur])
-        if blocks not in seen:
-            seen.append(blocks)
-            yield blocks
+    n = len(sn)
+    w = [_weight(s, v) for s, v in zip(sn, r)]
+    slope = [exp_neg2r(v) / s for s, v in zip(sn, r)]  # (1/2) dw_i / dr_i
+    p_all = p0 + sum(w)
+    decoded = set()  # A^c: the blocks decoded before the row's set A
+    cols = []
+    for block in [()] + list(blocks):
+        decoded.update(block)
+        p_out = p0 + sum(w[i] for i in decoded)
+        slack = sum(R[i] - r[i] for i in range(n) if i not in decoded) - 0.5 * math.log(p_all / p_out)
+        if slack <= _ACTIVE_TOL:
+            cols.append([-slope[i] / p_out if i in decoded else 1.0 for i in range(n)] + [0.5])
+    target = np.zeros(n + 1)
+    target[-1] = 1.0
+    _, residual = nnls(np.array(cols).T, target)
+    return float(residual)
 
 
-def _convex_reduced(sn, R, p0: float):
-    """(r, KKT residual) for a reduced problem with two or more positive rates.
-
-    The SLSQP iterate only locates the optimum; each block structure read
-    off it is solved exactly, and the first one that lies in the region and
-    passes the KKT certificate is the unique optimum.
-    """
-    program = _RegionProgram(sn, R, p0)
-    for blocks in _block_structures(sn, program.maximize()):
-        r = _solve_blocks(sn, R, blocks, p0)
-        if r is None or _reduced_min_slack(sn, R, r, p0) < -1e-9:
-            continue
-        residual = program.kkt_residual(r)
-        if residual <= KKT_LIMIT:
-            return r, residual
-    raise ConvergenceError(
-        "no decode-block structure near the convex optimum passes the KKT certificate"
-    )
+def _decompose(sn, R, p0: float):
+    """(r, KKT residual) for a reduced problem with two or more positive rates."""
+    r = [0.0] * len(sn)
+    blocks = []
+    members = list(range(len(sn)))
+    p = p0
+    while members:
+        block, K = _top_block(sn, R, members, p)
+        for i in block:
+            r[i] = 0.5 * math.log(K / sn[i])
+        p += sum(1.0 / sn[i] - 1.0 / K for i in block)
+        blocks.append(block)
+        members = [i for i in members if i not in block]
+    slack = _reduced_min_slack(sn, R, r, p0)
+    if slack < -1e-9:
+        raise ConvergenceError(f"decomposition leaves the rate region (slack {slack:.3e})")
+    residual = _chain_kkt_residual(sn, R, r, blocks, p0)
+    if not residual <= KKT_LIMIT:
+        raise ConvergenceError(
+            f"decomposition fails its KKT certificate (residual {residual:.3e} > {KKT_LIMIT:.0e})"
+        )
+    return r, residual
 
 
 def _assemble(instance: CeoInstance, R, finite, r_finite, method: str, branch=None, kkt_residual=None):
@@ -574,17 +549,25 @@ def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionRes
         return _assemble(instance, R, finite, r_finite, "closed_form_l1", branch=branch)
     sn = [instance.sigma_n2[i] for i in finite]
     rates = [R[i] for i in finite]
-    r_finite, kkt = _convex_reduced(sn, rates, p0)
-    return _assemble(instance, R, finite, r_finite, "convex", kkt_residual=kkt)
+    r_finite, kkt = _decompose(sn, rates, p0)
+    return _assemble(instance, R, finite, r_finite, "decomposition", kkt_residual=kkt)
 
 
 def r_star(instance: CeoInstance, R, method: str = "auto") -> InversionResult:
     """Unique allocation achieving the minimal distortion of a rate tuple.
 
-    ``method`` is "auto" (closed forms for one or two encoders, the convex
-    general solver otherwise) or "bisection", the historical name for
-    forcing the general solver.  Reduced problems with at most one finite
+    ``method`` is "auto" (closed forms for one or two encoders, the
+    decomposition otherwise) or "bisection", the historical name for
+    forcing the decomposition.  Reduced problems with at most one finite
     positive rate are always solved in closed form.
+
+    r* is the exact-arithmetic optimum, built from the decode blocks and
+    their group sum rates, not picked by comparing distortions.  That
+    matters at high rates: r_i moves D* through exp(-2 r_i) only, by less
+    than any tolerance past a few nats and by less than the float
+    resolution of 1/D past ~18 nats, so many allocations share the
+    floating-point D*; r* is the one the block structure singles out (the
+    lexicographically optimal base; see the module docstring).
     """
     if method not in ("auto", "bisection"):
         raise ArgumentError(f"unknown method {method!r}")

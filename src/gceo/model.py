@@ -37,9 +37,10 @@ R_MAX = 50.0
 TOL_EQ = 1e-9
 TOL_ITER = 1e-6
 
-# Region membership scans in O(L^2), but the inverse map's convex program
-# carries one constraint row per subset (2^L) and face identification tests
-# every subset for tightness; both enumerate, so L stays at desk scale.
+# Region membership (O(L^2)) and the inverse map (a few threshold scans per
+# decode block) enumerate no subsets, but face identification tests every
+# subset for tightness and the vertex listings walk all L! decode orders,
+# so L stays at desk scale.
 MAX_ENCODERS = 16
 
 
@@ -70,8 +71,8 @@ class CeoInstance:
             raise ArgumentError("need at least one encoder")
         if len(self.sigma_n2) > MAX_ENCODERS:
             raise ArgumentError(
-                f"at most {MAX_ENCODERS} encoders supported (the inverse map and face "
-                f"identification enumerate all 2^L subsets), got {len(self.sigma_n2)}"
+                f"at most {MAX_ENCODERS} encoders supported (face identification "
+                f"enumerates all 2^L subsets), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
             if not (v > 0.0) or not math.isfinite(v):

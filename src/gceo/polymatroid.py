@@ -33,7 +33,9 @@ threshold set {i : c_i < mu w_i}: a prefix of the encoders sorted by
 c_i / w_i, plus every zero-weight encoder with c_i < 0 (Fujishige,
 Submodular Functions and Optimization).  Forcing each encoder in once
 keeps A nonempty, so the minimum costs O(L^2) after one sort
-(``_scan_min_slack``; the inverse map's reduced regions use it too).
+(``_scan_min_slack``; the inverse map's reduced regions use it too).  The
+inverse map's block search minimizes the mirror form with the precision
+p0 + w(A) inside A over the same sorted prefixes (``_min_threshold_set``).
 
 Subsets are bitmasks over encoder indices 0..L-1.  Tight-set detection in
 ``identify_face``, ``all_vertices`` (L! orders) and
@@ -117,6 +119,13 @@ def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
     )
 
 
+def _threshold_order(c, w):
+    """Positive-weight encoders in increasing c_i / w_i.  A modular term plus
+    a concave function of w(A) has a minimizer among the prefixes of this
+    order (plus the zero-weight encoders with c_i < 0)."""
+    return sorted((i for i in range(len(c)) if w[i] > 0.0), key=lambda i: c[i] / w[i])
+
+
 def _scan_min_slack(c, w, p0: float) -> float:
     """min over nonempty A of c(A) + (1/2) ln((p0 + W - w(A)) / (p0 + W)).
 
@@ -126,7 +135,7 @@ def _scan_min_slack(c, w, p0: float) -> float:
     c_i / w_i (ties in any order); every such set is scanned, O(n^2).
     """
     n = len(c)
-    order = sorted((i for i in range(n) if w[i] > 0.0), key=lambda i: c[i] / w[i])
+    order = _threshold_order(c, w)
     # rest[k]: p0 plus the weights of order[k:], summed from the back so the
     # complement precision of every prefix is a sum of nonnegative terms.
     rest = [p0] * (len(order) + 1)
@@ -146,6 +155,29 @@ def _scan_min_slack(c, w, p0: float) -> float:
                 else:
                     acc += c[order[k]]
     return worst
+
+
+def _min_threshold_set(c, w, p0: float, tie: float):
+    """min over every A, the empty set included, of
+    c(A) + (1/2) ln((p0 + w(A)) / p0), and the largest minimizer.
+
+    Needs every w_i > 0.  The same tangent-line argument as in
+    ``_scan_min_slack`` makes some minimizer a prefix of the encoders in
+    increasing c_i / w_i, and the union of all minimizers is one too, so a
+    single pass over the prefixes finds both, O(n log n).  Prefixes within
+    ``tie`` of the minimum count as minimizers; the longest is returned as
+    a list of indices.
+    """
+    order = _threshold_order(c, w)
+    values = [0.0]
+    acc, inner = 0.0, p0
+    for i in order:
+        acc += c[i]
+        inner += w[i]
+        values.append(acc + 0.5 * math.log(inner / p0))
+    low = min(values)
+    size = max(k for k, v in enumerate(values) if v <= low + tie)
+    return low, order[:size]
 
 
 def min_slack(instance: CeoInstance, r, R) -> float:

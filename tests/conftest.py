@@ -10,11 +10,15 @@ The samplers encode the geometry facts the tests rely on:
   coordinate frozen, produces a feasible refinement chain whose stages are
   the compatible vertices of the growing allocations.
 
-It also holds the exhaustive oracles (the region slack over every subset,
-and the inverse map over every ordered decode-block partition, both exact
-at desk scale; neither calls the code it checks), the per-node
-formulation of the reachability grid map, and registers a derandomized
-hypothesis profile so property tests draw the same examples on every run.
+It also holds the exhaustive oracles, exact at desk scale: the region
+slack over every subset; the inverse map over every ordered decode-block
+partition (largest precision wins) and by a block-by-block decomposition
+that tries every subset as the next block; and the inverse map's convex
+program with one row per subset, whose all-rows KKT residual is the
+reference certificate.  None calls the code it checks beyond the block
+equation ``_solve_blocks``.  Finally it holds the per-node formulation of
+the reachability grid map, and registers a derandomized hypothesis profile
+so property tests draw the same examples on every run.
 """
 
 import math
@@ -23,6 +27,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.optimize import nnls
 
 from gceo.model import CeoInstance, R_MAX
 from gceo import inversion
@@ -174,6 +179,86 @@ def enumerate_r_star(sn, R, p0):
     valid decode-block candidate of maximal precision (L <= 5)."""
     assert len(sn) <= 5, "ordered-partition enumeration is a desk-scale oracle"
     return max(valid_block_allocations(sn, R, p0), key=lambda c: c[2])[1]
+
+
+def greedy_r_star(sn, R, p0):
+    """Subset-enumeration oracle for a reduced problem: Fujishige's
+    decomposition with every candidate block tried.  Each round solves every
+    nonempty subset A of the remaining encoders as one block through
+    ``_solve_blocks`` and decodes the one with the largest water-filling
+    constant K_A (ties within 1e-12 relative go to the larger set), then
+    conditions on it.  Exact where the max-precision pick of
+    ``enumerate_r_star`` cannot resolve saturated coordinates (L <= 8)."""
+    assert len(sn) <= 8, "subset enumeration is a desk-scale oracle"
+    r = [0.0] * len(sn)
+    remaining = tuple(range(len(sn)))
+    p = p0
+    while remaining:
+        best_K, best = 0.0, None
+        for size in range(1, len(remaining) + 1):
+            for A in combinations(remaining, size):
+                sol = inversion._solve_blocks(sn, R, [A], p)
+                if sol is None:
+                    continue
+                K = sn[A[0]] * math.exp(2.0 * sol[A[0]])
+                if K >= best_K * (1.0 - 1e-12):
+                    best_K, best = max(K, best_K), (A, sol)
+        A, sol = best
+        for i in A:
+            r[i] = sol[i]
+        p += sum(inversion._weight(sn[i], sol[i]) for i in A)
+        remaining = tuple(i for i in remaining if i not in A)
+    return r
+
+
+class RegionProgram:
+    """The inverse map as one convex program with a row per subset, kept as
+    the all-rows reference certificate: max u over x = (q, u),
+    q_i = exp(-r_i), subject to c_A(x) >= 0 for every subset A, with
+
+        c_A(q, u) = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) + sum_{i in A} ln q_i
+
+    and w_i = (1 - q_i^2) / sigma_n2[i]; the empty set's row is the
+    distortion constraint.  Every c_A is concave, so a feasible point that
+    admits KKT multipliers on its active rows is the global optimum.
+    """
+
+    def __init__(self, sn, R, p0):
+        n = len(sn)
+        self.p0 = p0
+        self.member = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+        self.outside = 1.0 - self.member
+        self.inv_sn = 1.0 / np.asarray(sn, dtype=float)
+        self.rate = self.member @ np.asarray(R, dtype=float)
+
+    def _p_outside(self, q):
+        return self.p0 + self.outside @ ((1.0 - q * q) * self.inv_sn)
+
+    def slacks(self, x):
+        q, u = x[:-1], x[-1]
+        return self.rate - 0.5 * u + 0.5 * np.log(self._p_outside(q)) + self.member @ np.log(q)
+
+    def jacobian(self, x):
+        q = x[:-1]
+        jac = np.empty((len(self.rate), len(q) + 1))
+        jac[:, :-1] = self.member / q - self.outside * (q * self.inv_sn) / self._p_outside(q)[:, None]
+        jac[:, -1] = -0.5
+        return jac
+
+    def kkt_residual(self, r):
+        """Stationarity residual of the best multipliers at (r, ln precision):
+        NNLS for  sum_A lambda_A (-grad c_A) = grad u  over every active row
+        (slack <= 1e-9), gradients in (r, u)."""
+        q = np.exp(-np.asarray(r, dtype=float))
+        p = self.p0 + float(((1.0 - q * q) * self.inv_sn).sum())
+        x = np.append(q, math.log(p))
+        active = self.slacks(x) <= 1e-9
+        jac = self.jacobian(x)[active]
+        jac[:, :-1] *= -q  # dq_i/dr_i
+        target = np.zeros(len(q) + 1)
+        target[-1] = 1.0
+        _, residual = nnls(-jac.T, target)
+        return float(residual)
 
 
 def roadmap_repro(seed, L):

@@ -335,6 +335,7 @@ _FUZZ_COMMANDS = (
     ("region", "check", "--r={v}", "--R={v}"),
     ("region", "face", "--r={v}", "--R={v}"),
     ("invert", "--R={v}"),
+    ("invert", "--method=bisection", "--R={v}"),
     ("omega", "--R={v}"),
     ("simulate", "--r={v}", "--n", "10"),
 )

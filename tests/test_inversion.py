@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gceo import inversion
 from gceo.errors import ArgumentError, ConvergenceError
-from gceo.model import CeoInstance, R_MAX, d_min, distortion, exp_neg2r, precision
+from gceo.model import CeoInstance, MAX_ENCODERS, R_MAX, d_min, distortion, exp_neg2r, precision
 from gceo.inversion import (
     OmegaTag,
     classify_omega,
@@ -22,11 +22,13 @@ from gceo.hyperplane import support_value
 
 from conftest import (
     ASYM_INSTANCES,
+    RegionProgram,
     boundary_vertex,
     compatible_decode_order,
     dominant_face_point,
     enumerate_r_star,
     exhaustive_slack,
+    greedy_r_star,
     random_alloc,
     random_instance,
     roadmap_repro,
@@ -171,14 +173,20 @@ class TestRoundTrips:
         assert uniqueness_probe(sym2, R, res)
 
     def test_cross_method_agreement(self):
+        # The two-encoder closed forms against the forced decomposition, on
+        # uniform draws (mostly OMEGA1/OMEGA2) and on OMEGA3 points.
         rng = np.random.default_rng(43)
-        for _ in range(30):
+        for k in range(60):
             inst = random_instance(rng, 2)
-            R = tuple(float(v) for v in rng.uniform(0.01, 3.0, 2))
+            if k % 2:
+                R = sample_omega_point(inst, rng, "OMEGA3")
+            else:
+                R = tuple(float(v) for v in rng.uniform(0.01, 3.0, 2))
             a = r_star_l2(inst, R)
             b = r_star(inst, R, method="bisection")
-            assert a.r_star == pytest.approx(b.r_star, abs=1e-4)
-            assert a.d_star == pytest.approx(b.d_star, rel=1e-6)
+            assert b.method == "decomposition"
+            assert a.r_star == pytest.approx(b.r_star, abs=1e-9)
+            assert a.d_star == pytest.approx(b.d_star, rel=1e-12)
 
     def test_enumeration_vs_bisection_l3(self):
         # The forced general solver against the exhaustive decode-block oracle.
@@ -188,7 +196,7 @@ class TestRoundTrips:
             R = tuple(float(v) for v in rng.uniform(0.02, 2.5, 3))
             a = enumerate_r_star(*_reduced(inst, R))
             b = r_star(inst, R, method="bisection")
-            assert b.method == "convex"
+            assert b.method == "decomposition"
             assert b.r_star == pytest.approx(a, abs=1e-12)
 
     def test_monotone_map(self):
@@ -274,13 +282,13 @@ def _reduced(inst, R):
 
 
 class TestConvexSolver:
-    @pytest.mark.parametrize("seed, L", [(3, 7), (1, 8)])
+    @pytest.mark.parametrize("seed, L", [(3, 7), (1, 8), (1, MAX_ENCODERS)])
     def test_roadmap_boundary_vertices_round_trip(self, seed, L):
         # Neighbouring feasible allocations here pass every residual check
         # and miss r by ~5e-3; only an optimality check tells them apart.
         inst, R, r = roadmap_repro(seed, L)
         res = r_star(inst, R)
-        assert res.method == "convex"
+        assert res.method == "decomposition"
         assert max(abs(a - b) for a, b in zip(res.r_star, r)) <= 1e-5
         assert res.d_star == pytest.approx(distortion(inst, r), abs=1e-6)
         assert res.kkt_residual <= inversion.KKT_LIMIT
@@ -298,7 +306,7 @@ class TestConvexSolver:
         r = random_alloc(rng, L, lo=0.05, hi=2.5)
         R = boundary_vertex(inst, r) if on_boundary else dominant_face_point(inst, r, rng)
         res = r_star(inst, R)
-        assert res.method == "convex"
+        assert res.method == "decomposition"
         assert res.kkt_residual <= inversion.KKT_LIMIT
         assert res.r_star == pytest.approx(enumerate_r_star(*_reduced(inst, R)), abs=1e-9)
         if on_boundary:
@@ -306,7 +314,9 @@ class TestConvexSolver:
 
     def test_certificate_rejects_suboptimal_structures(self):
         # Every decode-block structure that lies in the region but is not
-        # the optimum must fail the KKT certificate; the optimum passes.
+        # the optimum must fail the KKT certificate, both the all-rows
+        # reference and the decode-chain rows of the solver; the optimum
+        # passes both.
         rng = np.random.default_rng(49)
         rejected = 0
         for L in (3, 4):
@@ -315,32 +325,81 @@ class TestConvexSolver:
                 r = random_alloc(rng, L, lo=0.05, hi=2.5)
                 R = boundary_vertex(inst, r) if k % 2 == 0 else dominant_face_point(inst, r, rng)
                 sn, rates, p0 = _reduced(inst, R)
-                program = inversion._RegionProgram(sn, rates, p0)
-                best = enumerate_r_star(sn, rates, p0)
+                program = RegionProgram(sn, rates, p0)
+                candidates = list(valid_block_allocations(sn, rates, p0))
+                best_blocks, best, _ = max(candidates, key=lambda c: c[2])
                 assert program.kkt_residual(best) <= inversion.KKT_LIMIT
-                for _, cand, _ in valid_block_allocations(sn, rates, p0):
+                assert inversion._chain_kkt_residual(sn, rates, best, best_blocks, p0) <= inversion.KKT_LIMIT
+                for blocks, cand, _ in candidates:
                     if max(abs(a - b) for a, b in zip(cand, best)) > 1e-9:
                         assert program.kkt_residual(cand) > 1e3 * inversion.KKT_LIMIT
+                        chain = inversion._chain_kkt_residual(sn, rates, cand, blocks, p0)
+                        assert chain > 1e3 * inversion.KKT_LIMIT
                         rejected += 1
         assert rejected >= 20
 
     def test_certificate_rejects_wrong_l7_structure(self):
         # Swap two adjacent decode blocks of the L=7 optimum: where the
-        # result is still in the region, the certificate must reject it.
+        # result is still in the region, both certificates must reject it.
         inst, R, r = roadmap_repro(3, 7)
         sn, rates, p0 = _reduced(inst, R)
-        program = inversion._RegionProgram(sn, rates, p0)
+        program = RegionProgram(sn, rates, p0)
         order = sorted(range(7), key=lambda i: -sn[i] * math.exp(2.0 * r[i]))
-        assert program.kkt_residual(inversion._solve_blocks(sn, rates, [[i] for i in order], p0)) <= inversion.KKT_LIMIT
+        best = inversion._solve_blocks(sn, rates, [[i] for i in order], p0)
+        assert program.kkt_residual(best) <= inversion.KKT_LIMIT
+        assert inversion._chain_kkt_residual(sn, rates, best, [[i] for i in order], p0) <= inversion.KKT_LIMIT
         checked = 0
         for k in range(6):
             swapped = order[:k] + [order[k + 1], order[k]] + order[k + 2:]
-            cand = inversion._solve_blocks(sn, rates, [[i] for i in swapped], p0)
+            blocks = [[i] for i in swapped]
+            cand = inversion._solve_blocks(sn, rates, blocks, p0)
             if cand is None or exhaustive_slack(sn, rates, cand, p0) < -1e-9:
                 continue
             assert program.kkt_residual(cand) > inversion.KKT_LIMIT
+            assert inversion._chain_kkt_residual(sn, rates, cand, blocks, p0) > inversion.KKT_LIMIT
             checked += 1
         assert checked >= 1
+
+    @settings(max_examples=40)
+    @given(
+        L=st.integers(min_value=6, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["boundary", "two_vertices", "uniform"]),
+    )
+    def test_matches_subset_greedy(self, L, seed, kind):
+        # Past the reach of the partition oracle: the decomposition against
+        # the same construction with every subset tried as the next block.
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=0.05, hi=2.5)
+        if kind == "boundary":
+            R = boundary_vertex(inst, r)
+        elif kind == "two_vertices":
+            lam = float(rng.uniform())
+            a, b = (vertex(inst, r, tuple(int(i) for i in rng.permutation(L))) for _ in range(2))
+            R = tuple(lam * x + (1.0 - lam) * y for x, y in zip(a, b))
+        else:
+            R = tuple(float(v) for v in rng.uniform(0.02, 3.0, L))
+        res = r_star(inst, R)
+        assert res.kkt_residual <= inversion.KKT_LIMIT
+        assert res.r_star == pytest.approx(greedy_r_star(*_reduced(inst, R)), abs=1e-12)
+        if kind == "boundary":
+            assert res.r_star == pytest.approx(r, abs=1e-5)
+
+    def test_saturated_rates(self):
+        # Rates of 10-45 nats.  exp(-2 r_i) then hides part of the
+        # allocation in D, so the partition oracle's largest-precision pick
+        # is ambiguous there; it still pins D*, and the subset greedy pins r*.
+        rng = np.random.default_rng(50)
+        for k in range(80):
+            L = 2 + k % 4
+            inst = random_instance(rng, L)
+            R = tuple(float(v) for v in rng.uniform(10.0, 45.0, L))
+            sn, rates, p0 = _reduced(inst, R)
+            res = r_star(inst, R, method="bisection")
+            assert res.kkt_residual <= inversion.KKT_LIMIT
+            assert res.d_star == pytest.approx(1.0 / precision(inst, enumerate_r_star(sn, rates, p0)), rel=1e-12)
+            assert res.r_star == pytest.approx(greedy_r_star(sn, rates, p0), abs=1e-12)
 
     def test_uncertified_answer_raises(self, monkeypatch):
         monkeypatch.setattr(inversion, "KKT_LIMIT", -1.0)
@@ -350,7 +409,7 @@ class TestConvexSolver:
 
     def test_reports_how_it_was_computed(self, sym2):
         general = r_star(CeoInstance(1.0, (0.5, 1.0, 2.0)), (0.8, 0.6, 0.7)).to_dict()
-        assert general["method"] == "convex"
+        assert general["method"] == "decomposition"
         assert general["branch"] is None
         assert 0.0 <= general["kkt_residual"] <= inversion.KKT_LIMIT
         closed = r_star(sym2, (2.0, 0.05)).to_dict()
