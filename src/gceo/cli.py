@@ -13,6 +13,7 @@ section with the rate-valued fields divided by ln 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -278,7 +279,11 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later ``main`` call in the process: ``parse_args`` fills a new
+    namespace each time and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="gceo",
         description="Rate-distortion geometry of the quadratic Gaussian CEO problem",

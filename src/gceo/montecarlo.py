@@ -1,13 +1,33 @@
 """Statistical confirmation of the distortion algebra by simulation.
 
-Descriptions are simulated literally: X ~ N(0, sigma_x2), observations
-Y_i = X + N_i, finest descriptions W_i = Y_i + T_i with the test-channel
-variance implied by the allocation, and coarser stages by adding
-independent refinement noise (so a stage's description is a degraded
-version of the next).  Everything is jointly Gaussian, so the per-stage
-MMSE estimate is linear:
+X ~ N(0, sigma_x2) is observed as Y_i = X + N_i, and encoder i's stage-j
+description is W_ji = Y_i + T_ji with the test-channel variance
+sigma_t2[j][i] implied by the allocation (infinite, so absent, at rate 0).
+Everything is jointly Gaussian, so the per-stage MMSE estimate is linear:
 
-    xhat = D * sum_i W_i / (sigma_n2[i] + sigma_t2[i]),    D = 1/precision.
+    xhat_j = D_j * sum_i W_ji / (sigma_n2[i] + sigma_t2[j][i]),    D_j = 1/precision.
+
+Draw plan.  A stage's error depends only on the joint law of (X, W_j.):
+W_ji = X + U_ji with U_ji ~ N(0, sigma_n2[i] + sigma_t2[j][i]) independent
+across encoders and of X.  So the simulation never draws N_i and T_i
+apart (Y_i enters no estimate), and one independent standard normal row
+per source of noise suffices:
+
+* row 0 is X / sqrt(sigma_x2);
+* each encoder heard at some stage gets one row, its finest noise
+  N_i + T_i with variance sigma_n2[i] + sigma_t2 at its finest heard stage;
+* each coarser stage whose test-channel variance grows by delta > 0 adds
+  one row, the refinement noise of variance delta that degrades the next
+  finer description.  A stage with no growth shares that description
+  (a drop within the chain tolerance counts as no growth);
+* an encoder silent at every stage draws nothing.
+
+Stage j's error X - xhat_j is then linear in the draws: it is G[j] @ z
+for the (stages x rows) error map G built once per call by ``_error_map``.
+Each shard makes one ``standard_normal((rows, m))`` block, one matrix
+product gives every stage's errors, and the sums of e^2 and e^4 are two
+reductions.  With unscaled coefficients the squares of G's row j sum to
+D_j, which the tests check exactly.
 
 The sampler is counter-based (Philox keyed by seed and shard index) and
 the sample range is partitioned into fixed-size shards with a fixed
@@ -34,8 +54,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ArgumentError(f"n_samples must be positive, got {self.n_samples}")
+        if not 0 < self.n_samples < 2**64:
+            raise ArgumentError(f"n_samples must be positive and fit in 64 bits, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
             raise ArgumentError("seed must fit in 64 bits")
 
@@ -61,80 +81,62 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stage_noise_plan(instance: CeoInstance, chain):
-    """Per-encoder test-channel variances by stage plus refinement increments.
+def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
+    """Error map G and the predicted distortions of an allocation chain.
 
-    Returns (variances[j][i], increments[i][j]) where increments[i][j] >= 0
-    is the extra noise turning stage j+1's description into stage j's.
+    Stage j's estimation error is ``G[j] @ z`` for a vector z of independent
+    standard normals, one entry per row of the draw plan (see the module
+    docstring).  With ``coef_scale = 1`` the squares of row j sum to stage
+    j's predicted distortion.
     """
     M = len(chain)
-    variances = [
-        [channel_noise_from_r(instance, i, chain[j][i]) for i in range(instance.L)]
-        for j in range(M)
-    ]
-    increments = []
+    analytic = [distortion(instance, r) for r in chain]
+    sx = math.sqrt(instance.sigma_x2)
+    x_weight = [1.0] * M
+    columns = []
     for i in range(instance.L):
-        incs = []
-        for j in range(M - 1):
-            v_coarse, v_fine = variances[j][i], variances[j + 1][i]
-            if v_coarse == math.inf:
-                incs.append(math.inf)
+        sn = instance.sigma_n2[i]
+        own = []  # (column, std) of every draw in encoder i's description
+        held = None  # test-channel variance of that description
+        for j in range(M - 1, -1, -1):
+            v = channel_noise_from_r(instance, i, chain[j][i])
+            if v == math.inf:
                 continue
-            gap = v_coarse - v_fine
-            if gap < -1e-12:
-                raise ArgumentError(
-                    f"encoder {i}: stage {j + 1} noise below stage {j + 2}; chain not nondecreasing"
-                )
-            incs.append(max(gap, 0.0))
-        increments.append(incs)
-    return variances, increments
+            if held is None:
+                own.append(([0.0] * M, math.sqrt(sn + v)))
+                held = v
+            elif v > held:
+                own.append(([0.0] * M, math.sqrt(v - held)))
+                held = v
+            # A variance below the held one (a rate drop within the chain
+            # tolerance) reuses the held description: its increment is 0.
+            c = coef_scale * analytic[j] / (sn + v)
+            x_weight[j] -= c
+            for column, std in own:
+                column[j] = -c * std
+        columns.extend(column for column, _ in own)
+    return np.array([[sx * w for w in x_weight], *columns]).T, analytic
 
 
 def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float = 1.0) -> SimReport:
-    M = len(chain)
-    L = instance.L
-    variances, increments = _stage_noise_plan(instance, chain)
-    analytic = [distortion(instance, chain[j]) for j in range(M)]
-    coef = [
-        [
-            coef_scale * analytic[j] / (instance.sigma_n2[i] + variances[j][i])
-            if variances[j][i] != math.inf
-            else 0.0
-            for i in range(L)
-        ]
-        for j in range(M)
-    ]
-    sum_se = [0.0] * M
-    sum_se2 = [0.0] * M
+    G, analytic = _error_map(instance, chain, coef_scale)
+    # Equal stages give equal rows of G; multiplying only the distinct rows
+    # makes their errors, and so their statistics, bit-identical.
+    G, stage_row = np.unique(G, axis=0, return_inverse=True)
+    sum_se = np.zeros(len(G))
+    sum_se2 = np.zeros(len(G))
     n = config.n_samples
     shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
     for shard in range(shards):
         m = min(SHARD_SIZE, n - shard * SHARD_SIZE)
-        rng = _shard_rng(config.seed, shard)
-        x = rng.normal(0.0, math.sqrt(instance.sigma_x2), size=m)
-        w = np.zeros((M, L, m))
-        for i in range(L):
-            y = x + rng.normal(0.0, math.sqrt(instance.sigma_n2[i]), size=m)
-            finest = variances[M - 1][i]
-            if finest != math.inf:
-                w[M - 1, i] = y + (
-                    rng.normal(0.0, math.sqrt(finest), size=m) if finest > 0.0 else 0.0
-                )
-            for j in range(M - 2, -1, -1):
-                inc = increments[i][j]
-                if variances[j][i] == math.inf:
-                    continue
-                w[j, i] = w[j + 1, i] + (
-                    rng.normal(0.0, math.sqrt(inc), size=m) if inc > 0.0 else 0.0
-                )
-        for j in range(M):
-            xhat = np.zeros(m)
-            for i in range(L):
-                if coef[j][i] != 0.0:
-                    xhat += coef[j][i] * w[j, i]
-            se = (x - xhat) ** 2
-            sum_se[j] += float(se.sum())
-            sum_se2[j] += float((se * se).sum())
+        z = _shard_rng(config.seed, shard).standard_normal((G.shape[1], m))
+        se = G @ z
+        se *= se
+        sum_se += se.sum(axis=1)
+        sum_se2 += (se * se).sum(axis=1)
+    M = len(chain)
+    stage_row = stage_row.reshape(M)  # 2-D in numpy 2.0.0
+    sum_se, sum_se2 = sum_se[stage_row].tolist(), sum_se2[stage_row].tolist()
     mse = [s / n for s in sum_se]
     stderr = []
     for j in range(M):

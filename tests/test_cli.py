@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -205,6 +208,20 @@ class TestDeterminismAndErrors:
         code, _ = run(["invert", "--instance", "/nonexistent.json", "--R", "1,1"])
         assert code == 2
 
+    def test_shared_parser_leaks_no_option(self, sym2_file):
+        """The parser is built once per process; options given to one
+        command must not become defaults of the next."""
+        check = ["region", "check", "--instance", sym2_file, "--r", "0.5,0.5", "--R", "0.6,0.7"]
+        code, _ = run(["simulate", "--instance", sym2_file, "--r", "0.5,0.5", "--n", "10", "--bits", "--tol", "1e-3"])
+        assert code == 0
+        shared = run(check)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gceo.cli", *check], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        assert shared == (fresh.returncode, fresh.stdout)
+        assert "display_bits" not in shared[1]
+
     def test_seventeen_digit_floats(self, sym2_file):
         _, out = run(["invert", "--instance", sym2_file, "--R", "1,1"])
         value = json.loads(out)["d_star"]
@@ -271,6 +288,15 @@ class TestMalformedInputFiles:
         assert code == 0
         assert len(json.loads(out)["z_scores"]) == 2
 
+    def test_chain_with_a_rate_drop_within_tolerance_runs(self, sym2_file, tmp_path):
+        # The stage-1 rate exceeds stage 2's by 5e-13 nats, inside the
+        # chain check's 1e-12; its noise gap is ~-2.5e-7 and used to exit 2.
+        code, out = self._run_with(
+            sym2_file, tmp_path, "simulate", "--chain", json.dumps([[0.001 + 5e-13, 0.5], [0.001, 0.5]])
+        )
+        assert code == 0
+        assert all(abs(z) <= 5.0 for z in json.loads(out)["z_scores"])
+
 
 class TestExtremeInputs:
     """Infinite and out-of-range-scaled directions and rates near zero keep
@@ -320,6 +346,16 @@ _FUZZ_ENTRY = st.one_of(
 )
 # Two entries, as sym2 needs: wrong lengths are plain usage errors.
 _FUZZ_VECTOR = st.lists(_FUZZ_ENTRY, min_size=2, max_size=2).map(",".join)
+# Integer options (--n, --seed): zero, negative, at or past 2^64 and
+# non-integer values are usage errors; the valid ones stay <= 10 so a
+# success is a 10-sample run.
+_FUZZ_COUNT = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "+3", str(2**64), str(2**64 + 1), "1.5", "1e3", "0x10", "abc", ""]),
+    st.integers(max_value=0).map(str),
+    st.integers(min_value=2**64).map(str),
+    st.integers(min_value=1, max_value=10).map(str),
+)
+_FUZZ_FIELDS = {"v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT}
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +374,8 @@ _FUZZ_COMMANDS = (
     ("invert", "--method=bisection", "--R={v}"),
     ("omega", "--R={v}"),
     ("simulate", "--r={v}", "--n", "10"),
+    ("simulate", "--r=0.5,0.5", "--n={n}"),
+    ("simulate", "--r=0.5,0.5", "--n", "10", "--seed={n}"),
 )
 
 
@@ -347,7 +385,7 @@ def test_fuzzed_numbers_keep_the_exit_code_contract(sym2_module_file, command, d
     """Huge, subnormal, signed-zero, non-finite and non-numeric entries
     never escape as exceptions, and a success never prints NaN."""
     argv = [
-        part.format(v=data.draw(_FUZZ_VECTOR), x=data.draw(_FUZZ_ENTRY)) if "{" in part else part
+        part.format(**{k: data.draw(s) for k, s in _FUZZ_FIELDS.items() if f"{{{k}}}" in part})
         for part in command
     ]
     err = io.StringIO()

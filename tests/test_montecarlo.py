@@ -5,9 +5,16 @@ import pytest
 
 from gceo.errors import ArgumentError
 from gceo.model import CeoInstance, R_MAX, distortion
-from gceo.montecarlo import SimConfig, SimReport, _simulate, simulate_distortion, simulate_refinement
+from gceo.montecarlo import (
+    SimConfig,
+    SimReport,
+    _error_map,
+    _simulate,
+    simulate_distortion,
+    simulate_refinement,
+)
 
-from conftest import random_alloc, random_instance
+from conftest import SYM2, random_alloc, random_instance, reference_simulate
 
 N_FAST = 200_000
 
@@ -64,6 +71,13 @@ class TestRefinementChain:
         rep = simulate_refinement(sym2, [(0.5, 0.5), (0.5, 0.5)], cfg)
         assert rep.empirical_mse[0] == rep.empirical_mse[1]
 
+    def test_equal_stages_inside_a_longer_chain(self, sym2):
+        cfg = SimConfig(n_samples=50_000, seed=12)
+        rep = simulate_refinement(sym2, [(0.3, 0.2), (0.5, 0.5), (0.5, 0.5), (0.9, 0.5)], cfg)
+        assert rep.empirical_mse[1] == rep.empirical_mse[2]
+        assert rep.stderr[1] == rep.stderr[2]
+        assert rep.empirical_mse[0] != rep.empirical_mse[1]
+
     def test_non_monotone_chain_rejected(self, sym2):
         with pytest.raises(ArgumentError):
             simulate_refinement(sym2, [(0.5, 0.5), (0.4, 0.6)], SimConfig(10_000, 1))
@@ -86,16 +100,86 @@ class TestEstimatorOptimality:
         assert down > base
 
 
+def _calibration_battery():
+    rng = np.random.default_rng(63)
+    return [(random_instance(rng, 2), random_alloc(rng, 2)) for _ in range(8)]
+
+
 def test_z_scores_calibrated():
     # A battery of random allocations should produce small z-scores.
-    rng = np.random.default_rng(63)
     worst = 0.0
-    for k in range(8):
-        inst = random_instance(rng, 2)
-        r = random_alloc(rng, 2)
+    for k, (inst, r) in enumerate(_calibration_battery()):
         rep = simulate_distortion(inst, r, SimConfig(n_samples=N_FAST, seed=1000 + k))
         worst = max(worst, abs(rep.z_scores[0]))
     assert worst <= 5.0
+
+
+def _random_chain(rng, L):
+    """Nondecreasing chain of 1-4 stages (plus maybe a repeated stage) with
+    encoders silent at coarse stages and capped at fine ones."""
+    M = int(rng.integers(1, 5))
+    rates = np.sort(rng.uniform(0.0, 1.0, (M, L)), axis=0) * rng.uniform(0.05, 3.0, L)
+    for i in range(L):
+        if rng.random() < 0.4:
+            rates[: int(rng.integers(0, M + 1)), i] = 0.0
+        if rng.random() < 0.3:
+            rates[int(rng.integers(0, M)):, i] = R_MAX
+    chain = [tuple(float(v) for v in row) for row in rates]
+    if rng.random() < 0.4:
+        j = int(rng.integers(0, M))
+        chain.insert(j, chain[j])
+    return chain
+
+
+def _draw_count(chain, L):
+    """X, one row per heard encoder, one per strict rate drop toward coarser
+    stages among the stages where it is heard."""
+    count = 1
+    for i in range(L):
+        heard = [min(stage[i], R_MAX) for stage in reversed(chain) if stage[i] > 0.0]
+        if heard:
+            count += 1 + sum(b < a for a, b in zip(heard, heard[1:]))
+    return count
+
+
+def test_error_map_certifies_every_stage_distortion():
+    """With unscaled coefficients the squared entries of G's row j sum to
+    stage j's predicted distortion, and G has one column per planned draw."""
+    rng = np.random.default_rng(77)
+    cases = [(random_instance(rng, L), _random_chain(rng, L)) for L in rng.integers(1, 7, 300)]
+    # Heard at a coarse stage only, within the chain tolerance.
+    cases.append((SYM2, [(1e-12, 0.5), (0.0, 0.7)]))
+    for inst, chain in cases:
+        L = inst.L
+        G, analytic = _error_map(inst, chain)
+        assert G.shape == (len(chain), _draw_count(chain, L)), chain
+        for j, stage in enumerate(chain):
+            assert analytic[j] == distortion(inst, stage)
+            assert float((G[j] ** 2).sum()) == pytest.approx(analytic[j], rel=1e-12, abs=0.0), (inst, chain, j)
+        for j in range(1, len(chain)):
+            if chain[j] == chain[j - 1]:
+                assert np.array_equal(G[j], G[j - 1])
+
+
+_ORACLE_CONFIGS = [
+    (SYM2, [(0.0, 0.0)]),
+    (SYM2, [(0.5, 0.5)]),
+    (CeoInstance(1.0, (0.7,)), [(R_MAX,)]),
+    (SYM2, [(0.3, 0.3), (0.5, 0.5)]),
+    (SYM2, [(0.5, 0.5), (0.5, 0.5)]),
+    (SYM2, [(0.0, 0.4), (0.6, 0.8)]),
+    *((inst, [r]) for inst, r in _calibration_battery()),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_ORACLE_CONFIGS)))
+def test_kernel_agrees_with_the_literal_cascade(k):
+    inst, chain = _ORACLE_CONFIGS[k]
+    rep = simulate_refinement(inst, chain, SimConfig(n_samples=N_FAST, seed=2000 + k))
+    mse, stderr = reference_simulate(inst, chain, N_FAST, seed=3000 + k)
+    for j in range(len(chain)):
+        gap = abs(rep.empirical_mse[j] - mse[j])
+        assert gap <= 5.0 * math.hypot(rep.stderr[j], stderr[j]), (j, rep, mse, stderr)
 
 
 def test_config_validation():
