@@ -350,6 +350,8 @@ def _resolve_defaults(args) -> None:
             args.tol = refinement.FEASIBILITY_TOL
         else:
             args.tol = 1e-9
+    elif not 0.0 <= args.tol < math.inf:
+        raise ArgumentError(f"--tol must be finite and >= 0, got {args.tol}")
 
 
 # Comma-separated vector options.  argparse reads a value such as

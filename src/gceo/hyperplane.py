@@ -22,19 +22,12 @@ found by bisection against the distortion constraint.
 Zero-alpha encoders are free: their allocation is pushed to the cap
 (infinite rate).  If the capped encoders alone already beat the target
 distortion, the positive-alpha encoders need no rate and phi = 0.
-
-``brute_force_phi`` is an independent grid oracle for L <= 3: it evaluates
-the same vertex expansion on a feasibility-filtered lattice of allocations
-(augmented with exact constraint-boundary points along each axis) and
-upper-bounds phi within a fraction of the grid step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ArgumentError, InfeasibleDistortionError, InternalInconsistencyError
 from .model import CeoInstance, R_MAX, d_min, exp_neg2r
@@ -242,100 +235,3 @@ def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResul
             worst = max(worst, -grad)
         running += (1.0 - e) / instance.sigma_n2[idx]
     return worst
-
-
-def brute_force_phi(
-    instance: CeoInstance,
-    alpha,
-    D: float,
-    grid_step: float = 0.005,
-    r_cap: float | None = None,
-) -> float:
-    """Grid oracle for the support value; L <= 3 only.
-
-    Minimizes the vertex expansion over lattice allocations with
-    precision >= 1/D, additionally evaluating, for every lattice value of
-    the other coordinates, the exact allocation that meets the distortion
-    constraint with equality along each axis.  The result upper-bounds the
-    true support value to within a small multiple of the grid step.
-    """
-    L = instance.L
-    if L > 3:
-        raise ArgumentError("grid oracle supports at most 3 encoders")
-    alpha = _normalize_alpha(alpha)
-    _check_distortion(instance, D)
-    order = _sort_order(alpha)
-    inv_d = 1.0 / D
-    needed = inv_d - 1.0 / instance.sigma_x2
-
-    # Per-axis caps: no optimal coordinate exceeds the rate at which that
-    # encoder alone closes the distortion gap.
-    caps = []
-    for i in range(L):
-        frac = instance.sigma_n2[i] * needed
-        if frac < 1.0 - 1e-12:
-            caps.append(-0.5 * math.log(1.0 - frac) + 2.0 * grid_step)
-        else:
-            caps.append(0.5 * math.log(1e12))
-    if r_cap is not None:
-        caps = [min(c, r_cap) for c in caps]
-    axes = [np.arange(0.0, caps[i] + grid_step, grid_step) for i in range(L)]
-    sn = np.array(instance.sigma_n2)
-    best = math.inf
-    # Chunk over the first axis to keep the lattice memory bounded.
-    tail_size = int(np.prod([len(a) for a in axes[1:]])) if L > 1 else 1
-    chunk_rows = max(1, (1 << 21) // max(tail_size, 1))
-    for start in range(0, len(axes[0]), chunk_rows):
-        chunk_axes = [axes[0][start : start + chunk_rows]] + axes[1:]
-        grids = np.meshgrid(*chunk_axes, indexing="ij")
-        rs = np.stack([g.ravel() for g in grids], axis=1)
-        best = min(best, _masked_min(instance, alpha, order, rs, inv_d))
-
-    # Boundary augmentation: close the distortion constraint exactly along
-    # each axis for every lattice combination of the other coordinates.
-    for axis in range(L):
-        others = [a for a in range(L) if a != axis]
-        if others:
-            sub = np.meshgrid(*[axes[a] for a in others], indexing="ij")
-            sub = np.stack([g.ravel() for g in sub], axis=1)
-        else:
-            sub = np.zeros((1, 0))
-        w_others = (1.0 - np.exp(-2.0 * sub)) / sn[others][None, :]
-        w_axis = needed - w_others.sum(axis=1)
-        frac = sn[axis] * w_axis
-        ok = (frac >= 0.0) & (frac < 1.0 - 1e-15)
-        if not np.any(ok):
-            continue
-        r_axis = -0.5 * np.log(1.0 - frac[ok])
-        pts = np.empty((int(ok.sum()), L))
-        for col, a in enumerate(others):
-            pts[:, a] = sub[ok, col]
-        pts[:, axis] = r_axis
-        best = min(best, _masked_min(instance, alpha, order, pts, inv_d))
-    if not math.isfinite(best):
-        raise InternalInconsistencyError("grid contains no feasible allocation")
-    return best
-
-
-def _masked_min(instance, alpha, order, rs: np.ndarray, inv_d: float) -> float:
-    """Minimum vertex-expansion objective over feasible rows of ``rs``."""
-    sn = np.array(instance.sigma_n2)
-    w = (1.0 - np.exp(-2.0 * rs)) / sn[None, :]
-    p_total = 1.0 / instance.sigma_x2 + w.sum(axis=1)
-    feasible = p_total >= inv_d - 1e-12
-    if not np.any(feasible):
-        return math.inf
-    rs = rs[feasible]
-    w = w[feasible]
-    p_total = p_total[feasible]
-    suffix = p_total.copy()
-    prefix_rate = np.zeros_like(p_total)
-    value = np.zeros_like(p_total)
-    L = instance.L
-    for k, idx in enumerate(order):
-        suffix = suffix - w[:, idx]
-        prefix_rate = prefix_rate + rs[:, idx]
-        gap = alpha[idx] - alpha[order[k + 1]] if k < L - 1 else alpha[idx]
-        if gap != 0.0:
-            value += gap * (0.5 * np.log(p_total / suffix) + prefix_rate)
-    return float(value.min())

@@ -437,16 +437,6 @@ def _axis_rate(sx2: float, sn: float, rho: float) -> float:
     return 0.5 * math.log(sx2 * (1.0 / sx2 + _weight(sn, rho))) + rho
 
 
-def _solve_axis(sx2: float, sn: float, rate: float) -> float:
-    if rate <= 0.0:
-        return 0.0
-    if rate >= R_MAX:
-        return R_MAX
-    return brentq(
-        lambda r: _axis_rate(sx2, sn, r) - rate, 0.0, rate, xtol=1e-15, rtol=8.9e-16
-    )
-
-
 def r_star_l2(instance: CeoInstance, R) -> InversionResult:
     """Closed-form inverse allocation for two encoders."""
     if instance.L != 2:
@@ -476,13 +466,13 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
 
     if R1 >= th1 - 1e-13:
         branch = "omega1"
-        r1 = _solve_axis(sx2, sn1, R1)
+        r1 = _solve_l1(sn1, R1, 1.0 / sx2)
         r2 = brentq(
             lambda r: joint_sum(r1, r) - (R1 + R2), 0.0, R2 + 1e-12, xtol=1e-15, rtol=8.9e-16
         )
     elif R2 >= th2 - 1e-13:
         branch = "omega2"
-        r2 = _solve_axis(sx2, sn2, R2)
+        r2 = _solve_l1(sn2, R2, 1.0 / sx2)
         r1 = brentq(
             lambda r: joint_sum(r, r2) - (R1 + R2), 0.0, R1 + 1e-12, xtol=1e-15, rtol=8.9e-16
         )

@@ -37,10 +37,11 @@ R_MAX = 50.0
 TOL_EQ = 1e-9
 TOL_ITER = 1e-6
 
-# Region membership (O(L^2)) and the inverse map (a few threshold scans per
-# decode block) enumerate no subsets, but face identification tests every
-# subset for tightness and the vertex listings walk all L! decode orders,
-# so L stays at desk scale.
+# Region membership and face identification (O(L^2) each) and the inverse
+# map (a few threshold scans per decode block) enumerate no subsets.  The
+# refinement report still lists every subset's slack (``stage_slacks``,
+# 2^L rows per stage), whose full-set row callers read, so L stays at desk
+# scale until a benchmark sweep over L shows what a larger cap costs.
 MAX_ENCODERS = 16
 
 
@@ -71,8 +72,8 @@ class CeoInstance:
             raise ArgumentError("need at least one encoder")
         if len(self.sigma_n2) > MAX_ENCODERS:
             raise ArgumentError(
-                f"at most {MAX_ENCODERS} encoders supported (face identification "
-                f"enumerates all 2^L subsets), got {len(self.sigma_n2)}"
+                f"at most {MAX_ENCODERS} encoders supported (refinement reports "
+                f"list all 2^L subsets per stage), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
             if not (v > 0.0) or not math.isfinite(v):
@@ -158,10 +159,3 @@ def d_min(instance: CeoInstance, k: int) -> float:
         raise ArgumentError(f"k must be in [1, {instance.L}], got {k}")
     noise = sorted(instance.sigma_n2)
     return 1.0 / (1.0 / instance.sigma_x2 + sum(1.0 / v for v in noise[:k]))
-
-
-def in_feasible_set(instance: CeoInstance, r, D: float, tol: float = TOL_EQ) -> bool:
-    """Whether the allocation reaches distortion D: precision(r) >= 1/D - tol."""
-    if not D > 0.0:
-        raise ArgumentError(f"D must be > 0, got {D}")
-    return precision(instance, r) >= 1.0 / D - tol

@@ -10,10 +10,7 @@ with the supermodular rank function
               + sum_{i in A} r_i,
 
 where "precision restricted to B" is 1/sigma_x2 + sum_{i in B} w_i and
-w_i = (1 - exp(-2 r_i)) / sigma_n2[i].  A companion rank f_D replaces the
-total precision by a distortion target 1/D; the difference f - f_D equals
-(1/2) ln(precision(r) * D) for every A, which ties the two families
-together at tight D.
+w_i = (1 - exp(-2 r_i)) / sigma_n2[i].
 
 The region has L! vertices, one per decoding order: the last-decoded
 encoder pays its fully conditioned rate, the first-decoded its
@@ -37,17 +34,26 @@ keeps A nonempty, so the minimum costs O(L^2) after one sort
 inverse map's block search minimizes the mirror form with the precision
 p0 + w(A) inside A over the same sorted prefixes (``_min_threshold_set``).
 
-Subsets are bitmasks over encoder indices 0..L-1.  Tight-set detection in
-``identify_face``, ``all_vertices`` (L! orders) and
-``supermodularity_margin`` (all subset pairs) still enumerate, which is
-what keeps L <= MAX_ENCODERS.
+Faces need no enumeration either.  On the dominant face the group rate
+of A never exceeds its unconditioned rank f(I, r) - f(A^c, r), and A is
+tight when the two are equal, i.e. when
+
+    g(A) = r(A) - R(A) + (1/2) ln((p0 + w(A)) / p0)
+
+vanishes.  g is modular plus concave of w(A) and >= 0 on the face, so a
+tight set minimizes it and, up to ratio ties, is a prefix of the encoders
+sorted by (r_i - R_i) / w_i.  Within a tolerance a tight set need only
+nearly minimize g and can differ from a prefix in an encoder whose ratio
+sits near the threshold; ``identify_face`` tests every prefix and every
+set one encoder away from a prefix, O(L^2) sets from running sums.
+
+Subsets are bitmasks over encoder indices 0..L-1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import ArgumentError, InternalInconsistencyError
 from .model import CeoInstance, TOL_EQ, _check_allocation, precision_weight
@@ -86,37 +92,6 @@ def rank_f(instance: CeoInstance, r, mask: int) -> float:
     p_all = partial_precision(instance, r, full_mask(instance.L))
     p_comp = partial_precision(instance, r, comp)
     return 0.5 * math.log(p_all / p_comp) + sum(r[i] for i in mask_to_indices(mask))
-
-
-def rank_fD(instance: CeoInstance, r, mask: int, D: float) -> float:
-    """Distortion-targeted rank: like rank_f but with precision pinned to 1/D."""
-    if not D > 0.0:
-        raise ArgumentError(f"D must be > 0, got {D}")
-    r = _check_allocation(instance, r)
-    if mask == 0:
-        return 0.0
-    comp = full_mask(instance.L) & ~mask
-    p_comp = partial_precision(instance, r, comp)
-    return (
-        0.5 * math.log(1.0 / D)
-        - 0.5 * math.log(p_comp)
-        + sum(r[i] for i in mask_to_indices(mask))
-    )
-
-
-def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
-    """Joint rate of the encoders in ``mask`` decoded first, nothing else known.
-
-    Equals rank_f(full) - rank_f(complement); tightness of a group sum-rate
-    against this quantity is what cuts faces out of the dominant face.
-    """
-    r = _check_allocation(instance, r)
-    if mask == 0:
-        return 0.0
-    p_mask = partial_precision(instance, r, mask)
-    return 0.5 * math.log(p_mask * instance.sigma_x2) + sum(
-        r[i] for i in mask_to_indices(mask)
-    )
 
 
 def _threshold_order(c, w):
@@ -231,10 +206,6 @@ def vertex(instance: CeoInstance, r, pi) -> tuple[float, ...]:
     return tuple(R)
 
 
-def all_vertices(instance: CeoInstance, r) -> dict[tuple[int, ...], tuple[float, ...]]:
-    return {pi: vertex(instance, r, pi) for pi in permutations(range(instance.L))}
-
-
 def on_dominant_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:
     """Region membership plus sum-rate equality with the full-set rank."""
     total = rank_f(instance, r, full_mask(instance.L))
@@ -274,8 +245,13 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
 
     Encoders with r_i = 0 contribute nothing (their constraints are implied)
     and are projected out first; on the dominant face their rates are zero.
-    Tight subsets are detected against the unconditioned group rank and must
-    be nested; a non-nested family signals a tolerance problem and raises.
+    A proper nonempty set of active encoders is tight when its group rate is
+    within ``tol`` of its unconditioned rank, i.e. |g(A)| <= tol with g as
+    in the module docstring.  Candidates are the prefixes of the active
+    encoders in increasing c_i / w_i, c_i = r_i - R_i (the empty and the
+    full set included), and every set one encoder away from a prefix.
+    Tight sets must be nested; a non-nested family signals a tolerance
+    problem and raises.
     """
     r = _check_allocation(instance, r)
     L = instance.L
@@ -289,19 +265,31 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
             )
     if not active:
         return FaceDescriptor(chain=(), blocks=(), dimension=0, active=())
-    active_mask = 0
-    for i in active:
-        active_mask |= 1 << i
 
-    tight: list[int] = []
-    sub = (active_mask - 1) & active_mask
-    while sub > 0:
-        s = sum(R[i] for i in mask_to_indices(sub))
-        if abs(s - unconditioned_rank(instance, r, sub)) <= tol:
-            tight.append(sub)
-        sub = (sub - 1) & active_mask
+    c = [r[i] - R[i] for i in range(L)]
+    w = [precision_weight(instance, i, r[i]) for i in range(L)]
+    # An active encoder whose weight rounds to 0 (r_i below ~2.8e-17) adds
+    # only c_i to g: its ratio is -inf when c_i < 0 and +inf otherwise.
+    flat = [i for i in active if w[i] == 0.0]
+    order = [i for i in flat if c[i] < 0.0] + _threshold_order(c, w) + [i for i in flat if c[i] >= 0.0]
+    prefixes = [(0, 0.0, 0.0)]  # (mask, c(A), w(A)) of every prefix
+    for i in order:
+        mask, c_sum, w_sum = prefixes[-1]
+        prefixes.append((mask | 1 << i, c_sum + c[i], w_sum + w[i]))
+    active_mask = prefixes[-1][0]
+    p0 = 1.0 / instance.sigma_x2
 
-    tight.sort(key=lambda m: bin(m).count("1"))
+    found = set()
+    for k, (mask, c_sum, w_sum) in enumerate(prefixes):
+        candidates = [(mask, c_sum, w_sum)]
+        for j, i in enumerate(order):
+            sign = -1.0 if j < k else 1.0  # drop a member or add an outsider
+            candidates.append((mask ^ 1 << i, c_sum + sign * c[i], w_sum + sign * w[i]))
+        for m, c_m, w_m in candidates:
+            if 0 < m < active_mask and abs(c_m + 0.5 * math.log1p(w_m / p0)) <= tol:
+                found.add(m)
+
+    tight = sorted(found, key=lambda m: (m.bit_count(), m))
     for a, b in zip(tight, tight[1:]):
         if a & ~b:
             raise InternalInconsistencyError(
@@ -321,31 +309,3 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
         dimension=len(active) - len(tight) - 1,
         active=tuple(active),
     )
-
-
-def supermodularity_margin(instance: CeoInstance, r) -> tuple[float, float]:
-    """(min margin over all pairs, min margin over incomparable pairs) of
-    f(S u T) + f(S n T) - f(S) - f(T)."""
-    r = _check_allocation(instance, r)
-    L = instance.L
-    ranks = {m: rank_f(instance, r, m) for m in range(1 << L)}
-    ranks[0] = 0.0
-    worst = math.inf
-    worst_incomp = math.inf
-    for s in iter_nonempty_subsets(L):
-        for t in iter_nonempty_subsets(L):
-            margin = ranks[s | t] + ranks[s & t] - ranks[s] - ranks[t]
-            worst = min(worst, margin)
-            if s & ~t and t & ~s:
-                worst_incomp = min(worst_incomp, margin)
-    return worst, worst_incomp
-
-
-def check_supermodular(instance: CeoInstance, r, tol: float = 1e-12) -> bool:
-    """Supermodularity of the rank, strict on incomparable pairs when r > 0."""
-    worst, worst_incomp = supermodularity_margin(instance, r)
-    if worst < -tol:
-        return False
-    if all(v > 0.0 for v in r) and instance.L >= 2 and not worst_incomp > 0.0:
-        return False
-    return True

@@ -25,6 +25,7 @@ covariance engine, as an independent cross-check of the inequality form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ArgumentError
@@ -34,6 +35,8 @@ from .inversion import OmegaTag, classify_omega, r_star
 from .scheduler import Description, gaussian_mi
 
 FEASIBILITY_TOL = 1e-6
+# Most nodes a reachability grid may have: no Python list holds more.
+MAX_GRID_NODES = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,9 @@ def stage_slacks(instance: CeoInstance, R_prev, R_next, r_prev, r_next, d_next) 
     L = instance.L
     w_prev = [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r_prev)]
     w_next = [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r_next)]
+    # A rate that stays the same adds nothing, an infinite one included
+    # (inf - inf would make the slack NaN).
+    increment = [0.0 if a == b else b - a for a, b in zip(R_prev, R_next)]
     slacks = []
     for mask in iter_nonempty_subsets(L):
         idx = mask_to_indices(mask)
@@ -101,7 +107,7 @@ def stage_slacks(instance: CeoInstance, R_prev, R_next, r_prev, r_next, d_next) 
         for i in range(L):
             if mask >> i & 1:
                 mixed += w_prev[i]
-                lhs += R_next[i] - R_prev[i]
+                lhs += increment[i]
                 bonus += r_next[i] - r_prev[i]
             else:
                 mixed += w_next[i]
@@ -146,23 +152,6 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
         r_chain=tuple(inv.r_star for inv in inversions),
         d_chain=tuple(inv.d_star for inv in inversions),
     )
-
-
-def pairwise_equivalence(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL) -> bool:
-    """Whether the full-chain verdict equals the AND of adjacent-pair verdicts.
-
-    This must always hold (the stage test only couples adjacent stages); it
-    is exposed as a runnable consistency check rather than assumed.
-    """
-    stages = _validate_stages(instance, stages)
-    full = check_refinement(instance, stages, tol).feasible
-    pairs = True
-    prev = None
-    for stage in stages:
-        pair = [stage] if prev is None else [prev, stage]
-        pairs = pairs and check_refinement(instance, pair, tol).feasible
-        prev = stage
-    return full == pairs
 
 
 def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASIBILITY_TOL) -> bool:
@@ -226,11 +215,12 @@ def _worst_slack(slacks) -> float:
 def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILITY_TOL):
     """Reachability map over a rectangular rate grid (two encoders).
 
-    ``grid`` is (min, max, step) applied to both axes.  Each node R is
-    classified, inverted, and tested for two-stage refinement feasibility
-    from ``R_from``; nodes that do not dominate ``R_from`` are unreachable
-    by definition (stage rates never decrease).  Nodes are emitted in
-    row-major order (R1 outer, R2 inner).
+    ``grid`` is (min, max, step) applied to both axes: finite entries, a
+    positive step, and at most ``MAX_GRID_NODES`` nodes, checked before any
+    node is visited.  Each node R is classified, inverted, and tested for
+    two-stage refinement feasibility from ``R_from``; nodes that do not
+    dominate ``R_from`` are unreachable by definition (stage rates never
+    decrease).  Nodes are emitted in row-major order (R1 outer, R2 inner).
 
     This is ``check_refinement([R_from, R])`` at every dominating node,
     evaluated in one pass: ``R_from`` is validated and inverted once, and
@@ -243,15 +233,18 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
     lo, hi, step = (float(v) for v in grid)
-    if not (step > 0.0 and hi >= lo):
-        raise ArgumentError(f"bad grid spec {grid}")
+    if not (all(math.isfinite(v) for v in (lo, hi, step)) and step > 0.0 and hi >= lo):
+        raise ArgumentError(f"bad grid spec {grid}: need finite min <= max and step > 0")
+    span = (hi - lo) / step  # inf when the division overflows
+    n = int(round(span)) + 1 if span < MAX_GRID_NODES else MAX_GRID_NODES
+    if n * n > MAX_GRID_NODES:
+        raise ArgumentError(f"grid {grid} has more than {MAX_GRID_NODES} nodes")
     (R_from,) = _validate_stages(instance, [R_from])
     zero = (0.0, 0.0)
     inv_from = r_star(instance, R_from)
     stage1 = _worst_slack(
         stage_slacks(instance, zero, R_from, zero, inv_from.r_star, inv_from.d_star)
     )
-    n = int(round((hi - lo) / step)) + 1
     nodes = []
     for a in range(n):
         R1 = lo + a * step

@@ -14,7 +14,7 @@ import pytest
 from gceo import cli
 from gceo.model import CeoInstance, d_min, distortion, precision
 from gceo import polymatroid as pm
-from gceo.hyperplane import brute_force_phi, kkt_residual, support_value
+from gceo.hyperplane import kkt_residual, support_value
 from gceo.inversion import (
     OmegaTag,
     classify_omega,
@@ -24,7 +24,7 @@ from gceo.inversion import (
     uniqueness_probe,
 )
 from gceo.montecarlo import SimConfig, simulate_distortion, simulate_refinement
-from gceo.refinement import check_refinement, dominant_face_form, pairwise_equivalence
+from gceo.refinement import check_refinement, dominant_face_form
 from gceo.scheduler import build_schedule, schedule_for_face, validate_schedule
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     random_instance,
     sample_omega_point,
 )
+from oracles import brute_force_phi, check_supermodular, pairwise_equivalence, supermodularity_margin
 
 
 def _verdict(name: str, ok: bool, elapsed: float, budget: float, detail: str = ""):
@@ -55,8 +56,8 @@ def test_criterion_1_polymatroid_suite():
         L = int(rng.integers(2, 5))
         inst = random_instance(rng, L)
         r = random_alloc(rng, L, lo=1e-6, hi=3.0)
-        assert pm.check_supermodular(inst, r)
-        _, incomparable = pm.supermodularity_margin(inst, r)
+        assert check_supermodular(inst, r)
+        _, incomparable = supermodularity_margin(inst, r)
         assert incomparable > 0.0
         total = pm.rank_f(inst, r, (1 << L) - 1)
         for pi in permutations(range(L)):

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import cli
+from gceo import cli, refinement
 
 
 @pytest.fixture
@@ -119,6 +119,18 @@ class TestRefineAndSimulate:
         payload = json.loads(out)
         assert code == (0 if payload["feasible"] else 1)
 
+    def test_refine_repeated_infinite_rate(self, sym2_file, tmp_path):
+        # inf - inf used to make the stage-2 slacks NaN; an infinite rate
+        # kept between stages adds nothing, as a huge finite one does.
+        def stage_two(rate):
+            stages = tmp_path / "stages.json"
+            stages.write_text(json.dumps([[rate, 1.0], [rate, 2.0]]))
+            code, out = run(["refine", "--instance", sym2_file, "--stages", str(stages)])
+            assert code == 0
+            return json.loads(out)["per_stage"][1]
+
+        assert stage_two(math.inf) == stage_two(1e308)
+
     def test_simulate(self, sym2_file):
         code, out = run([
             "simulate", "--instance", sym2_file, "--r", "0.5,0.5",
@@ -189,6 +201,72 @@ class TestOmegaMap:
         # before any node is visited.
         code, out = run(["omega-map", "--instance", sym2_file, start, "--grid", "0,1,0.5"])
         assert (code, out) == (2, "")
+
+    @pytest.fixture
+    def no_node_visits(self, monkeypatch):
+        """Make visiting a grid node raise, so that a grid the checks let
+        through stops at its first node instead of running."""
+
+        class NodeVisited(Exception):
+            pass
+
+        def visit(*args, **kwargs):
+            raise NodeVisited
+
+        monkeypatch.setattr(refinement, "classify_omega", visit)
+        return NodeVisited
+
+    @pytest.mark.parametrize("grid", ["nan,1,0.5", "0,inf,1", "-inf,1,1", "0,1,inf", "-inf,inf,1"])
+    def test_non_finite_grid_exits_two(self, sym2_file, no_node_visits, grid):
+        code, out = run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", f"--grid={grid}"])
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("grid", ["0,1e308,1e-308", "0,1,1e-300", "0,1,5e-324", "-1e308,1e308,1", "0,3037000499,1"])
+    def test_oversized_grid_exits_two(self, sym2_file, no_node_visits, grid):
+        # (hi - lo) / step overflows to inf in the first, third and fourth;
+        # the second needs ~1e600 nodes and the last 3037000500^2, one axis
+        # step past the bound.
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", f"--grid={grid}"])
+        assert (code, out) == (2, "")
+        assert str(refinement.MAX_GRID_NODES) in err.getvalue()
+
+    def test_largest_grid_passes_the_count_check(self, sym2_file, no_node_visits):
+        # 3037000499^2 nodes fit under the bound: the map starts (and the
+        # fixture stops it at its first node).
+        assert 3037000499**2 <= refinement.MAX_GRID_NODES < 3037000500**2
+        with pytest.raises(no_node_visits):
+            run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=0,3037000498,1"])
+
+
+class TestTolerance:
+    """--tol must be finite and >= 0 (exit 2).  A NaN, infinite or negative
+    tolerance used to give answers that contradict the reported slack."""
+
+    @pytest.fixture
+    def commands(self, sym2_file, tmp_path):
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([[0.5, 0.5], [0.7, 0.9]]))
+        vertex = "--R=0.6636797648786638,0.7449400628223749"
+        return {
+            "region check": ["region", "check", "--r=0.5,0.5", "--R=0.5,0.5"],
+            "region face": ["region", "face", "--r=0.5,0.5", vertex],
+            "schedule": ["schedule", "--r=0.5,0.5", vertex],
+            "refine": ["refine", "--stages", str(stages)],
+            "omega": ["omega", "--R=3,0.01"],
+            "omega-map": ["omega-map", "--from=0.2,0.6", "--grid=0,1,0.5"],
+        }
+
+    @pytest.mark.parametrize("command", ["region check", "region face", "schedule", "refine", "omega", "omega-map"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_tol_exits_two(self, sym2_file, commands, command, tol):
+        code, out = run(commands[command] + ["--instance", sym2_file, f"--tol={tol}"])
+        assert (code, out) == (2, "")
+
+    def test_zero_tol_is_accepted(self, sym2_file):
+        code, out = run(["region", "check", "--instance", sym2_file, "--r=0.5,0.5", "--R=1,1", "--tol=0"])
+        assert (code, json.loads(out)["contains"]) == (0, True)
 
 
 class TestDeterminismAndErrors:
@@ -355,14 +433,31 @@ _FUZZ_COUNT = st.one_of(
     st.integers(min_value=2**64).map(str),
     st.integers(min_value=1, max_value=10).map(str),
 )
-_FUZZ_FIELDS = {"v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT}
+
+
+def _stages_json(rows):
+    """A stages file: each entry a JSON number where it parses as a float
+    (NaN and Infinity included), the raw string otherwise."""
+
+    def entry(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    return json.dumps([[entry(v) for v in row] for row in rows])
+
+
+# One to three stages of two fuzzed entries each.
+_FUZZ_STAGES = st.lists(st.lists(_FUZZ_ENTRY, min_size=2, max_size=2), min_size=1, max_size=3).map(_stages_json)
+_FUZZ_FIELDS = {"v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT, "s": _FUZZ_STAGES}
 
 
 @pytest.fixture(scope="module")
-def sym2_module_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "sym2.json"
-    path.write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0, 1.0]}))
-    return str(path)
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "sym2.json").write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0, 1.0]}))
+    return path
 
 
 _FUZZ_COMMANDS = (
@@ -376,21 +471,32 @@ _FUZZ_COMMANDS = (
     ("simulate", "--r={v}", "--n", "10"),
     ("simulate", "--r=0.5,0.5", "--n={n}"),
     ("simulate", "--r=0.5,0.5", "--n", "10", "--seed={n}"),
+    # The grid stays fixed and small: a fuzzed grid could ask for ~1e18 nodes.
+    ("omega-map", "--from={v}", "--grid=0,1,0.5"),
+    ("refine", "--stages={s}"),
+    ("region", "check", "--r=0.5,0.5", "--R=1,1", "--tol={x}"),
+    ("region", "face", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),
+    ("refine", "--stages={s}", "--tol={x}"),
+    ("omega", "--R=3,0.01", "--tol={x}"),
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=480)
 @given(command=st.sampled_from(_FUZZ_COMMANDS), data=st.data())
-def test_fuzzed_numbers_keep_the_exit_code_contract(sym2_module_file, command, data):
+def test_fuzzed_numbers_keep_the_exit_code_contract(fuzz_dir, command, data):
     """Huge, subnormal, signed-zero, non-finite and non-numeric entries
     never escape as exceptions, and a success never prints NaN."""
-    argv = [
-        part.format(**{k: data.draw(s) for k, s in _FUZZ_FIELDS.items() if f"{{{k}}}" in part})
-        for part in command
-    ]
+    argv = []
+    for part in command:
+        fields = {k: data.draw(s) for k, s in _FUZZ_FIELDS.items() if f"{{{k}}}" in part}
+        if "s" in fields:
+            stages = fuzz_dir / "stages.json"
+            stages.write_text(fields["s"])
+            fields["s"] = str(stages)
+        argv.append(part.format(**fields))
     err = io.StringIO()
     with redirect_stderr(err):
-        code, out = run(argv + ["--instance", sym2_module_file])
+        code, out = run(argv + ["--instance", str(fuzz_dir / "sym2.json")])
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     if code == 0:
         assert "NaN" not in out, argv

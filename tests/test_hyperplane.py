@@ -6,7 +6,6 @@ import pytest
 from gceo.errors import ArgumentError, InfeasibleDistortionError
 from gceo.model import CeoInstance, R_MAX, d_min, precision
 from gceo.hyperplane import (
-    brute_force_phi,
     kkt_residual,
     phi_expansion,
     support_value,
@@ -14,6 +13,7 @@ from gceo.hyperplane import (
 from gceo.polymatroid import vertex
 
 from conftest import random_alloc, random_instance
+from oracles import brute_force_phi
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PHI_SYM = 0.7351936076014103  # (3/2) ln 2 / sqrt(2)

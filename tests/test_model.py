@@ -11,12 +11,12 @@ from gceo.model import (
     channel_noise_from_r,
     d_min,
     distortion,
-    in_feasible_set,
     precision,
     r_from_channel_noise,
 )
 
 from conftest import random_alloc, random_instance
+from oracles import in_feasible_set
 
 HALF_LN2 = 0.34657359027997264
 

@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import cli, inversion
-from gceo.errors import ArgumentError
+from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision
 from gceo.polymatroid import (
-    check_supermodular,
+    FACE_TOL,
     identify_face,
     min_slack,
     on_dominant_face,
     rank_f,
-    rank_fD,
     region_contains,
-    supermodularity_margin,
-    unconditioned_rank,
     vertex,
 )
 from gceo import scheduler
@@ -30,6 +27,13 @@ from conftest import (
     instance_slack,
     random_alloc,
     random_instance,
+)
+from oracles import (
+    check_supermodular,
+    enumerate_face,
+    rank_fD,
+    supermodularity_margin,
+    unconditioned_rank,
 )
 
 FULL2 = 0b11
@@ -154,6 +158,67 @@ class TestDominantFace:
         assert not on_dominant_face(sym2, (0.5, 0.5), R)
 
 
+def _vertex_mixture(inst, r, rng, blocks, k):
+    """Random convex combination of k vertices whose decode orders keep the
+    given blocks in order (each shuffled inside): a point of the face whose
+    chain is the blocks' prefix unions, in general position within it."""
+    orders = [tuple(int(i) for b in blocks for i in rng.permutation(b)) for _ in range(k)]
+    weights = rng.dirichlet(np.ones(k))
+    vs = [vertex(inst, r, pi) for pi in orders]
+    return tuple(float(sum(w * v[j] for w, v in zip(weights, vs))) for j in range(inst.L))
+
+
+@st.composite
+def face_cases(draw):
+    """(instance, r, R, tol) with R on the dominant face of r.
+
+    Hypothesis picks the structure; a drawn seed fills in the values.
+    Allocations mix zero, tiny (~1e-3 nats) and regular entries with
+    1e-17 nats, whose precision weight rounds to 0 while the encoder stays
+    active.  A symmetric instance with equal allocations and R the mean of
+    the vertices of every cyclic shift of one decode order ties every
+    ratio c_i / w_i.  Otherwise R mixes 1-4 vertices whose orders keep a
+    drawn block structure, so faces of every dimension appear; some points
+    are then pulled to within a share of 1e-6 to 1e-1 of one such vertex,
+    close to a lower-dimensional face.
+    """
+    L = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([1e-9, FACE_TOL, 1e-4, 1e-2, 0.2]))
+    kinds = draw(st.lists(st.sampled_from(["zero", "tiny", "flat", "regular", "regular"]), min_size=L, max_size=L))
+    if draw(st.booleans()):
+        inst = CeoInstance(1.0, (1.0,) * L)
+        level = float(rng.uniform(0.1, 2.0))
+        r = tuple({"zero": 0.0, "tiny": 1e-3, "flat": 1e-17}.get(k, level) for k in kinds)
+        if draw(st.booleans()):
+            order = rng.permutation(L)
+            vs = [vertex(inst, r, tuple(int(i) for i in np.roll(order, s))) for s in range(L)]
+            return inst, r, tuple(float(sum(v[j] for v in vs) / L) for j in range(L)), tol
+    else:
+        inst = random_instance(rng, L)
+        r = tuple(
+            {"zero": 0.0, "tiny": float(rng.uniform(1e-3, 3e-3)), "flat": 1e-17}.get(k, float(rng.uniform(0.05, 3.0)))
+            for k in kinds
+        )
+    cuts = draw(st.sets(st.integers(1, L - 1)))
+    blocks = np.split(rng.permutation(L), sorted(cuts))
+    k = draw(st.integers(1, 4))
+    R = _vertex_mixture(inst, r, rng, blocks, k)
+    if k > 1 and draw(st.booleans()):
+        # Mostly one vertex: a point near a lower-dimensional face.
+        near = vertex(inst, r, tuple(int(i) for b in blocks for i in rng.permutation(b)))
+        share = float(10.0 ** rng.uniform(-6.0, -1.0))
+        R = tuple((1.0 - share) * a + share * b for a, b in zip(near, R))
+    return inst, r, R, tol
+
+
+def _face_or_raise(find, inst, r, R, tol):
+    try:
+        return find(inst, r, R, tol)
+    except InternalInconsistencyError:
+        return "not nested"
+
+
 class TestFaceIdentification:
     def test_vertex_is_zero_face(self):
         rng = np.random.default_rng(14)
@@ -197,6 +262,37 @@ class TestFaceIdentification:
     def test_requires_dominant_face(self, sym2):
         with pytest.raises(ArgumentError):
             identify_face(sym2, (0.5, 0.5), (5.0, 5.0))
+
+    @settings(max_examples=300)
+    @given(face_cases())
+    def test_matches_subset_enumeration(self, case):
+        inst, r, R, tol = case
+        assert _face_or_raise(identify_face, inst, r, R, tol) == _face_or_raise(enumerate_face, inst, r, R, tol)
+
+    def test_region_face_at_max_encoders(self, tmp_path):
+        # The 2^16 - 1 subset walk took ~1 s per query; the threshold-order
+        # candidates take about a millisecond, so a return to it fails the budget.
+        rng = np.random.default_rng(18)
+        L = MAX_ENCODERS
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=0.1, hi=2.0)
+        blocks = np.split(rng.permutation(L), [3, 4, 9, 12])
+        R = _vertex_mixture(inst, r, rng, blocks, 3)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        out = tmp_path / "out.json"
+        argv = [
+            "region", "face", "--instance", str(path), "--output", str(out),
+            "--r", ",".join(repr(v) for v in r), "--R", ",".join(repr(v) for v in R),
+        ]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out.read_text())
+        assert code == 0
+        assert {k: v for k, v in payload.items() if k != "units"} == enumerate_face(inst, r, R, 1e-9).to_dict()
+        assert payload["dimension"] == L - 5
+        assert elapsed < 0.25
 
 
 class TestSupermodularity:

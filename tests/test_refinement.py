@@ -9,7 +9,6 @@ from gceo.inversion import OmegaTag, classify_omega, omega_margins, r_star
 from gceo.refinement import (
     check_refinement,
     dominant_face_form,
-    pairwise_equivalence,
     reachable_set_l2,
 )
 
@@ -20,6 +19,7 @@ from conftest import (
     random_instance,
     sample_omega_point,
 )
+from oracles import pairwise_equivalence
 
 
 class TestCheckRefinement:
