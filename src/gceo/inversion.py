@@ -184,7 +184,8 @@ def _solve_l1(sn: float, rate: float, p0: float) -> float:
 
 def _reduced_min_slack(sn, R, r, p0: float) -> float:
     """Min subset-rate slack of the reduced region (conditioned on the base)."""
-    return _scan_min_slack([a - b for a, b in zip(R, r)], [_weight(s, v) for s, v in zip(sn, r)], p0)
+    w = [_weight(s, v) for s, v in zip(sn, r)]
+    return _scan_min_slack([a - b for a, b in zip(R, r)], [0.0] * len(w), w, p0)[0]
 
 
 def _block_constant(noises, target: float, p: float, k_lo: float):

@@ -29,10 +29,15 @@ concave term as the infimum of its tangent lines, some minimizer is a
 threshold set {i : c_i < mu w_i}: a prefix of the encoders sorted by
 c_i / w_i, plus every zero-weight encoder with c_i < 0 (Fujishige,
 Submodular Functions and Optimization).  Forcing each encoder in once
-keeps A nonempty, so the minimum costs O(L^2) after one sort
-(``_scan_min_slack``; the inverse map's reduced regions use it too).  The
-inverse map's block search minimizes the mirror form with the precision
-p0 + w(A) inside A over the same sorted prefixes (``_min_threshold_set``).
+keeps A nonempty, so the minimum costs O(L^2) after one sort.
+
+``_scan_min_slack`` is the one engine for these minima.  It takes the
+precision as p0 + u(A) + v(A^c), a sum of nonnegative terms: region
+membership and the inverse map's reduced regions pass u = 0 and v = w,
+and a refinement stage passes the weights of the coarser and the finer
+allocation, whose difference may have either sign.  The inverse map's
+block search minimizes the mirror form with the precision p0 + w(A)
+inside A over the same sorted prefixes (``_min_threshold_set``).
 
 Faces need no enumeration either.  On the dominant face the group rate
 of A never exceeds its unconditioned rank f(I, r) - f(A^c, r), and A is
@@ -63,10 +68,6 @@ FACE_TOL = 1e-7
 
 def full_mask(L: int) -> int:
     return (1 << L) - 1
-
-
-def iter_nonempty_subsets(L: int):
-    return range(1, 1 << L)
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -101,35 +102,74 @@ def _threshold_order(c, w):
     return sorted((i for i in range(len(c)) if w[i] > 0.0), key=lambda i: c[i] / w[i])
 
 
-def _scan_min_slack(c, w, p0: float) -> float:
-    """min over nonempty A of c(A) + (1/2) ln((p0 + W - w(A)) / (p0 + W)).
+def _scan_min_slack(c, u, v, p0: float) -> tuple[float, tuple[int, ...]]:
+    """min over nonempty A of c(A) + (1/2) ln(m(A) / m(empty)), and one
+    minimizer as sorted indices, where m(A) = p0 + u(A) + v(A^c).
 
-    Needs w_i >= 0, p0 > 0 and no NaN in c.  With encoder j forced in, a
-    minimizer over the others is {j} plus every zero-weight encoder with
-    c_i < 0 plus a prefix of the positive-weight encoders in increasing
-    c_i / w_i (ties in any order); every such set is scanned, O(n^2).
+    Needs u_i, v_i >= 0, p0 > 0 and no NaN in c.  With d = v - u,
+    m(A) = m(empty) - d(A), so the log term is a concave function of the
+    modular d(A).  Writing it as the infimum of its tangent lines, some
+    minimizer with encoder j forced in is j plus a threshold set
+    {i : c_i < mu d_i} of the others: the d_i = 0 encoders with c_i < 0,
+    and the rest split by mu.  Raising mu past c_i / d_i lets an encoder
+    with d_i > 0 join and one with d_i < 0 leave, so one sweep over the
+    order of c_i / d_i visits every such set, O(n) per j and O(n^2) in
+    all.  When every d_i >= 0 the sets are the prefixes of that order.  A
+    NaN value (c holding both infinities) never wins; with none left the
+    minimum is +inf and the set empty.
     """
     n = len(c)
-    order = _threshold_order(c, w)
-    # rest[k]: p0 plus the weights of order[k:], summed from the back so the
-    # complement precision of every prefix is a sum of nonnegative terms.
-    rest = [p0] * (len(order) + 1)
-    for k in range(len(order) - 1, -1, -1):
-        rest[k] = rest[k + 1] + w[order[k]]
-    free = [w[i] == 0.0 and c[i] < 0.0 for i in range(n)]
-    base = sum(c[i] for i in range(n) if free[i])
-    worst = math.inf
+    m_empty = p0 + sum(v)
+    # An encoder with d_i = 0 adds u_i = v_i to m whatever A is.  Every
+    # other one is (c_i / d_i, i, d_i > 0, then its c and m terms before
+    # and after its threshold): before it, one with d_i < 0 is in A and
+    # adds c_i and u_i, one with d_i > 0 is out and adds v_i; after it,
+    # the reverse.
+    still, still_c, still_m = [], 0.0, p0
+    moving = []
+    for i in range(n):
+        d = v[i] - u[i]
+        if d == 0.0:
+            still_m += v[i]
+            if c[i] < 0.0:
+                still.append(i)
+                still_c += c[i]
+        elif d > 0.0:
+            moving.append((c[i] / d, i, True, 0.0, v[i], c[i], u[i]))
+        else:
+            moving.append((c[i] / d, i, False, c[i], u[i], 0.0, v[i]))
+    moving.sort()  # by c_i / d_i, ties by index
+    best, best_at = math.inf, None
     for j in range(n):
-        acc = base if free[j] else base + c[j]
-        held = w[j]  # weight of j while it still sits in the suffix
-        for k in range(len(order) + 1):
-            worst = min(worst, acc + 0.5 * math.log((rest[k] - held) / rest[0]))
-            if k < len(order):
-                if order[k] == j:
-                    held = 0.0
-                else:
-                    acc += c[order[k]]
-    return worst
+        order = [e for e in moving if e[1] != j]
+        if u[j] == v[j]:
+            head_c, head_m = still_c + max(c[j], 0.0), still_m
+        else:
+            head_c, head_m = still_c + c[j], still_m + u[j]
+        # tails[k]: the c and m terms of the last k encoders of the order,
+        # still before their thresholds.  Sums run from the front (head)
+        # and from the back (tail), so m only ever adds terms >= 0.
+        tails = [(0.0, 0.0)]
+        tail_c = tail_m = 0.0
+        for _, _, _, c_before, m_before, _, _ in reversed(order):
+            tail_c += c_before
+            tail_m += m_before
+            tails.append((tail_c, tail_m))
+        for passed, (_, _, _, _, _, c_after, m_after) in enumerate(order):
+            tail_c, tail_m = tails[len(order) - passed]
+            value = head_c + tail_c + 0.5 * math.log((head_m + tail_m) / m_empty)
+            if value < best:
+                best, best_at = value, (j, order, passed)
+            head_c += c_after
+            head_m += m_after
+        value = head_c + 0.5 * math.log(head_m / m_empty)
+        if value < best:
+            best, best_at = value, (j, order, len(order))
+    if best_at is None:
+        return best, ()
+    j, order, passed = best_at
+    inside = {j, *still, *(e[1] for k, e in enumerate(order) if (k < passed) == e[2])}
+    return best, tuple(sorted(inside))
 
 
 def _min_threshold_set(c, w, p0: float, tie: float):
@@ -175,7 +215,7 @@ def min_slack(instance: CeoInstance, r, R) -> float:
             raise ArgumentError(f"R_{i + 1} - r_{i + 1} is undefined ({R_i} - {r[i]})")
         c.append(R_i - r[i])
     w = [precision_weight(instance, i, r[i]) for i in range(L)]
-    return _scan_min_slack(c, w, 1.0 / instance.sigma_x2)
+    return _scan_min_slack(c, [0.0] * L, w, 1.0 / instance.sigma_x2)[0]
 
 
 def region_contains(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:

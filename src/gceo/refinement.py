@@ -15,6 +15,12 @@ with stage 0 the all-zero tuple.  The full-set inequality always holds with
 equality (the stage sum rates are forced), and the test decomposes exactly
 into its adjacent two-stage instances.
 
+No subset is enumerated.  The slack of A is a modular term plus a concave
+function of a modular weight, the form of region membership, so the
+threshold scan ``polymatroid._scan_min_slack`` finds the worst subset of a
+stage in O(L^2).  A report lists, per stage, that worst subset and the
+full set.
+
 The same test has a geometric form: the stage increment must lie on the
 dominant face of the conditional rate region whose descriptions are the
 test channels of r*(R_j) given the coarser channels of r*(R_{j-1}).
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError
 from .model import CeoInstance, exp_neg2r, channel_noise_from_r
-from .polymatroid import iter_nonempty_subsets, mask_to_indices
+from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import OmegaTag, classify_omega, r_star
 from .scheduler import Description, gaussian_mi
 
@@ -90,63 +96,54 @@ def _validate_stages(instance: CeoInstance, stages) -> list[tuple[float, ...]]:
     return out
 
 
-def stage_slacks(instance: CeoInstance, R_prev, R_next, r_prev, r_next, d_next) -> list:
-    """Per-subset slack of the stage inequality, for one adjacent stage pair."""
-    L = instance.L
-    w_prev = [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r_prev)]
-    w_next = [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r_next)]
+def _stage_end(instance: CeoInstance, R, inv) -> tuple:
+    """A chain point as the stage test reads it: R, r*(R), the precision
+    weights of r*(R) and D*(R), from the inversion ``inv`` of R."""
+    r = inv.r_star
+    return R, r, [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r)], inv.d_star
+
+
+def _stage_rows(p0: float, prev, nxt) -> list:
+    """(subset, slack) of the worst subset and of the full set in the
+    inequality of the stage between chain points ``prev`` and ``nxt``
+    (``_stage_end``), the full set last (alone when it is the worst).
+
+    The slack of A is c(A) + (1/2) ln(m(A) D*(R_j)), with c_i the rate
+    increment minus the allocation increment and the mixed precision
+    m(A) = p0 + w_prev(A) + w_next(A^c), a sum of nonnegative terms; the
+    threshold scan minimizes it.
+    """
+    (R_prev, r_prev, w_prev, _), (R_next, r_next, w_next, d_next) = prev, nxt
     # A rate that stays the same adds nothing, an infinite one included
     # (inf - inf would make the slack NaN).
-    increment = [0.0 if a == b else b - a for a, b in zip(R_prev, R_next)]
-    slacks = []
-    for mask in iter_nonempty_subsets(L):
-        idx = mask_to_indices(mask)
-        mixed = 1.0 / instance.sigma_x2
-        lhs = 0.0
-        bonus = 0.0
-        for i in range(L):
-            if mask >> i & 1:
-                mixed += w_prev[i]
-                lhs += increment[i]
-                bonus += r_next[i] - r_prev[i]
-            else:
-                mixed += w_next[i]
-        rhs = 0.5 * math.log(1.0 / d_next) - 0.5 * math.log(mixed) + bonus
-        slacks.append((idx, lhs - rhs))
-    return slacks
+    c = [(0.0 if a == b else b - a) - (y - x) for a, b, x, y in zip(R_prev, R_next, r_prev, r_next)]
+    low, worst = _scan_min_slack(c, w_prev, w_next, p0)
+    full = (tuple(range(len(c))), sum(c) + 0.5 * math.log(d_next * (p0 + sum(w_prev))))
+    if worst == full[0]:
+        return [full]
+    return [(worst, low + 0.5 * math.log(d_next * (p0 + sum(w_next)))), full]
 
 
 def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL) -> RefinementReport:
     """Exact feasibility test of a multistage refinement chain.
 
-    Evaluates the stage inequality for every stage and every nonempty
-    subset; feasible iff every slack is >= -tol (boundary cases count as
-    feasible).
+    Minimizes the stage inequality's slack over the nonempty subsets of
+    every stage with the threshold scan (no subset is enumerated);
+    feasible iff every minimum is >= -tol (boundary cases count as
+    feasible).  Each stage reports its worst subset, then the full set.
     """
     stages = _validate_stages(instance, stages)
-    L = instance.L
-    zero = (0.0,) * L
-    chain = [zero] + stages
+    chain = [(0.0,) * instance.L] + stages
     inversions = [r_star(instance, R) for R in chain]
+    ends = [_stage_end(instance, R, inv) for R, inv in zip(chain, inversions)]
+    p0 = 1.0 / instance.sigma_x2
     per_stage = []
-    worst = StageSlack(stage=0, subset=(), slack=math.inf)
     for j in range(1, len(chain)):
-        slacks = stage_slacks(
-            instance,
-            chain[j - 1],
-            chain[j],
-            inversions[j - 1].r_star,
-            inversions[j].r_star,
-            inversions[j].d_star,
-        )
-        stage_list = tuple(StageSlack(stage=j, subset=idx, slack=s) for idx, s in slacks)
-        per_stage.append(stage_list)
-        for entry in stage_list:
-            if entry.slack < worst.slack:
-                worst = entry
-    feasible = worst.slack >= -tol
+        rows = _stage_rows(p0, ends[j - 1], ends[j])
+        per_stage.append(tuple(StageSlack(j, subset, slack) for subset, slack in rows))
+    worst = min((row for rows in per_stage for row in rows), key=lambda row: row.slack)
     return RefinementReport(
-        feasible=feasible,
+        feasible=worst.slack >= -tol,
         per_stage=tuple(per_stage),
         worst=worst,
         r_chain=tuple(inv.r_star for inv in inversions),
@@ -191,7 +188,7 @@ def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASI
     increment = [b - a for a, b in zip(R_prev, R_next)]
     if abs(sum(increment) - conditional_rank(full)) > max(tol, 1e-7):
         return False
-    for mask in iter_nonempty_subsets(L):
+    for mask in range(1, full + 1):
         lhs = sum(increment[i] for i in mask_to_indices(mask))
         if lhs < conditional_rank(mask) - tol:
             return False
@@ -207,11 +204,6 @@ class GridNode:
     reachable: bool
 
 
-def _worst_slack(slacks) -> float:
-    """Smallest slack of a stage, +inf for none (a NaN slack never wins)."""
-    return min([math.inf] + [s for _, s in slacks])
-
-
 def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILITY_TOL):
     """Reachability map over a rectangular rate grid (two encoders).
 
@@ -225,8 +217,8 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     This is ``check_refinement([R_from, R])`` at every dominating node,
     evaluated in one pass: ``R_from`` is validated and inverted once, and
     stage 1 (0 -> R_from), the same for the whole map, is evaluated once.
-    Each dominating node then adds only its stage-2 slacks, from its own
-    inversion, through the same ``stage_slacks``.  A node that undershoots
+    Each dominating node then adds only its stage-2 rows, from its own
+    inversion, through the same ``_stage_rows``.  A node that undershoots
     ``R_from`` by at most 1e-12 in some coordinate is tested at the
     coordinatewise maximum, as the chain test would see it.
     """
@@ -240,11 +232,10 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     if n * n > MAX_GRID_NODES:
         raise ArgumentError(f"grid {grid} has more than {MAX_GRID_NODES} nodes")
     (R_from,) = _validate_stages(instance, [R_from])
-    zero = (0.0, 0.0)
-    inv_from = r_star(instance, R_from)
-    stage1 = _worst_slack(
-        stage_slacks(instance, zero, R_from, zero, inv_from.r_star, inv_from.d_star)
-    )
+    zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
+    origin = _stage_end(instance, zero, r_star(instance, zero))
+    start = _stage_end(instance, R_from, r_star(instance, R_from))
+    stage1 = min(slack for _, slack in _stage_rows(p0, origin, start))
     nodes = []
     for a in range(n):
         R1 = lo + a * step
@@ -255,11 +246,8 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
             if R1 >= R_from[0] - 1e-12 and R2 >= R_from[1] - 1e-12:
                 target = (max(R1, R_from[0]), max(R2, R_from[1]))
                 inv_t = inv if target == (R1, R2) else r_star(instance, target)
-                stage2 = _worst_slack(
-                    stage_slacks(
-                        instance, R_from, target, inv_from.r_star, inv_t.r_star, inv_t.d_star
-                    )
-                )
+                end = _stage_end(instance, target, inv_t)
+                stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
                 reach = min(stage1, stage2) >= -tol
             else:
                 reach = False

@@ -61,6 +61,10 @@ RATE_TOL = 1e-9
 # Same-encoder descriptions whose noises agree to this relative tolerance
 # are one variable (last-ulp differences between solvers).
 _DUP_REL = 1e-10
+# Rounding floor of the builder's rate comparisons: a rate tuple computed
+# elsewhere (a vertex, say) matches the builder's own rate formula only to
+# a few ulps, so even tol = 0 must accept that much.
+_RATE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ class _Builder:
 
         # (a) some encoder already at its fully conditioned rate: decode last.
         for j in active:
-            if abs(rates[j] - conditioned[j]) <= self.tol:
+            if abs(rates[j] - conditioned[j]) <= self.tol + _RATE_FLOOR:
                 rest = self.peel([k for k in active if k != j], z, rates)
                 decoded = tuple(z) + tuple(s.description for s in rest)
                 return rest + [WzStep(self.fines[j], conditioned[j], decoded)]
@@ -278,7 +282,7 @@ class _Builder:
         # (a') someone already at its unconditioned rate: decode first.
         for j in active:
             top = self._mi(self.fines[j], z)
-            if abs(rates[j] - top) <= self.tol:
+            if abs(rates[j] - top) <= self.tol + _RATE_FLOOR:
                 rest = self.peel([k for k in active if k != j], z + [self.fines[j]], rates)
                 return [WzStep(self.fines[j], top, tuple(z))] + rest
 
@@ -303,7 +307,7 @@ class _Builder:
                 + rest
                 + [WzStep(self.fines[j], fine_rate, decoded)]
             )
-            if abs(fine_rate + coarse_rate - rates[j]) <= 10 * self.tol + 1e-12:
+            if abs(fine_rate + coarse_rate - rates[j]) <= 10 * self.tol + _RATE_FLOOR:
                 return steps
             failures.append(f"encoder {j}: split rates drifted")
         raise InternalInconsistencyError(

@@ -13,6 +13,12 @@ bound) only at desk scale:
   (L <= 3), an upper bound on ``hyperplane.support_value``;
 * ``pairwise_equivalence``: the full-chain refinement verdict against the
   AND of its adjacent-pair verdicts;
+* ``enumerate_stage_slacks``: the refinement stage inequality's slack at
+  every nonempty subset (2^L), the reference for the worst and full-set
+  rows of ``refinement.check_refinement``;
+* ``exhaustive_scan_slack``: the minimum of c(A) + (1/2) ln(m(A) / m(empty))
+  over every nonempty subset, the reference for the threshold scan
+  ``polymatroid._scan_min_slack`` with weights of either sign;
 * ``in_feasible_set``: whether an allocation reaches a distortion target.
 """
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
-from gceo.model import CeoInstance, TOL_EQ, _check_allocation, precision
+from gceo.model import CeoInstance, TOL_EQ, _check_allocation, exp_neg2r, precision
 from gceo.polymatroid import (
     FACE_TOL,
     FaceDescriptor,
@@ -256,6 +262,44 @@ def pairwise_equivalence(instance: CeoInstance, stages, tol: float = FEASIBILITY
         pairs = pairs and check_refinement(instance, pair, tol).feasible
         prev = stage
     return full == pairs
+
+
+def enumerate_stage_slacks(instance: CeoInstance, R_prev, R_next, r_prev, r_next, d_next) -> list:
+    """(subset, slack) of the stage inequality for every nonempty subset of
+    one adjacent stage pair, subsets as sorted index tuples in bitmask order."""
+    L = instance.L
+    w_prev = [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r_prev)]
+    w_next = [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r_next)]
+    # A rate that stays the same adds nothing, an infinite one included.
+    increment = [0.0 if a == b else b - a for a, b in zip(R_prev, R_next)]
+    slacks = []
+    for mask in range(1, 1 << L):
+        mixed = 1.0 / instance.sigma_x2
+        lhs = 0.0
+        bonus = 0.0
+        for i in range(L):
+            if mask >> i & 1:
+                mixed += w_prev[i]
+                lhs += increment[i]
+                bonus += r_next[i] - r_prev[i]
+            else:
+                mixed += w_next[i]
+        rhs = 0.5 * math.log(1.0 / d_next) - 0.5 * math.log(mixed) + bonus
+        slacks.append((mask_to_indices(mask), lhs - rhs))
+    return slacks
+
+
+def exhaustive_scan_slack(c, u, v, p0: float) -> tuple[float, dict]:
+    """min over nonempty A of c(A) + (1/2) ln(m(A) / m(empty)) with
+    m(A) = p0 + u(A) + v(A^c), and the value of every subset (sorted index
+    tuple -> value), by walking all 2^n - 1 subsets."""
+    n = len(c)
+    m_empty = p0 + sum(v)
+    values = {}
+    for mask in range(1, 1 << n):
+        m = p0 + sum(u[i] if mask >> i & 1 else v[i] for i in range(n))
+        values[mask_to_indices(mask)] = sum(c[i] for i in mask_to_indices(mask)) + 0.5 * math.log(m / m_empty)
+    return min(values.values()), values
 
 
 def in_feasible_set(instance: CeoInstance, r, D: float, tol: float = TOL_EQ) -> bool:

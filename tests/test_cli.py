@@ -268,6 +268,12 @@ class TestTolerance:
         code, out = run(["region", "check", "--instance", sym2_file, "--r=0.5,0.5", "--R=1,1", "--tol=0"])
         assert (code, json.loads(out)["contains"]) == (0, True)
 
+    def test_zero_tol_schedules_a_vertex(self, sym2_file, commands):
+        # At tol = 0 the builder must still accept the few ulps by which a
+        # vertex and its own rate formula differ.
+        code, out = run(commands["schedule"] + ["--instance", sym2_file, "--tol=0"])
+        assert (code, json.loads(out)["total_steps"]) == (0, 2)
+
 
 class TestDeterminismAndErrors:
     def test_byte_identical_reruns(self, sym2_file):
@@ -448,15 +454,20 @@ def _stages_json(rows):
     return json.dumps([[entry(v) for v in row] for row in rows])
 
 
-# One to three stages of two fuzzed entries each.
-_FUZZ_STAGES = st.lists(st.lists(_FUZZ_ENTRY, min_size=2, max_size=2), min_size=1, max_size=3).map(_stages_json)
-_FUZZ_FIELDS = {"v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT, "s": _FUZZ_STAGES}
+def _fuzz_stages(L):
+    """One to three stages of L fuzzed entries each."""
+    return st.lists(st.lists(_FUZZ_ENTRY, min_size=L, max_size=L), min_size=1, max_size=3).map(_stages_json)
+
+
+# "s" stages fit sym2; "t" stages fit the three-encoder instance.
+_FUZZ_FIELDS = {"v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT, "s": _fuzz_stages(2), "t": _fuzz_stages(3)}
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "sym2.json").write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0, 1.0]}))
+    (path / "three.json").write_text(json.dumps({"sigma_x2": 1.3, "sigma_n2": [0.5, 1.0, 2.0]}))
     return path
 
 
@@ -477,6 +488,8 @@ _FUZZ_COMMANDS = (
     ("region", "check", "--r=0.5,0.5", "--R=1,1", "--tol={x}"),
     ("region", "face", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),
     ("refine", "--stages={s}", "--tol={x}"),
+    # Three encoders, so the stage threshold scan sweeps more than a pair.
+    ("refine", "--stages={t}", "--instance={dir}/three.json"),
     ("omega", "--R=3,0.01", "--tol={x}"),
 )
 
@@ -489,14 +502,16 @@ def test_fuzzed_numbers_keep_the_exit_code_contract(fuzz_dir, command, data):
     argv = []
     for part in command:
         fields = {k: data.draw(s) for k, s in _FUZZ_FIELDS.items() if f"{{{k}}}" in part}
-        if "s" in fields:
+        for key in {"s", "t"} & set(fields):
             stages = fuzz_dir / "stages.json"
-            stages.write_text(fields["s"])
-            fields["s"] = str(stages)
-        argv.append(part.format(**fields))
+            stages.write_text(fields[key])
+            fields[key] = str(stages)
+        argv.append(part.format(dir=fuzz_dir, **fields))
+    if not any(part.startswith("--instance") for part in argv):
+        argv += ["--instance", str(fuzz_dir / "sym2.json")]
     err = io.StringIO()
     with redirect_stderr(err):
-        code, out = run(argv + ["--instance", str(fuzz_dir / "sym2.json")])
+        code, out = run(argv)
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     if code == 0:
         assert "NaN" not in out, argv

@@ -12,6 +12,7 @@ from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision
 from gceo.polymatroid import (
     FACE_TOL,
+    _scan_min_slack,
     identify_face,
     min_slack,
     on_dominant_face,
@@ -31,6 +32,7 @@ from conftest import (
 from oracles import (
     check_supermodular,
     enumerate_face,
+    exhaustive_scan_slack,
     rank_fD,
     supermodularity_margin,
     unconditioned_rank,
@@ -372,8 +374,47 @@ def slack_cases(draw):
     return sn, r, [ci + ri for ci, ri in zip(c, r)], p0, mode
 
 
+@st.composite
+def signed_scan_cases(draw):
+    """(c, u, v, p0) of a threshold-scan query whose weights d = v - u take
+    either sign.
+
+    Each encoder's pair (u_i, v_i) is drawn zero, equal (d_i = 0), growing
+    (d_i > 0, a nested refinement stage) or shrinking (d_i < 0); the gaps c
+    are free, tied in their ratio c_i / d_i across signs, or hold a +inf.
+    """
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = [], []
+    for kind in draw(st.lists(st.sampled_from(["zero", "equal", "grow", "shrink"]), min_size=n, max_size=n)):
+        a, b = sorted(float(x) for x in 10.0 ** rng.uniform(-2.0, 1.0, 2))
+        u.append({"zero": 0.0, "equal": b, "grow": a, "shrink": b}[kind])
+        v.append({"zero": 0.0, "equal": b, "grow": b, "shrink": a}[kind])
+    p0 = float(10.0 ** rng.uniform(-1.0, 1.0))
+    c = [float(x) for x in rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-2.0, 0.3)]
+    mode = draw(st.sampled_from(["free", "tied", "infinite"]))
+    if mode == "tied":
+        ratio = float(rng.uniform(-1.0, 1.0))
+        c = [ratio * (b - a) if draw(st.booleans()) else ci for ci, a, b in zip(c, u, v)]
+    elif mode == "infinite":
+        c[draw(st.integers(0, n - 1))] = math.inf
+    return c, u, v, p0
+
+
 class TestThresholdScan:
     """The O(L^2) scan against explicit enumeration of every subset."""
+
+    @settings(max_examples=400)
+    @given(signed_scan_cases())
+    def test_signed_weights_match_exhaustive(self, case):
+        c, u, v, p0 = case
+        low, subset = _scan_min_slack(c, u, v, p0)
+        expect, values = exhaustive_scan_slack(c, u, v, p0)
+        if math.isinf(expect):
+            assert low == expect
+        else:
+            assert low == pytest.approx(expect, abs=1e-12)
+            assert values[subset] == pytest.approx(low, abs=1e-12)
 
     @settings(max_examples=300)
     @given(slack_cases())
@@ -391,6 +432,15 @@ class TestThresholdScan:
             total = p0 + sum(w)
             singles = min(R[i] - r[i] + 0.5 * math.log((total - w[i]) / total) for i in range(len(sn)))
             assert expect == pytest.approx(singles, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma_x2", [1e6, 1e8, 1e13, 1e14])
+    def test_flat_prior_does_not_cancel(self, sigma_x2):
+        # The full set leaves only the prior precision 1/sigma_x2 in m(A).
+        # Subtracting a weight of ~1 from a sum that holds it leaves an
+        # absolute error of ~1e-16, a large part of 1/sigma_x2.
+        inst = CeoInstance(sigma_x2, (1.0, 1e4))
+        r, R = (30.0, 1e-3), (31.0, 0.0)
+        assert min_slack(inst, r, R) == pytest.approx(instance_slack(inst, r, R), abs=1e-12)
 
     def test_infinite_rates_are_queries(self, sym2):
         assert min_slack(sym2, (0.5, 0.5), (-math.inf, 1.0)) == -math.inf

@@ -1,10 +1,14 @@
+import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gceo import cli
 from gceo.errors import ArgumentError
-from gceo.model import CeoInstance
+from gceo.model import MAX_ENCODERS, CeoInstance
 from gceo.inversion import OmegaTag, classify_omega, omega_margins, r_star
 from gceo.refinement import (
     check_refinement,
@@ -19,15 +23,16 @@ from conftest import (
     random_instance,
     sample_omega_point,
 )
-from oracles import pairwise_equivalence
+from oracles import enumerate_stage_slacks, pairwise_equivalence
 
 
 class TestCheckRefinement:
     def test_repeat_stage_is_feasible(self, sym2):
         rep = check_refinement(sym2, [(0.7, 0.9), (0.7, 0.9)])
         assert rep.feasible
-        full = [s for s in rep.per_stage[1] if s.subset == (0, 1)]
-        assert abs(full[0].slack) <= 1e-9
+        full = rep.per_stage[1][-1]
+        assert full.subset == (0, 1)
+        assert abs(full.slack) <= 1e-9
 
     def test_full_set_always_tight(self, sym2):
         rng = np.random.default_rng(51)
@@ -36,8 +41,8 @@ class TestCheckRefinement:
             stages = [tuple(map(float, base)), tuple(map(float, base + rng.uniform(0, 1.0, 2)))]
             rep = check_refinement(sym2, stages)
             for stage in rep.per_stage:
-                full = [s for s in stage if s.subset == (0, 1)]
-                assert abs(full[0].slack) <= 1e-6
+                assert stage[-1].subset == (0, 1)
+                assert abs(stage[-1].slack) <= 1e-6
 
     def test_last_decoded_chains_feasible(self):
         rng = np.random.default_rng(52)
@@ -58,13 +63,91 @@ class TestCheckRefinement:
             check_refinement(sym2, [(1.0, 1.0), (0.9, 1.2)])
 
     def test_report_shape(self, sym2):
-        rep = check_refinement(sym2, [(0.4, 0.4), (0.6, 0.6)])
+        # Each stage lists its worst subset, then the full set; one row
+        # when the two coincide.
+        rep = check_refinement(sym2, [(0.4, 0.4), (0.9, 0.6)])
         assert len(rep.per_stage) == 2
-        assert len(rep.per_stage[0]) == 3
+        for j, stage in enumerate(rep.per_stage, start=1):
+            assert 1 <= len(stage) <= 2
+            assert [row.stage for row in stage] == [j] * len(stage)
+            assert stage[-1].subset == (0, 1)
+            assert stage[0].slack == min(row.slack for row in stage)
+        assert len(rep.per_stage[1]) == 2
+        assert rep.worst.slack == min(row.slack for stage in rep.per_stage for row in stage)
         assert len(rep.r_chain) == 3
         assert rep.d_chain[0] == sym2.sigma_x2
         payload = rep.to_dict()
         assert set(payload) == {"feasible", "worst", "r_chain", "d_chain", "per_stage"}
+        assert all(set(row) == {"subset", "slack"} for stage in payload["per_stage"] for row in stage)
+        assert payload["per_stage"][1][-1]["subset"] == [1, 2]
+
+
+@st.composite
+def refinement_chains(draw):
+    """(instance, stages) at L = 2-6: one to three stages that grow at
+    random (often infeasible), grow with some rates frozen, or refine only
+    the last-decoded encoder (feasible)."""
+    L = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = random_instance(rng, L)
+    kind = draw(st.sampled_from(["grow", "frozen", "last_decoded"]))
+    M = draw(st.integers(1, 3))
+    if kind == "last_decoded":
+        return inst, last_decoded_chain(inst, rng, M)[0]
+    stages = [rng.uniform(0.0, 1.5, L)]
+    for _ in range(M - 1):
+        step = rng.uniform(0.0, 0.8, L)
+        if kind == "frozen":
+            step[rng.random(L) < 0.5] = 0.0
+        stages.append(stages[-1] + step)
+    return inst, [tuple(float(v) for v in stage) for stage in stages]
+
+
+class TestStageRowsAgainstSubsetWalk:
+    @settings(max_examples=150)
+    @given(refinement_chains())
+    def test_worst_and_full_rows_match(self, case):
+        inst, stages = case
+        rep = check_refinement(inst, stages)
+        chain = [(0.0,) * inst.L] + [tuple(stage) for stage in stages]
+        full = tuple(range(inst.L))
+        lowest = math.inf
+        for j, rows in enumerate(rep.per_stage, start=1):
+            walk = dict(
+                enumerate_stage_slacks(
+                    inst, chain[j - 1], chain[j], rep.r_chain[j - 1], rep.r_chain[j], rep.d_chain[j]
+                )
+            )
+            low = min(walk.values())
+            assert rows[-1].subset == full
+            assert rows[-1].slack == pytest.approx(walk[full], abs=1e-12)
+            assert rows[0].slack == pytest.approx(low, abs=1e-12)
+            assert walk[rows[0].subset] == pytest.approx(rows[0].slack, abs=1e-12)
+            assert len(rows) == 1 or rows[0].subset != full
+            lowest = min(lowest, low)
+        assert rep.worst.slack == pytest.approx(lowest, abs=1e-12)
+        if abs(lowest + 1e-6) > 1e-9:
+            assert rep.feasible == (lowest >= -1e-6)
+
+    def test_refine_at_max_encoders(self, tmp_path):
+        # A walk over the 2^16 - 1 subsets of each stage takes seconds and
+        # would print 131070 rows; the threshold scan prints at most four.
+        rng = np.random.default_rng(19)
+        inst = random_instance(rng, MAX_ENCODERS)
+        first = rng.uniform(0.05, 1.0, MAX_ENCODERS)
+        stages = [first.tolist(), (first + rng.uniform(0.0, 0.5, MAX_ENCODERS)).tolist()]
+        path, stage_path, out = tmp_path / "big.json", tmp_path / "stages.json", tmp_path / "out.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        stage_path.write_text(json.dumps(stages))
+        argv = ["refine", "--instance", str(path), "--stages", str(stage_path), "--output", str(out)]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out.read_text())
+        assert code == (0 if payload["feasible"] else 1)
+        assert [1 <= len(rows) <= 2 for rows in payload["per_stage"]] == [True, True]
+        assert all(rows[-1]["subset"] == list(range(1, MAX_ENCODERS + 1)) for rows in payload["per_stage"])
+        assert elapsed < 0.25
 
 
 class TestClaims:
