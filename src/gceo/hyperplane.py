@@ -87,9 +87,18 @@ def _check_distortion(instance: CeoInstance, D: float) -> None:
         )
 
 
-def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: float):
-    """Sorted-order allocation r*(nu) with running clamping."""
-    r = [0.0] * instance.L
+def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: float, fixed=None):
+    """Sorted-order allocation r*(nu) with running clamping.
+
+    Encoder k of the order gets its stationarity numerator 2 nu plus the
+    alpha gaps so far, each over 1/D less the weights decoded before it,
+    and r_k solves alpha_k sigma_n2[k] exp(2 r_k) = numerator.  ``fixed``
+    replaces the solved allocation by a given one, so that the numerators
+    are those the KKT check evaluates.  Returns the allocation, its
+    positive encoders' total weight and the numerators in sorted order.
+    """
+    r = list(fixed) if fixed is not None else [0.0] * instance.L
+    nums = []
     running = 0.0  # sum of precision weights of earlier sorted encoders
     correction = 0.0  # accumulated (alpha gap) / (1/D - S_i) terms
     for k, idx in enumerate(order[:positive]):
@@ -101,14 +110,16 @@ def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: 
                 denom = 1e-300
             correction += gap / denom
         num = 2.0 * nu + correction
-        if num <= 0.0:
-            rk = 0.0
-        else:
-            rk = 0.5 * math.log(num / (alpha[idx] * instance.sigma_n2[idx]))
-            rk = min(max(rk, 0.0), R_MAX)
-        r[idx] = rk
-        running += (1.0 - exp_neg2r(rk)) / instance.sigma_n2[idx]
-    return r, running
+        nums.append(num)
+        if fixed is None:
+            if num <= 0.0:
+                rk = 0.0
+            else:
+                rk = 0.5 * math.log(num / (alpha[idx] * instance.sigma_n2[idx]))
+                rk = min(max(rk, 0.0), R_MAX)
+            r[idx] = rk
+        running += (1.0 - exp_neg2r(r[idx])) / instance.sigma_n2[idx]
+    return r, running, nums
 
 
 def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
@@ -138,7 +149,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         target = inv_d - (base - 1.0 / instance.sigma_x2)
 
         def positive_precision(nu_val: float) -> float:
-            _, running = _recursion(instance, alpha, order, positive, nu_val, inv_d)
+            _, running, _ = _recursion(instance, alpha, order, positive, nu_val, inv_d)
             return 1.0 / instance.sigma_x2 + running
 
         # The multiplier of the distortion equality may take either sign
@@ -167,7 +178,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
             if hi - lo <= 1e-16 * max(1.0, abs(hi)) and abs(p_mid - target) <= PRECISION_TOL:
                 break
         nu = hi
-        rpos, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
+        rpos, _, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
         for i in order[:positive]:
             r[i] = rpos[i]
 
@@ -212,26 +223,17 @@ def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResul
 
     For coordinates with r*_k > 0 the raw stationarity is evaluated (it must
     vanish); coordinates at zero must have a nonnegative multiplier, i.e. a
-    nonpositive unclamped derivative direction.
+    nonpositive unclamped derivative direction.  The numerators come from
+    ``_recursion`` evaluated at the returned allocation.
     """
     alpha = _normalize_alpha(alpha)
-    order = result.pi_star
     positive = sum(1 for a in alpha if a > 0.0)
-    inv_d = 1.0 / D
-    nu = result.nu
+    _, _, nums = _recursion(instance, alpha, result.pi_star, positive, result.nu, 1.0 / D, result.r_star)
     worst = 0.0
-    running = 0.0
-    correction = 0.0
-    for k, idx in enumerate(order[:positive]):
-        if k > 0:
-            prev = order[k - 1]
-            denom = inv_d - running
-            correction += (alpha[prev] - alpha[idx]) / denom
-        e = exp_neg2r(result.r_star[idx])
-        grad = alpha[idx] - (e / instance.sigma_n2[idx]) * (correction + 2.0 * nu)
+    for idx, num in zip(result.pi_star, nums):
+        grad = alpha[idx] - (exp_neg2r(result.r_star[idx]) / instance.sigma_n2[idx]) * num
         if result.r_star[idx] > 0.0:
             worst = max(worst, abs(grad))
         elif grad < -1e-9:
             worst = max(worst, -grad)
-        running += (1.0 - e) / instance.sigma_n2[idx]
     return worst

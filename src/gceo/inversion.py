@@ -209,27 +209,6 @@ def _block_constant(noises, target: float, p: float, k_lo: float):
     return brentq(g, k_lo, k_hi, xtol=1e-300, rtol=8.9e-16)
 
 
-def _solve_blocks(sn, R, blocks, p0: float):
-    """Allocation from a decode-ordered block structure, or None.
-
-    Within a block the allocation water-fills: sigma_n2[i] * exp(2 r_i) is
-    one constant K per block, pinned by the block's group sum rate given
-    everything decoded earlier.  Fails (returns None) when a block's sum
-    rate is too small to support its joint description.
-    """
-    r = [0.0] * len(sn)
-    p = p0
-    for block in blocks:
-        noises = [sn[i] for i in block]
-        K = _block_constant(noises, sum(R[i] for i in block), p, max(noises) * (1.0 + 1e-13))
-        if K is None:
-            return None
-        for i in block:
-            r[i] = 0.5 * math.log(K / sn[i])
-        p += sum(1.0 / s - 1.0 / K for s in noises)
-    return r
-
-
 # ----------------------------------------------------------------------
 # General solver: Fujishige's decomposition, certified by KKT multipliers
 # on the decode chain.

@@ -49,8 +49,10 @@ vanishes.  g is modular plus concave of w(A) and >= 0 on the face, so a
 tight set minimizes it and, up to ratio ties, is a prefix of the encoders
 sorted by (r_i - R_i) / w_i.  Within a tolerance a tight set need only
 nearly minimize g and can differ from a prefix in an encoder whose ratio
-sits near the threshold; ``identify_face`` tests every prefix and every
-set one encoder away from a prefix, O(L^2) sets from running sums.
+sits near the threshold; ``_tight_chain`` tests every prefix and every
+set one encoder away from a prefix, O(L^2) sets from running sums.  It
+serves ``identify_face`` and the scheduler's face step, whose base
+precision p0 is that of the descriptions decoded so far.
 
 Subsets are bitmasks over encoder indices 0..L-1.
 """
@@ -95,11 +97,12 @@ def rank_f(instance: CeoInstance, r, mask: int) -> float:
     return 0.5 * math.log(p_all / p_comp) + sum(r[i] for i in mask_to_indices(mask))
 
 
-def _threshold_order(c, w):
-    """Positive-weight encoders in increasing c_i / w_i.  A modular term plus
-    a concave function of w(A) has a minimizer among the prefixes of this
-    order (plus the zero-weight encoders with c_i < 0)."""
-    return sorted((i for i in range(len(c)) if w[i] > 0.0), key=lambda i: c[i] / w[i])
+def _threshold_order(c, w, members):
+    """``members`` in increasing c_i / w_i.  A modular term plus a concave
+    function of w(A) has a minimizer among the prefixes of this order.  A
+    zero-weight member adds only c_i, so its ratio counts as -inf when
+    c_i < 0 and +inf otherwise."""
+    return sorted(members, key=lambda i: c[i] / w[i] if w[i] > 0.0 else -math.inf if c[i] < 0.0 else math.inf)
 
 
 def _scan_min_slack(c, u, v, p0: float) -> tuple[float, tuple[int, ...]]:
@@ -183,7 +186,7 @@ def _min_threshold_set(c, w, p0: float, tie: float):
     ``tie`` of the minimum count as minimizers; the longest is returned as
     a list of indices.
     """
-    order = _threshold_order(c, w)
+    order = _threshold_order(c, w, range(len(c)))
     values = [0.0]
     acc, inner = 0.0, p0
     for i in order:
@@ -280,6 +283,50 @@ class FaceDescriptor:
         }
 
 
+def _tight_chain(members, c, w, p0: float, tol: float):
+    """The chain of tight sets of ``members`` at base precision p0, as blocks.
+
+    A proper nonempty subset A is tight when |g(A)| <= tol, with
+    g(A) = c(A) + (1/2) ln(1 + w(A) / p0) as in the module docstring; ``c``
+    and ``w`` are indexed by encoder.  Candidates are the prefixes of the
+    members in ``_threshold_order`` (the empty and the full set included)
+    and every set one member away from a prefix.
+
+    The chain keeps the tight sets from the largest down, ties to the
+    larger mask, each one inside the last one kept.  Returns its blocks
+    (the first set, the successive differences and the remainder, as
+    sorted index tuples in decode order) and, when some tight set does not
+    fit, that set and the one it crosses as index tuples, else None.
+    Exactly tight sets are nested whenever every weight is positive, so a
+    crossing means a point within ``tol`` of several faces.
+    """
+    order = _threshold_order(c, w, members)
+    prefixes = [(0, 0.0, 0.0)]  # (mask, c(A), w(A)) of every prefix
+    for i in order:
+        mask, c_sum, w_sum = prefixes[-1]
+        prefixes.append((mask | 1 << i, c_sum + c[i], w_sum + w[i]))
+    full = prefixes[-1][0]
+
+    # Each proper prefix is one encoder away from the one before it.
+    found = set()
+    for k, (mask, c_sum, w_sum) in enumerate(prefixes):
+        for j, i in enumerate(order):
+            sign = -1.0 if j < k else 1.0  # drop a member or add an outsider
+            m, c_m, w_m = mask ^ 1 << i, c_sum + sign * c[i], w_sum + sign * w[i]
+            if 0 < m < full and abs(c_m + 0.5 * math.log1p(w_m / p0)) <= tol:
+                found.add(m)
+
+    chain, crossing = [full], None
+    for m in sorted(found, key=lambda m: (m.bit_count(), m), reverse=True):
+        if not m & ~chain[-1]:
+            chain.append(m)
+        elif crossing is None:
+            crossing = (mask_to_indices(m), mask_to_indices(chain[-1]))
+    chain.append(0)
+    blocks = tuple(mask_to_indices(a & ~b) for a, b in zip(chain[-2::-1], chain[::-1]))
+    return blocks, crossing
+
+
 def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDescriptor:
     """Locate the lowest-dimensional face of the dominant face containing R.
 
@@ -287,11 +334,9 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
     and are projected out first; on the dominant face their rates are zero.
     A proper nonempty set of active encoders is tight when its group rate is
     within ``tol`` of its unconditioned rank, i.e. |g(A)| <= tol with g as
-    in the module docstring.  Candidates are the prefixes of the active
-    encoders in increasing c_i / w_i, c_i = r_i - R_i (the empty and the
-    full set included), and every set one encoder away from a prefix.
-    Tight sets must be nested; a non-nested family signals a tolerance
-    problem and raises.
+    in the module docstring, c_i = r_i - R_i and p0 = 1/sigma_x2; the
+    candidates are those of ``_tight_chain``.  Tight sets must be nested; a
+    non-nested family signals a tolerance problem and raises.
     """
     r = _check_allocation(instance, r)
     L = instance.L
@@ -308,44 +353,15 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
 
     c = [r[i] - R[i] for i in range(L)]
     w = [precision_weight(instance, i, r[i]) for i in range(L)]
-    # An active encoder whose weight rounds to 0 (r_i below ~2.8e-17) adds
-    # only c_i to g: its ratio is -inf when c_i < 0 and +inf otherwise.
-    flat = [i for i in active if w[i] == 0.0]
-    order = [i for i in flat if c[i] < 0.0] + _threshold_order(c, w) + [i for i in flat if c[i] >= 0.0]
-    prefixes = [(0, 0.0, 0.0)]  # (mask, c(A), w(A)) of every prefix
-    for i in order:
-        mask, c_sum, w_sum = prefixes[-1]
-        prefixes.append((mask | 1 << i, c_sum + c[i], w_sum + w[i]))
-    active_mask = prefixes[-1][0]
-    p0 = 1.0 / instance.sigma_x2
-
-    found = set()
-    for k, (mask, c_sum, w_sum) in enumerate(prefixes):
-        candidates = [(mask, c_sum, w_sum)]
-        for j, i in enumerate(order):
-            sign = -1.0 if j < k else 1.0  # drop a member or add an outsider
-            candidates.append((mask ^ 1 << i, c_sum + sign * c[i], w_sum + sign * w[i]))
-        for m, c_m, w_m in candidates:
-            if 0 < m < active_mask and abs(c_m + 0.5 * math.log1p(w_m / p0)) <= tol:
-                found.add(m)
-
-    tight = sorted(found, key=lambda m: (m.bit_count(), m))
-    for a, b in zip(tight, tight[1:]):
-        if a & ~b:
-            raise InternalInconsistencyError(
-                f"tight subsets {mask_to_indices(a)} and {mask_to_indices(b)} are not nested; "
-                "tolerance too loose or allocation has zero coordinates"
-            )
-    # Equal-popcount duplicates would have tripped the nesting check above.
-    blocks = []
-    prev = 0
-    for m in tight:
-        blocks.append(mask_to_indices(m & ~prev))
-        prev = m
-    blocks.append(mask_to_indices(active_mask & ~prev))
+    blocks, crossing = _tight_chain(active, c, w, 1.0 / instance.sigma_x2, tol)
+    if crossing:
+        raise InternalInconsistencyError(
+            f"tight subsets {crossing[0]} and {crossing[1]} are not nested; "
+            "tolerance too loose or allocation has zero coordinates"
+        )
     return FaceDescriptor(
-        chain=tuple(mask_to_indices(m) for m in tight),
-        blocks=tuple(blocks),
-        dimension=len(active) - len(tight) - 1,
+        chain=tuple(tuple(sorted(i for b in blocks[:k] for i in b)) for k in range(1, len(blocks))),
+        blocks=blocks,
+        dimension=len(active) - len(blocks),
         active=tuple(active),
     )

@@ -10,25 +10,32 @@ coarse -> fine -> Y_i is Markov) and a fine stage is enough to reach any
 point of the dominant face with at most 2L - 1 steps, and at most
 L + d steps when the point lies on a d-dimensional face.
 
-The construction is recursive peeling over the active encoder set A with
-accumulated side information Z, writing A-j for A without encoder j:
+The construction (``build_schedule``) is recursive peeling over the
+active encoder set A with accumulated side information Z, in two cases:
 
-  (a) if some encoder j already sits at its fully conditioned rate
-      I(Y_j; W_j | W_{A-j}, Z), schedule its description last among A and
-      recurse on A-j — an exact reduction (telescoping of the rank);
-  (a') if some encoder j sits at its unconditioned rate I(Y_j; W_j | Z),
-      schedule it first, add it to Z, and recurse on A-j — also exact,
-      since conditioning on a full description shifts every remaining
-      group rank by the same amount;
-  (b) otherwise split a candidate j whose rate is strictly between those
-      extremes: choose the coarse noise so that
+  face step: given Z, the rates of A form a dominant-face point of a
+      region with the polymatroid form of ``polymatroid``, with base
+      precision p(Z), c_i = r_i - R_i and the fine weights w_i (no active
+      encoder has a description in Z).  When its tight chain is
+      nontrivial, decode the chain's blocks in order, each block peeled
+      with every earlier description added to Z — exact, since a tight
+      set's group rate is its rank with nothing else of A decoded.  A lone
+      encoder at its unconditioned rate, or one at its fully conditioned
+      rate, is the one-encoder or all-but-one tight set.  Tightness is
+      tested to the builder's tol plus a rounding floor; where near-ties
+      make tight sets cross, the chain keeps the largest ones;
+  split: otherwise choose the coarse noise of a candidate j so that
       rate(coarse | Z) + rate(fine | coarse, fines of A-j, Z) = R_j,
       decode the coarse description first, the fine one last, and recurse
-      on A-j with the coarse description added to Z.
+      on A-j (A without j) with the coarse description added to Z.
 
-Split candidates are tried in ascending encoder index, and a candidate
-whose remainder turns out infeasible deeper in the recursion hands over
-to the next one.
+Each encoder takes one step, plus one for a split.  A face step cuts a
+d-face into blocks whose face dimensions sum to d, and a split of a block
+of b encoders (a (b-1)-face) leaves b - 1 encoders on a face of dimension
+at most b - 2, so a point on a d-dimensional face takes at most L + d
+steps.  Split candidates are tried in ascending encoder index, and a
+candidate whose remainder turns out infeasible deeper in the recursion
+hands over to the next one.
 
 Every step rate is scalar precision algebra: descriptions are independent
 given X and same-encoder descriptions are nested, so
@@ -262,50 +269,46 @@ class _Builder:
     tol: float
     fines: dict[int, Description]
 
-    def _mi(self, target, decoded):
-        return _rate(self.instance, target, decoded)
-
     def peel(self, active: list[int], z: list[Description], rates: dict[int, float]) -> list[WzStep]:
         """Schedule the active encoders given already-decoded side info z."""
-        if not active:
-            return []
-        others = {j: [self.fines[k] for k in active if k != j] for j in active}
-        conditioned = {j: self._mi(self.fines[j], others[j] + z) for j in active}
+        inst, fines = self.instance, self.fines
+        if len(active) < 2:  # a lone encoder takes its rate given z
+            return [WzStep(fines[j], _rate(inst, fines[j], z), tuple(z)) for j in active]
+        # Face step: given z the active encoders' region has the polymatroid
+        # form with base precision p(z), since no active encoder has a
+        # description in z.  Decode the blocks of its tight chain in order.
+        t = {j: fines[j].sigma_t2_total for j in active}
+        c = {j: r_from_channel_noise(inst, j, t[j]) - rates[j] for j in active}
+        w = {j: 1.0 / (inst.sigma_n2[j] + t[j]) for j in active}
+        p_z = _precision(inst, _finest(z))
+        blocks, _ = polymatroid._tight_chain(active, c, w, p_z, self.tol + _RATE_FLOOR)
+        if len(blocks) > 1:
+            steps = []
+            for block in blocks:
+                steps += self.peel(list(block), z + [s.description for s in steps], rates)
+            return steps
 
-        # (a) some encoder already at its fully conditioned rate: decode last.
-        for j in active:
-            if abs(rates[j] - conditioned[j]) <= self.tol + _RATE_FLOOR:
-                rest = self.peel([k for k in active if k != j], z, rates)
-                decoded = tuple(z) + tuple(s.description for s in rest)
-                return rest + [WzStep(self.fines[j], conditioned[j], decoded)]
-
-        # (a') someone already at its unconditioned rate: decode first.
-        for j in active:
-            top = self._mi(self.fines[j], z)
-            if abs(rates[j] - top) <= self.tol + _RATE_FLOOR:
-                rest = self.peel([k for k in active if k != j], z + [self.fines[j]], rates)
-                return [WzStep(self.fines[j], top, tuple(z))] + rest
-
-        # (b) split a candidate whose rate is strictly inside its range; a
+        # Split a candidate whose rate is strictly inside its range; a
         # failing candidate (a coarse weight out of range or an infeasible
         # remainder) just hands over to the next one.
         failures = []
         for j in active:
-            top = self._mi(self.fines[j], z)
-            if not conditioned[j] + self.tol < rates[j] < top - self.tol:
+            others = [fines[k] for k in active if k != j]
+            low, top = _rate(inst, fines[j], others + z), _rate(inst, fines[j], z)
+            if not low + self.tol < rates[j] < top - self.tol:
                 continue
             try:
-                coarse, coarse_rate = self._split(j, others[j], z, rates[j])
+                coarse, coarse_rate = self._split(j, others, z, rates[j])
                 rest = self.peel([k for k in active if k != j], z + [coarse], rates)
             except InternalInconsistencyError as exc:
                 failures.append(f"encoder {j}: {exc}")
                 continue
             decoded = tuple(z) + (coarse,) + tuple(s.description for s in rest)
-            fine_rate = self._mi(self.fines[j], list(decoded))
+            fine_rate = _rate(inst, fines[j], decoded)
             steps = (
                 [WzStep(coarse, coarse_rate, tuple(z))]
                 + rest
-                + [WzStep(self.fines[j], fine_rate, decoded)]
+                + [WzStep(fines[j], fine_rate, decoded)]
             )
             if abs(fine_rate + coarse_rate - rates[j]) <= 10 * self.tol + _RATE_FLOOR:
                 return steps
@@ -328,14 +331,14 @@ class _Builder:
         fine = self.fines[j]
         p_z = _precision(self.instance, _finest(z))
         p_zo = _precision(self.instance, _finest(other_fines + z))
-        gap = math.expm1(2.0 * (target_rate - self._mi(fine, other_fines + z)))
+        gap = math.expm1(2.0 * (target_rate - _rate(self.instance, fine, other_fines + z)))
         w = p_z * p_zo * gap / (p_zo - p_z - p_z * gap)
         sigma_n2 = self.instance.sigma_n2[j]
         w_fine = 1.0 / (sigma_n2 + fine.sigma_t2_total)
         if not 0.0 < w < w_fine:
             raise InternalInconsistencyError(f"coarse weight {w:.3e} outside (0, {w_fine:.3e})")
         coarse = Description(j, 1.0 / w - sigma_n2, stage=1)
-        return coarse, self._mi(coarse, z)
+        return coarse, _rate(self.instance, coarse, z)
 
 
 def build_schedule(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedule:
@@ -442,22 +445,3 @@ def source_mmse(instance: CeoInstance, descriptions) -> float:
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"singular description covariance: {exc}") from exc
     return instance.sigma_x2 - float(cross @ solved)
-
-
-def schedule_for_face(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedule:
-    """Schedule built block-by-block along the face containing R.
-
-    The face's blocks are decoded in order, each block's rates forming a
-    dominant-face point of the region conditioned on all earlier blocks;
-    the step count is then at most L plus the face dimension.
-    """
-    r = _check_allocation(instance, r)
-    face = polymatroid.identify_face(instance, r, R, max(tol, polymatroid.FACE_TOL))
-    builder = _Builder(instance, tol, {i: fine_description(instance, r, i) for i in face.active})
-    steps: list[WzStep] = []
-    z: list[Description] = []
-    for block in face.blocks:
-        block_steps = builder.peel(list(block), list(z), {i: R[i] for i in block})
-        steps.extend(block_steps)
-        z.extend(builder.fines[i] for i in block)
-    return _validated(instance, steps, R, tol, "face schedule")

@@ -16,10 +16,11 @@ partition (largest precision wins) and by a block-by-block decomposition
 that tries every subset as the next block; and the inverse map's convex
 program with one row per subset, whose all-rows KKT residual is the
 reference certificate.  None calls the code it checks beyond the block
-equation ``_solve_blocks``.  Finally it holds the per-node formulation of
-the reachability grid map, the literal Monte Carlo cascade that the
-simulation kernel's draw plan replaces, and registers a derandomized
-hypothesis profile so property tests draw the same examples on every run.
+equation (``oracles.solve_blocks`` over ``inversion._block_constant``).
+Finally it holds the per-node formulation of the reachability grid map,
+the literal Monte Carlo cascade that the simulation kernel's draw plan
+replaces, and registers a derandomized hypothesis profile so property
+tests draw the same examples on every run.
 """
 
 import math
@@ -34,6 +35,7 @@ from gceo.model import CeoInstance, R_MAX, channel_noise_from_r, distortion
 from gceo import inversion
 from gceo import polymatroid as pm
 from gceo.refinement import GridNode, check_refinement
+from oracles import solve_blocks
 
 settings.register_profile("gceo", derandomize=True, deadline=None, database=None)
 settings.load_profile("gceo")
@@ -169,7 +171,7 @@ def valid_block_allocations(sn, R, p0):
     """(blocks, r, precision) for every decode-block structure whose exact
     block solution lies in the region of a reduced problem."""
     for blocks in ordered_partitions(tuple(range(len(sn)))):
-        r = inversion._solve_blocks(sn, R, blocks, p0)
+        r = solve_blocks(sn, R, blocks, p0)
         if r is None or exhaustive_slack(sn, R, r, p0) < -1e-9:
             continue
         yield blocks, r, p0 + sum(inversion._weight(s, v) for s, v in zip(sn, r))
@@ -186,7 +188,7 @@ def greedy_r_star(sn, R, p0):
     """Subset-enumeration oracle for a reduced problem: Fujishige's
     decomposition with every candidate block tried.  Each round solves every
     nonempty subset A of the remaining encoders as one block through
-    ``_solve_blocks`` and decodes the one with the largest water-filling
+    ``solve_blocks`` and decodes the one with the largest water-filling
     constant K_A (ties within 1e-12 relative go to the larger set), then
     conditions on it.  Exact where the max-precision pick of
     ``enumerate_r_star`` cannot resolve saturated coordinates (L <= 8)."""
@@ -198,7 +200,7 @@ def greedy_r_star(sn, R, p0):
         best_K, best = 0.0, None
         for size in range(1, len(remaining) + 1):
             for A in combinations(remaining, size):
-                sol = inversion._solve_blocks(sn, R, [A], p)
+                sol = solve_blocks(sn, R, [A], p)
                 if sol is None:
                     continue
                 K = sn[A[0]] * math.exp(2.0 * sol[A[0]])

@@ -19,7 +19,10 @@ bound) only at desk scale:
 * ``exhaustive_scan_slack``: the minimum of c(A) + (1/2) ln(m(A) / m(empty))
   over every nonempty subset, the reference for the threshold scan
   ``polymatroid._scan_min_slack`` with weights of either sign;
-* ``in_feasible_set``: whether an allocation reaches a distortion target.
+* ``in_feasible_set``: whether an allocation reaches a distortion target;
+* ``solve_blocks``: the allocation that water-fills a given decode-block
+  structure, the building block of the inverse map's exhaustive oracles in
+  ``conftest.py``.
 """
 
 import math
@@ -28,6 +31,7 @@ import numpy as np
 
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
+from gceo.inversion import _block_constant
 from gceo.model import CeoInstance, TOL_EQ, _check_allocation, exp_neg2r, precision
 from gceo.polymatroid import (
     FACE_TOL,
@@ -307,3 +311,24 @@ def in_feasible_set(instance: CeoInstance, r, D: float, tol: float = TOL_EQ) -> 
     if not D > 0.0:
         raise ArgumentError(f"D must be > 0, got {D}")
     return precision(instance, r) >= 1.0 / D - tol
+
+
+def solve_blocks(sn, R, blocks, p0: float):
+    """Allocation from a decode-ordered block structure, or None.
+
+    Within a block the allocation water-fills: sigma_n2[i] * exp(2 r_i) is
+    one constant K per block, pinned by the block's group sum rate given
+    everything decoded earlier.  Fails (returns None) when a block's sum
+    rate is too small to support its joint description.
+    """
+    r = [0.0] * len(sn)
+    p = p0
+    for block in blocks:
+        noises = [sn[i] for i in block]
+        K = _block_constant(noises, sum(R[i] for i in block), p, max(noises) * (1.0 + 1e-13))
+        if K is None:
+            return None
+        for i in block:
+            r[i] = 0.5 * math.log(K / sn[i])
+        p += sum(1.0 / s - 1.0 / K for s in noises)
+    return r

@@ -25,7 +25,7 @@ from gceo.inversion import (
 )
 from gceo.montecarlo import SimConfig, simulate_distortion, simulate_refinement
 from gceo.refinement import check_refinement, dominant_face_form
-from gceo.scheduler import build_schedule, schedule_for_face, validate_schedule
+from gceo.scheduler import build_schedule, validate_schedule
 
 from conftest import (
     ASYM_INSTANCES,
@@ -364,7 +364,6 @@ def test_criterion_7_scheduler():
     v1 = pm.vertex(inst, r, (0, 1, 2))
     v2 = pm.vertex(inst, r, (0, 2, 1))
     mid = tuple((a + b) / 2 for a, b in zip(v1, v2))
-    assert schedule_for_face(inst, r, mid).total_steps == 4
     assert build_schedule(inst, r, mid).total_steps == 4
     elapsed = time.perf_counter() - start
     _verdict(

@@ -487,6 +487,7 @@ _FUZZ_COMMANDS = (
     ("refine", "--stages={s}"),
     ("region", "check", "--r=0.5,0.5", "--R=1,1", "--tol={x}"),
     ("region", "face", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),
+    ("schedule", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),
     ("refine", "--stages={s}", "--tol={x}"),
     # Three encoders, so the stage threshold scan sweeps more than a pair.
     ("refine", "--stages={t}", "--instance={dir}/three.json"),

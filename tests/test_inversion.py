@@ -35,6 +35,7 @@ from conftest import (
     sample_omega_point,
     valid_block_allocations,
 )
+from oracles import solve_blocks
 
 LN2 = math.log(2.0)
 
@@ -345,14 +346,14 @@ class TestConvexSolver:
         sn, rates, p0 = _reduced(inst, R)
         program = RegionProgram(sn, rates, p0)
         order = sorted(range(7), key=lambda i: -sn[i] * math.exp(2.0 * r[i]))
-        best = inversion._solve_blocks(sn, rates, [[i] for i in order], p0)
+        best = solve_blocks(sn, rates, [[i] for i in order], p0)
         assert program.kkt_residual(best) <= inversion.KKT_LIMIT
         assert inversion._chain_kkt_residual(sn, rates, best, [[i] for i in order], p0) <= inversion.KKT_LIMIT
         checked = 0
         for k in range(6):
             swapped = order[:k] + [order[k + 1], order[k]] + order[k + 2:]
             blocks = [[i] for i in swapped]
-            cand = inversion._solve_blocks(sn, rates, blocks, p0)
+            cand = solve_blocks(sn, rates, blocks, p0)
             if cand is None or exhaustive_slack(sn, rates, cand, p0) < -1e-9:
                 continue
             assert program.kkt_residual(cand) > inversion.KKT_LIMIT

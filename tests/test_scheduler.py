@@ -1,21 +1,27 @@
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gceo import cli
 from gceo.errors import ArgumentError
 from gceo.model import CeoInstance, R_MAX, distortion
 from gceo.polymatroid import identify_face, rank_f, vertex
 from gceo.scheduler import (
+    RATE_TOL,
     Description,
+    Schedule,
+    WzStep,
     _Builder,
     _rate,
     build_schedule,
     fine_description,
     gaussian_mi,
-    schedule_for_face,
     source_mmse,
     validate_schedule,
 )
@@ -174,12 +180,14 @@ class TestValidateSchedule:
 
 
 class TestScheduleForFace:
+    """build_schedule on points of lower-dimensional faces: L + d steps."""
+
     def test_vertex_needs_l_steps(self):
         rng = np.random.default_rng(25)
         inst = random_instance(rng, 3)
         r = random_alloc(rng, 3, lo=0.1)
         R = boundary_vertex(inst, r)
-        assert schedule_for_face(inst, r, R).total_steps == 3
+        assert build_schedule(inst, r, R).total_steps == 3
 
     def test_edge_point_needs_four_steps(self):
         # Three encoders, rate point on the edge between the vertices of the
@@ -189,7 +197,7 @@ class TestScheduleForFace:
         v1 = vertex(inst, r, (0, 1, 2))
         v2 = vertex(inst, r, (0, 2, 1))
         mid = tuple((a + b) / 2 for a, b in zip(v1, v2))
-        schedule = schedule_for_face(inst, r, mid)
+        schedule = build_schedule(inst, r, mid)
         assert schedule.total_steps == 4
         assert validate_schedule(inst, schedule, mid).ok
 
@@ -199,17 +207,95 @@ class TestScheduleForFace:
         r = random_alloc(rng, 3, lo=0.1)
         R = dominant_face_point(inst, r, rng)
         face = identify_face(inst, r, R)
-        schedule = schedule_for_face(inst, r, R)
+        schedule = build_schedule(inst, r, R)
         assert schedule.total_steps <= 3 + face.dimension
 
-    def test_agrees_with_build_schedule_rates(self, sym2):
-        r = (0.5, 0.5)
-        a = vertex(sym2, r, (0, 1))
-        b = vertex(sym2, r, (1, 0))
-        mid = tuple((x + y) / 2 for x, y in zip(a, b))
-        s1 = build_schedule(sym2, r, mid)
-        s2 = schedule_for_face(sym2, r, mid)
-        assert s1.per_encoder_rate(2) == pytest.approx(s2.per_encoder_rate(2), abs=1e-9)
+
+class TestFaceStep:
+    """A tight set with two or more encoders on each side: neither a lone
+    encoder at its unconditioned rate nor one at its fully conditioned
+    rate, so only the face step finds it."""
+
+    # Midpoint of the vertices of orders (0, 2, 3, 1) and (2, 0, 1, 3): a
+    # 2-face whose blocks are {1, 3} then {0, 2}.
+    INST = CeoInstance(1.94, (0.18, 2.58, 1.98, 2.95))
+    ALLOC = (0.99, 3.0, 0.27, 1.66)
+
+    def _point(self):
+        a = vertex(self.INST, self.ALLOC, (0, 2, 3, 1))
+        b = vertex(self.INST, self.ALLOC, (2, 0, 1, 3))
+        return tuple((x + y) / 2 for x, y in zip(a, b))
+
+    def test_two_face_point(self):
+        R = self._point()
+        assert identify_face(self.INST, self.ALLOC, R).blocks == ((1, 3), (0, 2))
+        schedule = build_schedule(self.INST, self.ALLOC, R)
+        assert schedule.total_steps == 6
+        assert {s.description.encoder for s in schedule.steps[:3]} == {1, 3}
+        report = validate_schedule(self.INST, schedule, R)
+        assert report.ok, report.diagnostics
+
+    def test_two_face_point_through_the_cli(self, tmp_path):
+        R = self._point()
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self.INST.to_dict()))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([
+                "schedule", "--instance", str(path),
+                "--r", ",".join(repr(v) for v in self.ALLOC), "--R", ",".join(repr(v) for v in R),
+            ])
+        assert code == 0
+        payload = json.loads(out.getvalue())
+        assert payload["total_steps"] == 6
+        schedule = Schedule(tuple(
+            WzStep(Description(s["encoder"] - 1, s["sigma_t2"], s["stage"]), s["rate"])
+            for s in payload["steps"]
+        ))
+        report = validate_schedule(self.INST, schedule, R)
+        assert report.ok, report.diagnostics
+
+    def test_crossing_tight_sets_still_schedule(self):
+        # At 1e-6 nats the descriptions are independent to within the
+        # tolerance, so tight sets cross; the chain keeps the largest ones.
+        inst = CeoInstance(1.0, (1.0, 1.0, 2.0))
+        r = (1e-6, 1e-6, 1e-6)
+        for pi in permutations(range(3)):
+            R = vertex(inst, r, pi)
+            schedule = build_schedule(inst, r, R)
+            assert schedule.total_steps == 3
+            report = validate_schedule(inst, schedule, R)
+            assert report.ok, report.diagnostics
+
+
+@settings(max_examples=150)
+@given(
+    L=st.integers(min_value=4, max_value=6),
+    vertices=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_partition_mixtures_take_l_plus_d_steps(L, vertices, seed):
+    """Mixtures of vertices whose decode orders keep a random ordered
+    partition into blocks of at most three encoders validate within L + d
+    steps on their d-face.  Interior points of larger blocks can still
+    defeat the split recursion, so the blocks stay small."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, L)
+    r = random_alloc(rng, L)
+    perm = [int(i) for i in rng.permutation(L)]
+    blocks = []
+    while perm:
+        size = int(rng.integers(1, min(3, len(perm)) + 1))
+        blocks.append(perm[:size])
+        perm = perm[size:]
+    orders = [tuple(int(i) for b in blocks for i in rng.permutation(b)) for _ in range(vertices)]
+    weights = rng.dirichlet(np.ones(vertices))
+    vs = [vertex(inst, r, pi) for pi in orders]
+    R = tuple(float(sum(w * v[j] for w, v in zip(weights, vs))) for j in range(L))
+    schedule = build_schedule(inst, r, R)
+    report = validate_schedule(inst, schedule, R)
+    assert report.ok, report.diagnostics
+    assert schedule.total_steps <= L + identify_face(inst, r, R, RATE_TOL).dimension
 
 
 def test_final_distortion_matches(sym2):
@@ -297,8 +383,7 @@ class TestScalarRate:
         assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("build", [build_schedule, schedule_for_face])
-def test_mixed_high_rate_midpoint_builds(build):
+def test_mixed_high_rate_midpoint_builds():
     # Midpoint of two reversed vertices with rates up to ~8.5 nats: every
     # split candidate used to fail here.
     inst = CeoInstance(3.0, (0.44, 3.19, 0.14, 4.26))
@@ -306,7 +391,7 @@ def test_mixed_high_rate_midpoint_builds(build):
     a = vertex(inst, r, (0, 1, 2, 3))
     b = vertex(inst, r, (3, 2, 1, 0))
     R = tuple((x + y) / 2 for x, y in zip(a, b))
-    schedule = build(inst, r, R)
+    schedule = build_schedule(inst, r, R)
     assert schedule.total_steps <= 7
     assert validate_schedule(inst, schedule, R).ok
 
@@ -321,17 +406,16 @@ _ALLOCATION_ENTRY = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=
     data=st.data(),
 )
 def test_dominant_face_schedules(L, seed, data):
-    """Both builders validate every dominant-face point, stay within
-    2 * (active encoders) - 1 steps and sum to R per encoder."""
+    """Every dominant-face point validates, stays within 2 * (active
+    encoders) - 1 steps and sums to R per encoder."""
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, L)
     r = tuple(data.draw(st.lists(_ALLOCATION_ENTRY, min_size=L, max_size=L)))
     R = dominant_face_point(inst, r, rng)
     active = sum(1 for v in r if v > 0.0)
-    for build in (build_schedule, schedule_for_face):
-        schedule = build(inst, r, R)
-        assert validate_schedule(inst, schedule, R).ok
-        assert schedule.total_steps <= max(0, 2 * active - 1)
-        sums = schedule.per_encoder_rate(L)
-        for i in range(L):
-            assert abs(sums[i] - R[i]) <= 1e-12 * max(1.0, R[i])
+    schedule = build_schedule(inst, r, R)
+    assert validate_schedule(inst, schedule, R).ok
+    assert schedule.total_steps <= max(0, 2 * active - 1)
+    sums = schedule.per_encoder_rate(L)
+    for i in range(L):
+        assert abs(sums[i] - R[i]) <= 1e-12 * max(1.0, R[i])
