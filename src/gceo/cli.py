@@ -8,6 +8,15 @@ error, 3 numerical failure.
 
 ``--bits`` never changes the canonical payload; it adds a "display_bits"
 section with the rate-valued fields divided by ln 2.
+
+The solver modules that load neither numpy nor scipy at import
+(``hyperplane``, ``montecarlo``, ``polymatroid``) load with this module,
+so that importing it loads them as well; ``bench/tracing.py`` wraps the
+functions of the solver modules loaded when it is installed.  The inverse
+map's modules (``inversion``, ``refinement``, ``scheduler``) load numpy
+and scipy, so each command that runs one imports it itself, and a command
+that needs no inverse map (``region``, ``hyperplane``) starts without
+loading numpy or scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from itertools import permutations
 
 from .errors import ArgumentError, GceoError
 from .model import CeoInstance, R_MAX
-from . import hyperplane, inversion, montecarlo, polymatroid, refinement, scheduler
+from . import hyperplane, montecarlo, polymatroid
 
 LN2 = math.log(2.0)
 
@@ -151,10 +160,10 @@ def _load_vectors(path: str, key: str) -> list[tuple[float, ...]]:
         raise ArgumentError(f"{key} must be a list of numeric lists: {exc}") from exc
 
 
-def _csv_value(x: float) -> str:
-    if x >= R_MAX:
-        return "CAP"
-    return _fmt(x)
+def _csv_value(r: float) -> str:
+    """A finite allocation entry as a CSV field: "CAP" at the cap, else as
+    ``_fmt`` writes it."""
+    return "CAP" if r >= R_MAX else "%.17g" % r
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +210,8 @@ def _cmd_hyperplane(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import inversion
+
     instance = _load_instance(args.instance)
     R = _parse_vector(args.R, instance.L, "R")
     result = inversion.r_star(instance, R, method=args.method)
@@ -209,6 +220,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from . import inversion
+
     instance = _load_instance(args.instance)
     R = _parse_vector(args.R, instance.L, "R")
     tag = inversion.classify_omega(instance, R, tol=args.tol)
@@ -217,32 +230,26 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_omega_map(args) -> int:
+    from . import refinement
+
     instance = _load_instance(args.instance)
     R_from = _parse_vector(getattr(args, "from"), instance.L, "from")
-    grid = tuple(float(v) for v in args.grid.split(","))
-    if len(grid) != 3:
-        raise ArgumentError("--grid must be min,max,step")
+    grid = _parse_vector(args.grid, 3, "grid")
     nodes = refinement.reachable_set_l2(instance, R_from, grid, tol=args.tol)
+    # Node coordinates and D* are finite, so "%.17g" writes them as _fmt does.
     lines = ["R1,R2,region,d_star,r1_star,r2_star,reachable"]
-    for node in nodes:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(node.R[0]),
-                    _fmt(node.R[1]),
-                    node.region.value,
-                    _fmt(node.d_star),
-                    _csv_value(node.r_star[0]),
-                    _csv_value(node.r_star[1]),
-                    "1" if node.reachable else "0",
-                ]
-            )
-        )
+    lines += [
+        "%.17g,%.17g,%s,%.17g,%s,%s,%d"
+        % (R[0], R[1], region.value, d_star, _csv_value(r[0]), _csv_value(r[1]), reachable)
+        for R, region, d_star, r, reachable in nodes
+    ]
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_refine(args) -> int:
+    from . import refinement
+
     instance = _load_instance(args.instance)
     stages = _load_vectors(args.stages, "stages")
     report = refinement.check_refinement(instance, stages, tol=args.tol)
@@ -251,6 +258,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    from . import scheduler
+
     instance = _load_instance(args.instance)
     r = _parse_vector(args.r, instance.L, "r")
     R = _parse_vector(args.R, instance.L, "R")
@@ -347,7 +356,9 @@ def _resolve_defaults(args) -> None:
         if args.command == "omega":
             args.tol = 1e-7
         elif args.command in ("omega-map", "refine"):
-            args.tol = refinement.FEASIBILITY_TOL
+            from .refinement import FEASIBILITY_TOL
+
+            args.tol = FEASIBILITY_TOL
         else:
             args.tol = 1e-9
     elif not 0.0 <= args.tol < math.inf:

@@ -19,19 +19,28 @@ take r*_i at the cap and fold into the prior precision.
 
 Closed forms
 ------------
-For one encoder, r* solves the scalar sum-rate identity.  For two, the
-plane splits into three parametric branches driven by the minimum-sum-rate
-allocation (``tilde_params``): a water-filling level count L_D, the unique
-distortion D~ matching the sum rate, and the allocation r~.  These are
-closed-form roots of the level equation, a quadratic (two levels) or
-linear (one level) equation in the precision gap 1/D_min(L_D) - 1/D~,
-written in exp(-sum rate) so that no sum rate overflows; no root-finder
-is involved.  When R_1
-exceeds the unconditioned single-encoder rate at r~_1 (region Omega_1),
-encoder 1 is decoded first at exactly that rate; symmetrically for
-Omega_2; otherwise r* = r~ and R sits strictly inside the minimum-sum-rate
-segment (Omega_3).  Encoders are ordered by noise internally
-(sigma_n2[0] <= sigma_n2[1]); region tags refer to that ordering.
+For one encoder over a base precision p0, r* solves the scalar sum-rate
+identity (1/2) ln((p0 + w(r)) / p0) + r = R, whose root is
+
+    r = (1/2) ln(1 + a expm1(2R) / (1 + a)),   a = sigma_n2 p0.
+
+For two, the plane splits into three parametric branches driven by the
+minimum-sum-rate allocation (``tilde_params``): a water-filling level
+count L_D, the unique distortion D~ matching the sum rate, and the
+allocation r~.  These are closed-form roots of the level equation, a
+quadratic (two levels) or linear (one level) equation in the precision
+gap 1/D_min(L_D) - 1/D~, written in exp(-sum rate) so that no sum rate
+overflows.  When R_1 exceeds the unconditioned single-encoder rate at
+r~_1 (region Omega_1), encoder 1 is decoded first at exactly that rate,
+and encoder 2 follows as one encoder over the base precision
+1/sigma_x2 + w_1(r_1); symmetrically for Omega_2; otherwise r* = r~ and R
+sits strictly inside the minimum-sum-rate segment (Omega_3).  Every
+branch is a closed form: no root-finder is involved.  Encoders are
+ordered by noise internally (sigma_n2[0] <= sigma_n2[1]); region tags
+refer to that ordering.  The one ``tilde_params`` solve that picks the
+branch also gives the two omega margins (``omega_margins``), which the
+two-encoder answer records as ``margins``, so that a cached answer tags
+its region (``omega_tag``) with no second solve.
 
 General solver
 --------------
@@ -114,6 +123,9 @@ class InversionResult:
     residuals: float
     branch: str | None = None
     kkt_residual: float | None = None  # certificate of the general solver
+    # Omega margins of a two-encoder closed-form answer (``omega_margins``);
+    # not part of the serialized result.
+    margins: tuple[float, float] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -170,16 +182,14 @@ def _sum_rate_identity(sn, r, p0: float) -> float:
 
 
 def _solve_l1(sn: float, rate: float, p0: float) -> float:
-    """Unique r with (1/2) ln((p0 + w(r)) / p0) + r = rate."""
+    """Unique r with (1/2) ln((p0 + w(r)) / p0) + r = rate, in closed form:
+    exp(2r) = 1 + a expm1(2 rate) / (1 + a) with a = sn p0."""
     if rate <= 0.0:
         return 0.0
     if rate >= R_MAX:
         return R_MAX
-
-    def g(r):
-        return 0.5 * math.log((p0 + _weight(sn, r)) / p0) + r - rate
-
-    return brentq(g, 0.0, rate, xtol=1e-15, rtol=8.9e-16)
+    a = sn * p0
+    return 0.5 * math.log1p(a * math.expm1(2.0 * rate) / (1.0 + a))
 
 
 def _reduced_min_slack(sn, R, r, p0: float) -> float:
@@ -303,7 +313,9 @@ def _decompose(sn, R, p0: float):
     return r, residual
 
 
-def _assemble(instance: CeoInstance, R, finite, r_finite, method: str, branch=None, kkt_residual=None):
+def _assemble(
+    instance: CeoInstance, R, finite, r_finite, method: str, branch=None, kkt_residual=None, margins=None
+):
     L = instance.L
     r = [0.0] * L
     for i in range(L):
@@ -334,6 +346,7 @@ def _assemble(instance: CeoInstance, R, finite, r_finite, method: str, branch=No
         residuals=residuals,
         branch=branch,
         kkt_residual=kkt_residual,
+        margins=margins,
     )
     if residuals > RESIDUAL_LIMIT:
         raise ConvergenceError(
@@ -417,51 +430,54 @@ def _axis_rate(sx2: float, sn: float, rho: float) -> float:
     return 0.5 * math.log(sx2 * (1.0 / sx2 + _weight(sn, rho))) + rho
 
 
+def _thresholds(instance: CeoInstance, R):
+    """(r~, (threshold_a, threshold_b)) of a validated rate pair from one
+    ``tilde_params`` solve: the minimum-sum-rate allocation of its sum rate
+    and the unconditioned single-encoder rates at r~, in the noise-sorted
+    order.  The omega margins are R_a - threshold_a and R_b - threshold_b."""
+    a, b = _sorted_order(instance)
+    sx2 = instance.sigma_x2
+    tp = tilde_params(instance, R[a] + R[b])
+    th1 = _axis_rate(sx2, instance.sigma_n2[a], tp.r_tilde[0])
+    th2 = _axis_rate(sx2, instance.sigma_n2[b], tp.r_tilde[1])
+    return tp.r_tilde, (th1, th2)
+
+
 def r_star_l2(instance: CeoInstance, R) -> InversionResult:
-    """Closed-form inverse allocation for two encoders."""
+    """Closed-form inverse allocation for two encoders; the result carries
+    the omega margins of R."""
     if instance.L != 2:
         raise ArgumentError("r_star_l2 requires exactly two encoders")
     R = _check_rates(instance, R)
+    a, b = _sorted_order(instance)
+    R1, R2 = R[a], R[b]
+    r_tilde, (th1, th2) = _thresholds(instance, R)
+    margins = (R1 - th1, R2 - th2)
     finite, p0 = _split_rates(instance, R)
     if len(finite) < 2:
         r_finite = [
             _solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite
         ]
-        return _assemble(instance, R, finite, r_finite, "closed_form_l2", branch="reduced")
+        return _assemble(instance, R, finite, r_finite, "closed_form_l2", branch="reduced", margins=margins)
 
-    a, b = _sorted_order(instance)
-    sx2 = instance.sigma_x2
+    p_prior = 1.0 / instance.sigma_x2
     sn1, sn2 = instance.sigma_n2[a], instance.sigma_n2[b]
-    R1, R2 = R[a], R[b]
-    tp = tilde_params(instance, R1 + R2)
-    th1 = _axis_rate(sx2, sn1, tp.r_tilde[0])
-    th2 = _axis_rate(sx2, sn2, tp.r_tilde[1])
-
-    def joint_sum(r1, r2):
-        return (
-            0.5 * math.log1p(sx2 * (_weight(sn1, r1) + _weight(sn2, r2)))
-            + r1
-            + r2
-        )
-
+    # In Omega_1 (Omega_2) the pinned encoder is decoded first, alone; its
+    # partner is then one encoder over the prior plus the pinned weight.
     if R1 >= th1 - 1e-13:
         branch = "omega1"
-        r1 = _solve_l1(sn1, R1, 1.0 / sx2)
-        r2 = brentq(
-            lambda r: joint_sum(r1, r) - (R1 + R2), 0.0, R2 + 1e-12, xtol=1e-15, rtol=8.9e-16
-        )
+        r1 = _solve_l1(sn1, R1, p_prior)
+        r2 = _solve_l1(sn2, R2, p_prior + _weight(sn1, r1))
     elif R2 >= th2 - 1e-13:
         branch = "omega2"
-        r2 = _solve_l1(sn2, R2, 1.0 / sx2)
-        r1 = brentq(
-            lambda r: joint_sum(r, r2) - (R1 + R2), 0.0, R1 + 1e-12, xtol=1e-15, rtol=8.9e-16
-        )
+        r2 = _solve_l1(sn2, R2, p_prior)
+        r1 = _solve_l1(sn1, R1, p_prior + _weight(sn2, r2))
     else:
         branch = "omega3"
-        r1, r2 = tp.r_tilde
+        r1, r2 = r_tilde
     r = [0.0, 0.0]
     r[a], r[b] = r1, r2
-    return _assemble(instance, R, [0, 1], r, "closed_form_l2", branch=branch)
+    return _assemble(instance, R, [0, 1], r, "closed_form_l2", branch=branch, margins=margins)
 
 
 def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
@@ -474,21 +490,15 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
         raise ArgumentError("omega classification requires exactly two encoders")
     R = _check_rates(instance, R)
     a, b = _sorted_order(instance)
-    tp = tilde_params(instance, R[a] + R[b])
-    t1 = R[a] - _axis_rate(instance.sigma_x2, instance.sigma_n2[a], tp.r_tilde[0])
-    t2 = R[b] - _axis_rate(instance.sigma_x2, instance.sigma_n2[b], tp.r_tilde[1])
-    return t1, t2
+    _, (th1, th2) = _thresholds(instance, R)
+    return R[a] - th1, R[b] - th2
 
 
-def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag:
-    """Region of the two-encoder rate plane that determines the r* branch.
-
-    Tags refer to the noise-sorted encoder order: OMEGA1 pins the less
-    noisy encoder's rate, OMEGA2 the noisier one's, OMEGA3 the minimum-
-    sum-rate segment.  Within ``tol`` of a threshold the separating
-    BOUNDARY tag is returned.
-    """
-    t1, t2 = omega_margins(instance, R)
+def omega_tag(margins, tol: float = OMEGA_TOL) -> OmegaTag:
+    """Region tag of a rate pair with omega margins ``margins``
+    (``omega_margins``, or the ``margins`` of its two-encoder r* answer);
+    within ``tol`` of a threshold the separating BOUNDARY tag."""
+    t1, t2 = margins
     near1, near2 = abs(t1) <= tol, abs(t2) <= tol
     if near1 and near2:
         return OmegaTag.BOUNDARY_12
@@ -501,6 +511,17 @@ def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag
     if t2 > 0.0:
         return OmegaTag.OMEGA2
     return OmegaTag.OMEGA3
+
+
+def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag:
+    """Region of the two-encoder rate plane that determines the r* branch.
+
+    Tags refer to the noise-sorted encoder order: OMEGA1 pins the less
+    noisy encoder's rate, OMEGA2 the noisier one's, OMEGA3 the minimum-
+    sum-rate segment.  Within ``tol`` of a threshold the separating
+    BOUNDARY tag is returned.
+    """
+    return omega_tag(omega_margins(instance, R), tol)
 
 
 # ----------------------------------------------------------------------

@@ -33,14 +33,16 @@ The sampler is counter-based (Philox keyed by seed and shard index) and
 the sample range is partitioned into fixed-size shards with a fixed
 reduction order, so results are bit-identical regardless of how the
 shards are executed.
+
+numpy is imported by the functions that draw, not with the module, so
+that the command-line front end loads this module at start-up without
+loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ArgumentError
 from .model import CeoInstance, _check_allocation, channel_noise_from_r, distortion
@@ -77,6 +79,8 @@ class SimReport:
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed, shard], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -89,6 +93,8 @@ def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
     docstring).  With ``coef_scale = 1`` the squares of row j sum to stage
     j's predicted distortion.
     """
+    import numpy as np
+
     M = len(chain)
     analytic = [distortion(instance, r) for r in chain]
     sx = math.sqrt(instance.sigma_x2)
@@ -119,6 +125,8 @@ def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
 
 
 def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float = 1.0) -> SimReport:
+    import numpy as np
+
     G, analytic = _error_map(instance, chain, coef_scale)
     # Equal stages give equal rows of G; multiplying only the distinct rows
     # makes their errors, and so their statistics, bit-identical.

@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgumentError
 from .model import CeoInstance, exp_neg2r, channel_noise_from_r
 from .polymatroid import _scan_min_slack, mask_to_indices
-from .inversion import OmegaTag, classify_omega, r_star
+from .inversion import OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
 
 FEASIBILITY_TOL = 1e-6
@@ -195,8 +196,7 @@ def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASI
     return True
 
 
-@dataclass(frozen=True)
-class GridNode:
+class GridNode(NamedTuple):
     R: tuple[float, float]
     region: OmegaTag
     d_star: float
@@ -208,11 +208,17 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     """Reachability map over a rectangular rate grid (two encoders).
 
     ``grid`` is (min, max, step) applied to both axes: finite entries, a
-    positive step, and at most ``MAX_GRID_NODES`` nodes, checked before any
-    node is visited.  Each node R is classified, inverted, and tested for
-    two-stage refinement feasibility from ``R_from``; nodes that do not
-    dominate ``R_from`` are unreachable by definition (stage rates never
-    decrease).  Nodes are emitted in row-major order (R1 outer, R2 inner).
+    positive step, at most ``MAX_GRID_NODES`` nodes and finite node
+    coordinates, checked before any node is visited.  Each node R is
+    inverted, tagged with its omega region, and tested for two-stage
+    refinement feasibility from ``R_from``; nodes that do not dominate
+    ``R_from`` are unreachable by definition (stage rates never decrease).
+    Nodes are emitted in row-major order (R1 outer, R2 inner).
+
+    Every node is solved once: one ``r_star`` call, whose two-encoder
+    answer (cached in the r* LRU) carries the omega margins that
+    ``classify_omega`` would compute, so the region tag is
+    ``omega_tag(inv.margins)`` with no second ``tilde_params`` solve.
 
     This is ``check_refinement([R_from, R])`` at every dominating node,
     evaluated in one pass: ``R_from`` is validated and inverted once, and
@@ -231,6 +237,8 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     n = int(round(span)) + 1 if span < MAX_GRID_NODES else MAX_GRID_NODES
     if n * n > MAX_GRID_NODES:
         raise ArgumentError(f"grid {grid} has more than {MAX_GRID_NODES} nodes")
+    if not math.isfinite(lo + (n - 1) * step):
+        raise ArgumentError(f"grid {grid} has a node past the largest float")
     (R_from,) = _validate_stages(instance, [R_from])
     zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
     origin = _stage_end(instance, zero, r_star(instance, zero))
@@ -241,23 +249,15 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
         R1 = lo + a * step
         for b in range(n):
             R2 = lo + b * step
-            inv = r_star(instance, (R1, R2))
-            tag = classify_omega(instance, (R1, R2))
+            R = (R1, R2)
+            inv = r_star(instance, R)
             if R1 >= R_from[0] - 1e-12 and R2 >= R_from[1] - 1e-12:
                 target = (max(R1, R_from[0]), max(R2, R_from[1]))
-                inv_t = inv if target == (R1, R2) else r_star(instance, target)
+                inv_t = inv if target == R else r_star(instance, target)
                 end = _stage_end(instance, target, inv_t)
                 stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
                 reach = min(stage1, stage2) >= -tol
             else:
                 reach = False
-            nodes.append(
-                GridNode(
-                    R=(R1, R2),
-                    region=tag,
-                    d_star=inv.d_star,
-                    r_star=(inv.r_star[0], inv.r_star[1]),
-                    reachable=reach,
-                )
-            )
+            nodes.append(GridNode(R, omega_tag(inv.margins), inv.d_star, inv.r_star, reach))
     return nodes

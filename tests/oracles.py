@@ -22,17 +22,22 @@ bound) only at desk scale:
 * ``in_feasible_set``: whether an allocation reaches a distortion target;
 * ``solve_blocks``: the allocation that water-fills a given decode-block
   structure, the building block of the inverse map's exhaustive oracles in
-  ``conftest.py``.
+  ``conftest.py``;
+* ``solve_l1_root`` and ``partner_rate_root``: the single-encoder rate and
+  the Omega_1 / Omega_2 partner rate of the two-encoder inverse map as
+  ``brentq`` roots of their sum-rate identities, the references for
+  ``inversion``'s closed forms.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
-from gceo.inversion import _block_constant
-from gceo.model import CeoInstance, TOL_EQ, _check_allocation, exp_neg2r, precision
+from gceo.inversion import _block_constant, _weight
+from gceo.model import CeoInstance, R_MAX, TOL_EQ, _check_allocation, exp_neg2r, precision
 from gceo.polymatroid import (
     FACE_TOL,
     FaceDescriptor,
@@ -332,3 +337,34 @@ def solve_blocks(sn, R, blocks, p0: float):
             r[i] = 0.5 * math.log(K / sn[i])
         p += sum(1.0 / s - 1.0 / K for s in noises)
     return r
+
+
+def solve_l1_root(sn: float, rate: float, p0: float) -> float:
+    """Root r in [0, rate] of (1/2) ln((p0 + w(r)) / p0) + r = rate by
+    ``brentq``: one encoder of noise sn over base precision p0."""
+    if rate <= 0.0:
+        return 0.0
+    if rate >= R_MAX:
+        return R_MAX
+
+    def g(r):
+        return 0.5 * math.log((p0 + _weight(sn, r)) / p0) + r - rate
+
+    return brentq(g, 0.0, rate, xtol=1e-15, rtol=8.9e-16)
+
+
+def partner_rate_root(
+    sigma_x2: float, sn_first: float, r_first: float, sn_other: float, sum_rate: float, rate_other: float
+) -> float:
+    """Root r in [0, rate_other + 1e-12] of the two-encoder sum-rate identity
+
+        (1/2) ln(1 + sigma_x2 (w_first(r_first) + w_other(r))) + r_first + r = sum_rate
+
+    by ``brentq``: the allocation of the encoder decoded after the pinned
+    one in Omega_1 / Omega_2."""
+
+    def g(r):
+        joint = 0.5 * math.log1p(sigma_x2 * (_weight(sn_first, r_first) + _weight(sn_other, r)))
+        return joint + r_first + r - sum_rate
+
+    return brentq(g, 0.0, rate_other + 1e-12, xtol=1e-15, rtol=8.9e-16)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import cli, refinement
+from gceo.model import R_MAX, CeoInstance
 
 
 @pytest.fixture
@@ -202,10 +203,42 @@ class TestOmegaMap:
         code, out = run(["omega-map", "--instance", sym2_file, start, "--grid", "0,1,0.5"])
         assert (code, out) == (2, "")
 
+    def test_rows_as_fmt_writes_them(self, sym2_file, tmp_path):
+        # Rates past R_MAX are capped, so r* entries read CAP there.
+        out_path = tmp_path / "map.csv"
+        code, _ = run([
+            "omega-map", "--instance", sym2_file, "--from", "0.2,0.6",
+            "--grid", "0,60,7.5", "--output", str(out_path),
+        ])
+        assert code == 0
+        nodes = refinement.reachable_set_l2(CeoInstance(1.0, (1.0, 1.0)), (0.2, 0.6), (0.0, 60.0, 7.5))
+
+        def entry(r):
+            return "CAP" if r >= R_MAX else cli._fmt(r)
+
+        expected = [
+            ",".join([cli._fmt(n.R[0]), cli._fmt(n.R[1]), n.region.value, cli._fmt(n.d_star),
+                      entry(n.r_star[0]), entry(n.r_star[1]), "1" if n.reachable else "0"])
+            for n in nodes
+        ]
+        assert out_path.read_text().splitlines()[1:] == expected
+        assert "CAP" in out_path.read_text()
+
+    def test_node_past_the_largest_float_exits_two(self, sym2_file):
+        # Two nodes per axis, the second at 2e308: an infinite rate is no
+        # grid node.
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=1e308,1.6e308,1e308"])
+        assert (code, out) == (2, "")
+        assert "largest float" in err.getvalue()
+
     @pytest.fixture
     def no_node_visits(self, monkeypatch):
         """Make visiting a grid node raise, so that a grid the checks let
-        through stops at its first node instead of running."""
+        through stops at its first node instead of running.  The region tag
+        is the one call the map makes per node and only per node: r_star
+        also runs for the origin and the start before any node is visited."""
 
         class NodeVisited(Exception):
             pass
@@ -213,11 +246,17 @@ class TestOmegaMap:
         def visit(*args, **kwargs):
             raise NodeVisited
 
-        monkeypatch.setattr(refinement, "classify_omega", visit)
+        monkeypatch.setattr(refinement, "omega_tag", visit)
         return NodeVisited
 
     @pytest.mark.parametrize("grid", ["nan,1,0.5", "0,inf,1", "-inf,1,1", "0,1,inf", "-inf,inf,1"])
     def test_non_finite_grid_exits_two(self, sym2_file, no_node_visits, grid):
+        code, out = run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", f"--grid={grid}"])
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("grid", ["abc,1,0.5", "0,1,", "0,1", "0,1,0.5,2"])
+    def test_malformed_grid_exits_two(self, sym2_file, grid):
+        # A non-numeric entry used to escape as a ValueError.
         code, out = run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", f"--grid={grid}"])
         assert (code, out) == (2, "")
 
@@ -238,6 +277,23 @@ class TestOmegaMap:
         assert 3037000499**2 <= refinement.MAX_GRID_NODES < 3037000500**2
         with pytest.raises(no_node_visits):
             run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=0,3037000498,1"])
+
+
+def test_region_check_loads_no_numpy_or_scipy(sym2_file):
+    # Each command imports only its own solver module, so a cold region
+    # check starts without numpy and scipy.
+    code = (
+        "import sys\n"
+        "from gceo import cli\n"
+        f"status = cli.main(['region', 'check', '--instance', {sym2_file!r}, '--r', '0.5,0.5',"
+        f" '--R', '0.7,0.8', '--output', {os.devnull!r}])\n"
+        "print(status, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
 
 
 class TestTolerance:
@@ -459,8 +515,26 @@ def _fuzz_stages(L):
     return st.lists(st.lists(_FUZZ_ENTRY, min_size=L, max_size=L), min_size=1, max_size=3).map(_stages_json)
 
 
+def _bounded_grid(lo, step, count):
+    """min,max,step text with at most 20 nodes per axis: max = min + count
+    step where min and step parse and (max - min) / step <= 19, else max =
+    min (one node, or the usage error the raw entries make)."""
+    try:
+        lo_f, step_f = float(lo), float(step)
+        hi = lo_f + count * step_f
+        span = (hi - lo_f) / step_f
+    except (ValueError, ZeroDivisionError):
+        return f"{lo},{lo},{step}"
+    return f"{lo},{hi!r},{step}" if span <= 19.0 else f"{lo},{lo},{step}"
+
+
+_FUZZ_GRID = st.builds(_bounded_grid, _FUZZ_ENTRY, _FUZZ_ENTRY, st.integers(min_value=0, max_value=19))
+
 # "s" stages fit sym2; "t" stages fit the three-encoder instance.
-_FUZZ_FIELDS = {"v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT, "s": _fuzz_stages(2), "t": _fuzz_stages(3)}
+_FUZZ_FIELDS = {
+    "v": _FUZZ_VECTOR, "x": _FUZZ_ENTRY, "n": _FUZZ_COUNT, "g": _FUZZ_GRID,
+    "s": _fuzz_stages(2), "t": _fuzz_stages(3),
+}
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +558,8 @@ _FUZZ_COMMANDS = (
     ("simulate", "--r=0.5,0.5", "--n", "10", "--seed={n}"),
     # The grid stays fixed and small: a fuzzed grid could ask for ~1e18 nodes.
     ("omega-map", "--from={v}", "--grid=0,1,0.5"),
+    # A fuzzed grid of at most 20 x 20 nodes.
+    ("omega-map", "--from={v}", "--grid={g}"),
     ("refine", "--stages={s}"),
     ("region", "check", "--r=0.5,0.5", "--R=1,1", "--tol={x}"),
     ("region", "face", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),

@@ -12,6 +12,7 @@ from gceo.inversion import (
     classify_omega,
     d_star,
     omega_margins,
+    omega_tag,
     r_star,
     r_star_l2,
     tilde_params,
@@ -35,7 +36,7 @@ from conftest import (
     sample_omega_point,
     valid_block_allocations,
 )
-from oracles import solve_blocks
+from oracles import partner_rate_root, solve_blocks, solve_l1_root
 
 LN2 = math.log(2.0)
 
@@ -141,6 +142,84 @@ class TestRStarL2:
             total = 0.5 * math.log(inst.sigma_x2 / res.d_star) + sum(res.r_star)
             assert total == pytest.approx(sum(R), abs=1e-9)
             assert res.residuals <= 1e-6
+
+
+def _log_uniform_rate(rng, lo=1e-9, hi=49.0):
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def _root_found_r_star_l2(inst, R, branch):
+    """r*(R) in the branch ``r_star_l2`` took, each rate a ``brentq`` root
+    of its sum-rate identity."""
+    sn, sx2 = inst.sigma_n2, inst.sigma_x2
+    if branch == "reduced":
+        finite, p0 = inversion._split_rates(inst, R)
+        r = [R_MAX if v >= R_MAX else 0.0 for v in R]
+        for i in finite:
+            r[i] = solve_l1_root(sn[i], R[i], p0)
+        return r
+    a, b = (0, 1) if sn[0] <= sn[1] else (1, 0)
+    first, other = (a, b) if branch == "omega1" else (b, a)
+    r = [0.0, 0.0]
+    r[first] = solve_l1_root(sn[first], R[first], 1.0 / sx2)
+    r[other] = partner_rate_root(sx2, sn[first], r[first], sn[other], R[a] + R[b], R[other])
+    return r
+
+
+class TestClosedForms:
+    """The two-encoder closed forms against the ``brentq`` roots they
+    replaced, over rates from 1e-9 to 49 nats."""
+
+    def test_single_encoder_rate(self):
+        rng = np.random.default_rng(91)
+        for _ in range(2000):
+            sn, p0 = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.2, 6.0))
+            rate = _log_uniform_rate(rng)
+            assert abs(inversion._solve_l1(sn, rate, p0) - solve_l1_root(sn, rate, p0)) <= 1e-13
+
+    def test_r_star_l2_matches_the_roots(self):
+        # Every fourth node is reduced: one rate zero or capped.
+        rng = np.random.default_rng(92)
+        branches = set()
+        for k in range(2000):
+            inst = random_instance(rng, 2)
+            R = [_log_uniform_rate(rng), _log_uniform_rate(rng)]
+            if k % 4 == 0:
+                R[int(rng.integers(2))] = float(rng.choice([0.0, R_MAX]))
+            res = r_star_l2(inst, R)
+            if res.branch == "omega3":
+                continue  # r~ from tilde_params: no root involved
+            branches.add(res.branch)
+            expected = _root_found_r_star_l2(inst, R, res.branch)
+            assert max(abs(x - y) for x, y in zip(res.r_star, expected)) <= 1e-13, (inst, R)
+        assert branches == {"omega1", "omega2", "reduced"}
+
+    def test_no_root_finder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(inversion, "brentq", refuse)
+        rng = np.random.default_rng(93)
+        for inst in (CeoInstance(1.0, (1.0, 1.0)),) + ASYM_INSTANCES:
+            points = [sample_omega_point(inst, rng, want) for want in ("OMEGA1", "OMEGA2", "OMEGA3")]
+            points += [(0.0, 0.0), (0.7, 0.0), (R_MAX, 0.4), (R_MAX, R_MAX)]
+            branches = {r_star_l2(inst, R).branch for R in points}
+            assert branches == {"omega1", "omega2", "omega3", "reduced"}
+
+    def test_margins_recorded(self):
+        # The margins an answer carries are omega_margins' exactly, reduced
+        # answers included; the serialized result leaves them out.
+        rng = np.random.default_rng(94)
+        for k in range(300):
+            inst = random_instance(rng, 2)
+            R = [float(v) for v in rng.uniform(0.0, 4.0, 2)]
+            if k % 3 == 0:
+                R[int(rng.integers(2))] = float(rng.choice([0.0, R_MAX]))
+            res = r_star(inst, R)
+            assert res.margins == omega_margins(inst, R)
+            assert omega_tag(res.margins) is classify_omega(inst, R)
+            assert "margins" not in res.to_dict()
+        assert r_star(inst, R, method="bisection").margins is None
 
 
 class TestRoundTrips:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import cli
+from gceo import cli, inversion, refinement
 from gceo.errors import ArgumentError
 from gceo.model import MAX_ENCODERS, CeoInstance
 from gceo.inversion import OmegaTag, classify_omega, omega_margins, r_star
@@ -297,6 +297,55 @@ class TestReachableGrid:
         # The undershooting node is tested as the repeat chain [start, start].
         nodes = reachable_set_l2(sym2, starts[-1], grid)
         assert [n.reachable for n in nodes if n.R == (0.5, 0.25)] == [True]
+
+    def test_warm_map_solves_each_node_once(self, sym2, monkeypatch):
+        # Once the r* LRU holds the map, a node costs one r_star call (a
+        # cache hit whose margins give the tag) and no tilde_params solve.
+        # The start sits on the grid, so no node needs a second target.
+        grid, start = (0.0, 2.0, 0.25), (0.5, 0.75)
+        cold = reachable_set_l2(sym2, start, grid)
+        calls = {"r_star": 0, "tilde_params": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(refinement, "r_star", counted("r_star", refinement.r_star))
+        monkeypatch.setattr(inversion, "tilde_params", counted("tilde_params", inversion.tilde_params))
+        assert reachable_set_l2(sym2, start, grid) == cold
+        assert calls == {"r_star": len(cold) + 2, "tilde_params": 0}  # + the origin and the start
+
+    @settings(max_examples=40)
+    @given(
+        sigma_x2=st.floats(0.5, 2.0),
+        sigma_n2=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+        lo=st.floats(0.0, 2.0),
+        step=st.floats(0.02, 0.6),
+        count=st.integers(0, 14),
+        kind=st.sampled_from(["node", "anywhere", "zero R1", "zero R2"]),
+        at=st.tuples(st.integers(0, 14), st.integers(0, 14)),
+        off=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+        tol=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_matches_per_node_oracle_on_random_grids(
+        self, sigma_x2, sigma_n2, lo, step, count, kind, at, off, tol
+    ):
+        # At most 15 x 15 nodes; the start sits on a node, anywhere, or on
+        # an axis.
+        inst = CeoInstance(sigma_x2, sigma_n2)
+        grid = (lo, lo + count * step, step)
+        start = {
+            "node": tuple(lo + min(k, count) * step for k in at),
+            "anywhere": off,
+            "zero R1": (0.0, off[1]),
+            "zero R2": (off[0], 0.0),
+        }[kind]
+        got = reachable_set_l2(inst, start, grid, tol)
+        assert len(got) <= 15 * 15
+        assert got == grid_map_oracle(inst, start, grid, tol)
 
     @pytest.mark.parametrize("start", [(math.nan, 0.5), (-0.5, 5.0), (0.5,)])
     def test_start_validated_up_front(self, sym2, start):
