@@ -87,6 +87,11 @@ def _check_distortion(instance: CeoInstance, D: float) -> None:
         )
 
 
+def _capped_precision(instance: CeoInstance, capped) -> float:
+    """Source precision given the capped (zero-alpha, infinite-rate) encoders alone."""
+    return 1.0 / instance.sigma_x2 + sum(1.0 / instance.sigma_n2[i] for i in capped)
+
+
 def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: float, fixed=None):
     """Sorted-order allocation r*(nu) with running clamping.
 
@@ -137,7 +142,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     capped = order[positive:]
 
     inv_d = 1.0 / D
-    base = 1.0 / instance.sigma_x2 + sum(1.0 / instance.sigma_n2[i] for i in capped)
+    base = _capped_precision(instance, capped)
     r = [0.0] * instance.L
     for i in capped:
         r[i] = R_MAX
@@ -225,9 +230,16 @@ def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResul
     vanish); coordinates at zero must have a nonnegative multiplier, i.e. a
     nonpositive unclamped derivative direction.  The numerators come from
     ``_recursion`` evaluated at the returned allocation.
+
+    When some alpha is zero and the capped encoders alone reach D, the
+    multiplier is 0 and the answer is optimal iff no positive-alpha encoder
+    spends rate, so the residual is the largest such rate.
     """
     alpha = _normalize_alpha(alpha)
     positive = sum(1 for a in alpha if a > 0.0)
+    capped = result.pi_star[positive:]
+    if capped and _capped_precision(instance, capped) >= 1.0 / D - PRECISION_TOL:
+        return max(result.r_star[i] for i in result.pi_star[:positive])
     _, _, nums = _recursion(instance, alpha, result.pi_star, positive, result.nu, 1.0 / D, result.r_star)
     worst = 0.0
     for idx, num in zip(result.pi_star, nums):

@@ -38,11 +38,11 @@ TOL_EQ = 1e-9
 TOL_ITER = 1e-6
 
 # Region membership, face identification and the refinement stage test
-# (O(L^2) threshold scans each) and the inverse map (a few scans per decode
-# block) enumerate no subsets.  What still grows fast with L is the
-# scheduler's backtracking ``peel`` (up to L! split orders) and the
-# ``dominant_face_form`` cross-check (2^L conditional ranks), so L stays at
-# desk scale until a benchmark sweep over L shows what a larger cap costs.
+# (O(L^2) threshold scans each), the inverse map (a few scans per decode
+# block) and the scheduler (one grow per split, no backtracking) enumerate
+# no subsets.  What still grows fast with L is the ``dominant_face_form``
+# cross-check (2^L conditional ranks), so L stays at desk scale until a
+# benchmark sweep over L shows what a larger cap costs.
 MAX_ENCODERS = 16
 
 
@@ -73,9 +73,8 @@ class CeoInstance:
             raise ArgumentError("need at least one encoder")
         if len(self.sigma_n2) > MAX_ENCODERS:
             raise ArgumentError(
-                f"at most {MAX_ENCODERS} encoders supported (the scheduler backtracks "
-                f"over split orders and the refinement cross-check ranks all 2^L "
-                f"subsets), got {len(self.sigma_n2)}"
+                f"at most {MAX_ENCODERS} encoders supported (the refinement "
+                f"cross-check ranks all 2^L subsets), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
             if not (v > 0.0) or not math.isfinite(v):

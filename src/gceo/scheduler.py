@@ -4,47 +4,68 @@ A schedule realizes a dominant-face rate tuple as an ordered pipeline of
 single-description Wyner-Ziv steps: each step conveys one description of
 one encoder, the decoder uses everything decoded so far as side
 information, and a step's rate is the conditional mutual information
-I(Y_i; W | decoded so far).  Splitting one encoder's description into a
-coarse stage (its test channel plus extra independent noise, so
-coarse -> fine -> Y_i is Markov) and a fine stage is enough to reach any
-point of the dominant face with at most 2L - 1 steps, and at most
-L + d steps when the point lies on a d-dimensional face.
+I(Y_i; W | decoded so far).  Descriptions are independent given X and one
+encoder's descriptions are nested (a coarse one is a finer one plus extra
+independent noise), so every step rate is scalar precision algebra.
 
-The construction (``build_schedule``) is recursive peeling over the
-active encoder set A with accumulated side information Z, in two cases:
+The precision axis.  Decoding raises the source precision from
+p0 = 1/sigma_x2 to P = p0 + W, with W the sum of the fine weights
+w_i = 1/(sigma_n2[i] + sigma_t2[i]), and each step adds one piece
+[p_before, p_after] of the axis [p0, P].  A description of encoder j with
+weight c (noise 1/c - sigma_n2[j]) has rate rho(c) = -(1/2) log1p(-sigma_n2[j] c)
+given X, and the step that decodes it has rate
 
-  face step: given Z, the rates of A form a dominant-face point of a
-      region with the polymatroid form of ``polymatroid``, with base
-      precision p(Z), c_i = r_i - R_i and the fine weights w_i (no active
-      encoder has a description in Z).  When its tight chain is
-      nontrivial, decode the chain's blocks in order, each block peeled
-      with every earlier description added to Z — exact, since a tight
-      set's group rate is its rank with nothing else of A decoded.  A lone
-      encoder at its unconditioned rate, or one at its fully conditioned
-      rate, is the one-encoder or all-but-one tight set.  Tightness is
-      tested to the builder's tol plus a rounding floor; where near-ties
-      make tight sets cross, the chain keeps the largest ones;
-  split: otherwise choose the coarse noise of a candidate j so that
-      rate(coarse | Z) + rate(fine | coarse, fines of A-j, Z) = R_j,
-      decode the coarse description first, the fine one last, and recurse
-      on A-j (A without j) with the coarse description added to Z.
+    (1/2) log1p(x / p_before) + rho(new) - rho(old),
 
-Each encoder takes one step, plus one for a split.  A face step cuts a
-d-face into blocks whose face dimensions sum to d, and a split of a block
-of b encoders (a (b-1)-face) leaves b - 1 encoders on a face of dimension
-at most b - 2, so a point on a d-dimensional face takes at most L + d
-steps.  Split candidates are tried in ascending encoder index, and a
-candidate whose remainder turns out infeasible deeper in the recursion
-hands over to the next one.
+x the piece's length and old the previous description of j (rho = 0
+without one).  An encoder's pieces add up to its weight, and its step
+rates telescope to r_j plus half the total log-length of its pieces.  So a
+schedule for R is a tiling of [p0, P] in which encoder j's pieces have
+total length w_j and total half-log-length e_j = R_j - r_j, its excess:
+the Gaussian MAC rate-splitting picture of Rimoldi and Urbanke (IEEE
+Trans. IT 42(2), 1996) with precision in the place of received power.
+The region's constraints say that a set A at the bottom of an interval
+[lo, hi] never holds more excess than its log-length there,
+e(A) <= (1/2) ln((lo + w(A)) / lo), or, equally, that A at the top needs
+at least its log-length there, e(A) >= (1/2) ln(hi / (hi - w(A))).
 
-Every step rate is scalar precision algebra: descriptions are independent
-given X and same-encoder descriptions are nested, so
-I(Y_j; W | Z) = (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j), with p the
-source precision given a set of descriptions and rho the rate given X.
-The coarse noise of a split then has a closed form.  The covariance engine
-(``gaussian_mi``, Schur-complement conditioning of the joint Gaussian) is
-the independent oracle: every produced schedule is re-validated with it
-from scratch.
+``build_schedule`` tiles the axis recursively.  Each member of an
+interval carries its remaining weight and excess, which fill the interval
+exactly:
+
+  one member: it takes the whole interval, as its fine description;
+  face step: when a proper set is tight at the bottom, the tight chain
+      (``polymatroid._tight_chain`` with c = -e and base precision lo)
+      cuts the interval into consecutive blocks, each tiled on its own;
+  grow: otherwise a member k with no piece yet grows a piece from the top
+      or the bottom of the interval.  Sets holding k keep their slack and
+      every other set loses slack, until a set A of the others is tight
+      next to the piece.  From the top the piece is [y*, hi] with
+      y* = max_A w(A) / -expm1(-2 e(A)); from the bottom it is [lo, y*]
+      with y* = min_A w(A) / expm1(2 e(A)).  Dinkelbach's iteration over
+      the threshold scan ``polymatroid._scan_min_slack`` finds y*.  The
+      face step then splits the rest into A and the remainder, which
+      keeps k.
+
+Choice rule: members are tried in ascending index, top before bottom, and
+the first (k, side) whose growth leaves k in a block with no other member
+that already has a piece is taken.  There is no proof that such a choice
+always exists; one did at every point tested, so a miss raises
+``InternalInconsistencyError`` as a bug, not as a search miss.
+
+Bounds.  Each grow or face step splits its members into at least two
+groups, so a block of b members takes at most b - 1 grows, and each grow
+gives one member a second piece.  Hence at most two descriptions per
+encoder, at most 2L - 1 steps, and at most L + d steps on a d-dimensional
+face, whose tight chain has L - d blocks.  An encoder's last piece on the
+axis is its fine description and an earlier one is coarse, with weight
+that piece's length.  Tightness is tested to a rounding floor relative to
+the total rate, not to the caller's tolerance, so a point near a face gets
+an exact schedule with a short piece instead of one snapped onto the face.
+
+The covariance engine (``gaussian_mi``, Schur-complement conditioning of
+the joint Gaussian) is the independent oracle: every produced schedule is
+re-validated with it from scratch.
 """
 
 from __future__ import annotations
@@ -60,6 +81,7 @@ from .model import (
     _check_allocation,
     channel_noise_from_r,
     distortion,
+    precision_weight,
     r_from_channel_noise,
 )
 from . import polymatroid
@@ -68,10 +90,10 @@ RATE_TOL = 1e-9
 # Same-encoder descriptions whose noises agree to this relative tolerance
 # are one variable (last-ulp differences between solvers).
 _DUP_REL = 1e-10
-# Rounding floor of the builder's rate comparisons: a rate tuple computed
-# elsewhere (a vertex, say) matches the builder's own rate formula only to
-# a few ulps, so even tol = 0 must accept that much.
-_RATE_FLOOR = 1e-12
+# Rounding floor of the face step's tightness test, per nat of total rate:
+# a rate tuple computed elsewhere (a vertex, say) puts its tight sets only
+# a few ulps of its rates from tight.
+_RATE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -153,18 +175,10 @@ def _covariance(instance: CeoInstance, variables) -> np.ndarray:
     return cov
 
 
-def gaussian_mi(
-    instance: CeoInstance,
-    target: Description,
-    decoded=(),
-    given_source: bool = False,
-) -> float:
-    """I(Y_target.encoder ; target | decoded descriptions [, X]).
+def gaussian_mi(instance: CeoInstance, target: Description, decoded=()) -> float:
+    """I(Y_target.encoder ; target | decoded descriptions).
 
-    Vacuous side information (infinite noise) is dropped.  With
-    ``given_source`` the conditioning additionally includes the source X,
-    which reduces the answer to the description-rate map of the target's
-    encoder (useful as a consistency hook).
+    Vacuous side information (infinite noise) is dropped.
     """
     if target.sigma_t2_total == math.inf:
         return 0.0
@@ -191,9 +205,6 @@ def gaussian_mi(
             return 0.0
     variables = [("Y", target.encoder), target] + cond
     cov = _covariance(instance, variables)
-    if given_source:
-        # Condition on X first: subtract the rank-one source component.
-        cov = cov - instance.sigma_x2
     if cond:
         k = 2
         s_ab = cov[:k, :k]
@@ -218,141 +229,110 @@ def fine_description(instance: CeoInstance, r, i: int) -> Description:
     return Description(encoder=i, sigma_t2_total=channel_noise_from_r(instance, i, r[i]), stage=2)
 
 
-def _finest(descriptions) -> dict[int, float]:
-    """Finest test-channel noise per encoder among the given descriptions.
+def _tight_blocks(members, lo, e, w, tie):
+    """Blocks of the members' tight chain on an interval with bottom lo (the face step)."""
+    return polymatroid._tight_chain(members, {j: -e[j] for j in members}, w, lo, tie)[0]
 
-    Infinite noise is vacuous and dropped.  Same-encoder descriptions within
-    ``_DUP_REL`` of each other are one variable, as in ``gaussian_mi``: a
-    finer one replaces the current only when it is finer by more than that.
+
+def _stop(e, w, top: bool) -> float:
+    """Where a growing piece stops: y* = max (top) or min (bottom) over
+    nonempty sets A of y_A = w(A) / -expm1(-2 e(A)) (top) or
+    w(A) / expm1(2 e(A)) (bottom), for lists e and w.
+
+    Dinkelbach's iteration from A = every member: at the current y some set
+    beats y exactly when the threshold scan's slack of y is negative there,
+    so y moves to that set's y_A until no set improves on it.  The top scan
+    has base precision y - w(all), positive because y only grows from
+    y_all > w(all).
     """
-    finest: dict[int, float] = {}
-    for d in descriptions:
-        if d.sigma_t2_total < finest.get(d.encoder, math.inf) * (1.0 - _DUP_REL):
-            finest[d.encoder] = d.sigma_t2_total
-    return finest
+    zero, neg = [0.0] * len(e), [-v for v in e]
+    y, A = None, range(len(e))
+    while True:
+        e_A, w_A = sum(e[i] for i in A), sum(w[i] for i in A)
+        y_A = w_A / -math.expm1(-2.0 * e_A) if top else w_A / math.expm1(2.0 * e_A)
+        if y is not None and (y_A <= y if top else y_A >= y):
+            return y
+        y = y_A
+        if top:
+            _, A = polymatroid._scan_min_slack(e, zero, w, y - sum(w))
+        else:
+            _, A = polymatroid._scan_min_slack(neg, w, zero, y)
 
 
-def _precision(instance: CeoInstance, finest: dict[int, float]) -> float:
-    """1/Var(X | descriptions): 1/sigma_x2 plus 1/(sigma_n2 + sigma_t2) per encoder."""
-    return 1.0 / instance.sigma_x2 + sum(
-        1.0 / (instance.sigma_n2[e] + t) for e, t in finest.items()
-    )
-
-
-def _rate(instance: CeoInstance, target: Description, decoded) -> float:
-    """I(Y_j; target | decoded) by precision algebra, j the target's encoder.
-
-    Descriptions are independent given X and same-encoder ones are nested,
-    so the rate is (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j): p the
-    source precision given a set, rho the rate given X, Z_j the finest
-    decoded description of j (rho = 0 without one).  It is 0 when Z_j is
-    at least as fine as the target, within the relative rule of
-    ``gaussian_mi``, which is the covariance oracle for this function.
-    """
-    j, t = target.encoder, target.sigma_t2_total
-    side = _finest(decoded)
-    t_side = side.get(j, math.inf)
-    if t == math.inf or t_side <= t * (1.0 + _DUP_REL):
-        return 0.0
-    p_side = _precision(instance, side)
-    side[j] = t
-    return (
-        0.5 * math.log(_precision(instance, side) / p_side)
-        + r_from_channel_noise(instance, j, t)
-        - r_from_channel_noise(instance, j, t_side)
-    )
-
-
-@dataclass
-class _Builder:
-    instance: CeoInstance
-    tol: float
-    fines: dict[int, Description]
-
-    def peel(self, active: list[int], z: list[Description], rates: dict[int, float]) -> list[WzStep]:
-        """Schedule the active encoders given already-decoded side info z."""
-        inst, fines = self.instance, self.fines
-        if len(active) < 2:  # a lone encoder takes its rate given z
-            return [WzStep(fines[j], _rate(inst, fines[j], z), tuple(z)) for j in active]
-        # Face step: given z the active encoders' region has the polymatroid
-        # form with base precision p(z), since no active encoder has a
-        # description in z.  Decode the blocks of its tight chain in order.
-        t = {j: fines[j].sigma_t2_total for j in active}
-        c = {j: r_from_channel_noise(inst, j, t[j]) - rates[j] for j in active}
-        w = {j: 1.0 / (inst.sigma_n2[j] + t[j]) for j in active}
-        p_z = _precision(inst, _finest(z))
-        blocks, _ = polymatroid._tight_chain(active, c, w, p_z, self.tol + _RATE_FLOOR)
-        if len(blocks) > 1:
-            steps = []
-            for block in blocks:
-                steps += self.peel(list(block), z + [s.description for s in steps], rates)
-            return steps
-
-        # Split a candidate whose rate is strictly inside its range; a
-        # failing candidate (a coarse weight out of range or an infeasible
-        # remainder) just hands over to the next one.
-        failures = []
-        for j in active:
-            others = [fines[k] for k in active if k != j]
-            low, top = _rate(inst, fines[j], others + z), _rate(inst, fines[j], z)
-            if not low + self.tol < rates[j] < top - self.tol:
+def _grow(members, lo, hi, e, w, grown, tie):
+    """Cut one piece for the first member k (ascending index, top before
+    bottom) that has none yet and whose growth leaves k in a block with no
+    other member of ``grown``.  Updates e, w and grown; returns the piece
+    (k, start, end), whether it sits on top, and the blocks of the rest."""
+    for k in members:
+        if k in grown:
+            continue
+        others = [j for j in members if j != k]
+        for top in (True, False):
+            y = _stop([e[j] for j in others], [w[j] for j in others], top)
+            if not lo < y < hi:  # no room for a piece: never cut one of zero length
                 continue
-            try:
-                coarse, coarse_rate = self._split(j, others, z, rates[j])
-                rest = self.peel([k for k in active if k != j], z + [coarse], rates)
-            except InternalInconsistencyError as exc:
-                failures.append(f"encoder {j}: {exc}")
-                continue
-            decoded = tuple(z) + (coarse,) + tuple(s.description for s in rest)
-            fine_rate = _rate(inst, fines[j], decoded)
-            steps = (
-                [WzStep(coarse, coarse_rate, tuple(z))]
-                + rest
-                + [WzStep(fines[j], fine_rate, decoded)]
-            )
-            if abs(fine_rate + coarse_rate - rates[j]) <= 10 * self.tol + _RATE_FLOOR:
-                return steps
-            failures.append(f"encoder {j}: split rates drifted")
-        raise InternalInconsistencyError(
-            "no split candidate produced a valid schedule: " + "; ".join(failures or ["none eligible"])
-        )
+            length = 0.5 * math.log(hi / y) if top else 0.5 * math.log(y / lo)
+            rest, cut = {**e, k: e[k] - length}, {**w, k: w[k] - (hi - y if top else y - lo)}
+            blocks = _tight_blocks(members, lo if top else y, rest, cut, tie)
+            if len(blocks) > 1 and grown.isdisjoint(next(b for b in blocks if k in b)):
+                e[k], w[k] = rest[k], cut[k]
+                grown.add(k)
+                return ((k, y, hi) if top else (k, lo, y)), top, blocks
+    raise InternalInconsistencyError(f"no member of {members} can grow a piece")
 
-    def _split(self, j: int, other_fines, z, target_rate: float):
-        """Coarse stage for encoder j so that coarse-then-fine meets target_rate.
 
-        A coarse weight w = 1/(sigma_n2_j + s) (s its noise) makes the two
-        stages sum to I_c + (1/2) ln((p_z + w) p_zo / (p_z (p_zo + w))),
-        with p_z = p(z), p_zo = p(z + other fines) and I_c the fine rate
-        given both.  The sum rises from I_c at w = 0 to the unconditioned
-        rate at the fine weight, and setting it to target_rate gives
-        w = p_z p_zo g / (p_zo - p_z - p_z g), g = exp(2 (target_rate - I_c)) - 1.
-        A w outside (0, w_fine) aborts the candidate.
-        """
-        fine = self.fines[j]
-        p_z = _precision(self.instance, _finest(z))
-        p_zo = _precision(self.instance, _finest(other_fines + z))
-        gap = math.expm1(2.0 * (target_rate - _rate(self.instance, fine, other_fines + z)))
-        w = p_z * p_zo * gap / (p_zo - p_z - p_z * gap)
-        sigma_n2 = self.instance.sigma_n2[j]
-        w_fine = 1.0 / (sigma_n2 + fine.sigma_t2_total)
-        if not 0.0 < w < w_fine:
-            raise InternalInconsistencyError(f"coarse weight {w:.3e} outside (0, {w_fine:.3e})")
-        coarse = Description(j, 1.0 / w - sigma_n2, stage=1)
-        return coarse, _rate(self.instance, coarse, z)
+def _tile(members, lo, hi, e, w, grown, tie):
+    """Pieces (encoder, start, end) tiling [lo, hi] of the precision axis, in
+    axis order.  ``e`` and ``w`` map each member to its remaining excess and
+    weight; ``grown`` holds the encoders that already have a piece."""
+    if len(members) < 2:
+        return [(j, lo, hi) for j in members]
+    head, tail = [], []
+    blocks = _tight_blocks(members, lo, e, w, tie)
+    if len(blocks) == 1:
+        piece, top, blocks = _grow(members, lo, hi, e, w, grown, tie)
+        if top:
+            tail, hi = [piece], piece[1]
+        else:
+            head, lo = [piece], piece[2]
+    for n, block in enumerate(blocks):
+        end = hi if n == len(blocks) - 1 else lo + sum(w[j] for j in block)
+        head += _tile(list(block), lo, end, e, w, grown, tie)
+        lo = end
+    return head + tail
 
 
 def build_schedule(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedule:
     """Successive Wyner-Ziv schedule realizing a dominant-face rate tuple.
 
     Zero-allocation encoders carry no rate on the dominant face and are
-    skipped.  The result is validated before being returned.
+    skipped.  The pieces of the precision axis become steps in axis order,
+    and the result is validated before being returned; ``tol`` is the
+    tolerance of the dominant-face check and of that validation.
     """
     r = _check_allocation(instance, r)
     if not polymatroid.on_dominant_face(instance, r, R, max(tol, 1e-9) * 10):
         raise ArgumentError("rate tuple is not on the dominant face of the allocation")
     active = [i for i in range(instance.L) if r[i] > 0.0]
-    builder = _Builder(instance, tol, {i: fine_description(instance, r, i) for i in active})
-    steps = builder.peel(active, [], {i: R[i] for i in active})
+    w = {i: precision_weight(instance, i, r[i]) for i in active}
+    e = {i: R[i] - r[i] for i in active}
+    tie = _RATE_FLOOR * max(1.0, sum(R[i] for i in active))
+    p0 = 1.0 / instance.sigma_x2
+    pieces = _tile(active, p0, p0 + sum(w.values()), e, w, set(), tie)
+    last = {j: n for n, (j, _, _) in enumerate(pieces)}
+    steps, decoded = [], []
+    weight, rho = dict.fromkeys(active, 0.0), dict.fromkeys(active, 0.0)
+    for n, (j, start, end) in enumerate(pieces):
+        weight[j] += end - start
+        if n == last[j]:
+            d, rho_d = fine_description(instance, r, j), r[j]
+        else:
+            sn = instance.sigma_n2[j]
+            d, rho_d = Description(j, 1.0 / weight[j] - sn, stage=1), -0.5 * math.log1p(-sn * weight[j])
+        steps.append(WzStep(d, 0.5 * math.log1p((end - start) / start) + rho_d - rho[j], tuple(decoded)))
+        decoded.append(d)
+        rho[j] = rho_d
     return _validated(instance, steps, R, tol, "constructed schedule")
 
 

@@ -26,7 +26,14 @@ bound) only at desk scale:
 * ``solve_l1_root`` and ``partner_rate_root``: the single-encoder rate and
   the Omega_1 / Omega_2 partner rate of the two-encoder inverse map as
   ``brentq`` roots of their sum-rate identities, the references for
-  ``inversion``'s closed forms.
+  ``inversion``'s closed forms;
+* ``precision_rate``: a Wyner-Ziv step's rate from the precisions of the
+  descriptions decoded before and after it, the precision-algebra
+  certificate of ``scheduler.build_schedule``'s step rates (itself checked
+  against the covariance engine ``scheduler.gaussian_mi``);
+* ``exhaustive_stop``: where a piece grown in the scheduler's precision
+  axis stops, over every subset (2^n), the reference for
+  ``scheduler._stop``'s Dinkelbach iteration.
 """
 
 import math
@@ -37,7 +44,15 @@ from scipy.optimize import brentq
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
 from gceo.inversion import _block_constant, _weight
-from gceo.model import CeoInstance, R_MAX, TOL_EQ, _check_allocation, exp_neg2r, precision
+from gceo.model import (
+    CeoInstance,
+    R_MAX,
+    TOL_EQ,
+    _check_allocation,
+    exp_neg2r,
+    precision,
+    r_from_channel_noise,
+)
 from gceo.polymatroid import (
     FACE_TOL,
     FaceDescriptor,
@@ -48,6 +63,7 @@ from gceo.polymatroid import (
     rank_f,
 )
 from gceo.refinement import FEASIBILITY_TOL, _validate_stages, check_refinement
+from gceo.scheduler import _DUP_REL
 
 
 def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
@@ -368,3 +384,57 @@ def partner_rate_root(
         return joint + r_first + r - sum_rate
 
     return brentq(g, 0.0, rate_other + 1e-12, xtol=1e-15, rtol=8.9e-16)
+
+
+def _finest(descriptions) -> dict[int, float]:
+    """Finest test-channel noise per encoder among the given descriptions.
+
+    Infinite noise is vacuous and dropped.  Same-encoder descriptions within
+    ``_DUP_REL`` of each other are one variable, as in ``gaussian_mi``: a
+    finer one replaces the current only when it is finer by more than that.
+    """
+    finest: dict[int, float] = {}
+    for d in descriptions:
+        if d.sigma_t2_total < finest.get(d.encoder, math.inf) * (1.0 - _DUP_REL):
+            finest[d.encoder] = d.sigma_t2_total
+    return finest
+
+
+def _precision(instance: CeoInstance, finest: dict[int, float]) -> float:
+    """1/Var(X | descriptions): 1/sigma_x2 plus 1/(sigma_n2 + sigma_t2) per encoder."""
+    return 1.0 / instance.sigma_x2 + sum(1.0 / (instance.sigma_n2[e] + t) for e, t in finest.items())
+
+
+def precision_rate(instance: CeoInstance, target, decoded) -> float:
+    """I(Y_j; target | decoded) by precision algebra, j the target's encoder.
+
+    Descriptions are independent given X and same-encoder ones are nested,
+    so the rate is (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j): p the
+    source precision given a set, rho the rate given X, Z_j the finest
+    decoded description of j (rho = 0 without one).  It is 0 when Z_j is
+    at least as fine as the target, within the relative rule of
+    ``gaussian_mi``.
+    """
+    j, t = target.encoder, target.sigma_t2_total
+    side = _finest(decoded)
+    t_side = side.get(j, math.inf)
+    if t == math.inf or t_side <= t * (1.0 + _DUP_REL):
+        return 0.0
+    p_side = _precision(instance, side)
+    side[j] = t
+    return (
+        0.5 * math.log(_precision(instance, side) / p_side)
+        + r_from_channel_noise(instance, j, t)
+        - r_from_channel_noise(instance, j, t_side)
+    )
+
+
+def exhaustive_stop(e, w, top: bool) -> float:
+    """max (top) or min (bottom) over every nonempty subset A of
+    y_A = w(A) / -expm1(-2 e(A)) (top) or w(A) / expm1(2 e(A)) (bottom)."""
+    values = []
+    for mask in range(1, 1 << len(e)):
+        e_A = sum(e[i] for i in mask_to_indices(mask))
+        w_A = sum(w[i] for i in mask_to_indices(mask))
+        values.append(w_A / -math.expm1(-2.0 * e_A) if top else w_A / math.expm1(2.0 * e_A))
+    return max(values) if top else min(values)

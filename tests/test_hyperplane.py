@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,20 @@ class TestSupportValue:
             D = float(rng.uniform(floor * 1.05, inst.sigma_x2 * 0.98))
             res = support_value(inst, alpha, D)
             assert kkt_residual(inst, alpha, D, res) <= 1e-8
+
+    def test_kkt_when_capped_encoders_alone_meet_the_target(self):
+        # The zero-alpha encoder alone beats D, so nu = 0 and every
+        # positive-alpha encoder stays at r = 0; the stationarity numerators
+        # used to read a residual of 6.26 on this right answer.
+        inst = CeoInstance(1.2661, (1.0938, 0.8999, 0.1355, 1.7774, 1.3860, 2.1049))
+        alpha = (0.185, 0.0, 0.0198, 0.196, 0.642, 0.134)
+        D = 0.97197
+        res = support_value(inst, alpha, D)
+        assert res.phi == 0.0
+        assert kkt_residual(inst, alpha, D, res) <= 1e-12
+        # Rate on a positive-alpha encoder is wasted there, and reads as such.
+        wasted = tuple(0.1 if i == 4 else v for i, v in enumerate(res.r_star))
+        assert kkt_residual(inst, alpha, D, dataclasses.replace(res, r_star=wasted)) == 0.1
 
     def test_support_property(self, sym2):
         # The hyperplane really supports: alpha-weighted rates of boundary
