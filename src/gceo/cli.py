@@ -263,7 +263,7 @@ def _cmd_schedule(args) -> int:
     instance = _load_instance(args.instance)
     r = _parse_vector(args.r, instance.L, "r")
     R = _parse_vector(args.R, instance.L, "R")
-    schedule = scheduler.build_schedule(instance, r, R, tol=min(args.tol, 1e-9))
+    schedule = scheduler.build_schedule(instance, r, R)
     _emit(args, {"total_steps": schedule.total_steps, "steps": schedule.to_list()})
     return 0
 
@@ -303,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--bits", action="store_true", help="add a bits display section")
     common.add_argument(
         "--tol", type=float, default=None,
-        help="tolerance override (default: 1e-9; 1e-7 for omega; 1e-6 for refine/omega-map)",
+        help="tolerance override (default: 1e-9; 1e-7 for omega; 1e-6 for refine/omega-map; "
+        "schedule ignores it and uses fixed tolerances)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, InfeasibleDistortionError, InternalInconsistencyError
-from .model import CeoInstance, R_MAX, d_min, exp_neg2r
+from .model import CeoInstance, R_MAX, d_min, exp_neg2r, precision_weight
 from .polymatroid import vertex
 
 PRECISION_TOL = 1e-12
@@ -123,7 +123,7 @@ def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: 
                 rk = 0.5 * math.log(num / (alpha[idx] * instance.sigma_n2[idx]))
                 rk = min(max(rk, 0.0), R_MAX)
             r[idx] = rk
-        running += (1.0 - exp_neg2r(r[idx])) / instance.sigma_n2[idx]
+        running += precision_weight(instance.sigma_n2[idx], r[idx])
     return r, running, nums
 
 
@@ -187,8 +187,9 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         for i in order[:positive]:
             r[i] = rpos[i]
 
-    phi = phi_expansion(instance, alpha, r, order)
     contact = vertex(instance, r, order)
+    # Zero-alpha (capped) encoders contribute 0 times their finite capped rate.
+    phi = sum(a * v for a, v in zip(alpha, contact))
     return HyperplaneResult(
         alpha=alpha,
         nu=nu,
@@ -197,30 +198,6 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         contact_vertex=contact,
         pi_star=order,
     )
-
-
-def phi_expansion(instance: CeoInstance, alpha, r, order) -> float:
-    """alpha-weighted rate of the vertex of r taken in the given order.
-
-    Telescopes the vertex coordinates into alpha-gap times prefix-sum-rate
-    terms so that zero-alpha (infinite-rate) encoders contribute nothing.
-    """
-    L = instance.L
-    weights = [(1.0 - exp_neg2r(r[i])) / instance.sigma_n2[i] for i in range(L)]
-    p_total = 1.0 / instance.sigma_x2 + sum(weights)
-    suffix = p_total
-    prefix_rate = 0.0
-    value = 0.0
-    for k, idx in enumerate(order):
-        suffix -= weights[idx]
-        prefix_rate += r[idx]
-        if k < L - 1:
-            gap = alpha[idx] - alpha[order[k + 1]]
-        else:
-            gap = alpha[idx]
-        if gap != 0.0:
-            value += gap * (0.5 * math.log(p_total / suffix) + prefix_rate)
-    return value
 
 
 def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResult) -> float:

@@ -99,7 +99,7 @@ import numpy as np
 from scipy.optimize import brentq, nnls
 
 from .errors import ArgumentError, ConvergenceError
-from .model import CeoInstance, R_MAX, exp_neg2r, is_cap
+from .model import CeoInstance, R_MAX, exp_neg2r, is_cap, precision_weight
 from .polymatroid import _min_threshold_set, _scan_min_slack
 
 RESIDUAL_LIMIT = 1e-5
@@ -171,13 +171,9 @@ def _check_rates(instance: CeoInstance, R) -> tuple[float, ...]:
 # ----------------------------------------------------------------------
 
 
-def _weight(sn: float, r: float) -> float:
-    return (1.0 - exp_neg2r(r)) / sn
-
-
 def _sum_rate_identity(sn, r, p0: float) -> float:
     """(1/2) ln(precision / p0) + sum r, the dominant-face sum rate."""
-    p = p0 + sum(_weight(s, v) for s, v in zip(sn, r))
+    p = p0 + sum(precision_weight(s, v) for s, v in zip(sn, r))
     return 0.5 * math.log(p / p0) + sum(r)
 
 
@@ -194,7 +190,7 @@ def _solve_l1(sn: float, rate: float, p0: float) -> float:
 
 def _reduced_min_slack(sn, R, r, p0: float) -> float:
     """Min subset-rate slack of the reduced region (conditioned on the base)."""
-    w = [_weight(s, v) for s, v in zip(sn, r)]
+    w = [precision_weight(s, v) for s, v in zip(sn, r)]
     return _scan_min_slack([a - b for a, b in zip(R, r)], [0.0] * len(w), w, p0)[0]
 
 
@@ -272,7 +268,7 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
     multiplier.
     """
     n = len(sn)
-    w = [_weight(s, v) for s, v in zip(sn, r)]
+    w = [precision_weight(s, v) for s, v in zip(sn, r)]
     slope = [exp_neg2r(v) / s for s, v in zip(sn, r)]  # (1/2) dw_i / dr_i
     p_all = p0 + sum(w)
     decoded = set()  # A^c: the blocks decoded before the row's set A
@@ -323,11 +319,7 @@ def _assemble(
             r[i] = R_MAX
     for pos, i in enumerate(finite):
         r[i] = r_finite[pos]
-    p = 1.0 / instance.sigma_x2 + sum(
-        _weight(instance.sigma_n2[i], r[i]) for i in range(L)
-    )
-    d = 1.0 / p
-    res78 = abs(p - 1.0 / d)
+    d = 1.0 / (1.0 / instance.sigma_x2 + sum(precision_weight(s, v) for s, v in zip(instance.sigma_n2, r)))
     finite_sn = [instance.sigma_n2[i] for i in finite]
     finite_R = [R[i] for i in finite]
     p0 = 1.0 / instance.sigma_x2 + sum(
@@ -335,10 +327,9 @@ def _assemble(
     )
     # Sum-rate identity over the finite coordinates (capped encoders cancel
     # from both sides; their precision sits in the base p0).
-    sum_right = 0.5 * math.log(p / p0) + sum(r[i] for i in finite)
-    res79 = abs(sum(finite_R) - sum_right)
-    slack = _reduced_min_slack(finite_sn, finite_R, [r[i] for i in finite], p0) if finite else 0.0
-    residuals = max(res78, res79, max(0.0, -slack))
+    gap = abs(sum(finite_R) - _sum_rate_identity(finite_sn, r_finite, p0))
+    slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
+    residuals = max(gap, -slack)
     result = InversionResult(
         r_star=tuple(r),
         d_star=d,
@@ -351,7 +342,7 @@ def _assemble(
     if residuals > RESIDUAL_LIMIT:
         raise ConvergenceError(
             f"inversion residual {residuals:.3e} exceeds {RESIDUAL_LIMIT:.0e} "
-            f"(sum-rate gap {res79:.3e}, worst membership slack {slack:.3e})"
+            f"(sum-rate gap {gap:.3e}, worst membership slack {slack:.3e})"
         )
     return result
 
@@ -427,7 +418,7 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
 
 def _axis_rate(sx2: float, sn: float, rho: float) -> float:
     """Unconditioned single-encoder rate at allocation rho (decode-first rate)."""
-    return 0.5 * math.log(sx2 * (1.0 / sx2 + _weight(sn, rho))) + rho
+    return 0.5 * math.log(sx2 * (1.0 / sx2 + precision_weight(sn, rho))) + rho
 
 
 def _thresholds(instance: CeoInstance, R):
@@ -467,11 +458,11 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
     if R1 >= th1 - 1e-13:
         branch = "omega1"
         r1 = _solve_l1(sn1, R1, p_prior)
-        r2 = _solve_l1(sn2, R2, p_prior + _weight(sn1, r1))
+        r2 = _solve_l1(sn2, R2, p_prior + precision_weight(sn1, r1))
     elif R2 >= th2 - 1e-13:
         branch = "omega2"
         r2 = _solve_l1(sn2, R2, p_prior)
-        r1 = _solve_l1(sn1, R1, p_prior + _weight(sn2, r2))
+        r1 = _solve_l1(sn1, R1, p_prior + precision_weight(sn2, r2))
     else:
         branch = "omega3"
         r1, r2 = r_tilde
@@ -585,7 +576,7 @@ def uniqueness_probe(instance: CeoInstance, R, result: InversionResult, delta: f
     sn = [instance.sigma_n2[i] for i in finite]
     rates = [R[i] for i in finite]
     base_r = [result.r_star[i] for i in finite]
-    base_p = p0 + sum(_weight(s, v) for s, v in zip(sn, base_r))
+    base_p = p0 + sum(precision_weight(s, v) for s, v in zip(sn, base_r))
     target = sum(rates)
     for i in range(len(finite)):
         for sign in (+1.0, -1.0):
@@ -611,7 +602,7 @@ def uniqueness_probe(instance: CeoInstance, R, result: InversionResult, delta: f
                 break
             if projected is None:
                 continue  # no re-projection exists: perturbation leaves the manifold
-            p = p0 + sum(_weight(s, v) for s, v in zip(sn, projected))
+            p = p0 + sum(precision_weight(s, v) for s, v in zip(sn, projected))
             drops = p < base_p - 1e-12
             escapes = _reduced_min_slack(sn, rates, projected, p0) < -1e-12
             if not (drops or escapes):

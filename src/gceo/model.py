@@ -33,9 +33,8 @@ from .errors import ArgumentError
 # far below every tolerance used here, and all formulas treat it as exact 0.
 R_MAX = 50.0
 
-# Equality tolerance for closed-form algebra; looser one for iterated solves.
+# Equality tolerance for closed-form algebra.
 TOL_EQ = 1e-9
-TOL_ITER = 1e-6
 
 # Region membership, face identification and the refinement stage test
 # (O(L^2) threshold scans each), the inverse map (a few scans per decode
@@ -136,16 +135,22 @@ def channel_noise_from_r(instance: CeoInstance, i: int, r_i: float) -> float:
     return instance.sigma_n2[i] / math.expm1(2.0 * r_i)
 
 
-def precision_weight(instance: CeoInstance, i: int, r_i: float) -> float:
-    """Contribution (1 - exp(-2 r_i)) / sigma_n2[i] of one encoder to the precision."""
-    return (1.0 - exp_neg2r(r_i)) / instance.sigma_n2[i]
+def precision_weight(sn: float, r: float) -> float:
+    """Contribution (1 - exp(-2 r)) / sn to the precision of a description
+    at rate r of an observation with noise variance sn: 1/(sn + sigma_t2)
+    for the test-channel noise sigma_t2 that ``channel_noise_from_r`` gives.
+
+    Written with expm1 so that small rates do not cancel; at the cap,
+    -expm1(-2 R_MAX) rounds to exactly 1.
+    """
+    return -math.expm1(-2.0 * r) / sn
 
 
 def precision(instance: CeoInstance, r) -> float:
     """1/sigma_x2 + sum_i (1 - exp(-2 r_i)) / sigma_n2[i]; increasing in each r_i."""
     r = _check_allocation(instance, r)
     return 1.0 / instance.sigma_x2 + sum(
-        precision_weight(instance, i, r[i]) for i in range(instance.L)
+        precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)
     )
 
 

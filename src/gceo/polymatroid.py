@@ -81,7 +81,7 @@ def partial_precision(instance: CeoInstance, r, mask: int) -> float:
     total = 1.0 / instance.sigma_x2
     for i in range(instance.L):
         if mask >> i & 1:
-            total += precision_weight(instance, i, r[i])
+            total += precision_weight(instance.sigma_n2[i], r[i])
     return total
 
 
@@ -217,7 +217,7 @@ def min_slack(instance: CeoInstance, r, R) -> float:
         if math.isnan(R_i - r[i]):
             raise ArgumentError(f"R_{i + 1} - r_{i + 1} is undefined ({R_i} - {r[i]})")
         c.append(R_i - r[i])
-    w = [precision_weight(instance, i, r[i]) for i in range(L)]
+    w = [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
     return _scan_min_slack(c, [0.0] * L, w, 1.0 / instance.sigma_x2)[0]
 
 
@@ -232,20 +232,20 @@ def vertex(instance: CeoInstance, r, pi) -> tuple[float, ...]:
     ``pi`` lists encoders so that pi[0] is decoded last and pi[-1] first;
     coordinate pi[k] is the telescoping rank difference of the prefixes
     {pi[0..k]}, i.e. the rate of encoder pi[k] given the descriptions of
-    pi[k+1..] at the decoder.
+    pi[k+1..] at the decoder: (1/2) log1p(w / p) + r with w its weight and
+    p the precision of the prior and of the descriptions decoded before it.
+    One pass from the first-decoded encoder adds each weight to p.
     """
     r = _check_allocation(instance, r)
     L = instance.L
     if sorted(pi) != list(range(L)):
         raise ArgumentError(f"pi must be a permutation of 0..{L - 1}, got {pi}")
     R = [0.0] * L
-    prev_mask = 0
-    prev_rank = 0.0
-    for k in range(L):
-        mask = prev_mask | (1 << pi[k])
-        rank = rank_f(instance, r, mask)
-        R[pi[k]] = rank - prev_rank
-        prev_mask, prev_rank = mask, rank
+    p = 1.0 / instance.sigma_x2
+    for i in reversed(pi):
+        w = precision_weight(instance.sigma_n2[i], r[i])
+        R[i] = 0.5 * math.log1p(w / p) + r[i]
+        p += w
     return tuple(R)
 
 
@@ -352,7 +352,7 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
         return FaceDescriptor(chain=(), blocks=(), dimension=0, active=())
 
     c = [r[i] - R[i] for i in range(L)]
-    w = [precision_weight(instance, i, r[i]) for i in range(L)]
+    w = [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
     blocks, crossing = _tight_chain(active, c, w, 1.0 / instance.sigma_x2, tol)
     if crossing:
         raise InternalInconsistencyError(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArgumentError
-from .model import CeoInstance, exp_neg2r, channel_noise_from_r
+from .model import CeoInstance, channel_noise_from_r, precision_weight
 from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
@@ -101,7 +101,7 @@ def _stage_end(instance: CeoInstance, R, inv) -> tuple:
     """A chain point as the stage test reads it: R, r*(R), the precision
     weights of r*(R) and D*(R), from the inversion ``inv`` of R."""
     r = inv.r_star
-    return R, r, [(1.0 - exp_neg2r(v)) / instance.sigma_n2[i] for i, v in enumerate(r)], inv.d_star
+    return R, r, [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)], inv.d_star
 
 
 def _stage_rows(p0: float, prev, nxt) -> list:

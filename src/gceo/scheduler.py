@@ -86,6 +86,8 @@ from .model import (
 )
 from . import polymatroid
 
+# Rate tolerance of ``build_schedule``, fixed: its on-face check of the
+# input allows 10 RATE_TOL and its re-validation of the output 100 RATE_TOL.
 RATE_TOL = 1e-9
 # Same-encoder descriptions whose noises agree to this relative tolerance
 # are one variable (last-ulp differences between solvers).
@@ -303,19 +305,19 @@ def _tile(members, lo, hi, e, w, grown, tie):
     return head + tail
 
 
-def build_schedule(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedule:
+def build_schedule(instance: CeoInstance, r, R) -> Schedule:
     """Successive Wyner-Ziv schedule realizing a dominant-face rate tuple.
 
     Zero-allocation encoders carry no rate on the dominant face and are
     skipped.  The pieces of the precision axis become steps in axis order,
-    and the result is validated before being returned; ``tol`` is the
-    tolerance of the dominant-face check and of that validation.
+    and the result is validated before being returned.  The tolerances of
+    the dominant-face check and of that validation are fixed (``RATE_TOL``).
     """
     r = _check_allocation(instance, r)
-    if not polymatroid.on_dominant_face(instance, r, R, max(tol, 1e-9) * 10):
+    if not polymatroid.on_dominant_face(instance, r, R, 10 * RATE_TOL):
         raise ArgumentError("rate tuple is not on the dominant face of the allocation")
     active = [i for i in range(instance.L) if r[i] > 0.0]
-    w = {i: precision_weight(instance, i, r[i]) for i in active}
+    w = {i: precision_weight(instance.sigma_n2[i], r[i]) for i in active}
     e = {i: R[i] - r[i] for i in active}
     tie = _RATE_FLOOR * max(1.0, sum(R[i] for i in active))
     p0 = 1.0 / instance.sigma_x2
@@ -328,19 +330,17 @@ def build_schedule(instance: CeoInstance, r, R, tol: float = RATE_TOL) -> Schedu
         if n == last[j]:
             d, rho_d = fine_description(instance, r, j), r[j]
         else:
-            sn = instance.sigma_n2[j]
-            d, rho_d = Description(j, 1.0 / weight[j] - sn, stage=1), -0.5 * math.log1p(-sn * weight[j])
+            d = Description(j, 1.0 / weight[j] - instance.sigma_n2[j], stage=1)
+            rho_d = r_from_channel_noise(instance, j, d.sigma_t2_total)
         steps.append(WzStep(d, 0.5 * math.log1p((end - start) / start) + rho_d - rho[j], tuple(decoded)))
         decoded.append(d)
         rho[j] = rho_d
-    return _validated(instance, steps, R, tol, "constructed schedule")
-
-
-def _validated(instance: CeoInstance, steps, R, tol: float, what: str) -> Schedule:
     schedule = Schedule(tuple(steps))
-    report = validate_schedule(instance, schedule, R, max(tol * 100, 1e-7))
+    report = validate_schedule(instance, schedule, R, 100 * RATE_TOL)
     if not report.ok:
-        raise InternalInconsistencyError(f"{what} failed validation: " + "; ".join(report.diagnostics))
+        raise InternalInconsistencyError(
+            "constructed schedule failed validation: " + "; ".join(report.diagnostics)
+        )
     return schedule
 
 

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import settings
 from scipy.optimize import nnls
 
-from gceo.model import CeoInstance, R_MAX, channel_noise_from_r, distortion
+from gceo.model import CeoInstance, R_MAX, channel_noise_from_r, distortion, precision_weight
 from gceo import inversion
 from gceo import polymatroid as pm
 from gceo.refinement import GridNode, check_refinement
@@ -174,7 +174,7 @@ def valid_block_allocations(sn, R, p0):
         r = solve_blocks(sn, R, blocks, p0)
         if r is None or exhaustive_slack(sn, R, r, p0) < -1e-9:
             continue
-        yield blocks, r, p0 + sum(inversion._weight(s, v) for s, v in zip(sn, r))
+        yield blocks, r, p0 + sum(precision_weight(s, v) for s, v in zip(sn, r))
 
 
 def enumerate_r_star(sn, R, p0):
@@ -209,7 +209,7 @@ def greedy_r_star(sn, R, p0):
         A, sol = best
         for i in A:
             r[i] = sol[i]
-        p += sum(inversion._weight(sn[i], sol[i]) for i in A)
+        p += sum(precision_weight(sn[i], sol[i]) for i in A)
         remaining = tuple(i for i in remaining if i not in A)
     return r
 

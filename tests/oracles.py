@@ -43,7 +43,7 @@ from scipy.optimize import brentq
 
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
-from gceo.inversion import _block_constant, _weight
+from gceo.inversion import _block_constant
 from gceo.model import (
     CeoInstance,
     R_MAX,
@@ -51,6 +51,7 @@ from gceo.model import (
     _check_allocation,
     exp_neg2r,
     precision,
+    precision_weight,
     r_from_channel_noise,
 )
 from gceo.polymatroid import (
@@ -364,7 +365,7 @@ def solve_l1_root(sn: float, rate: float, p0: float) -> float:
         return R_MAX
 
     def g(r):
-        return 0.5 * math.log((p0 + _weight(sn, r)) / p0) + r - rate
+        return 0.5 * math.log((p0 + precision_weight(sn, r)) / p0) + r - rate
 
     return brentq(g, 0.0, rate, xtol=1e-15, rtol=8.9e-16)
 
@@ -380,7 +381,7 @@ def partner_rate_root(
     one in Omega_1 / Omega_2."""
 
     def g(r):
-        joint = 0.5 * math.log1p(sigma_x2 * (_weight(sn_first, r_first) + _weight(sn_other, r)))
+        joint = 0.5 * math.log1p(sigma_x2 * (precision_weight(sn_first, r_first) + precision_weight(sn_other, r)))
         return joint + r_first + r - sum_rate
 
     return brentq(g, 0.0, rate_other + 1e-12, xtol=1e-15, rtol=8.9e-16)

@@ -163,6 +163,16 @@ class TestHighRates:
         assert payload["r_star"] == pytest.approx([18.0 - math.log(3.0) / 4.0] * 2, abs=1e-12)
         assert payload["d_star"] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["auto", "bisection"])
+    def test_invert_at_a_precision_past_1e12(self, tmp_path, method):
+        # One ulp of a precision of 1e12 is ~1e-4; the residual must not
+        # count it (the sum-rate gap and the region slack are ~1e-15 here).
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1e-12, 1.0]}))
+        code, out = run(["invert", "--instance", str(path), "--R", "49,5", "--method", method])
+        assert code == 0
+        assert json.loads(out)["residuals"] <= 1e-13
+
     def test_omega_high_equal_rates(self, sym2_file):
         code, out = run(["omega", "--instance", sym2_file, "--R", "18,18"])
         assert (code, json.loads(out)["tag"]) == (0, "OMEGA3")

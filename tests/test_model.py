@@ -12,6 +12,7 @@ from gceo.model import (
     d_min,
     distortion,
     precision,
+    precision_weight,
     r_from_channel_noise,
 )
 
@@ -99,6 +100,21 @@ class TestPrecisionDistortion:
                 bumped = list(r)
                 bumped[i] += 1e-4
                 assert distortion(inst, bumped) < base
+
+
+class TestPrecisionWeight:
+    @pytest.mark.parametrize("r", [1e-6, 1e-9, 1e-12])
+    def test_exact_at_small_rates(self, r):
+        # The weight of a description is 1/(sigma_n2 + sigma_t2) for the
+        # noise channel_noise_from_r builds; 1 - exp(-2r) cancels here.
+        inst = CeoInstance(1.0, (1.0, 0.37))
+        for i, sn in enumerate(inst.sigma_n2):
+            exact = 1.0 / (sn + channel_noise_from_r(inst, i, r))
+            assert precision_weight(sn, r) == pytest.approx(exact, rel=1e-15)
+
+    def test_cap_is_exact(self):
+        assert precision_weight(0.37, R_MAX) == 1.0 / 0.37
+        assert precision_weight(0.37, 0.0) == 0.0
 
 
 class TestDmin:

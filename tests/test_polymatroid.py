@@ -138,6 +138,29 @@ class TestVertices:
                 mi = scheduler.gaussian_mi(inst, fines[enc], side)
                 assert R[enc] == pytest.approx(mi, abs=1e-10)
 
+    @settings(max_examples=200)
+    @given(
+        L=st.integers(min_value=1, max_value=8),
+        rates=st.sampled_from([(1e-6, 1e-3), (0.05, 3.0), (3.0, 12.0)]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_one_pass_matches_rank_differences(self, L, rates, seed):
+        # Coordinate pi[k] is rank(pi[0..k]) - rank(pi[0..k-1]); some
+        # encoders sit at zero rate or at the cap.
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, L)
+        r = [float(v) for v in np.exp(rng.uniform(math.log(rates[0]), math.log(rates[1]), L))]
+        for i in range(L):
+            r[i] = [0.0, R_MAX, r[i], r[i]][int(rng.integers(4))]
+        pi = tuple(int(i) for i in rng.permutation(L))
+        R = vertex(inst, r, pi)
+        mask, prev = 0, 0.0
+        for i in pi:
+            mask |= 1 << i
+            rank = rank_f(inst, r, mask)
+            assert abs(R[i] - (rank - prev)) <= 1e-13 * max(1.0, rank)
+            prev = rank
+
     def test_bad_permutation(self, sym2):
         with pytest.raises(ArgumentError):
             vertex(sym2, (0.5, 0.5), (0, 0))

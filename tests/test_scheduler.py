@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gceo import cli
 from gceo.errors import ArgumentError, InternalInconsistencyError
@@ -310,6 +310,11 @@ def _mixture(rng, inst, r, kind):
 
 
 @settings(max_examples=200)
+# Coarse step rates taken from the weight rather than from the emitted
+# noise were 1.3e-12 to 1.7e-12 off at these draws.
+@example(L=7, kind="near-face", rates=(3.0, 7.0), seed=525564610)
+@example(L=8, kind="near-face", rates=(3.0, 7.0), seed=3101882965)
+@example(L=8, kind="near-face", rates=(1e-6, 7.0), seed=3297492489)
 @given(
     L=st.integers(min_value=3, max_value=8),
     kind=st.sampled_from(["two-vertex", "dirichlet", "near-face"]),
