@@ -16,7 +16,9 @@ functions of the solver modules loaded when it is installed.  The inverse
 map's modules (``inversion``, ``refinement``, ``scheduler``) load numpy
 and scipy, so each command that runs one imports it itself, and a command
 that needs no inverse map (``region``, ``hyperplane``) starts without
-loading numpy or scipy.
+loading numpy or scipy.  ``montecarlo`` imports numpy when it draws, and
+``concurrent.futures`` (which loads ``logging``) only when a simulation
+runs its shards on a thread pool, so no command loads either at start-up.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, InternalInconsistencyError
+from .errors import ArgumentError
 from .model import CeoInstance, TOL_EQ, _check_allocation, precision_weight
 
 FACE_TOL = 1e-7
@@ -267,20 +267,27 @@ class FaceDescriptor:
     are decoded in listed order, each conditioned on all previous ones.
     ``dimension`` is len(active) - k - 1, the face dimension when the
     vertices associated with the block structure are all distinct.
+    ``note`` is set when two tight sets cross within the tolerance (the
+    point is that close to several faces); it names them, and the chain is
+    the one ``_tight_chain`` keeps.
     """
 
     chain: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...]
     dimension: int
     active: tuple[int, ...]
+    note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "chain": [[i + 1 for i in a] for a in self.chain],
             "blocks": [[i + 1 for i in b] for b in self.blocks],
             "dimension": self.dimension,
             "active": [i + 1 for i in self.active],
         }
+        if self.note is not None:
+            out["note"] = self.note
+        return out
 
 
 def _tight_chain(members, c, w, p0: float, tol: float):
@@ -335,8 +342,9 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
     A proper nonempty set of active encoders is tight when its group rate is
     within ``tol`` of its unconditioned rank, i.e. |g(A)| <= tol with g as
     in the module docstring, c_i = r_i - R_i and p0 = 1/sigma_x2; the
-    candidates are those of ``_tight_chain``.  Tight sets must be nested; a
-    non-nested family signals a tolerance problem and raises.
+    candidates are those of ``_tight_chain``.  Exactly tight sets are
+    nested; when two sets tight within ``tol`` cross, the face is the chain
+    ``_tight_chain`` keeps and ``note`` names the crossing sets.
     """
     r = _check_allocation(instance, r)
     L = instance.L
@@ -354,14 +362,14 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
     c = [r[i] - R[i] for i in range(L)]
     w = [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
     blocks, crossing = _tight_chain(active, c, w, 1.0 / instance.sigma_x2, tol)
+    note = None
     if crossing:
-        raise InternalInconsistencyError(
-            f"tight subsets {crossing[0]} and {crossing[1]} are not nested; "
-            "tolerance too loose or allocation has zero coordinates"
-        )
+        dropped, kept = ([i + 1 for i in A] for A in crossing)
+        note = f"tight sets {dropped} and {kept} cross within tol {tol:g}; the chain keeps {kept}"
     return FaceDescriptor(
         chain=tuple(tuple(sorted(i for b in blocks[:k] for i in b)) for k in range(1, len(blocks))),
         blocks=blocks,
         dimension=len(active) - len(blocks),
         active=tuple(active),
+        note=note,
     )

@@ -18,9 +18,8 @@ program with one row per subset, whose all-rows KKT residual is the
 reference certificate.  None calls the code it checks beyond the block
 equation (``oracles.solve_blocks`` over ``inversion._block_constant``).
 Finally it holds the per-node formulation of the reachability grid map,
-the literal Monte Carlo cascade that the simulation kernel's draw plan
-replaces, and registers a derandomized hypothesis profile so property
-tests draw the same examples on every run.
+and registers a derandomized hypothesis profile so property tests draw
+the same examples on every run.
 """
 
 import math
@@ -31,7 +30,7 @@ import pytest
 from hypothesis import settings
 from scipy.optimize import nnls
 
-from gceo.model import CeoInstance, R_MAX, channel_noise_from_r, distortion, precision_weight
+from gceo.model import CeoInstance, R_MAX, precision_weight
 from gceo import inversion
 from gceo import polymatroid as pm
 from gceo.refinement import GridNode, check_refinement
@@ -293,32 +292,3 @@ def grid_map_oracle(instance, R_from, grid, tol=1e-6):
                 reach = check_refinement(instance, [R_from, target], tol).feasible
             nodes.append(GridNode(R, inversion.classify_omega(instance, R), inv.d_star, inv.r_star, reach))
     return nodes
-
-
-def reference_simulate(instance, chain, n, seed):
-    """Monte Carlo MSE of every stage of an allocation chain, sampled
-    literally: Y_i = X + N_i, the finest description W_i = Y_i + T_i, and
-    each coarser stage by adding independent noise to the next finer
-    description (none where the test-channel variance does not grow).
-    Returns (empirical MSE, its standard error) per stage."""
-    rng = np.random.default_rng(seed)
-    M = len(chain)
-    x = rng.normal(0.0, math.sqrt(instance.sigma_x2), n)
-    xhat = [np.zeros(n) for _ in range(M)]
-    for i in range(instance.L):
-        desc = x + rng.normal(0.0, math.sqrt(instance.sigma_n2[i]), n)
-        held = 0.0
-        for j in reversed(range(M)):
-            v = channel_noise_from_r(instance, i, chain[j][i])
-            if v == math.inf:
-                continue
-            if v > held:
-                desc = desc + rng.normal(0.0, math.sqrt(v - held), n)
-                held = v
-            xhat[j] += distortion(instance, chain[j]) / (instance.sigma_n2[i] + v) * desc
-    mse, stderr = [], []
-    for j in range(M):
-        se = (x - xhat[j]) ** 2
-        mse.append(float(se.mean()))
-        stderr.append(math.sqrt(float(se.var(ddof=1)) / n))
-    return mse, stderr

@@ -33,7 +33,10 @@ bound) only at desk scale:
   against the covariance engine ``scheduler.gaussian_mi``);
 * ``exhaustive_stop``: where a piece grown in the scheduler's precision
   axis stops, over every subset (2^n), the reference for
-  ``scheduler._stop``'s Dinkelbach iteration.
+  ``scheduler._stop``'s Dinkelbach iteration;
+* ``reference_simulate``: every stage's Monte Carlo MSE from the literal
+  cascade of observations and test channels, the reference for the draw
+  plan of ``montecarlo._simulate``.
 """
 
 import math
@@ -49,6 +52,8 @@ from gceo.model import (
     R_MAX,
     TOL_EQ,
     _check_allocation,
+    channel_noise_from_r,
+    distortion,
     exp_neg2r,
     precision,
     precision_weight,
@@ -84,8 +89,9 @@ def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
 
 def enumerate_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDescriptor:
     """``identify_face`` by testing every proper nonempty subset of the
-    active encoders against its unconditioned rank: same checks, same
-    descriptor, same ``InternalInconsistencyError`` on a non-nested family."""
+    active encoders against its unconditioned rank: same checks and same
+    descriptor; a non-nested family, which ``identify_face`` reports with a
+    note, raises ``InternalInconsistencyError``."""
     r = _check_allocation(instance, r)
     L = instance.L
     if not on_dominant_face(instance, r, R, max(tol, TOL_EQ)):
@@ -439,3 +445,32 @@ def exhaustive_stop(e, w, top: bool) -> float:
         w_A = sum(w[i] for i in mask_to_indices(mask))
         values.append(w_A / -math.expm1(-2.0 * e_A) if top else w_A / math.expm1(2.0 * e_A))
     return max(values) if top else min(values)
+
+
+def reference_simulate(instance, chain, n, seed):
+    """Monte Carlo MSE of every stage of an allocation chain, sampled
+    literally: Y_i = X + N_i, the finest description W_i = Y_i + T_i, and
+    each coarser stage by adding independent noise to the next finer
+    description (none where the test-channel variance does not grow).
+    Returns (empirical MSE, its standard error) per stage."""
+    rng = np.random.default_rng(seed)
+    M = len(chain)
+    x = rng.normal(0.0, math.sqrt(instance.sigma_x2), n)
+    xhat = [np.zeros(n) for _ in range(M)]
+    for i in range(instance.L):
+        desc = x + rng.normal(0.0, math.sqrt(instance.sigma_n2[i]), n)
+        held = 0.0
+        for j in reversed(range(M)):
+            v = channel_noise_from_r(instance, i, chain[j][i])
+            if v == math.inf:
+                continue
+            if v > held:
+                desc = desc + rng.normal(0.0, math.sqrt(v - held), n)
+                held = v
+            xhat[j] += distortion(instance, chain[j]) / (instance.sigma_n2[i] + v) * desc
+    mse, stderr = [], []
+    for j in range(M):
+        se = (x - xhat[j]) ** 2
+        mse.append(float(se.mean()))
+        stderr.append(math.sqrt(float(se.var(ddof=1)) / n))
+    return mse, stderr

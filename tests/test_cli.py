@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gceo import cli, refinement
 from gceo.model import R_MAX, CeoInstance
+from gceo.polymatroid import vertex
 
 
 @pytest.fixture
@@ -57,6 +58,21 @@ class TestRegion:
         assert code == 0
         payload = json.loads(out)
         assert payload["dimension"] == 0
+        assert "note" not in payload
+
+    def test_face_of_a_tiny_allocation_names_the_crossing_sets(self, tmp_path):
+        # At r ~ 1e-6 the sets {1, 3} and {2, 3} are both tight within the
+        # tolerance at this vertex; the face reports the chain it keeps.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"sigma_x2": 1, "sigma_n2": [1, 1, 2]}))
+        R = vertex(CeoInstance(1.0, (1.0, 1.0, 2.0)), (1e-6,) * 3, (0, 1, 2))
+        argv = ["--instance", str(path), "--r", "1e-6,1e-6,1e-6", "--R", ",".join(map(repr, R))]
+        code, out = run(["region", "face", *argv])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["blocks"] == [[3], [2], [1]]
+        assert payload["note"] == "tight sets [1, 3] and [2, 3] cross within tol 1e-09; the chain keeps [2, 3]"
+        assert run(["schedule", *argv])[0] == 0
 
 
 class TestNanRates:
@@ -291,13 +307,14 @@ class TestOmegaMap:
 
 def test_region_check_loads_no_numpy_or_scipy(sym2_file):
     # Each command imports only its own solver module, so a cold region
-    # check starts without numpy and scipy.
+    # check starts without numpy and scipy, and without the thread pool's
+    # concurrent.futures, which only a simulation with several shards loads.
     code = (
         "import sys\n"
         "from gceo import cli\n"
         f"status = cli.main(['region', 'check', '--instance', {sym2_file!r}, '--r', '0.5,0.5',"
         f" '--R', '0.7,0.8', '--output', {os.devnull!r}])\n"
-        "print(status, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "print(status, sorted(m for m in ('numpy', 'scipy', 'concurrent.futures') if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

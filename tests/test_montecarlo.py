@@ -1,20 +1,26 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from gceo import montecarlo
 from gceo.errors import ArgumentError
 from gceo.model import CeoInstance, R_MAX, distortion
 from gceo.montecarlo import (
+    SHARD_SIZE,
     SimConfig,
     SimReport,
     _error_map,
+    _shard_rng,
     _simulate,
     simulate_distortion,
     simulate_refinement,
 )
 
-from conftest import SYM2, random_alloc, random_instance, reference_simulate
+from conftest import SYM2, random_alloc, random_instance
+from oracles import reference_simulate
 
 N_FAST = 200_000
 
@@ -187,3 +193,72 @@ def test_config_validation():
         SimConfig(n_samples=0, seed=1)
     with pytest.raises(ArgumentError):
         SimConfig(n_samples=10, seed=-1)
+
+
+def _sequential(instance, chain, n, seed):
+    """(MSE, standard error) per stage from one shard after another, each
+    drawn with ``_shard_rng`` and summed in shard order."""
+    G, row = np.unique(_error_map(instance, chain)[0], axis=0, return_inverse=True)
+    sum_se, sum_se2 = np.zeros(len(G)), np.zeros(len(G))
+    for shard in range(-(-n // SHARD_SIZE)):
+        z = _shard_rng(seed, shard).standard_normal((G.shape[1], min(SHARD_SIZE, n - shard * SHARD_SIZE)))
+        se = G @ z
+        se *= se
+        sum_se += se.sum(axis=1)
+        sum_se2 += (se * se).sum(axis=1)
+    mse, stderr = [], []
+    for j in row.reshape(len(chain)).tolist():
+        mse.append(float(sum_se[j]) / n)
+        var = (float(sum_se2[j]) - n * mse[-1] ** 2) / max(n - 1, 1)
+        stderr.append(math.sqrt(max(var, 0.0) / n))
+    return tuple(mse), tuple(stderr)
+
+
+@pytest.fixture(params=[1, 3], ids=["inline", "pooled"])
+def cpus(request, monkeypatch):
+    """Run the shards inline (one usable CPU) or on a fresh three-thread pool."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(montecarlo, "_pool", None)
+    yield request.param
+    if montecarlo._pool is not None:
+        montecarlo._pool[1].shutdown()
+
+
+_SEQUENTIAL_CHAINS = [
+    (SYM2, [(0.5, 0.7)]),
+    (SYM2, [(0.3, 0.2), (0.5, 0.5), (0.5, 0.5), (0.9, 0.5)]),
+    (CeoInstance(2.0, (0.5, 1.0, 3.0)), [(0.0, 0.4, 0.1), (0.6, 0.8, R_MAX)]),
+]
+
+
+@pytest.mark.parametrize("n", [1, SHARD_SIZE, SHARD_SIZE + 1, 7 * SHARD_SIZE + 5])
+@pytest.mark.parametrize("k", range(len(_SEQUENTIAL_CHAINS)))
+def test_pooled_shards_equal_the_sequential_loop(cpus, n, k):
+    inst, chain = _SEQUENTIAL_CHAINS[k]
+    rep = _simulate(inst, chain, SimConfig(n, seed=40 + k))
+    assert (rep.empirical_mse, rep.stderr) == _sequential(inst, chain, n, seed=40 + k)
+
+
+def test_in_flight_window_is_bounded(cpus, monkeypatch):
+    """A failing shard stops the simulation promptly, even at n = 2^62,
+    having started no more than the in-flight window beyond it."""
+    k = 5
+    calls = []
+    lock = threading.Lock()
+
+    def failing_sums(G, seed, shard, m):
+        with lock:
+            calls.append(shard)
+            failed = len(calls) - k
+        if failed == 1:
+            time.sleep(0.2)  # let the other workers run as far ahead as they may
+        if failed > 0:
+            raise RuntimeError("shard failed")
+        return np.zeros(len(G)), np.zeros(len(G))
+
+    monkeypatch.setattr(montecarlo, "_shard_sums", failing_sums)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="shard failed"):
+        simulate_distortion(SYM2, (0.5, 0.5), SimConfig(2**62, seed=1))
+    assert time.perf_counter() - start < 10.0
+    assert len(calls) <= k + montecarlo.IN_FLIGHT_PER_WORKER * cpus, calls
