@@ -19,6 +19,12 @@ that needs no inverse map (``region``, ``hyperplane``) starts without
 loading numpy or scipy.  ``montecarlo`` imports numpy when it draws, and
 ``concurrent.futures`` (which loads ``logging``) only when a simulation
 runs its shards on a thread pool, so no command loads either at start-up.
+
+``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
+returns with its nodes.  A grid's start-independent part (inversions,
+region tags, row text) is kept across maps in a memo of at most 65536
+nodes, so a cold map costs one r* per node and a warm map one stage-2
+scan per node that dominates ``--from``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import sys
 from itertools import permutations
 
 from .errors import ArgumentError, GceoError
-from .model import CeoInstance, R_MAX
+from .model import CeoInstance
 from . import hyperplane, montecarlo, polymatroid
 
 LN2 = math.log(2.0)
@@ -162,12 +168,6 @@ def _load_vectors(path: str, key: str) -> list[tuple[float, ...]]:
         raise ArgumentError(f"{key} must be a list of numeric lists: {exc}") from exc
 
 
-def _csv_value(r: float) -> str:
-    """A finite allocation entry as a CSV field: "CAP" at the cap, else as
-    ``_fmt`` writes it."""
-    return "CAP" if r >= R_MAX else "%.17g" % r
-
-
 # ----------------------------------------------------------------------
 # Command handlers (return process exit code).
 # ----------------------------------------------------------------------
@@ -238,14 +238,7 @@ def _cmd_omega_map(args) -> int:
     R_from = _parse_vector(getattr(args, "from"), instance.L, "from")
     grid = _parse_vector(args.grid, 3, "grid")
     nodes = refinement.reachable_set_l2(instance, R_from, grid, tol=args.tol)
-    # Node coordinates and D* are finite, so "%.17g" writes them as _fmt does.
-    lines = ["R1,R2,region,d_star,r1_star,r2_star,reachable"]
-    lines += [
-        "%.17g,%.17g,%s,%.17g,%s,%s,%d"
-        % (R[0], R[1], region.value, d_star, _csv_value(r[0]), _csv_value(r[1]), reachable)
-        for R, region, d_star, r, reachable in nodes
-    ]
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, nodes.csv())
     return 0
 
 

@@ -26,17 +26,26 @@ dominant face of the conditional rate region whose descriptions are the
 test channels of r*(R_j) given the coarser channels of r*(R_{j-1}).
 ``dominant_face_form`` evaluates that membership through the Gaussian
 covariance engine, as an independent cross-check of the inequality form.
+
+``reachable_set_l2`` runs the two-stage test from one start to every node
+of a two-encoder rate grid.  What does not depend on the start (each
+node's inversion, region tag, stage end and CSV row text) is a grid table,
+kept in a bounded memo of at most 65536 nodes in all.  A cold map costs one
+r* per node; a warm map, one stage-2 scan per node that dominates the
+start.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArgumentError
-from .model import CeoInstance, channel_noise_from_r, precision_weight
+from .model import R_MAX, CeoInstance, channel_noise_from_r, precision_weight
 from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
@@ -204,7 +213,85 @@ class GridNode(NamedTuple):
     reachable: bool
 
 
-def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILITY_TOL):
+_CSV_HEADER = "R1,R2,region,d_star,r1_star,r2_star,reachable\n"
+
+
+def _csv_value(r: float) -> str:
+    """A finite allocation entry as a CSV field: "CAP" at the cap, else at
+    17 significant digits."""
+    return "CAP" if r >= R_MAX else "%.17g" % r
+
+
+def _csv_prefix(node: GridNode) -> str:
+    """The CSV fields of a node that do not depend on the start, each
+    followed by a comma.  Node coordinates and D* are finite, so "%.17g"
+    writes them as the JSON output's ``_fmt`` does."""
+    (R1, R2), region, d_star, (r1, r2), _ = node
+    return "%.17g,%.17g,%s,%.17g,%s,%s," % (R1, R2, region.value, d_star, _csv_value(r1), _csv_value(r2))
+
+
+class GridMap(list):
+    """A reachability map: the ``GridNode`` of every node in row-major
+    order, with the CSV row prefixes of its grid table."""
+
+    def __init__(self, nodes, prefixes):
+        super().__init__(nodes)
+        self.prefixes = prefixes
+
+    def csv(self) -> str:
+        """The map as ``omega-map`` writes it: the header, then each node's
+        cached prefix and its reach bit."""
+        return _CSV_HEADER + "".join([p + ("1\n" if node.reachable else "0\n") for p, node in zip(self.prefixes, self)])
+
+
+class _GridTable(NamedTuple):
+    """The part of a reachability map that does not depend on the start.
+
+    ``axis[k]`` is the k-th node coordinate along either axis; node (a, b)
+    is entry a * n + b of ``nodes`` (its ``GridNode``, unreachable),
+    ``ends`` (its ``_stage_end``) and ``prefixes`` (its ``_csv_prefix``).
+    """
+
+    axis: list[float]
+    nodes: list[GridNode]
+    ends: list[tuple]
+    prefixes: list[str]
+
+
+# Grid tables kept across maps, least recently used first, keyed by
+# (instance, lo, step, n).  They hold at most _KEPT_NODES nodes in all, as
+# many as the r* LRU holds answers; a larger grid's table is not kept.
+_grid_tables: OrderedDict = OrderedDict()
+_KEPT_NODES = 65536
+
+
+def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridTable:
+    """The table of the n x n grid from ``lo`` by ``step``: kept, or built
+    by one ``r_star`` call and one ``omega_tag`` per node."""
+    key = (instance, lo, step, n)
+    table = _grid_tables.get(key)
+    if table is not None:
+        _grid_tables.move_to_end(key)
+        return table
+    axis, nodes, ends = [], [], []
+    for a in range(n):
+        R1 = lo + a * step
+        for b in range(n):
+            R = (R1, lo + b * step)
+            inv = r_star(instance, R)
+            nodes.append(GridNode(R, omega_tag(inv.margins), inv.d_star, inv.r_star, False))
+            ends.append(_stage_end(instance, R, inv))
+        axis.append(R1)
+    table = _GridTable(axis, nodes, ends, [_csv_prefix(node) for node in nodes])
+    if n * n <= _KEPT_NODES:
+        kept = n * n + sum(len(t.nodes) for t in _grid_tables.values())
+        while kept > _KEPT_NODES:
+            kept -= len(_grid_tables.popitem(last=False)[1].nodes)
+        _grid_tables[key] = table
+    return table
+
+
+def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILITY_TOL) -> GridMap:
     """Reachability map over a rectangular rate grid (two encoders).
 
     ``grid`` is (min, max, step) applied to both axes: finite entries, a
@@ -215,18 +302,22 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     ``R_from`` are unreachable by definition (stage rates never decrease).
     Nodes are emitted in row-major order (R1 outer, R2 inner).
 
-    Every node is solved once: one ``r_star`` call, whose two-encoder
-    answer (cached in the r* LRU) carries the omega margins that
-    ``classify_omega`` would compute, so the region tag is
-    ``omega_tag(inv.margins)`` with no second ``tilde_params`` solve.
-
     This is ``check_refinement([R_from, R])`` at every dominating node,
-    evaluated in one pass: ``R_from`` is validated and inverted once, and
-    stage 1 (0 -> R_from), the same for the whole map, is evaluated once.
-    Each dominating node then adds only its stage-2 rows, from its own
-    inversion, through the same ``_stage_rows``.  A node that undershoots
-    ``R_from`` by at most 1e-12 in some coordinate is tested at the
-    coordinatewise maximum, as the chain test would see it.
+    evaluated in two parts.  The grid table, which does not depend on the
+    start, holds every node's ``GridNode`` fields, stage end and CSV row
+    prefix.  It is built once per (instance, min, step, node count): one
+    ``r_star`` call per node, whose two-encoder answer (cached in the r*
+    LRU) carries the omega margins, so the region tag is
+    ``omega_tag(inv.margins)`` with no second ``tilde_params`` solve.
+    Kept tables hold at most 65536 nodes in all (the r* LRU's size), least
+    recently used dropped first; a larger grid's table is built, used and
+    dropped.  The per-start pass validates and inverts ``R_from``,
+    evaluates stage 1 (0 -> R_from) once, and adds the stage-2 rows of
+    each dominating node through the same ``_stage_rows``.  So a cold map
+    costs one r* per node, and a warm map one stage-2 scan per dominating
+    node.  A node that undershoots ``R_from`` by at most 1e-12 in some
+    coordinate is tested at the coordinatewise maximum, as the chain test
+    would see it.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -244,20 +335,19 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     origin = _stage_end(instance, zero, r_star(instance, zero))
     start = _stage_end(instance, R_from, r_star(instance, R_from))
     stage1 = min(slack for _, slack in _stage_rows(p0, origin, start))
-    nodes = []
-    for a in range(n):
-        R1 = lo + a * step
-        for b in range(n):
-            R2 = lo + b * step
-            R = (R1, R2)
-            inv = r_star(instance, R)
-            if R1 >= R_from[0] - 1e-12 and R2 >= R_from[1] - 1e-12:
-                target = (max(R1, R_from[0]), max(R2, R_from[1]))
-                inv_t = inv if target == R else r_star(instance, target)
-                end = _stage_end(instance, target, inv_t)
-                stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
-                reach = min(stage1, stage2) >= -tol
-            else:
-                reach = False
-            nodes.append(GridNode(R, omega_tag(inv.margins), inv.d_star, inv.r_star, reach))
-    return nodes
+    table = _grid_table(instance, lo, step, n)
+    nodes = list(table.nodes)
+    # Node coordinates grow with their index, so the nodes that dominate the
+    # start form the rectangle a >= a0, b >= b0.
+    a0 = bisect_left(table.axis, R_from[0] - 1e-12)
+    b0 = bisect_left(table.axis, R_from[1] - 1e-12)
+    for a in range(a0, n):
+        for k in range(a * n + b0, (a + 1) * n):
+            node = nodes[k]
+            R = node.R
+            target = (max(R[0], R_from[0]), max(R[1], R_from[1]))
+            end = table.ends[k] if target == R else _stage_end(instance, target, r_star(instance, target))
+            stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
+            if min(stage1, stage2) >= -tol:
+                nodes[k] = node._replace(reachable=True)
+    return GridMap(nodes, table.prefixes)

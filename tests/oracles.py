@@ -21,8 +21,8 @@ bound) only at desk scale:
   ``polymatroid._scan_min_slack`` with weights of either sign;
 * ``in_feasible_set``: whether an allocation reaches a distortion target;
 * ``solve_blocks``: the allocation that water-fills a given decode-block
-  structure, the building block of the inverse map's exhaustive oracles in
-  ``conftest.py``;
+  structure, the building block of the inverse map's exhaustive oracles
+  below;
 * ``solve_l1_root`` and ``partner_rate_root``: the single-encoder rate and
   the Omega_1 / Omega_2 partner rate of the two-encoder inverse map as
   ``brentq`` roots of their sum-rate identities, the references for
@@ -36,16 +36,31 @@ bound) only at desk scale:
   ``scheduler._stop``'s Dinkelbach iteration;
 * ``reference_simulate``: every stage's Monte Carlo MSE from the literal
   cascade of observations and test channels, the reference for the draw
-  plan of ``montecarlo._simulate``.
+  plan of ``montecarlo._simulate``;
+* ``exhaustive_slack`` and ``instance_slack``: the region slack over every
+  subset, the reference for ``polymatroid.min_slack``;
+* ``ordered_partitions``, ``valid_block_allocations``, ``enumerate_r_star``
+  and ``greedy_r_star``: the inverse map over every ordered decode-block
+  partition (largest precision wins) and by a block-by-block decomposition
+  that tries every subset as the next block, the references for
+  ``inversion.r_star``; neither calls the code it checks beyond the block
+  equation (``solve_blocks`` over ``inversion._block_constant``);
+* ``RegionProgram``: the inverse map's convex program with one row per
+  subset, whose all-rows KKT residual is the reference certificate;
+* ``grid_map_oracle``: the reachability grid map node by node, the full
+  chain test at every node, the reference for
+  ``refinement.reachable_set_l2``.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, nnls
 
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
+from gceo import inversion
 from gceo.inversion import _block_constant
 from gceo.model import (
     CeoInstance,
@@ -68,7 +83,7 @@ from gceo.polymatroid import (
     partial_precision,
     rank_f,
 )
-from gceo.refinement import FEASIBILITY_TOL, _validate_stages, check_refinement
+from gceo.refinement import FEASIBILITY_TOL, GridNode, _validate_stages, check_refinement
 from gceo.scheduler import _DUP_REL
 
 
@@ -474,3 +489,151 @@ def reference_simulate(instance, chain, n, seed):
         mse.append(float(se.mean()))
         stderr.append(math.sqrt(float(se.var(ddof=1)) / n))
     return mse, stderr
+
+
+def exhaustive_slack(sn, R, r, p0):
+    """min over nonempty A of R(A) - r(A) - (1/2) ln(p_all / p_comp(A)) in a
+    region with base precision p0, by explicit numpy enumeration of all
+    2^n - 1 subsets (p_comp(A) = p0 plus the weights outside A)."""
+    n = len(sn)
+    inside = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    r = np.asarray(r, dtype=float)
+    e = np.where(r >= R_MAX, 0.0, np.exp(-2.0 * np.minimum(r, R_MAX)))
+    w = (1.0 - e) / np.asarray(sn, dtype=float)
+    p_comp = p0 + np.where(inside, 0.0, w).sum(axis=1)
+    gap = np.where(inside, np.asarray(R, dtype=float) - r, 0.0).sum(axis=1)
+    return float(np.min(gap - 0.5 * np.log((p0 + w.sum()) / p_comp)))
+
+
+def instance_slack(instance, r, R):
+    """Exhaustive min_slack oracle for an instance (base precision 1/sigma_x2)."""
+    return exhaustive_slack(instance.sigma_n2, R, r, 1.0 / instance.sigma_x2)
+
+
+def ordered_partitions(items):
+    """Every ordered partition of ``items`` into nonempty blocks."""
+    if not items:
+        yield ()
+        return
+    for size in range(1, len(items) + 1):
+        for first in combinations(items, size):
+            remaining = tuple(i for i in items if i not in first)
+            for tail in ordered_partitions(remaining):
+                yield (first,) + tail
+
+
+def valid_block_allocations(sn, R, p0):
+    """(blocks, r, precision) for every decode-block structure whose exact
+    block solution lies in the region of a reduced problem."""
+    for blocks in ordered_partitions(tuple(range(len(sn)))):
+        r = solve_blocks(sn, R, blocks, p0)
+        if r is None or exhaustive_slack(sn, R, r, p0) < -1e-9:
+            continue
+        yield blocks, r, p0 + sum(precision_weight(s, v) for s, v in zip(sn, r))
+
+
+def enumerate_r_star(sn, R, p0):
+    """Exhaustive oracle for a reduced problem: the optimal allocation is the
+    valid decode-block candidate of maximal precision (L <= 5)."""
+    assert len(sn) <= 5, "ordered-partition enumeration is a desk-scale oracle"
+    return max(valid_block_allocations(sn, R, p0), key=lambda c: c[2])[1]
+
+
+def greedy_r_star(sn, R, p0):
+    """Subset-enumeration oracle for a reduced problem: Fujishige's
+    decomposition with every candidate block tried.  Each round solves every
+    nonempty subset A of the remaining encoders as one block through
+    ``solve_blocks`` and decodes the one with the largest water-filling
+    constant K_A (ties within 1e-12 relative go to the larger set), then
+    conditions on it.  Exact where the max-precision pick of
+    ``enumerate_r_star`` cannot resolve saturated coordinates (L <= 8)."""
+    assert len(sn) <= 8, "subset enumeration is a desk-scale oracle"
+    r = [0.0] * len(sn)
+    remaining = tuple(range(len(sn)))
+    p = p0
+    while remaining:
+        best_K, best = 0.0, None
+        for size in range(1, len(remaining) + 1):
+            for A in combinations(remaining, size):
+                sol = solve_blocks(sn, R, [A], p)
+                if sol is None:
+                    continue
+                K = sn[A[0]] * math.exp(2.0 * sol[A[0]])
+                if K >= best_K * (1.0 - 1e-12):
+                    best_K, best = max(K, best_K), (A, sol)
+        A, sol = best
+        for i in A:
+            r[i] = sol[i]
+        p += sum(precision_weight(sn[i], sol[i]) for i in A)
+        remaining = tuple(i for i in remaining if i not in A)
+    return r
+
+
+class RegionProgram:
+    """The inverse map as one convex program with a row per subset, kept as
+    the all-rows reference certificate: max u over x = (q, u),
+    q_i = exp(-r_i), subject to c_A(x) >= 0 for every subset A, with
+
+        c_A(q, u) = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) + sum_{i in A} ln q_i
+
+    and w_i = (1 - q_i^2) / sigma_n2[i]; the empty set's row is the
+    distortion constraint.  Every c_A is concave, so a feasible point that
+    admits KKT multipliers on its active rows is the global optimum.
+    """
+
+    def __init__(self, sn, R, p0):
+        n = len(sn)
+        self.p0 = p0
+        self.member = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+        self.outside = 1.0 - self.member
+        self.inv_sn = 1.0 / np.asarray(sn, dtype=float)
+        self.rate = self.member @ np.asarray(R, dtype=float)
+
+    def _p_outside(self, q):
+        return self.p0 + self.outside @ ((1.0 - q * q) * self.inv_sn)
+
+    def slacks(self, x):
+        q, u = x[:-1], x[-1]
+        return self.rate - 0.5 * u + 0.5 * np.log(self._p_outside(q)) + self.member @ np.log(q)
+
+    def jacobian(self, x):
+        q = x[:-1]
+        jac = np.empty((len(self.rate), len(q) + 1))
+        jac[:, :-1] = self.member / q - self.outside * (q * self.inv_sn) / self._p_outside(q)[:, None]
+        jac[:, -1] = -0.5
+        return jac
+
+    def kkt_residual(self, r):
+        """Stationarity residual of the best multipliers at (r, ln precision):
+        NNLS for  sum_A lambda_A (-grad c_A) = grad u  over every active row
+        (slack <= 1e-9), gradients in (r, u)."""
+        q = np.exp(-np.asarray(r, dtype=float))
+        p = self.p0 + float(((1.0 - q * q) * self.inv_sn).sum())
+        x = np.append(q, math.log(p))
+        active = self.slacks(x) <= 1e-9
+        jac = self.jacobian(x)[active]
+        jac[:, :-1] *= -q  # dq_i/dr_i
+        target = np.zeros(len(q) + 1)
+        target[-1] = 1.0
+        _, residual = nnls(-jac.T, target)
+        return float(residual)
+
+
+def grid_map_oracle(instance, R_from, grid, tol=1e-6):
+    """Reachability grid map node by node: classify, invert, and run the full
+    two-stage chain test ``check_refinement([R_from, target])`` at every node
+    that dominates the start (within 1e-12), target being the coordinatewise
+    maximum of node and start."""
+    lo, hi, step = grid
+    n = int(round((hi - lo) / step)) + 1
+    nodes = []
+    for a in range(n):
+        for b in range(n):
+            R = (lo + a * step, lo + b * step)
+            inv = inversion.r_star(instance, R)
+            reach = False
+            if R[0] >= R_from[0] - 1e-12 and R[1] >= R_from[1] - 1e-12:
+                target = (max(R[0], R_from[0]), max(R[1], R_from[1]))
+                reach = check_refinement(instance, [R_from, target], tol).feasible
+            nodes.append(GridNode(R, inversion.classify_omega(instance, R), inv.d_star, inv.r_star, reach))
+    return nodes

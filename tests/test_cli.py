@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -208,6 +209,30 @@ class TestHighRates:
         assert len(out_path.read_text().strip().splitlines()) == 1 + 26 * 26
 
 
+# SHA-256 of `omega-map --grid 0,3,0.1` output on the two-encoder instances
+# of the benchmark's grid-map workload, from one OMEGA1 and one OMEGA2
+# start each (1.63,0.12 off the grid, 1.1,0.7 an ulp below a node), at
+# the default tolerance and at --tol 0: (instance, start, tol, digest).
+GOLDEN_MAPS = [
+    ((1.0, [1.0, 1.0]), "1.1,0.7", [], "b30ba0045b8ce23809c97abcf5568a28b84fb4df449073ca81ef048c96678cc5"),
+    ((1.0, [1.0, 1.0]), "1.1,0.7", ["--tol", "0"], "47823f750d1ba79797072411f3200091e2c91ed53f1d065575fb7c9d98f6ae7a"),
+    ((1.0, [1.0, 1.0]), "0.1,1.5", [], "c4e302cdb902dbfc27c428bedd8e3cc30b15d4268ce92bc1669f09cc0a406344"),
+    ((1.0, [1.0, 1.0]), "0.1,1.5", ["--tol", "0"], "47823f750d1ba79797072411f3200091e2c91ed53f1d065575fb7c9d98f6ae7a"),
+    ((1.0, [0.6, 1.7]), "1.5,0.1", [], "f07d4ecfe50d0540fb8ca404794db49b68aaf6d49ab85b13aba3f7784b5c58d1"),
+    ((1.0, [0.6, 1.7]), "1.5,0.1", ["--tol", "0"], "6ed4f3794b3f1736fdf6571aef51b86fc1cfe05e93eccec4cbd24f8f9783157c"),
+    ((1.0, [0.6, 1.7]), "0.1,1.5", [], "7f824ec2a8f1b7bcb1dcd07b9dff4774ccfaa72d8be973735fc33ed1f585aa87"),
+    ((1.0, [0.6, 1.7]), "0.1,1.5", ["--tol", "0"], "6ed4f3794b3f1736fdf6571aef51b86fc1cfe05e93eccec4cbd24f8f9783157c"),
+    ((2.0, [0.5, 2.0]), "1.63,0.12", [], "5c538f87b94f2d618462069f677194d8cd8319a5e8a9dfc09ba163d3d2b4281f"),
+    ((2.0, [0.5, 2.0]), "1.63,0.12", ["--tol", "0"], "9eb4a807abc296e919cfcc1155a97326b98fb12349aa27a167dd802328d65b1f"),
+    ((2.0, [0.5, 2.0]), "0.1,1.5", [], "14e1386dc3479313eed18d063f393b88947bc5e0b563787c61fd95d00195d97d"),
+    ((2.0, [0.5, 2.0]), "0.1,1.5", ["--tol", "0"], "b3815908fc4f0bf8ff3054bffc62b27a3761e18b6c180cb8784d2f098d576add"),
+    ((0.8, [1.3, 0.9]), "0.1,1.5", [], "0507bfab21b183a1535947a7c176dcddf1fa24c7724a67a1b9fc887c0d85055e"),
+    ((0.8, [1.3, 0.9]), "0.1,1.5", ["--tol", "0"], "3252664a185f763d500d224a7af19392b35322c57391b574a153eabb8f2da596"),
+    ((0.8, [1.3, 0.9]), "1.1,0.7", [], "dc28248385e7dd1600b1d91d2407fcf93d7ab95b5dafcaa0d72c3c593c94fd9b"),
+    ((0.8, [1.3, 0.9]), "1.1,0.7", ["--tol", "0"], "3252664a185f763d500d224a7af19392b35322c57391b574a153eabb8f2da596"),
+]
+
+
 class TestOmegaMap:
     def test_csv_shape(self, sym2_file, tmp_path):
         out_path = tmp_path / "map.csv"
@@ -249,6 +274,19 @@ class TestOmegaMap:
         ]
         assert out_path.read_text().splitlines()[1:] == expected
         assert "CAP" in out_path.read_text()
+
+    @pytest.mark.parametrize("case", range(len(GOLDEN_MAPS)))
+    def test_maps_match_their_recorded_hashes(self, tmp_path, case):
+        # Each map twice: the first builds the grid table, the second is
+        # answered from it and must write the same bytes.
+        (sigma_x2, sigma_n2), start, tol, digest = GOLDEN_MAPS[case]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"sigma_x2": sigma_x2, "sigma_n2": sigma_n2}))
+        argv = ["omega-map", "--instance", str(path), "--from", start, "--grid", "0,3,0.1", *tol]
+        cold, warm = run(argv), run(argv)
+        assert cold[0] == 0
+        assert warm == cold
+        assert hashlib.sha256(cold[1].encode()).hexdigest() == digest
 
     def test_node_past_the_largest_float_exits_two(self, sym2_file):
         # Two nodes per axis, the second at 2e308: an infinite rate is no

@@ -23,20 +23,24 @@ from gceo.hyperplane import support_value
 
 from conftest import (
     ASYM_INSTANCES,
-    RegionProgram,
     boundary_vertex,
     compatible_decode_order,
     dominant_face_point,
-    enumerate_r_star,
-    exhaustive_slack,
-    greedy_r_star,
     random_alloc,
     random_instance,
     roadmap_repro,
     sample_omega_point,
+)
+from oracles import (
+    RegionProgram,
+    enumerate_r_star,
+    exhaustive_slack,
+    greedy_r_star,
+    partner_rate_root,
+    solve_blocks,
+    solve_l1_root,
     valid_block_allocations,
 )
-from oracles import partner_rate_root, solve_blocks, solve_l1_root
 
 LN2 = math.log(2.0)
 
@@ -496,3 +500,21 @@ class TestConvexSolver:
         assert (closed["method"], closed["branch"], closed["kkt_residual"]) == ("closed_form_l2", "omega1", None)
         reduced = r_star(CeoInstance(1.0, (0.5, 1.0, 2.0)), (0.0, 0.6, 0.0)).to_dict()
         assert (reduced["method"], reduced["branch"]) == ("closed_form_l1", "reduced")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="ROADMAP item 7: the decomposition fails its certificate on noises near 1e-12",
+)
+def test_decomposition_at_tiny_noise_matches_the_closed_form():
+    # Block weights 1/sn - 1/K of order 1e12.  The closed form answers every
+    # point; the forced decomposition raises at 25 of these 49, R = (5, 5)
+    # among them.
+    inst = CeoInstance(1.0, (1e-12, 1.0))
+    rates = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 49.0)
+    for R in [(a, b) for a in rates for b in rates]:
+        a = r_star_l2(inst, R)
+        b = r_star(inst, R, method="bisection")
+        assert a.r_star == pytest.approx(b.r_star, abs=1e-9)
+        assert a.d_star == pytest.approx(b.d_star, rel=1e-12)

@@ -24,8 +24,6 @@ from gceo import scheduler
 
 from conftest import (
     dominant_face_point,
-    exhaustive_slack,
-    instance_slack,
     random_alloc,
     random_instance,
 )
@@ -33,6 +31,8 @@ from oracles import (
     check_supermodular,
     enumerate_face,
     exhaustive_scan_slack,
+    exhaustive_slack,
+    instance_slack,
     rank_fD,
     supermodularity_margin,
     unconditioned_rank,

@@ -18,12 +18,11 @@ from gceo.refinement import (
 
 from conftest import (
     ASYM_INSTANCES,
-    grid_map_oracle,
     last_decoded_chain,
     random_instance,
     sample_omega_point,
 )
-from oracles import enumerate_stage_slacks, pairwise_equivalence
+from oracles import enumerate_stage_slacks, grid_map_oracle, pairwise_equivalence
 
 
 class TestCheckRefinement:
@@ -299,24 +298,68 @@ class TestReachableGrid:
         assert [n.reachable for n in nodes if n.R == (0.5, 0.25)] == [True]
 
     def test_warm_map_solves_each_node_once(self, sym2, monkeypatch):
-        # Once the r* LRU holds the map, a node costs one r_star call (a
-        # cache hit whose margins give the tag) and no tilde_params solve.
-        # The start sits on the grid, so no node needs a second target.
+        # A cold map solves each node once: one r_star call, whose margins
+        # give the tag, and no tilde_params solve.  Once the grid table is
+        # kept, a map makes only the origin and start r_star calls.  The
+        # start sits on the grid, so no node needs a second target.
         grid, start = (0.0, 2.0, 0.25), (0.5, 0.75)
-        cold = reachable_set_l2(sym2, start, grid)
-        calls = {"r_star": 0, "tilde_params": 0}
+        calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0}
 
-        def counted(name, fn):
+        def counted(module, name):
+            fn = getattr(module, name)
+
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        monkeypatch.setattr(refinement, "r_star", counted("r_star", refinement.r_star))
-        monkeypatch.setattr(inversion, "tilde_params", counted("tilde_params", inversion.tilde_params))
+        counted(refinement, "r_star")
+        counted(refinement, "omega_tag")
+        counted(inversion, "tilde_params")
+        cold = reachable_set_l2(sym2, start, grid)
+        assert calls["r_star"] == calls["omega_tag"] + 2 == len(cold) + 2
+        calls.update(r_star=0, tilde_params=0, omega_tag=0)
         assert reachable_set_l2(sym2, start, grid) == cold
-        assert calls == {"r_star": len(cold) + 2, "tilde_params": 0}  # + the origin and the start
+        assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0}  # the origin and the start
+
+    def test_warm_map_equals_cold_map(self):
+        # Every start of every instance is answered from the first start's
+        # table, rows and nodes alike, as a cold map would answer it.
+        grid = (0.0, 3.0, 0.1)
+        rng = np.random.default_rng(73)
+        for inst in ASYM_INSTANCES:
+            starts = [sample_omega_point(inst, rng, want) for want in ("OMEGA1", "OMEGA2", "OMEGA3")]
+            warm = [reachable_set_l2(inst, start, grid, tol) for start in starts for tol in (1e-6, 0.0)]
+            cold = []
+            for start in starts:
+                for tol in (1e-6, 0.0):
+                    refinement._grid_tables.clear()
+                    cold.append(reachable_set_l2(inst, start, grid, tol))
+            assert [m.csv() for m in warm] == [m.csv() for m in cold]
+            assert warm == cold
+
+    def test_kept_tables_stay_within_the_node_budget(self, sym2, monkeypatch):
+        monkeypatch.setattr(refinement, "_KEPT_NODES", 60)
+        start = (0.25, 0.5)
+        small = [(lo, lo + 1.0, 0.25) for lo in (0.0, 0.5, 1.0)]  # 25 nodes each
+        big = (0.0, 2.0, 0.25)  # 81 nodes
+        for grid in small[:2]:
+            reachable_set_l2(sym2, start, grid)
+        assert [key[1] for key in refinement._grid_tables] == [0.0, 0.5]
+        # A third 25-node table pushes out the least recently used one.
+        reachable_set_l2(sym2, start, small[0])
+        reachable_set_l2(sym2, start, small[2])
+        assert [key[1] for key in refinement._grid_tables] == [0.0, 1.0]
+        # A grid over the budget answers as the per-node oracle does, and
+        # neither it nor a displaced table is kept.
+        for tol in (1e-6, 0.0):
+            assert reachable_set_l2(sym2, start, big, tol) == grid_map_oracle(sym2, start, big, tol)
+        assert [key[1] for key in refinement._grid_tables] == [0.0, 1.0]
+        # A kept table serves only its own grid: same first node and node
+        # count, another step.
+        coarse = (0.0, 2.0, 0.5)
+        assert reachable_set_l2(sym2, start, coarse) == grid_map_oracle(sym2, start, coarse)
 
     @settings(max_examples=40)
     @given(
