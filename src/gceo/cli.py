@@ -22,9 +22,12 @@ runs its shards on a thread pool, so no command loads either at start-up.
 
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,
-region tags, row text) is kept across maps in a memo of at most 65536
-nodes, so a cold map costs one r* per node and a warm map one stage-2
-scan per node that dominates ``--from``.
+region tags, row text) is kept across maps in a memo of at most as many
+nodes as the r* cache holds answers, so a cold map costs one r* per node
+and a warm map one stage-2 scan per node that dominates ``--from``.  One
+command runs one map, which is always cold; only a process that runs
+several maps of one grid (``main`` or ``reachable_set_l2`` called in a
+loop) gets warm maps.
 """
 
 from __future__ import annotations
@@ -117,15 +120,16 @@ def _emit(args, payload: dict, rate_keys=_RATE_KEYS) -> None:
             {k: v for k, v in payload.items() if k != "units"}, rate_keys
         )
     text = _to_json(payload) + "\n"
-    _write(args.output, text)
+    _write(args.output, [text])
 
 
-def _write(output: str, text: str) -> None:
+def _write(output: str, chunks) -> None:
+    """Write the strings ``chunks`` in order to ``output`` ("-": stdout)."""
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _load_instance(path: str) -> CeoInstance:
@@ -238,7 +242,7 @@ def _cmd_omega_map(args) -> int:
     R_from = _parse_vector(getattr(args, "from"), instance.L, "from")
     grid = _parse_vector(args.grid, 3, "grid")
     nodes = refinement.reachable_set_l2(instance, R_from, grid, tol=args.tol)
-    _write(args.output, nodes.csv())
+    _write(args.output, nodes.csv_chunks())
     return 0
 
 

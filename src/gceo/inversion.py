@@ -520,7 +520,11 @@ def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
+# Answers the r* LRU holds; refinement keeps as many grid-table nodes.
+_R_STAR_CACHE_SIZE = 65536
+
+
+@lru_cache(maxsize=_R_STAR_CACHE_SIZE)
 def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionResult:
     if method == "auto" and instance.L == 2:
         return r_star_l2(instance, R)

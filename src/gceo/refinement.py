@@ -29,10 +29,10 @@ covariance engine, as an independent cross-check of the inequality form.
 
 ``reachable_set_l2`` runs the two-stage test from one start to every node
 of a two-encoder rate grid.  What does not depend on the start (each
-node's inversion, region tag, stage end and CSV row text) is a grid table,
-kept in a bounded memo of at most 65536 nodes in all.  A cold map costs one
-r* per node; a warm map, one stage-2 scan per node that dominates the
-start.
+node's inversion, region tag and CSV row text) is a grid table, kept in a
+bounded memo of at most as many nodes in all as the r* cache holds
+answers.  A cold map costs one r* per node; a warm map, one stage-2 scan
+per node that dominates the start.
 """
 
 from __future__ import annotations
@@ -42,12 +42,13 @@ import sys
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import ArgumentError
 from .model import R_MAX, CeoInstance, channel_noise_from_r, precision_weight
 from .polymatroid import _scan_min_slack, mask_to_indices
-from .inversion import OmegaTag, omega_tag, r_star
+from .inversion import _R_STAR_CACHE_SIZE, OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
 
 FEASIBILITY_TOL = 1e-6
@@ -108,7 +109,8 @@ def _validate_stages(instance: CeoInstance, stages) -> list[tuple[float, ...]]:
 
 def _stage_end(instance: CeoInstance, R, inv) -> tuple:
     """A chain point as the stage test reads it: R, r*(R), the precision
-    weights of r*(R) and D*(R), from the inversion ``inv`` of R."""
+    weights of r*(R) and D*(R), from ``inv``: the inversion of R, or the
+    ``GridNode`` of R, which carries the same ``r_star`` and ``d_star``."""
     r = inv.r_star
     return R, r, [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)], inv.d_star
 
@@ -232,37 +234,40 @@ def _csv_prefix(node: GridNode) -> str:
 
 class GridMap(list):
     """A reachability map: the ``GridNode`` of every node in row-major
-    order, with the CSV row prefixes of its grid table."""
+    order, with the CSV row prefixes of its grid table (a tuple)."""
 
-    def __init__(self, nodes, prefixes):
+    def __init__(self, nodes, prefixes: tuple[str, ...]):
         super().__init__(nodes)
         self.prefixes = prefixes
 
-    def csv(self) -> str:
-        """The map as ``omega-map`` writes it: the header, then each node's
-        cached prefix and its reach bit."""
-        return _CSV_HEADER + "".join([p + ("1\n" if node.reachable else "0\n") for p, node in zip(self.prefixes, self)])
+    def csv_chunks(self):
+        """The map as ``omega-map`` writes it, 1024 lines of text at a time
+        (so no copy of the whole text is held): the header, then each
+        node's kept prefix and its reach bit."""
+        yield _CSV_HEADER
+        lines = zip(self.prefixes, self)
+        while chunk := "".join([p + ("1\n" if node.reachable else "0\n") for p, node in islice(lines, 1024)]):
+            yield chunk
 
 
 class _GridTable(NamedTuple):
     """The part of a reachability map that does not depend on the start.
 
     ``axis[k]`` is the k-th node coordinate along either axis; node (a, b)
-    is entry a * n + b of ``nodes`` (its ``GridNode``, unreachable),
-    ``ends`` (its ``_stage_end``) and ``prefixes`` (its ``_csv_prefix``).
+    is entry a * n + b of ``nodes`` (its ``GridNode``, unreachable) and of
+    ``prefixes`` (its ``_csv_prefix``).
     """
 
     axis: list[float]
     nodes: list[GridNode]
-    ends: list[tuple]
-    prefixes: list[str]
+    prefixes: tuple[str, ...]
 
 
 # Grid tables kept across maps, least recently used first, keyed by
 # (instance, lo, step, n).  They hold at most _KEPT_NODES nodes in all, as
-# many as the r* LRU holds answers; a larger grid's table is not kept.
+# many as the r* cache holds answers; a larger grid's table is not kept.
 _grid_tables: OrderedDict = OrderedDict()
-_KEPT_NODES = 65536
+_KEPT_NODES = _R_STAR_CACHE_SIZE
 
 
 def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridTable:
@@ -273,16 +278,15 @@ def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridT
     if table is not None:
         _grid_tables.move_to_end(key)
         return table
-    axis, nodes, ends = [], [], []
+    axis, nodes = [], []
     for a in range(n):
         R1 = lo + a * step
         for b in range(n):
             R = (R1, lo + b * step)
             inv = r_star(instance, R)
             nodes.append(GridNode(R, omega_tag(inv.margins), inv.d_star, inv.r_star, False))
-            ends.append(_stage_end(instance, R, inv))
         axis.append(R1)
-    table = _GridTable(axis, nodes, ends, [_csv_prefix(node) for node in nodes])
+    table = _GridTable(axis, nodes, tuple(_csv_prefix(node) for node in nodes))
     if n * n <= _KEPT_NODES:
         kept = n * n + sum(len(t.nodes) for t in _grid_tables.values())
         while kept > _KEPT_NODES:
@@ -304,20 +308,19 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
 
     This is ``check_refinement([R_from, R])`` at every dominating node,
     evaluated in two parts.  The grid table, which does not depend on the
-    start, holds every node's ``GridNode`` fields, stage end and CSV row
-    prefix.  It is built once per (instance, min, step, node count): one
-    ``r_star`` call per node, whose two-encoder answer (cached in the r*
-    LRU) carries the omega margins, so the region tag is
-    ``omega_tag(inv.margins)`` with no second ``tilde_params`` solve.
-    Kept tables hold at most 65536 nodes in all (the r* LRU's size), least
-    recently used dropped first; a larger grid's table is built, used and
-    dropped.  The per-start pass validates and inverts ``R_from``,
-    evaluates stage 1 (0 -> R_from) once, and adds the stage-2 rows of
-    each dominating node through the same ``_stage_rows``.  So a cold map
-    costs one r* per node, and a warm map one stage-2 scan per dominating
-    node.  A node that undershoots ``R_from`` by at most 1e-12 in some
-    coordinate is tested at the coordinatewise maximum, as the chain test
-    would see it.
+    start, holds every node's ``GridNode`` fields and CSV row prefix.  It
+    is built once per (instance, min, step, node count): one ``r_star``
+    call per node, whose two-encoder answer (cached in the r* LRU) carries
+    the omega margins, so the region tag is ``omega_tag(inv.margins)``
+    with no second ``tilde_params`` solve.  Kept tables hold at most as
+    many nodes in all as the r* LRU holds answers, least recently used
+    dropped first; a larger grid's table is built, used and dropped.  The
+    per-start pass validates and inverts ``R_from``, evaluates stage 1
+    (0 -> R_from) once, and adds the stage-2 rows of each dominating node
+    through the same ``_stage_rows``.  So a cold map costs one r* per
+    node, and a warm map one stage-2 scan per dominating node.  A node
+    that undershoots ``R_from`` by at most 1e-12 in some coordinate is
+    tested at the coordinatewise maximum, as the chain test would see it.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -336,7 +339,7 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     start = _stage_end(instance, R_from, r_star(instance, R_from))
     stage1 = min(slack for _, slack in _stage_rows(p0, origin, start))
     table = _grid_table(instance, lo, step, n)
-    nodes = list(table.nodes)
+    nodes = GridMap(table.nodes, table.prefixes)
     # Node coordinates grow with their index, so the nodes that dominate the
     # start form the rectangle a >= a0, b >= b0.
     a0 = bisect_left(table.axis, R_from[0] - 1e-12)
@@ -346,8 +349,8 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
             node = nodes[k]
             R = node.R
             target = (max(R[0], R_from[0]), max(R[1], R_from[1]))
-            end = table.ends[k] if target == R else _stage_end(instance, target, r_star(instance, target))
+            end = _stage_end(instance, target, node if target == R else r_star(instance, target))
             stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
             if min(stage1, stage2) >= -tol:
                 nodes[k] = node._replace(reachable=True)
-    return GridMap(nodes, table.prefixes)
+    return nodes

@@ -301,9 +301,11 @@ class TestReachableGrid:
         # A cold map solves each node once: one r_star call, whose margins
         # give the tag, and no tilde_params solve.  Once the grid table is
         # kept, a map makes only the origin and start r_star calls.  The
-        # start sits on the grid, so no node needs a second target.
+        # start sits on the grid, so no node needs a second target.  Either
+        # map builds stage ends only for the origin, the start and the
+        # nodes that dominate the start.
         grid, start = (0.0, 2.0, 0.25), (0.5, 0.75)
-        calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0}
+        calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0, "_stage_end": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -317,11 +319,15 @@ class TestReachableGrid:
         counted(refinement, "r_star")
         counted(refinement, "omega_tag")
         counted(inversion, "tilde_params")
+        counted(refinement, "_stage_end")
         cold = reachable_set_l2(sym2, start, grid)
+        ends = 2 + sum(R[0] >= start[0] and R[1] >= start[1] for R, *_ in cold)
         assert calls["r_star"] == calls["omega_tag"] + 2 == len(cold) + 2
-        calls.update(r_star=0, tilde_params=0, omega_tag=0)
+        assert calls["_stage_end"] == ends
+        calls.update(r_star=0, tilde_params=0, omega_tag=0, _stage_end=0)
         assert reachable_set_l2(sym2, start, grid) == cold
-        assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0}  # the origin and the start
+        # Only the origin and the start are inverted.
+        assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0, "_stage_end": ends}
 
     def test_warm_map_equals_cold_map(self):
         # Every start of every instance is answered from the first start's
@@ -336,7 +342,7 @@ class TestReachableGrid:
                 for tol in (1e-6, 0.0):
                     refinement._grid_tables.clear()
                     cold.append(reachable_set_l2(inst, start, grid, tol))
-            assert [m.csv() for m in warm] == [m.csv() for m in cold]
+            assert ["".join(m.csv_chunks()) for m in warm] == ["".join(m.csv_chunks()) for m in cold]
             assert warm == cold
 
     def test_kept_tables_stay_within_the_node_budget(self, sym2, monkeypatch):
