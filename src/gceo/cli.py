@@ -40,7 +40,7 @@ import sys
 from itertools import permutations
 
 from .errors import ArgumentError, GceoError
-from .model import CeoInstance
+from .model import TOL_EQ, CeoInstance
 from . import hyperplane, montecarlo, polymatroid
 
 LN2 = math.log(2.0)
@@ -196,8 +196,7 @@ def _cmd_region(args) -> int:
         raise ArgumentError(f"region {args.action} needs --R")
     R = _parse_vector(args.R, instance.L, "R")
     if args.action == "check":
-        slack = polymatroid.min_slack(instance, r, R)
-        contains = slack >= -args.tol
+        contains, slack = polymatroid.region_check(instance, r, R, args.tol)
         _emit(args, {"contains": contains, "slack": slack})
         return 0 if contains else 1
     if args.action == "face":
@@ -302,7 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--bits", action="store_true", help="add a bits display section")
     common.add_argument(
         "--tol", type=float, default=None,
-        help="tolerance override (default: 1e-9; 1e-7 for omega; 1e-6 for refine/omega-map; "
+        help="tolerance in nats on top of the rounding floor of the rates involved, so 0 means "
+        "exact up to that floor (default: model.TOL_EQ = 1e-9 for region; inversion.OMEGA_TOL = 1e-7 "
+        "for omega; refinement.FEASIBILITY_TOL = 1e-6 for refine and omega-map; "
         "schedule ignores it and uses fixed tolerances)",
     )
 
@@ -354,13 +355,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_defaults(args) -> None:
     if args.tol is None:
         if args.command == "omega":
-            args.tol = 1e-7
+            from .inversion import OMEGA_TOL
+
+            args.tol = OMEGA_TOL
         elif args.command in ("omega-map", "refine"):
             from .refinement import FEASIBILITY_TOL
 
             args.tol = FEASIBILITY_TOL
         else:
-            args.tol = 1e-9
+            args.tol = TOL_EQ
     elif not 0.0 <= args.tol < math.inf:
         raise ArgumentError(f"--tol must be finite and >= 0, got {args.tol}")
 

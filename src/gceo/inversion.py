@@ -70,7 +70,7 @@ that set's K_A (a monotone scalar root), and stop when no set has g < 0;
 K rises strictly, so the loop ends, in practice within a few steps.
 
 Every answer is certified.  It must lie in the region (minimum subset slack
->= -1e-9) and pass a KKT check of the same optimization written as one
+>= -TOL_EQ) and pass a KKT check of the same optimization written as one
 jointly convex program in x = (r, u), u = ln(1/D):
 
     maximize u  subject to, for every subset A of the finite encoders,
@@ -81,8 +81,9 @@ distortion constraint.  Each row is convex in (r, u), because -ln of a
 positive concave function is convex (Boyd & Vandenberghe, Convex
 Optimization, ch. 4).  Multipliers are sought (NNLS) only on the suffix
 unions of the decode blocks and the distortion row, at most L + 1 rows,
-all active by construction; nonnegative multipliers there with a
-stationarity residual of at most KKT_LIMIT prove global optimality.
+which must all be active: slack at most TOL_EQ plus the rounding floor of
+R (``model.rate_floor``).  Active rows and nonnegative multipliers there
+with a stationarity residual of at most KKT_LIMIT prove global optimality.
 Otherwise ``ConvergenceError`` is raised.  The residual is reported on the
 result as ``kkt_residual``.  ``method="bisection"`` is the historical name
 for forcing this solver on two encoders.
@@ -99,7 +100,7 @@ import numpy as np
 from scipy.optimize import brentq, nnls
 
 from .errors import ArgumentError, ConvergenceError
-from .model import CeoInstance, R_MAX, exp_neg2r, is_cap, precision_weight
+from .model import TOL_EQ, CeoInstance, R_MAX, exp_neg2r, is_cap, precision_weight, rate_floor
 from .polymatroid import _min_threshold_set, _scan_min_slack
 
 RESIDUAL_LIMIT = 1e-5
@@ -108,11 +109,6 @@ OMEGA_TOL = 1e-7
 # exact optimum measures <= 1e-14; a neighbouring wrong block structure
 # measures >= 1e-8 even where its distortion is within 1e-9 of D*.
 KKT_LIMIT = 1e-10
-# Constraint rows with slack at most this count as active in the certificate.
-_ACTIVE_TOL = 1e-9
-# Block-test values g(A, K) within this many units of 1 + R(remaining
-# encoders) count as ties: ~100x the rounding of g at a fixed K.
-_TIE_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -227,10 +223,12 @@ def _top_block(sn, R, members, p: float):
 
     Dinkelbach iteration from just above the largest noise: while the set
     minimizing g(., K) has g < 0, its K_A exceeds K and becomes the next K.
-    Just above a small noise one ulp of K can move g by more than the tie
-    tolerance; a step that cannot raise K then ends the search.
+    Values of g within the rounding floor of the members' rates
+    (``model.rate_floor``) of the minimum count as ties.  Just above a
+    small noise one ulp of K can move g by more than that; a step that
+    cannot raise K then ends the search.
     """
-    tie = _TIE_REL * (1.0 + sum(R[i] for i in members))
+    tie = rate_floor([R[i] for i in members])
     K = max(sn[i] for i in members) * (1.0 + 1e-13)
     block = None
     while True:
@@ -262,23 +260,29 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
 
     Solves  sum_A lambda_A (-grad c_A) = grad u  with lambda >= 0 (NNLS),
     c_A = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) - r(A) and gradients in
-    (r, u), over the chain rows that are active; zero multipliers on every
-    other row complete a full KKT certificate.  The bounds r_i in [0, R_i]
-    never bind at a block solution with positive rates, so they take no
-    multiplier.
+    (r, u), over every chain row; zero multipliers on every other row
+    complete a full KKT certificate.  Complementary slackness needs every
+    chain row active: a row with slack above TOL_EQ plus the rounding
+    floor of R (``model.rate_floor``) raises ConvergenceError.  The bounds
+    r_i in [0, R_i] never bind at a block solution with positive rates, so
+    they take no multiplier.
     """
     n = len(sn)
     w = [precision_weight(s, v) for s, v in zip(sn, r)]
     slope = [exp_neg2r(v) / s for s, v in zip(sn, r)]  # (1/2) dw_i / dr_i
     p_all = p0 + sum(w)
+    active = TOL_EQ + rate_floor(R)
     decoded = set()  # A^c: the blocks decoded before the row's set A
     cols = []
     for block in [()] + list(blocks):
         decoded.update(block)
         p_out = p0 + sum(w[i] for i in decoded)
         slack = sum(R[i] - r[i] for i in range(n) if i not in decoded) - 0.5 * math.log(p_all / p_out)
-        if slack <= _ACTIVE_TOL:
-            cols.append([-slope[i] / p_out if i in decoded else 1.0 for i in range(n)] + [0.5])
+        if slack > active:
+            raise ConvergenceError(
+                f"decomposition fails its KKT certificate: a decode-chain row is slack ({slack:.3e})"
+            )
+        cols.append([-slope[i] / p_out if i in decoded else 1.0 for i in range(n)] + [0.5])
     target = np.zeros(n + 1)
     target[-1] = 1.0
     _, residual = nnls(np.array(cols).T, target)
@@ -299,7 +303,7 @@ def _decompose(sn, R, p0: float):
         blocks.append(block)
         members = [i for i in members if i not in block]
     slack = _reduced_min_slack(sn, R, r, p0)
-    if slack < -1e-9:
+    if slack < -TOL_EQ:
         raise ConvergenceError(f"decomposition leaves the rate region (slack {slack:.3e})")
     residual = _chain_kkt_residual(sn, R, r, blocks, p0)
     if not residual <= KKT_LIMIT:
@@ -348,9 +352,9 @@ def _assemble(
 
 
 def _split_rates(instance: CeoInstance, R):
-    # Rates below 1e-9 nats are treated as zero; the sum-rate identity then
-    # holds to well within the residual contract.
-    finite = [i for i in range(instance.L) if 1e-9 < R[i] < R_MAX]
+    # Rates up to TOL_EQ nats are treated as zero; the sum-rate identity
+    # then holds to well within the residual contract.
+    finite = [i for i in range(instance.L) if TOL_EQ < R[i] < R_MAX]
     p0 = 1.0 / instance.sigma_x2 + sum(
         1.0 / instance.sigma_n2[i] for i in range(instance.L) if is_cap(R[i])
     )
@@ -485,12 +489,14 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
     return R[a] - th1, R[b] - th2
 
 
-def omega_tag(margins, tol: float = OMEGA_TOL) -> OmegaTag:
-    """Region tag of a rate pair with omega margins ``margins``
+def omega_tag(margins, R, tol: float = OMEGA_TOL) -> OmegaTag:
+    """Region tag of the rate pair R with omega margins ``margins``
     (``omega_margins``, or the ``margins`` of its two-encoder r* answer);
-    within ``tol`` of a threshold the separating BOUNDARY tag."""
+    within ``tol`` plus the rounding floor of R (``model.rate_floor``) of
+    a threshold the separating BOUNDARY tag."""
     t1, t2 = margins
-    near1, near2 = abs(t1) <= tol, abs(t2) <= tol
+    band = tol + rate_floor(R)
+    near1, near2 = abs(t1) <= band, abs(t2) <= band
     if near1 and near2:
         return OmegaTag.BOUNDARY_12
     if near1:
@@ -509,10 +515,10 @@ def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag
 
     Tags refer to the noise-sorted encoder order: OMEGA1 pins the less
     noisy encoder's rate, OMEGA2 the noisier one's, OMEGA3 the minimum-
-    sum-rate segment.  Within ``tol`` of a threshold the separating
-    BOUNDARY tag is returned.
+    sum-rate segment.  Within ``tol`` plus the rounding floor of R of a
+    threshold the separating BOUNDARY tag is returned.
     """
-    return omega_tag(omega_margins(instance, R), tol)
+    return omega_tag(omega_margins(instance, R), R, tol)
 
 
 # ----------------------------------------------------------------------

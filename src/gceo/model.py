@@ -19,6 +19,19 @@ Joint MMSE decoding of all descriptions gives the precision
 
 whose reciprocal is the achievable distortion for the allocation r.  The
 feasible set of a distortion target D is F(D) = {r >= 0 : precision(r) >= 1/D}.
+
+Tolerances.  The region's subset inequalities, its vertices and faces,
+and the stage inequalities of a refinement chain hold with equality at
+points that matter (the full set, a vertex's decode chain, the one-stage
+chain [R]), so a computed slack there is zero only up to rounding.  Every
+comparison of such a slack therefore allows a rounding floor,
+``rate_floor(R)`` = RATE_FLOOR nats per nat of the magnitude of the rates
+R involved, max(1, sum_i min(|R_i|, R_MAX)), and the caller's ``tol``
+adds on top of it: a check passes when slack >= -(tol + floor), and a
+set is tight, or a rate pair on an omega boundary, when |slack| <= tol +
+floor.  So ``tol = 0`` means exact up to the floor.  Rates are clipped at
+R_MAX first, so an infinite or capped rate never makes the floor
+infinite.
 """
 
 from __future__ import annotations
@@ -33,8 +46,17 @@ from .errors import ArgumentError
 # far below every tolerance used here, and all formulas treat it as exact 0.
 R_MAX = 50.0
 
-# Equality tolerance for closed-form algebra.
+# Equality tolerance for closed-form algebra and the default ``tol`` of
+# region membership, faces and schedules, in nats.
 TOL_EQ = 1e-9
+
+# Rounding floor of a rate comparison, per nat of the rates involved
+# (``rate_floor``): ~450 ulps of their sum.
+RATE_FLOOR = 1e-13
+
+# Most a rate or allocation chain may drop from one stage to the next, in
+# nats; such a stage counts as equal to the one before it.
+CHAIN_DROP = 1e-12
 
 # Region membership, face identification and the refinement stage test
 # (O(L^2) threshold scans each), the inverse map (a few scans per decode
@@ -54,6 +76,12 @@ def exp_neg2r(r: float) -> float:
 
 def is_cap(r: float) -> bool:
     return r >= R_MAX
+
+
+def rate_floor(R) -> float:
+    """Rounding floor of a comparison among the rates R, in nats:
+    RATE_FLOOR * max(1, sum_i min(|R_i|, R_MAX))."""
+    return RATE_FLOOR * max(1.0, sum(min(abs(v), R_MAX) for v in R))
 
 
 @dataclass(frozen=True)

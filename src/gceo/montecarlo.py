@@ -60,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .model import CeoInstance, _check_allocation, channel_noise_from_r, distortion
+from .model import CHAIN_DROP, CeoInstance, _check_allocation, channel_noise_from_r, distortion
 
 SHARD_SIZE = 1 << 14
 # Shards submitted ahead of the in-order sum, per worker: enough to keep
@@ -242,6 +242,6 @@ def simulate_refinement(instance: CeoInstance, r_chain, config: SimConfig) -> Si
     if not chain:
         raise ArgumentError("need at least one stage")
     for j in range(1, len(chain)):
-        if any(a > b + 1e-12 for a, b in zip(chain[j - 1], chain[j])):
+        if any(a > b + CHAIN_DROP for a, b in zip(chain[j - 1], chain[j])):
             raise ArgumentError(f"allocation chain decreases at stage {j + 1}")
     return _simulate(instance, chain, config)

@@ -63,9 +63,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .model import CeoInstance, TOL_EQ, _check_allocation, precision_weight
-
-FACE_TOL = 1e-7
+from .model import CeoInstance, TOL_EQ, _check_allocation, precision_weight, rate_floor
 
 
 def full_mask(L: int) -> int:
@@ -221,9 +219,17 @@ def min_slack(instance: CeoInstance, r, R) -> float:
     return _scan_min_slack(c, [0.0] * L, w, 1.0 / instance.sigma_x2)[0]
 
 
+def region_check(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> tuple[bool, float]:
+    """(contains, slack): the minimum subset-rate slack of R (``min_slack``)
+    and whether it is >= -(tol + rate_floor(R)), the rounding floor of
+    ``model`` under the caller's tolerance."""
+    slack = min_slack(instance, r, R)
+    return slack >= -(tol + rate_floor(R)), slack
+
+
 def region_contains(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:
-    """Whether R satisfies all 2^L - 1 subset-rate inequalities with slack >= -tol."""
-    return min_slack(instance, r, R) >= -tol
+    """Whether R satisfies all 2^L - 1 subset-rate inequalities (``region_check``)."""
+    return region_check(instance, r, R, tol)[0]
 
 
 def vertex(instance: CeoInstance, r, pi) -> tuple[float, ...]:
@@ -250,9 +256,10 @@ def vertex(instance: CeoInstance, r, pi) -> tuple[float, ...]:
 
 
 def on_dominant_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:
-    """Region membership plus sum-rate equality with the full-set rank."""
+    """Region membership plus sum-rate equality with the full-set rank,
+    both within tol over the rounding floor of R."""
     total = rank_f(instance, r, full_mask(instance.L))
-    if abs(sum(R) - total) > tol:
+    if abs(sum(R) - total) > tol + rate_floor(R):
         return False
     return region_contains(instance, r, R, tol)
 
@@ -293,7 +300,8 @@ class FaceDescriptor:
 def _tight_chain(members, c, w, p0: float, tol: float):
     """The chain of tight sets of ``members`` at base precision p0, as blocks.
 
-    A proper nonempty subset A is tight when |g(A)| <= tol, with
+    A proper nonempty subset A is tight when |g(A)| <= tol (callers pass
+    their tolerance plus the rounding floor of ``model``), with
     g(A) = c(A) + (1/2) ln(1 + w(A) / p0) as in the module docstring; ``c``
     and ``w`` are indexed by encoder.  Candidates are the prefixes of the
     members in ``_threshold_order`` (the empty and the full set included)
@@ -334,25 +342,27 @@ def _tight_chain(members, c, w, p0: float, tol: float):
     return blocks, crossing
 
 
-def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDescriptor:
+def identify_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> FaceDescriptor:
     """Locate the lowest-dimensional face of the dominant face containing R.
 
     Encoders with r_i = 0 contribute nothing (their constraints are implied)
     and are projected out first; on the dominant face their rates are zero.
     A proper nonempty set of active encoders is tight when its group rate is
-    within ``tol`` of its unconditioned rank, i.e. |g(A)| <= tol with g as
-    in the module docstring, c_i = r_i - R_i and p0 = 1/sigma_x2; the
-    candidates are those of ``_tight_chain``.  Exactly tight sets are
-    nested; when two sets tight within ``tol`` cross, the face is the chain
+    within ``tol`` plus the rounding floor of R (``model.rate_floor``) of
+    its unconditioned rank, i.e. |g(A)| <= tol + floor with g as in the
+    module docstring, c_i = r_i - R_i and p0 = 1/sigma_x2; the candidates
+    are those of ``_tight_chain``.  Exactly tight sets are nested; when two
+    sets tight within that band cross, the face is the chain
     ``_tight_chain`` keeps and ``note`` names the crossing sets.
     """
     r = _check_allocation(instance, r)
     L = instance.L
     if not on_dominant_face(instance, r, R, max(tol, TOL_EQ)):
         raise ArgumentError("rate tuple is not on the dominant face")
+    band = tol + rate_floor(R)
     active = [i for i in range(L) if r[i] > 0.0]
     for i in range(L):
-        if r[i] == 0.0 and abs(R[i]) > tol:
+        if r[i] == 0.0 and abs(R[i]) > band:
             raise ArgumentError(
                 f"encoder {i} has zero allocation but rate {R[i]}; not on the dominant face"
             )
@@ -361,7 +371,7 @@ def identify_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDes
 
     c = [r[i] - R[i] for i in range(L)]
     w = [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
-    blocks, crossing = _tight_chain(active, c, w, 1.0 / instance.sigma_x2, tol)
+    blocks, crossing = _tight_chain(active, c, w, 1.0 / instance.sigma_x2, band)
     note = None
     if crossing:
         dropped, kept = ([i + 1 for i in A] for A in crossing)

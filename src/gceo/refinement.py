@@ -46,7 +46,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import ArgumentError
-from .model import R_MAX, CeoInstance, channel_noise_from_r, precision_weight
+from .model import CHAIN_DROP, R_MAX, CeoInstance, channel_noise_from_r, precision_weight, rate_floor
 from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import _R_STAR_CACHE_SIZE, OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
@@ -99,7 +99,7 @@ def _validate_stages(instance: CeoInstance, stages) -> list[tuple[float, ...]]:
             raise ArgumentError(f"stage {j + 1} has length {len(stage)}, expected {instance.L}")
         if any(v < 0.0 or math.isnan(v) for v in stage):
             raise ArgumentError(f"stage {j + 1} has negative or NaN rates")
-        if out and any(a > b + 1e-12 for a, b in zip(out[-1], stage)):
+        if out and any(a > b + CHAIN_DROP for a, b in zip(out[-1], stage)):
             raise ArgumentError(f"stage {j + 1} decreases some rate relative to stage {j}")
         out.append(stage)
     if not out:
@@ -141,8 +141,10 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
 
     Minimizes the stage inequality's slack over the nonempty subsets of
     every stage with the threshold scan (no subset is enumerated);
-    feasible iff every minimum is >= -tol (boundary cases count as
-    feasible).  Each stage reports its worst subset, then the full set.
+    feasible iff every minimum is >= -(tol + floor), with floor the
+    rounding floor (``model.rate_floor``) of the last stage's rates, the
+    largest of a nondecreasing chain (boundary cases count as feasible).
+    Each stage reports its worst subset, then the full set.
     """
     stages = _validate_stages(instance, stages)
     chain = [(0.0,) * instance.L] + stages
@@ -155,7 +157,7 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
         per_stage.append(tuple(StageSlack(j, subset, slack) for subset, slack in rows))
     worst = min((row for rows in per_stage for row in rows), key=lambda row: row.slack)
     return RefinementReport(
-        feasible=worst.slack >= -tol,
+        feasible=worst.slack >= -(tol + rate_floor(stages[-1])),
         per_stage=tuple(per_stage),
         worst=worst,
         r_chain=tuple(inv.r_star for inv in inversions),
@@ -284,7 +286,7 @@ def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridT
         for b in range(n):
             R = (R1, lo + b * step)
             inv = r_star(instance, R)
-            nodes.append(GridNode(R, omega_tag(inv.margins), inv.d_star, inv.r_star, False))
+            nodes.append(GridNode(R, omega_tag(inv.margins, R), inv.d_star, inv.r_star, False))
         axis.append(R1)
     table = _GridTable(axis, nodes, tuple(_csv_prefix(node) for node in nodes))
     if n * n <= _KEPT_NODES:
@@ -311,7 +313,7 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     start, holds every node's ``GridNode`` fields and CSV row prefix.  It
     is built once per (instance, min, step, node count): one ``r_star``
     call per node, whose two-encoder answer (cached in the r* LRU) carries
-    the omega margins, so the region tag is ``omega_tag(inv.margins)``
+    the omega margins, so the region tag is ``omega_tag(inv.margins, R)``
     with no second ``tilde_params`` solve.  Kept tables hold at most as
     many nodes in all as the r* LRU holds answers, least recently used
     dropped first; a larger grid's table is built, used and dropped.  The
@@ -319,8 +321,11 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     (0 -> R_from) once, and adds the stage-2 rows of each dominating node
     through the same ``_stage_rows``.  So a cold map costs one r* per
     node, and a warm map one stage-2 scan per dominating node.  A node
-    that undershoots ``R_from`` by at most 1e-12 in some coordinate is
-    tested at the coordinatewise maximum, as the chain test would see it.
+    that undershoots ``R_from`` by at most ``CHAIN_DROP`` in some
+    coordinate is tested at the coordinatewise maximum, as the chain test
+    would see it.  Each node's slacks are compared at ``tol`` plus the
+    rounding floor of its stage-2 end (``model.rate_floor``), the floor
+    ``check_refinement`` applies to the chain's last stage.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -331,19 +336,23 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     n = int(round(span)) + 1 if span < MAX_GRID_NODES else MAX_GRID_NODES
     if n * n > MAX_GRID_NODES:
         raise ArgumentError(f"grid {grid} has more than {MAX_GRID_NODES} nodes")
-    if not math.isfinite(lo + (n - 1) * step):
+    top = lo + (n - 1) * step
+    if not math.isfinite(top):
         raise ArgumentError(f"grid {grid} has a node past the largest float")
     (R_from,) = _validate_stages(instance, [R_from])
     zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
     origin = _stage_end(instance, zero, r_star(instance, zero))
     start = _stage_end(instance, R_from, r_star(instance, R_from))
     stage1 = min(slack for _, slack in _stage_rows(p0, origin, start))
+    # No node's floor exceeds the top node's, so a slack below that band
+    # needs no floor of its own (most unreachable nodes).
+    band = tol + rate_floor((max(top, R_from[0]), max(top, R_from[1])))
     table = _grid_table(instance, lo, step, n)
     nodes = GridMap(table.nodes, table.prefixes)
     # Node coordinates grow with their index, so the nodes that dominate the
     # start form the rectangle a >= a0, b >= b0.
-    a0 = bisect_left(table.axis, R_from[0] - 1e-12)
-    b0 = bisect_left(table.axis, R_from[1] - 1e-12)
+    a0 = bisect_left(table.axis, R_from[0] - CHAIN_DROP)
+    b0 = bisect_left(table.axis, R_from[1] - CHAIN_DROP)
     for a in range(a0, n):
         for k in range(a * n + b0, (a + 1) * n):
             node = nodes[k]
@@ -351,6 +360,7 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
             target = (max(R[0], R_from[0]), max(R[1], R_from[1]))
             end = _stage_end(instance, target, node if target == R else r_star(instance, target))
             stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
-            if min(stage1, stage2) >= -tol:
+            low = min(stage1, stage2)
+            if low >= -band and low >= -(tol + rate_floor(target)):
                 nodes[k] = node._replace(reachable=True)
     return nodes

@@ -59,9 +59,11 @@ gives one member a second piece.  Hence at most two descriptions per
 encoder, at most 2L - 1 steps, and at most L + d steps on a d-dimensional
 face, whose tight chain has L - d blocks.  An encoder's last piece on the
 axis is its fine description and an earlier one is coarse, with weight
-that piece's length.  Tightness is tested to a rounding floor relative to
-the total rate, not to the caller's tolerance, so a point near a face gets
-an exact schedule with a short piece instead of one snapped onto the face.
+that piece's length.  Tightness is tested to the rounding floor of the
+rates (``model.rate_floor``), not to the caller's tolerance: a rate tuple
+computed elsewhere (a vertex, say) puts its tight sets only a few ulps of
+its rates from tight, and a point near a face gets an exact schedule with
+a short piece instead of one snapped onto the face.
 
 The covariance engine (``gaussian_mi``, Schur-complement conditioning of
 the joint Gaussian) is the independent oracle: every produced schedule is
@@ -77,25 +79,20 @@ import numpy as np
 
 from .errors import ArgumentError, DegeneracyError, InternalInconsistencyError
 from .model import (
+    TOL_EQ,
     CeoInstance,
     _check_allocation,
     channel_noise_from_r,
     distortion,
     precision_weight,
     r_from_channel_noise,
+    rate_floor,
 )
 from . import polymatroid
 
-# Rate tolerance of ``build_schedule``, fixed: its on-face check of the
-# input allows 10 RATE_TOL and its re-validation of the output 100 RATE_TOL.
-RATE_TOL = 1e-9
 # Same-encoder descriptions whose noises agree to this relative tolerance
 # are one variable (last-ulp differences between solvers).
 _DUP_REL = 1e-10
-# Rounding floor of the face step's tightness test, per nat of total rate:
-# a rate tuple computed elsewhere (a vertex, say) puts its tight sets only
-# a few ulps of its rates from tight.
-_RATE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -311,15 +308,16 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
     Zero-allocation encoders carry no rate on the dominant face and are
     skipped.  The pieces of the precision axis become steps in axis order,
     and the result is validated before being returned.  The tolerances of
-    the dominant-face check and of that validation are fixed (``RATE_TOL``).
+    the dominant-face check and of that validation are fixed: 10 and 100
+    ``model.TOL_EQ``.
     """
     r = _check_allocation(instance, r)
-    if not polymatroid.on_dominant_face(instance, r, R, 10 * RATE_TOL):
+    if not polymatroid.on_dominant_face(instance, r, R, 10 * TOL_EQ):
         raise ArgumentError("rate tuple is not on the dominant face of the allocation")
     active = [i for i in range(instance.L) if r[i] > 0.0]
     w = {i: precision_weight(instance.sigma_n2[i], r[i]) for i in active}
     e = {i: R[i] - r[i] for i in active}
-    tie = _RATE_FLOOR * max(1.0, sum(R[i] for i in active))
+    tie = rate_floor([R[i] for i in active])
     p0 = 1.0 / instance.sigma_x2
     pieces = _tile(active, p0, p0 + sum(w.values()), e, w, set(), tie)
     last = {j: n for n, (j, _, _) in enumerate(pieces)}
@@ -336,7 +334,7 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
         decoded.append(d)
         rho[j] = rho_d
     schedule = Schedule(tuple(steps))
-    report = validate_schedule(instance, schedule, R, 100 * RATE_TOL)
+    report = validate_schedule(instance, schedule, R, 100 * TOL_EQ)
     if not report.ok:
         raise InternalInconsistencyError(
             "constructed schedule failed validation: " + "; ".join(report.diagnostics)

@@ -73,9 +73,9 @@ from gceo.model import (
     precision,
     precision_weight,
     r_from_channel_noise,
+    rate_floor,
 )
 from gceo.polymatroid import (
-    FACE_TOL,
     FaceDescriptor,
     full_mask,
     mask_to_indices,
@@ -102,7 +102,7 @@ def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
     )
 
 
-def enumerate_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDescriptor:
+def enumerate_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> FaceDescriptor:
     """``identify_face`` by testing every proper nonempty subset of the
     active encoders against its unconditioned rank: same checks and same
     descriptor; a non-nested family, which ``identify_face`` reports with a
@@ -111,9 +111,10 @@ def enumerate_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDe
     L = instance.L
     if not on_dominant_face(instance, r, R, max(tol, TOL_EQ)):
         raise ArgumentError("rate tuple is not on the dominant face")
+    band = tol + rate_floor(R)
     active = [i for i in range(L) if r[i] > 0.0]
     for i in range(L):
-        if r[i] == 0.0 and abs(R[i]) > tol:
+        if r[i] == 0.0 and abs(R[i]) > band:
             raise ArgumentError(
                 f"encoder {i} has zero allocation but rate {R[i]}; not on the dominant face"
             )
@@ -127,7 +128,7 @@ def enumerate_face(instance: CeoInstance, r, R, tol: float = FACE_TOL) -> FaceDe
     sub = (active_mask - 1) & active_mask
     while sub > 0:
         s = sum(R[i] for i in mask_to_indices(sub))
-        if abs(s - unconditioned_rank(instance, r, sub)) <= tol:
+        if abs(s - unconditioned_rank(instance, r, sub)) <= band:
             tight.append(sub)
         sub = (sub - 1) & active_mask
 

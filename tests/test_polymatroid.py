@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import time
+from contextlib import redirect_stdout
 from itertools import permutations
 
 import numpy as np
@@ -9,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from gceo import cli, inversion
 from gceo.errors import ArgumentError, InternalInconsistencyError
-from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision
+from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision, rate_floor
 from gceo.polymatroid import (
-    FACE_TOL,
     _scan_min_slack,
     identify_face,
     min_slack,
@@ -209,7 +210,7 @@ def face_cases(draw):
     """
     L = draw(st.integers(2, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tol = draw(st.sampled_from([1e-9, FACE_TOL, 1e-4, 1e-2, 0.2]))
+    tol = draw(st.sampled_from([1e-9, 1e-7, 1e-4, 1e-2, 0.2]))
     kinds = draw(st.lists(st.sampled_from(["zero", "tiny", "flat", "regular", "regular"]), min_size=L, max_size=L))
     if draw(st.booleans()):
         inst = CeoInstance(1.0, (1.0,) * L)
@@ -321,6 +322,70 @@ class TestFaceIdentification:
         assert {k: v for k, v in payload.items() if k != "units"} == enumerate_face(inst, r, R, 1e-9).to_dict()
         assert payload["dimension"] == L - 5
         assert elapsed < 0.25
+
+
+class TestRoundingFloor:
+    """At ``tol = 0`` comparisons allow only the rounding floor of the rates
+    (``model.rate_floor``).  Vertices and edges of the dominant face are
+    tight by construction, so they must read as such at that floor."""
+
+    @staticmethod
+    def _point(L, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=0.05, hi=3.0)
+        return inst, r, tuple(int(i) for i in rng.permutation(L))
+
+    @settings(max_examples=150)
+    @given(L=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_region_check_at_tol_0_accepts_every_vertex(self, tmp_path_factory, L, seed):
+        inst, r, pi = self._point(L, seed)
+        R = vertex(inst, r, pi)
+        path = tmp_path_factory.getbasetemp() / f"vertex{L}.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        out = io.StringIO()
+        argv = [
+            "region", "check", "--instance", str(path), "--tol", "0",
+            "--r", ",".join(repr(v) for v in r), "--R", ",".join(repr(v) for v in R),
+        ]
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        assert (code, json.loads(out.getvalue())["contains"]) == (0, True)
+
+    @settings(max_examples=150)
+    @given(L=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6))
+    def test_identify_face_at_tol_0_finds_vertices_and_edges(self, L, seed, k):
+        # The midpoint of the vertices of two decode orders that differ by
+        # one adjacent swap lies on an edge: every prefix set of the order
+        # but the one the swap breaks stays tight.
+        inst, r, pi = self._point(L, seed)
+        k %= L - 1
+        swapped = pi[:k] + (pi[k + 1], pi[k]) + pi[k + 2:]
+        a, b = vertex(inst, r, pi), vertex(inst, r, swapped)
+        assert identify_face(inst, r, a, 0.0).dimension == 0
+        mid = tuple(0.5 * (x + y) for x, y in zip(a, b))
+        assert identify_face(inst, r, mid, 0.0).dimension == 1
+
+    @pytest.mark.parametrize("big", [math.inf, 1e300, R_MAX])
+    def test_capped_rate_does_not_widen_the_floor(self, tmp_path, big):
+        # With encoder 1 at an infinite, huge or capped rate, only the set {2}
+        # binds.  R_2 sits 1e-10 below its rank: outside at --tol 0,
+        # because the floor clips each rate at R_MAX (5e-12 here).
+        inst = CeoInstance(1.0, (1.0, 1.0))
+        r = (0.5, 0.5)
+        R = (big, rank_f(inst, r, 0b10) - 1e-10)
+        assert rate_floor(R) == rate_floor((R_MAX, R[1])) < 1e-11
+        path = tmp_path / "sym2.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        out = io.StringIO()
+        argv = ["region", "check", "--instance", str(path), "--tol", "0", "--r", "0.5,0.5", "--R", f"{big!r},{R[1]!r}"]
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        payload = json.loads(out.getvalue())
+        assert (code, payload["contains"]) == (1, False)
+        assert payload["slack"] == pytest.approx(-1e-10, rel=1e-5)
+        assert not region_contains(inst, r, R, 0.0)
+        assert region_contains(inst, r, R, 2e-10)
 
 
 class TestSupermodularity:

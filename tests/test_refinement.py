@@ -57,6 +57,17 @@ class TestCheckRefinement:
                 for a, b in zip(rep.r_chain, rep.r_chain[1:]):
                     assert all(y >= x - 1e-9 for x, y in zip(a, b))
 
+    def test_one_stage_and_repeat_chains_feasible_at_tol_0(self):
+        # 0 -> R and R -> R are always feasible; their tight sets (the full
+        # set, and sets that r*'s decode chain makes tight) compute to about
+        # -1e-16, within the rounding floor that tol 0 still allows.
+        rng = np.random.default_rng(58)
+        for _ in range(3000):
+            inst = random_instance(rng, 2)
+            R = tuple(float(v) for v in rng.uniform(0.0, 4.0, 2))
+            assert check_refinement(inst, [R], 0.0).feasible, (inst, R)
+            assert check_refinement(inst, [R, R], 0.0).feasible, (inst, R)
+
     def test_decreasing_stage_rejected(self, sym2):
         with pytest.raises(ArgumentError):
             check_refinement(sym2, [(1.0, 1.0), (0.9, 1.2)])

@@ -15,11 +15,9 @@ from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, CeoInstance, R_MAX, distortion
 from gceo.polymatroid import identify_face, rank_f, vertex
 from gceo.scheduler import (
-    RATE_TOL,
     Description,
     Schedule,
     WzStep,
-    _RATE_FLOOR,
     _stop,
     build_schedule,
     fine_description,
@@ -292,7 +290,7 @@ def test_partition_mixtures_take_l_plus_d_steps(L, vertices, seed):
     schedule = build_schedule(inst, r, R)
     report = validate_schedule(inst, schedule, R)
     assert report.ok, report.diagnostics
-    assert schedule.total_steps <= L + identify_face(inst, r, R, RATE_TOL).dimension
+    assert schedule.total_steps <= L + identify_face(inst, r, R).dimension
 
 
 def _mixture(rng, inst, r, kind):
@@ -331,10 +329,10 @@ def test_axis_tiling_reaches_every_point(L, kind, rates, seed):
     r = tuple(float(v) for v in np.exp(rng.uniform(math.log(rates[0]), math.log(rates[1]), L)))
     R = _mixture(rng, inst, r, kind)
     schedule = build_schedule(inst, r, R)
-    # The builder's face step ties at _RATE_FLOOR per nat of total rate, so
-    # d is the dimension of the face at that tolerance.
+    # The builder's face step ties at the rounding floor of the rates, as
+    # identify_face does at tol 0, so d is the dimension of that face.
     try:
-        d = identify_face(inst, r, R, _RATE_FLOOR * max(1.0, sum(R))).dimension
+        d = identify_face(inst, r, R, 0.0).dimension
     except InternalInconsistencyError:  # tight sets cross: no face to compare with
         d = L - 1
     assert schedule.total_steps <= L + d
