@@ -9,16 +9,19 @@ error, 3 numerical failure.
 ``--bits`` never changes the canonical payload; it adds a "display_bits"
 section with the rate-valued fields divided by ln 2.
 
-The solver modules that load neither numpy nor scipy at import
-(``hyperplane``, ``montecarlo``, ``polymatroid``) load with this module,
-so that importing it loads them as well; ``bench/tracing.py`` wraps the
-functions of the solver modules loaded when it is installed.  The inverse
-map's modules (``inversion``, ``refinement``, ``scheduler``) load numpy
-and scipy, so each command that runs one imports it itself, and a command
-that needs no inverse map (``region``, ``hyperplane``) starts without
-loading numpy or scipy.  ``montecarlo`` imports numpy when it draws, and
-``concurrent.futures`` (which loads ``logging``) only when a simulation
-runs its shards on a thread pool, so no command loads either at start-up.
+No module of the library imports scipy.  The solver modules that load no
+numpy at import (``hyperplane``, ``montecarlo``, ``polymatroid``) load
+with this module, so that importing it loads them as well;
+``bench/tracing.py`` wraps the functions of the solver modules loaded
+when it is installed.  Each command that runs another solver module
+imports it itself: ``invert`` and ``omega`` load ``inversion``, which
+needs no numpy either; ``omega-map``, ``refine`` and ``schedule`` load
+``scheduler`` (directly or through ``refinement``), whose schedule
+validator loads numpy.  So ``region``, ``hyperplane``, ``invert`` and
+``omega`` start without numpy.  ``montecarlo`` imports numpy when it
+draws, and ``concurrent.futures`` (which loads ``logging``) only when a
+simulation runs its shards on a thread pool, so no command loads either
+at start-up.
 
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,

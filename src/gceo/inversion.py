@@ -54,24 +54,33 @@ block, and blocks decode in decreasing K.  Given the precision p of the
 blocks decoded so far, the next block is the set A of remaining encoders
 with the largest K_A, where K_A solves the block's group sum-rate equation
 
-    h_A(K) = (1/2) ln(1 + w(A)/p) + sum_{i in A} (1/2) ln(K / sigma_n2[i]) = R(A),
+    h_A(K) = (1/2) ln(1 + w(A)/p) + sum_{i in A} r_i = R(A),
 
-w_i = 1/sigma_n2[i] - 1/K; ties go to the larger set.  Its precision is
-added to p and the search repeats on the rest.
+r_i = (1/2) ln(K / sigma_n2[i]) and w_i = (1 - exp(-2 r_i)) / sigma_n2[i];
+ties go to the larger set.  Its precision is added to p and the search
+repeats on the rest.
+
+K is carried in log-excess coordinates: x = (1/2) ln(K / s_top), the rate
+of the noisiest remaining encoder, and r_i = x + (1/2) ln(s_top /
+sigma_n2[i]), a sum of two nonnegative terms.  So r_i keeps its relative
+precision even where K sits just above a tiny noise, where K itself
+would pin r_i only to an ulp of K.  In x, h_A is concave (the log of a
+concave function of x) and increasing, so Newton's method started below
+the root rises monotonically to it, with no bracket.
 
 No subset is enumerated.  Since h_A grows with K, K_A > K iff
 g(A, K) = h_A(K) - R(A) < 0, and g(., K) is a modular function plus a
 concave function of the modular w(A): its minimizers are prefixes of the
 remaining encoders sorted by c_i / w_i (``polymatroid._min_threshold_set``).
 Every singleton has K_i > sigma_n2[i], so the answer lies above the largest
-remaining noise, where every encoder has w_i > 0.  A Dinkelbach iteration
-finds it from there: at the current K take the set minimizing g, move K to
-that set's K_A (a monotone scalar root), and stop when no set has g < 0;
-K rises strictly, so the loop ends, in practice within a few steps.
+remaining noise, x > 0.  A Dinkelbach iteration finds it from x = 0: at the
+current x take the set minimizing g, move x to that set's root, and stop
+when no set has g < 0; x rises strictly, so the loop ends, in practice
+within a few steps.
 
 Every answer is certified.  It must lie in the region (minimum subset slack
 >= -TOL_EQ) and pass a KKT check of the same optimization written as one
-jointly convex program in x = (r, u), u = ln(1/D):
+jointly convex program in (r, u), u = ln(1/D):
 
     maximize u  subject to, for every subset A of the finite encoders,
     u/2 - (1/2) ln(p0 + w(A^c)) + sum_{i in A} r_i <= R(A),
@@ -79,14 +88,17 @@ jointly convex program in x = (r, u), u = ln(1/D):
 with w_i = (1 - exp(-2 r_i)) / sigma_n2[i]; the empty set's row is the
 distortion constraint.  Each row is convex in (r, u), because -ln of a
 positive concave function is convex (Boyd & Vandenberghe, Convex
-Optimization, ch. 4).  Multipliers are sought (NNLS) only on the suffix
-unions of the decode blocks and the distortion row, at most L + 1 rows,
-which must all be active: slack at most TOL_EQ plus the rounding floor of
-R (``model.rate_floor``).  Active rows and nonnegative multipliers there
-with a stationarity residual of at most KKT_LIMIT prove global optimality.
-Otherwise ``ConvergenceError`` is raised.  The residual is reported on the
-result as ``kkt_residual``.  ``method="bisection"`` is the historical name
-for forcing this solver on two encoders.
+Optimization, ch. 4).  Multipliers sit only on the suffix unions of the
+decode blocks and the distortion row, at most L + 1 rows, which must all
+be active: slack at most TOL_EQ plus the rounding floor of R
+(``model.rate_floor``).  On these rows stationarity has one solution up
+to scale, and it is nonnegative iff the slopes exp(-2 r_i) / sigma_n2[i]
+(= 1/K) agree within each block and do not decrease from one block to
+the next (``_chain_kkt_residual`` derives it).  Active rows and a largest
+relative slope violation of at most KKT_LIMIT prove global optimality.
+Otherwise ``ConvergenceError`` is raised.  The violation is reported on
+the result as ``kkt_residual``.  ``method="bisection"`` is the historical
+name for forcing this solver on two encoders.
 """
 
 from __future__ import annotations
@@ -96,18 +108,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-from scipy.optimize import brentq, nnls
-
 from .errors import ArgumentError, ConvergenceError
-from .model import TOL_EQ, CeoInstance, R_MAX, exp_neg2r, is_cap, precision_weight, rate_floor
+from .model import TOL_EQ, CeoInstance, R_MAX, is_cap, precision_weight, rate_floor
 from .polymatroid import _min_threshold_set, _scan_min_slack
 
 RESIDUAL_LIMIT = 1e-5
 OMEGA_TOL = 1e-7
-# Largest KKT stationarity residual a general-solver answer may carry.  The
-# exact optimum measures <= 1e-14; a neighbouring wrong block structure
-# measures >= 1e-8 even where its distortion is within 1e-9 of D*.
+# Largest relative slope violation (``_chain_kkt_residual``) a general-
+# solver answer may carry.  The exact optimum measures <= 1e-14; the wrong
+# block structures of the certificate tests measure >= 1e-2.
 KKT_LIMIT = 1e-10
 
 
@@ -190,25 +199,25 @@ def _reduced_min_slack(sn, R, r, p0: float) -> float:
     return _scan_min_slack([a - b for a, b in zip(R, r)], [0.0] * len(w), w, p0)[0]
 
 
-def _block_constant(noises, target: float, p: float, k_lo: float):
-    """Water-filling constant K > k_lo of a block with group sum rate
-    ``target`` decoded at base precision p, or None if h(k_lo) >= target.
+def _block_rate(sn, R, lift, block, p: float, x: float) -> float:
+    """Root x' >= x of a block's group sum-rate equation at base precision
+    p, in log-excess coordinates: member i has the rate x' + lift[i].
 
-    h(K) = (1/2) ln(1 + sum (1/s - 1/K) / p) + sum (1/2) ln(K / s) grows
-    by at least n/2 per unit of ln K, which brackets the root.  Each term is
-    formed per encoder, as in the threshold scan, so that the two agree to
-    rounding even where K sits just above a noise.
+    h(x) = (1/2) ln(1 + w(x)/p) + sum_i (x + lift[i]) is increasing and
+    concave, so each Newton step from below the root lands at most on it
+    and the iterates rise monotonically; they stop where a step no longer
+    rises.  Returns x itself when h(x) already reaches the target.
     """
-
-    def g(K):
-        weight = sum(1.0 / s - 1.0 / K for s in noises)
-        return 0.5 * math.log1p(weight / p) + sum(0.5 * math.log(K / s) for s in noises) - target
-
-    g_lo = g(k_lo)
-    if g_lo >= 0.0:
-        return None
-    k_hi = k_lo * math.exp(-2.0 * g_lo / len(noises)) * (1.0 + 1e-9)
-    return brentq(g, k_lo, k_hi, xtol=1e-300, rtol=8.9e-16)
+    target = sum(R[i] for i in block)
+    while True:
+        rates = [x + lift[i] for i in block]
+        weight = sum(precision_weight(sn[i], v) for i, v in zip(block, rates))
+        gap = target - 0.5 * math.log1p(weight / p) - sum(rates)
+        slope = sum(math.exp(-2.0 * v) / sn[i] for i, v in zip(block, rates))
+        step = gap / (len(block) + slope / (p + weight))  # gap / h'(x)
+        if not x + step > x:
+            return x
+        x += step
 
 
 # ----------------------------------------------------------------------
@@ -218,75 +227,93 @@ def _block_constant(noises, target: float, p: float, k_lo: float):
 
 
 def _top_block(sn, R, members, p: float):
-    """(block, K): the set of ``members`` with the largest water-filling
-    constant K_A at base precision p, ties to the larger set.
+    """(block, rates): the set of ``members`` with the largest water-filling
+    constant K_A at base precision p, ties to the larger set, and the rates
+    of its members.
 
-    Dinkelbach iteration from just above the largest noise: while the set
-    minimizing g(., K) has g < 0, its K_A exceeds K and becomes the next K.
-    Values of g within the rounding floor of the members' rates
-    (``model.rate_floor``) of the minimum count as ties.  Just above a
-    small noise one ulp of K can move g by more than that; a step that
-    cannot raise K then ends the search.
+    The level is x = (1/2) ln(K / s_top), s_top the largest noise among
+    ``members``; at level x member i has the rate x + lift_i, lift_i =
+    (1/2) ln(s_top / sigma_n2[i]).  Dinkelbach iteration from x = 0, where
+    the noisiest member has weight 0: while the set minimizing g(., x) has
+    g < 0, its root exceeds x and becomes the next x.  Values of g within
+    the rounding floor of the members' rates (``model.rate_floor``) of the
+    minimum count as ties; a step that cannot raise x ends the search.
     """
     tie = rate_floor([R[i] for i in members])
-    K = max(sn[i] for i in members) * (1.0 + 1e-13)
-    block = None
+    top = max(sn[i] for i in members)
+    lift = {i: 0.5 * math.log(top / sn[i]) for i in members}
+    x, block = 0.0, None
     while True:
+        rates = [x + lift[i] for i in members]
         low, prefix = _min_threshold_set(
-            [0.5 * math.log(K / sn[i]) - R[i] for i in members],
-            [1.0 / sn[i] - 1.0 / K for i in members],
+            [v - R[i] for i, v in zip(members, rates)],
+            [precision_weight(sn[i], v) for i, v in zip(members, rates)],
             p,
             tie,
         )
         found = [members[k] for k in prefix] or block
         if low >= -tie:
             break
-        K_next = _block_constant([sn[i] for i in found], sum(R[i] for i in found), p, K)
-        if K_next is None or not K_next > K:
-            break  # K is the top constant to an ulp; ``found`` ties with ``block``
-        K, block = K_next, found
+        x_next = _block_rate(sn, R, lift, found, p, x)
+        if not x_next > x:
+            break  # x is the top level to an ulp; ``found`` ties with ``block``
+        x, block = x_next, found
     if found != block:  # the first step's set, or a tie merged into the block
-        noises = [sn[i] for i in found]
-        K = _block_constant(noises, sum(R[i] for i in found), p, max(noises) * (1.0 + 1e-13))
-        if K is None:
-            raise ConvergenceError("decomposition stalled: the threshold scan and h_A disagree")
-    return found, K
+        x = _block_rate(sn, R, lift, found, p, 0.0)
+    return found, [x + lift[i] for i in found]
 
 
 def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
-    """Stationarity residual of the best multipliers at (r, ln precision)
+    """Largest relative violation of the KKT conditions at (r, ln precision)
     on the decode chain: the suffix unions of ``blocks`` (listed in decode
     order) and the empty set's distortion row.
 
-    Solves  sum_A lambda_A (-grad c_A) = grad u  with lambda >= 0 (NNLS),
-    c_A = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) - r(A) and gradients in
-    (r, u), over every chain row; zero multipliers on every other row
-    complete a full KKT certificate.  Complementary slackness needs every
-    chain row active: a row with slack above TOL_EQ plus the rounding
-    floor of R (``model.rate_floor``) raises ConvergenceError.  The bounds
-    r_i in [0, R_i] never bind at a block solution with positive rates, so
-    they take no multiplier.
+    Row A has the slack c_A = R(A) - u/2 + (1/2) ln(p0 + w(A^c)) - r(A).
+    Stationarity asks for lambda >= 0 with sum_A lambda_A (-grad c_A) =
+    grad u in (r, u); zero multipliers on every other row complete a full
+    KKT certificate.  Let rows m = 0..B have decoded the first m of the B
+    blocks, with precision P_m = p0 + w(first m blocks), and let q_i =
+    exp(-2 r_i) / sigma_n2[i] = (1/2) dw_i / dr_i.  The u-component reads
+    sum_m lambda_m = 2, and the r_i-component of a member of block k is
+
+        sum_{m<k} lambda_m = q_i T_k,   T_k = sum_{m>=k} lambda_m / P_m.
+
+    So the members of a block share one slope sigma_k (= 1/K), or no
+    multipliers exist.  Then the rows give B + 1 equations in the B + 1
+    multipliers.  Subtracting the equations of blocks k and k + 1 gives
+
+        lambda_k (1 + sigma_k / P_k) = (sigma_{k+1} - sigma_k) T_{k+1},
+
+    and block 1's equation gives lambda_0 = sigma_1 T_1.  So one backward
+    pass from lambda_B = 1 fixes every multiplier up to scale, T_k stays
+    positive while the multipliers do, and they are all nonnegative iff
+    the slopes do not decrease from one block to the next.  The returned
+    residual is the larger of the worst within-block slope spread and the
+    worst drop between adjacent blocks, each relative to the larger slope.
+
+    Complementary slackness needs every chain row active: a row with
+    slack above TOL_EQ plus the rounding floor of R (``model.rate_floor``)
+    raises ConvergenceError.  The distortion row (every block decoded) is
+    tight by construction.  The bounds r_i in [0, R_i] never bind at a
+    block solution with positive rates, so they take no multiplier.
     """
-    n = len(sn)
     w = [precision_weight(s, v) for s, v in zip(sn, r)]
-    slope = [exp_neg2r(v) / s for s, v in zip(sn, r)]  # (1/2) dw_i / dr_i
     p_all = p0 + sum(w)
     active = TOL_EQ + rate_floor(R)
     decoded = set()  # A^c: the blocks decoded before the row's set A
-    cols = []
-    for block in [()] + list(blocks):
-        decoded.update(block)
+    residual, prev = 0.0, 0.0
+    for block in blocks:
         p_out = p0 + sum(w[i] for i in decoded)
-        slack = sum(R[i] - r[i] for i in range(n) if i not in decoded) - 0.5 * math.log(p_all / p_out)
+        slack = sum(R[i] - r[i] for i in range(len(sn)) if i not in decoded) - 0.5 * math.log(p_all / p_out)
         if slack > active:
             raise ConvergenceError(
                 f"decomposition fails its KKT certificate: a decode-chain row is slack ({slack:.3e})"
             )
-        cols.append([-slope[i] / p_out if i in decoded else 1.0 for i in range(n)] + [0.5])
-    target = np.zeros(n + 1)
-    target[-1] = 1.0
-    _, residual = nnls(np.array(cols).T, target)
-    return float(residual)
+        decoded.update(block)
+        slopes = [math.exp(-2.0 * r[i]) / sn[i] for i in block]
+        residual = max(residual, 1.0 - min(slopes) / max(max(slopes), prev))
+        prev = max(slopes)
+    return residual
 
 
 def _decompose(sn, R, p0: float):
@@ -296,10 +323,10 @@ def _decompose(sn, R, p0: float):
     members = list(range(len(sn)))
     p = p0
     while members:
-        block, K = _top_block(sn, R, members, p)
-        for i in block:
-            r[i] = 0.5 * math.log(K / sn[i])
-        p += sum(1.0 / sn[i] - 1.0 / K for i in block)
+        block, rates = _top_block(sn, R, members, p)
+        for i, v in zip(block, rates):
+            r[i] = v
+        p += sum(precision_weight(sn[i], r[i]) for i in block)
         blocks.append(block)
         members = [i for i in members if i not in block]
     slack = _reduced_min_slack(sn, R, r, p0)
@@ -598,17 +625,14 @@ def uniqueness_probe(instance: CeoInstance, R, result: InversionResult, delta: f
             for j in range(len(finite)):
                 if j == i:
                     continue
-
-                def identity(rj, _j=j):
-                    trial = list(cand)
-                    trial[_j] = rj
-                    return _sum_rate_identity(sn, trial, p0) - target
-
-                lo, hi = 0.0, max(2.0 * target, 1.0)
-                if identity(lo) > 0.0 or identity(hi) < 0.0:
+                # With every coordinate but j fixed, the sum-rate identity
+                # is j's one-encoder identity over the others' precision.
+                base = p0 + sum(precision_weight(s, v) for k, (s, v) in enumerate(zip(sn, cand)) if k != j)
+                rate = target - 0.5 * math.log(base / p0) - sum(v for k, v in enumerate(cand) if k != j)
+                if rate < 0.0:
                     continue
                 projected = list(cand)
-                projected[j] = brentq(identity, lo, hi, xtol=1e-15, rtol=8.9e-16)
+                projected[j] = _solve_l1(sn[j], rate, base)
                 break
             if projected is None:
                 continue  # no re-projection exists: perturbation leaves the manifold

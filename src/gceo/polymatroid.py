@@ -177,7 +177,8 @@ def _min_threshold_set(c, w, p0: float, tie: float):
     """min over every A, the empty set included, of
     c(A) + (1/2) ln((p0 + w(A)) / p0), and the largest minimizer.
 
-    Needs every w_i > 0.  The same tangent-line argument as in
+    Needs every w_i >= 0 (``_threshold_order`` places a zero-weight
+    encoder by the sign of c_i).  The same tangent-line argument as in
     ``_scan_min_slack`` makes some minimizer a prefix of the encoders in
     increasing c_i / w_i, and the union of all minimizers is one too, so a
     single pass over the prefixes finds both, O(n log n).  Prefixes within

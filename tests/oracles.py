@@ -20,9 +20,11 @@ bound) only at desk scale:
   over every nonempty subset, the reference for the threshold scan
   ``polymatroid._scan_min_slack`` with weights of either sign;
 * ``in_feasible_set``: whether an allocation reaches a distortion target;
-* ``solve_blocks``: the allocation that water-fills a given decode-block
-  structure, the building block of the inverse map's exhaustive oracles
-  below;
+* ``block_constant`` and ``solve_blocks``: a block's water-filling
+  constant K as a ``brentq`` root of its group sum-rate equation (the
+  library runs Newton on the block's rate instead), and the allocation
+  that water-fills a given decode-block structure, the building block of
+  the inverse map's exhaustive oracles below;
 * ``solve_l1_root`` and ``partner_rate_root``: the single-encoder rate and
   the Omega_1 / Omega_2 partner rate of the two-encoder inverse map as
   ``brentq`` roots of their sum-rate identities, the references for
@@ -43,8 +45,7 @@ bound) only at desk scale:
   and ``greedy_r_star``: the inverse map over every ordered decode-block
   partition (largest precision wins) and by a block-by-block decomposition
   that tries every subset as the next block, the references for
-  ``inversion.r_star``; neither calls the code it checks beyond the block
-  equation (``solve_blocks`` over ``inversion._block_constant``);
+  ``inversion.r_star``; neither calls the code it checks;
 * ``RegionProgram``: the inverse map's convex program with one row per
   subset, whose all-rows KKT residual is the reference certificate;
 * ``grid_map_oracle``: the reachability grid map node by node, the full
@@ -61,7 +62,6 @@ from scipy.optimize import brentq, nnls
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
 from gceo import inversion
-from gceo.inversion import _block_constant
 from gceo.model import (
     CeoInstance,
     R_MAX,
@@ -357,19 +357,40 @@ def in_feasible_set(instance: CeoInstance, r, D: float, tol: float = TOL_EQ) -> 
     return precision(instance, r) >= 1.0 / D - tol
 
 
+def block_constant(noises, target: float, p: float):
+    """Water-filling constant K of a block with group sum rate ``target``
+    decoded at base precision p, or None when the block cannot reach it.
+
+    The root of h(K) = (1/2) ln(1 + sum (1/s - 1/K) / p) + sum (1/2) ln(K / s)
+    = target by ``brentq`` over K > max noise; h grows by at least n/2 per
+    unit of ln K, which brackets the root.
+    """
+
+    def g(K):
+        weight = sum(1.0 / s - 1.0 / K for s in noises)
+        return 0.5 * math.log1p(weight / p) + sum(0.5 * math.log(K / s) for s in noises) - target
+
+    k_lo = max(noises) * (1.0 + 1e-13)
+    g_lo = g(k_lo)
+    if g_lo >= 0.0:
+        return None
+    k_hi = k_lo * math.exp(-2.0 * g_lo / len(noises)) * (1.0 + 1e-9)
+    return brentq(g, k_lo, k_hi, xtol=1e-300, rtol=8.9e-16)
+
+
 def solve_blocks(sn, R, blocks, p0: float):
     """Allocation from a decode-ordered block structure, or None.
 
     Within a block the allocation water-fills: sigma_n2[i] * exp(2 r_i) is
     one constant K per block, pinned by the block's group sum rate given
-    everything decoded earlier.  Fails (returns None) when a block's sum
-    rate is too small to support its joint description.
+    everything decoded earlier (``block_constant``).  Fails (returns None)
+    when a block's sum rate is too small to support its joint description.
     """
     r = [0.0] * len(sn)
     p = p0
     for block in blocks:
         noises = [sn[i] for i in block]
-        K = _block_constant(noises, sum(R[i] for i in block), p, max(noises) * (1.0 + 1e-13))
+        K = block_constant(noises, sum(R[i] for i in block), p)
         if K is None:
             return None
         for i in block:

@@ -372,22 +372,37 @@ class TestOmegaMap:
             run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=0,3037000498,1"])
 
 
-def test_region_check_loads_no_numpy_or_scipy(sym2_file):
-    # Each command imports only its own solver module, so a cold region
-    # check starts without numpy and scipy, and without the thread pool's
-    # concurrent.futures, which only a simulation with several shards loads.
-    code = (
-        "import sys\n"
-        "from gceo import cli\n"
-        f"status = cli.main(['region', 'check', '--instance', {sym2_file!r}, '--r', '0.5,0.5',"
-        f" '--R', '0.7,0.8', '--output', {os.devnull!r}])\n"
-        "print(status, sorted(m for m in ('numpy', 'scipy', 'concurrent.futures') if m in sys.modules))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
-    )
-    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+def test_region_check_loads_no_numpy_or_scipy(sym2_file, tmp_path):
+    # Each command imports only its own solver module, and no module of the
+    # library imports scipy.  So a cold region check, inverse map or omega
+    # tag starts without numpy and scipy; omega-map and refine load numpy
+    # through the scheduler's validator.  No command loads the thread
+    # pool's concurrent.futures, which only a simulation with several
+    # shards uses.
+    l4_file = tmp_path / "l4.json"
+    l4_file.write_text(json.dumps({"sigma_x2": 1.3, "sigma_n2": [0.7, 1.1, 2.9, 0.4]}))
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
+    commands = [
+        (["region", "check", "--instance", sym2_file, "--r", "0.5,0.5", "--R", "0.7,0.8"], 0, []),
+        (["invert", "--instance", sym2_file, "--R", "0.7,0.8"], 0, []),
+        (["invert", "--instance", str(l4_file), "--R", "0.9,1.3,0.4,0.6"], 0, []),
+        (["omega", "--instance", sym2_file, "--R", "0.7,0.8"], 0, []),
+        (["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=0,1,0.5"], 0, ["numpy"]),
+        (["refine", "--instance", sym2_file, "--stages", str(stages)], 0, ["numpy"]),
+    ]
+    for argv, status, loaded in commands:
+        code = (
+            "import sys\n"
+            "from gceo import cli\n"
+            f"status = cli.main({argv + ['--output', os.devnull]!r})\n"
+            "print(status, sorted(m for m in ('numpy', 'scipy', 'concurrent.futures') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        assert (proc.returncode, proc.stdout) == (0, f"{status} {loaded}\n"), (argv, proc.stderr)
 
 
 class TestTolerance:

@@ -198,18 +198,6 @@ class TestClosedForms:
             assert max(abs(x - y) for x, y in zip(res.r_star, expected)) <= 1e-13, (inst, R)
         assert branches == {"omega1", "omega2", "reduced"}
 
-    def test_no_root_finder(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("brentq called")
-
-        monkeypatch.setattr(inversion, "brentq", refuse)
-        rng = np.random.default_rng(93)
-        for inst in (CeoInstance(1.0, (1.0, 1.0)),) + ASYM_INSTANCES:
-            points = [sample_omega_point(inst, rng, want) for want in ("OMEGA1", "OMEGA2", "OMEGA3")]
-            points += [(0.0, 0.0), (0.7, 0.0), (R_MAX, 0.4), (R_MAX, R_MAX)]
-            branches = {r_star_l2(inst, R).branch for R in points}
-            assert branches == {"omega1", "omega2", "omega3", "reduced"}
-
     def test_margins_recorded(self):
         # The margins an answer carries are omega_margins' exactly, reduced
         # answers included; the serialized result leaves them out.
@@ -506,38 +494,27 @@ TINY_NOISE_RATES = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 49.0)
 TINY_NOISE_GRID = [(a, b) for a in TINY_NOISE_RATES for b in TINY_NOISE_RATES]
 
 
-def test_decomposition_at_tiny_noise_raises_rather_than_answers_wrong():
-    # Where the forced decomposition answers on the tiny-noise grid, its d*
-    # is the closed form's to 2e-9 relative; elsewhere it raises.  Without
-    # the certificate's check that every decode-chain row is tight, 12 more
-    # points answer, off by 3.4e-9 to 1.2e-5 relative.  The answers kept
-    # are off by up to 1.24e-9 (R = (5, 0.5), where r_1 = 1.6e-8 and one
-    # ulp of K moves r_1 by ~7e-9 relative; item 11).
-    inst = CeoInstance(1.0, (1e-12, 1.0))
-    answered = 0
-    for R in TINY_NOISE_GRID:
-        try:
-            got = r_star(inst, R, method="bisection")
-        except ConvergenceError:
-            continue
-        assert got.d_star == pytest.approx(r_star_l2(inst, R).d_star, rel=2e-9), R
-        answered += 1
-    assert answered >= 20
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=ConvergenceError,
-    reason="ROADMAP items 11 and 13: near a 1e-12 noise one ulp of the block constant K "
-    "moves w_i by ~1e-5 relative, so the decomposition leaves the region",
-)
 def test_decomposition_at_tiny_noise_matches_the_closed_form():
-    # Block weights 1/sn - 1/K of order 1e12.  The closed form answers every
-    # point; the forced decomposition raises at 25 of these 49, R = (0.5, 0.5)
-    # among them.  Log-excess coordinates (item 11) would mend it.
+    # Block weights of order 1e12, and r_1 down to ~1e-12 nats.  Solved for
+    # K, the decomposition raised at 25 of these 49 points (one ulp of K
+    # moved w_1 by ~1e-5 relative) and was off by up to 1.24e-9 relative
+    # in d* at others; rates in log-excess coordinates answer every point.
     inst = CeoInstance(1.0, (1e-12, 1.0))
     for R in TINY_NOISE_GRID:
         a = r_star_l2(inst, R)
         b = r_star(inst, R, method="bisection")
         assert a.r_star == pytest.approx(b.r_star, abs=1e-9)
         assert a.d_star == pytest.approx(b.d_star, rel=1e-12)
+
+
+def test_decomposition_at_tiny_rates_and_noises():
+    # Every block root below 5e-14 nats: the threshold scan used to start
+    # just above the largest noise, above every root, and found no block
+    # (TypeError).  From rate 0 the scan's first step always finds one.
+    inst = CeoInstance(2.0, (1e-6, 1e-6, 2e-6))
+    for R in [(1e-8, 1e-8, 1e-8), (2e-9, 3e-9, 1e-8)]:
+        res = r_star(inst, R)
+        assert res.method == "decomposition"
+        assert res.kkt_residual <= inversion.KKT_LIMIT
+        assert res.residuals <= 1e-15
+        assert all(0.0 < v < 1e-13 for v in res.r_star)

@@ -67,6 +67,23 @@ class TestCheckRefinement:
             R = tuple(float(v) for v in rng.uniform(0.0, 4.0, 2))
             assert check_refinement(inst, [R], 0.0).feasible, (inst, R)
             assert check_refinement(inst, [R, R], 0.0).feasible, (inst, R)
+        # Noises from 1e-6 to 1 at L = 3-6.  r* solved for the water-filling
+        # constant K rather than for a rate left 22 of these 3000 chains
+        # infeasible, the repro at -9.3e-12 (72x the floor).
+        rng = np.random.default_rng(7)
+        cases = [
+            (
+                CeoInstance(1.385665071295039, (1.040146356163845e-06, 3.0078878179198352e-05, 7.78980135411817e-06)),
+                (0.6258793381740961, 0.5308328020290132, 0.13796899324252054),
+            )
+        ]
+        for _ in range(3000):
+            L = int(rng.integers(3, 7))
+            inst = CeoInstance(float(rng.uniform(0.5, 2.0)), tuple(float(v) for v in 10 ** rng.uniform(-6.0, 0.0, L)))
+            cases.append((inst, tuple(float(v) for v in rng.uniform(0.0, 4.0, L))))
+        for inst, R in cases:
+            assert check_refinement(inst, [R], 0.0).feasible, (inst, R)
+            assert check_refinement(inst, [R, R], 0.0).feasible, (inst, R)
 
     def test_decreasing_stage_rejected(self, sym2):
         with pytest.raises(ArgumentError):
