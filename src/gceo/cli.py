@@ -27,7 +27,9 @@ at start-up.
 returns with its nodes.  A grid's start-independent part (inversions,
 region tags, row text) is kept across maps in a memo of at most as many
 nodes as the r* cache holds answers, so a cold map costs one r* per node
-and a warm map one stage-2 scan per node that dominates ``--from``.  One
+and a warm map one stage-2 minimum per node that dominates ``--from``:
+the node's precision weights, one threshold scan (one sort and at most
+2L + 1 logarithms) and one more logarithm, with no rows built.  One
 command runs one map, which is always cold; only a process that runs
 several maps of one grid (``main`` or ``reachable_set_l2`` called in a
 loop) gets warm maps.

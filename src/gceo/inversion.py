@@ -109,7 +109,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentError, ConvergenceError
-from .model import TOL_EQ, CeoInstance, R_MAX, is_cap, precision_weight, rate_floor
+from .model import RATE_FLOOR, TOL_EQ, CeoInstance, R_MAX, is_cap, precision_weight, rate_floor
 from .polymatroid import _min_threshold_set, _scan_min_slack
 
 RESIDUAL_LIMIT = 1e-5
@@ -486,11 +486,11 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
     sn1, sn2 = instance.sigma_n2[a], instance.sigma_n2[b]
     # In Omega_1 (Omega_2) the pinned encoder is decoded first, alone; its
     # partner is then one encoder over the prior plus the pinned weight.
-    if R1 >= th1 - 1e-13:
+    if R1 >= th1 - RATE_FLOOR:
         branch = "omega1"
         r1 = _solve_l1(sn1, R1, p_prior)
         r2 = _solve_l1(sn2, R2, p_prior + precision_weight(sn1, r1))
-    elif R2 >= th2 - 1e-13:
+    elif R2 >= th2 - RATE_FLOOR:
         branch = "omega2"
         r2 = _solve_l1(sn2, R2, p_prior)
         r1 = _solve_l1(sn1, R1, p_prior + precision_weight(sn2, r2))

@@ -58,9 +58,11 @@ RATE_FLOOR = 1e-13
 # nats; such a stage counts as equal to the one before it.
 CHAIN_DROP = 1e-12
 
-# Region membership, face identification and the refinement stage test
-# (O(L^2) threshold scans each), the inverse map (a few scans per decode
-# block) and the scheduler (one grow per split, no backtracking) enumerate
+# Region membership and the refinement stage test (an O(L log L)
+# threshold scan each: one sweep plus the singletons), face
+# identification (O(L^2) candidate sets), the inverse map (a few scans
+# per decode block) and the scheduler (one grow per split, no
+# backtracking) enumerate
 # no subsets.  What still grows fast with L is the ``dominant_face_form``
 # cross-check (2^L conditional ranks), so L stays at desk scale until a
 # benchmark sweep over L shows what a larger cap costs.

@@ -25,11 +25,14 @@ Region membership never enumerates subsets.  The slack of subset A,
 
 with c_i = R_i - r_i, p0 = 1/sigma_x2 and W = sum w_i, is a modular
 function plus a concave function of the modular w(A).  Writing the
-concave term as the infimum of its tangent lines, some minimizer is a
-threshold set {i : c_i < mu w_i}: a prefix of the encoders sorted by
-c_i / w_i, plus every zero-weight encoder with c_i < 0 (Fujishige,
-Submodular Functions and Optimization).  Forcing each encoder in once
-keeps A nonempty, so the minimum costs O(L^2) after one sort.
+concave term as the infimum of its tangent lines, the minimum is, over
+the tangents, a constant plus the nonempty minimum of a modular
+function.  That is attained at the function's set of negative terms, a
+threshold set {i : c_i < mu w_i} (a prefix of the encoders sorted by
+c_i / w_i, plus every zero-weight encoder with c_i < 0; Fujishige,
+Submodular Functions and Optimization), or, when it has no negative
+term, at a singleton.  So the minimum costs one sort and O(L) more,
+O(L log L).
 
 ``_scan_min_slack`` is the one engine for these minima.  It takes the
 precision as p0 + u(A) + v(A^c), a sum of nonnegative terms: region
@@ -50,7 +53,8 @@ tight set minimizes it and, up to ratio ties, is a prefix of the encoders
 sorted by (r_i - R_i) / w_i.  Within a tolerance a tight set need only
 nearly minimize g and can differ from a prefix in an encoder whose ratio
 sits near the threshold; ``_tight_chain`` tests every prefix and every
-set one encoder away from a prefix, O(L^2) sets from running sums.  It
+set one encoder away from a prefix, O(L^2) sets from running sums (unlike
+the O(L log L) slack minimum, which needs no near-minimizers).  It
 serves ``identify_face`` and the scheduler's face step, whose base
 precision p0 is that of the descriptions decoded so far.
 
@@ -109,24 +113,29 @@ def _scan_min_slack(c, u, v, p0: float) -> tuple[float, tuple[int, ...]]:
 
     Needs u_i, v_i >= 0, p0 > 0 and no NaN in c.  With d = v - u,
     m(A) = m(empty) - d(A), so the log term is a concave function of the
-    modular d(A).  Writing it as the infimum of its tangent lines, some
-    minimizer with encoder j forced in is j plus a threshold set
-    {i : c_i < mu d_i} of the others: the d_i = 0 encoders with c_i < 0,
-    and the rest split by mu.  Raising mu past c_i / d_i lets an encoder
-    with d_i > 0 join and one with d_i < 0 leave, so one sweep over the
-    order of c_i / d_i visits every such set, O(n) per j and O(n^2) in
-    all.  When every d_i >= 0 the sets are the prefixes of that order.  A
-    NaN value (c holding both infinities) never wins; with none left the
-    minimum is +inf and the set empty.
+    modular d(A), the minimum of its tangent lines; their slopes are -lam
+    with lam > 0.  The minimum is therefore the minimum over lam of a
+    constant plus the nonempty minimum of the modular function
+    sum_{i in A} (c_i - lam d_i), and a modular function's nonempty
+    minimum is its set of negative terms when it has one, else its
+    smallest singleton.  The negative sets {i : c_i < lam d_i} are the
+    d_i = 0 encoders with c_i < 0 plus the rest split by lam: raising lam
+    past c_i / d_i lets an encoder with d_i > 0 join and one with d_i < 0
+    leave.  So the candidates are the nonempty sets of one sweep over the
+    order of c_i / d_i and the n singletons: one sort, O(n log n), and at
+    most 2n + 1 logarithms.  When every d_i >= 0 the sweep's sets are the
+    prefixes of that order.  A NaN value (c holding both infinities) never
+    wins; with none left the minimum is +inf and the set empty.
     """
     n = len(c)
     m_empty = p0 + sum(v)
-    # An encoder with d_i = 0 adds u_i = v_i to m whatever A is.  Every
-    # other one is (c_i / d_i, i, d_i > 0, then its c and m terms before
-    # and after its threshold): before it, one with d_i < 0 is in A and
-    # adds c_i and u_i, one with d_i > 0 is out and adds v_i; after it,
-    # the reverse.
+    # An encoder with d_i = 0 adds u_i = v_i to m whatever A is, so its
+    # singleton's value is c_i.  Every other one is (c_i / d_i, i,
+    # d_i > 0): before its threshold, one with d_i > 0 is out of A and adds
+    # v_i to m, one with d_i < 0 is in and adds c_i and u_i; after it, the
+    # reverse.
     still, still_c, still_m = [], 0.0, p0
+    alone, alone_at = math.inf, -1
     moving = []
     for i in range(n):
         d = v[i] - u[i]
@@ -135,41 +144,62 @@ def _scan_min_slack(c, u, v, p0: float) -> tuple[float, tuple[int, ...]]:
             if c[i] < 0.0:
                 still.append(i)
                 still_c += c[i]
-        elif d > 0.0:
-            moving.append((c[i] / d, i, True, 0.0, v[i], c[i], u[i]))
+            if c[i] < alone:
+                alone, alone_at = c[i], -2 - i
         else:
-            moving.append((c[i] / d, i, False, c[i], u[i], 0.0, v[i]))
+            moving.append((c[i] / d, i, d > 0.0))
     moving.sort()  # by c_i / d_i, ties by index
-    best, best_at = math.inf, None
-    for j in range(n):
-        order = [e for e in moving if e[1] != j]
-        if u[j] == v[j]:
-            head_c, head_m = still_c + max(c[j], 0.0), still_m
+    # tails[k]: for the k-th encoder from the back of the order, the c and
+    # m terms of it and of the encoders after it, all before their
+    # thresholds, and the v terms of those after it.  Sums run from the
+    # front (head) and from the back (tail), so m only ever adds terms
+    # >= 0.  ``members`` counts the encoders of the sweep's set.
+    tails = [(0.0, 0.0, 0.0)]
+    tail_c = tail_m = tail_v = 0.0
+    members = len(still)
+    for _, i, grows in reversed(moving):
+        if grows:
+            tails.append((tail_c, tail_m + v[i], tail_v))
+            tail_m += v[i]
         else:
-            head_c, head_m = still_c + c[j], still_m + u[j]
-        # tails[k]: the c and m terms of the last k encoders of the order,
-        # still before their thresholds.  Sums run from the front (head)
-        # and from the back (tail), so m only ever adds terms >= 0.
-        tails = [(0.0, 0.0)]
-        tail_c = tail_m = 0.0
-        for _, _, _, c_before, m_before, _, _ in reversed(order):
-            tail_c += c_before
-            tail_m += m_before
-            tails.append((tail_c, tail_m))
-        for passed, (_, _, _, _, _, c_after, m_after) in enumerate(order):
-            tail_c, tail_m = tails[len(order) - passed]
+            tails.append((tail_c + c[i], tail_m + u[i], tail_v))
+            tail_c += c[i]
+            tail_m += u[i]
+            members += 1
+        tail_v += v[i]
+    # best_at: the sweep position, or -2 - i for the singleton {i}.  The
+    # sweep's sets on either side of i's threshold differ by i alone, so
+    # {i} is one of them when the other is empty; it is scanned otherwise,
+    # with m = (p0 + v of the encoders before i) + u_i + (v of those after).
+    best, best_at = math.inf, -1
+    head_c, head_m, head_v = still_c, still_m, still_m
+    for passed, (_, i, grows) in enumerate(moving):
+        tail_c, tail_m, after_v = tails[len(moving) - passed]
+        if members:
             value = head_c + tail_c + 0.5 * math.log((head_m + tail_m) / m_empty)
             if value < best:
-                best, best_at = value, (j, order, passed)
-            head_c += c_after
-            head_m += m_after
+                best, best_at = value, passed
+        if members > (not grows):
+            value = c[i] + 0.5 * math.log((head_v + u[i] + after_v) / m_empty)
+            if value < best:
+                best, best_at = value, -2 - i
+        if grows:
+            head_c += c[i]
+            head_m += u[i]
+            members += 1
+        else:
+            head_m += v[i]
+            members -= 1
+        head_v += v[i]
+    if members:
         value = head_c + 0.5 * math.log(head_m / m_empty)
         if value < best:
-            best, best_at = value, (j, order, len(order))
-    if best_at is None:
-        return best, ()
-    j, order, passed = best_at
-    inside = {j, *still, *(e[1] for k, e in enumerate(order) if (k < passed) == e[2])}
+            best, best_at = value, len(moving)
+    if alone < best:
+        best, best_at = alone, alone_at
+    if best_at < 0:
+        return best, () if best_at == -1 else (-2 - best_at,)
+    inside = still + [i for k, (_, i, grows) in enumerate(moving) if (k < best_at) == grows]
     return best, tuple(sorted(inside))
 
 

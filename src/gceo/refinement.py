@@ -18,8 +18,9 @@ into its adjacent two-stage instances.
 No subset is enumerated.  The slack of A is a modular term plus a concave
 function of a modular weight, the form of region membership, so the
 threshold scan ``polymatroid._scan_min_slack`` finds the worst subset of a
-stage in O(L^2).  A report lists, per stage, that worst subset and the
-full set.
+stage in O(L log L): the sets of one threshold sweep and the singletons.
+``_stage_min`` is the one evaluation of a stage; a report lists, per
+stage, its worst subset and the full set.
 
 The same test has a geometric form: the stage increment must lie on the
 dominant face of the conditional rate region whose descriptions are the
@@ -31,8 +32,8 @@ covariance engine, as an independent cross-check of the inequality form.
 of a two-encoder rate grid.  What does not depend on the start (each
 node's inversion, region tag and CSV row text) is a grid table, kept in a
 bounded memo of at most as many nodes in all as the r* cache holds
-answers.  A cold map costs one r* per node; a warm map, one stage-2 scan
-per node that dominates the start.
+answers.  A cold map costs one r* per node; a warm map, one stage-2
+minimum (``_stage_min``) per node that dominates the start.
 """
 
 from __future__ import annotations
@@ -107,33 +108,32 @@ def _validate_stages(instance: CeoInstance, stages) -> list[tuple[float, ...]]:
     return out
 
 
-def _stage_end(instance: CeoInstance, R, inv) -> tuple:
-    """A chain point as the stage test reads it: R, r*(R), the precision
-    weights of r*(R) and D*(R), from ``inv``: the inversion of R, or the
-    ``GridNode`` of R, which carries the same ``r_star`` and ``d_star``."""
-    r = inv.r_star
-    return R, r, [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)], inv.d_star
+def _weights(instance: CeoInstance, r) -> list[float]:
+    """The precision weights of allocation r."""
+    return [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
 
 
-def _stage_rows(p0: float, prev, nxt) -> list:
-    """(subset, slack) of the worst subset and of the full set in the
-    inequality of the stage between chain points ``prev`` and ``nxt``
-    (``_stage_end``), the full set last (alone when it is the worst).
+def _stage_min(instance: CeoInstance, p0: float, prev, R, inv) -> tuple:
+    """The stage inequality from chain point ``prev`` to R: its minimum
+    slack over the nonempty subsets, a worst subset, c and the weights of
+    r*(R).
 
-    The slack of A is c(A) + (1/2) ln(m(A) D*(R_j)), with c_i the rate
-    increment minus the allocation increment and the mixed precision
-    m(A) = p0 + w_prev(A) + w_next(A^c), a sum of nonnegative terms; the
-    threshold scan minimizes it.
+    ``prev`` is (R_prev, r*(R_prev), its weights) and ``inv`` the
+    inversion of R, or the ``GridNode`` of R, which carries the same
+    ``r_star`` and ``d_star``.  The slack of A is
+    c(A) + (1/2) ln(m(A) D*(R)), with c_i the rate increment minus the
+    allocation increment and the mixed precision
+    m(A) = p0 + w_prev(A) + w(A^c), a sum of nonnegative terms: the
+    threshold scan's value plus (1/2) ln(D*(R) m(empty)).
     """
-    (R_prev, r_prev, w_prev, _), (R_next, r_next, w_next, d_next) = prev, nxt
+    R_prev, r_prev, w_prev = prev
+    r = inv.r_star
+    w = _weights(instance, r)
     # A rate that stays the same adds nothing, an infinite one included
     # (inf - inf would make the slack NaN).
-    c = [(0.0 if a == b else b - a) - (y - x) for a, b, x, y in zip(R_prev, R_next, r_prev, r_next)]
-    low, worst = _scan_min_slack(c, w_prev, w_next, p0)
-    full = (tuple(range(len(c))), sum(c) + 0.5 * math.log(d_next * (p0 + sum(w_prev))))
-    if worst == full[0]:
-        return [full]
-    return [(worst, low + 0.5 * math.log(d_next * (p0 + sum(w_next)))), full]
+    c = [(0.0 if a == b else b - a) - (y - x) for a, b, x, y in zip(R_prev, R, r_prev, r)]
+    low, worst = _scan_min_slack(c, w_prev, w, p0)
+    return low + 0.5 * math.log(inv.d_star * (p0 + sum(w))), worst, c, w
 
 
 def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL) -> RefinementReport:
@@ -149,12 +149,16 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
     stages = _validate_stages(instance, stages)
     chain = [(0.0,) * instance.L] + stages
     inversions = [r_star(instance, R) for R in chain]
-    ends = [_stage_end(instance, R, inv) for R, inv in zip(chain, inversions)]
     p0 = 1.0 / instance.sigma_x2
+    prev = (chain[0], inversions[0].r_star, _weights(instance, inversions[0].r_star))
     per_stage = []
     for j in range(1, len(chain)):
-        rows = _stage_rows(p0, ends[j - 1], ends[j])
-        per_stage.append(tuple(StageSlack(j, subset, slack) for subset, slack in rows))
+        R, inv = chain[j], inversions[j]
+        slack, subset, c, w = _stage_min(instance, p0, prev, R, inv)
+        # The full set's mixed precision holds the coarser weights alone.
+        full = StageSlack(j, tuple(range(instance.L)), sum(c) + 0.5 * math.log(inv.d_star * (p0 + sum(prev[2]))))
+        per_stage.append((full,) if subset == full.subset else (StageSlack(j, subset, slack), full))
+        prev = (R, inv.r_star, w)
     worst = min((row for rows in per_stage for row in rows), key=lambda row: row.slack)
     return RefinementReport(
         feasible=worst.slack >= -(tol + rate_floor(stages[-1])),
@@ -318,14 +322,16 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     many nodes in all as the r* LRU holds answers, least recently used
     dropped first; a larger grid's table is built, used and dropped.  The
     per-start pass validates and inverts ``R_from``, evaluates stage 1
-    (0 -> R_from) once, and adds the stage-2 rows of each dominating node
-    through the same ``_stage_rows``.  So a cold map costs one r* per
-    node, and a warm map one stage-2 scan per dominating node.  A node
+    (0 -> R_from) once, and takes the stage-2 minimum of each dominating
+    node through the same ``_stage_min``, with no rows.  So a cold map
+    costs one r* per node, and a warm map per dominating node the node's
+    precision weights, one threshold scan (one sort and at most 2L + 1
+    logarithms) and one more logarithm.  A node
     that undershoots ``R_from`` by at most ``CHAIN_DROP`` in some
     coordinate is tested at the coordinatewise maximum, as the chain test
-    would see it.  Each node's slacks are compared at ``tol`` plus the
-    rounding floor of its stage-2 end (``model.rate_floor``), the floor
-    ``check_refinement`` applies to the chain's last stage.
+    would see it.  Each node's minimum slack is compared at ``tol`` plus
+    the rounding floor of its stage-2 end (``model.rate_floor``), the
+    floor ``check_refinement`` applies to the chain's last stage.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -341,11 +347,15 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
         raise ArgumentError(f"grid {grid} has a node past the largest float")
     (R_from,) = _validate_stages(instance, [R_from])
     zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
-    origin = _stage_end(instance, zero, r_star(instance, zero))
-    start = _stage_end(instance, R_from, r_star(instance, R_from))
-    stage1 = min(slack for _, slack in _stage_rows(p0, origin, start))
-    # No node's floor exceeds the top node's, so a slack below that band
-    # needs no floor of its own (most unreachable nodes).
+    origin = r_star(instance, zero).r_star
+    inv = r_star(instance, R_from)
+    stage1, _, _, w_from = _stage_min(instance, p0, (zero, origin, _weights(instance, origin)), R_from, inv)
+    start = (R_from, inv.r_star, w_from)
+    # Floors grow with the rates, so the floor of a node that dominates
+    # the start lies between the start's and the top node's: a slack above
+    # the start's band or below the top's needs no floor of its own (most
+    # reachable and most unreachable nodes).
+    sure = tol + rate_floor(R_from)
     band = tol + rate_floor((max(top, R_from[0]), max(top, R_from[1])))
     table = _grid_table(instance, lo, step, n)
     nodes = GridMap(table.nodes, table.prefixes)
@@ -353,14 +363,14 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     # start form the rectangle a >= a0, b >= b0.
     a0 = bisect_left(table.axis, R_from[0] - CHAIN_DROP)
     b0 = bisect_left(table.axis, R_from[1] - CHAIN_DROP)
+    ys = [max(y, R_from[1]) for y in table.axis[b0:]]
     for a in range(a0, n):
-        for k in range(a * n + b0, (a + 1) * n):
+        x = max(table.axis[a], R_from[0])
+        for k, y in zip(range(a * n + b0, (a + 1) * n), ys):
             node = nodes[k]
-            R = node.R
-            target = (max(R[0], R_from[0]), max(R[1], R_from[1]))
-            end = _stage_end(instance, target, node if target == R else r_star(instance, target))
-            stage2 = min(slack for _, slack in _stage_rows(p0, start, end))
+            target = (x, y)
+            stage2 = _stage_min(instance, p0, start, target, node if target == node.R else r_star(instance, target))[0]
             low = min(stage1, stage2)
-            if low >= -band and low >= -(tol + rate_floor(target)):
-                nodes[k] = node._replace(reachable=True)
+            if low >= -sure or (low >= -band and low >= -(tol + rate_floor(target))):
+                nodes[k] = GridNode(node.R, node.region, node.d_star, node.r_star, True)
     return nodes

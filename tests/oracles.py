@@ -19,6 +19,10 @@ bound) only at desk scale:
 * ``exhaustive_scan_slack``: the minimum of c(A) + (1/2) ln(m(A) / m(empty))
   over every nonempty subset, the reference for the threshold scan
   ``polymatroid._scan_min_slack`` with weights of either sign;
+  ``scan_value`` is that value at one subset;
+* ``forced_scan_slack``: the same minimum by forcing each encoder in once
+  and sweeping the threshold sets of the others, O(L^2) (the scan's
+  former engine), the reference past the reach of enumeration;
 * ``in_feasible_set``: whether an allocation reaches a distortion target;
 * ``block_constant`` and ``solve_blocks``: a block's water-filling
   constant K as a ``brentq`` root of its group sum-rate equation (the
@@ -337,17 +341,81 @@ def enumerate_stage_slacks(instance: CeoInstance, R_prev, R_next, r_prev, r_next
     return slacks
 
 
+def scan_value(c, u, v, p0: float, subset) -> float:
+    """c(A) + (1/2) ln(m(A) / m(empty)) with m(A) = p0 + u(A) + v(A^c), for
+    A the index tuple ``subset``."""
+    inside = set(subset)
+    m = p0 + sum(u[i] if i in inside else v[i] for i in range(len(c)))
+    return sum(c[i] for i in subset) + 0.5 * math.log(m / (p0 + sum(v)))
+
+
 def exhaustive_scan_slack(c, u, v, p0: float) -> tuple[float, dict]:
     """min over nonempty A of c(A) + (1/2) ln(m(A) / m(empty)) with
     m(A) = p0 + u(A) + v(A^c), and the value of every subset (sorted index
     tuple -> value), by walking all 2^n - 1 subsets."""
+    values = {}
+    for mask in range(1, 1 << len(c)):
+        values[mask_to_indices(mask)] = scan_value(c, u, v, p0, mask_to_indices(mask))
+    return min(values.values()), values
+
+
+def forced_scan_slack(c, u, v, p0: float) -> tuple[float, tuple[int, ...]]:
+    """min over nonempty A of c(A) + (1/2) ln(m(A) / m(empty)) with
+    m(A) = p0 + u(A) + v(A^c), and one minimizer as sorted indices, in
+    O(n^2) after one sort.
+
+    With encoder j forced in, some minimizer is j plus a threshold set
+    {i : c_i < mu d_i} of the others (d = v - u): the d_i = 0 encoders
+    with c_i < 0, and the rest split by mu.  One sweep over the order of
+    c_i / d_i visits every such set, once per j.  A NaN value never wins;
+    with none left the minimum is +inf and the set empty.
+    """
     n = len(c)
     m_empty = p0 + sum(v)
-    values = {}
-    for mask in range(1, 1 << n):
-        m = p0 + sum(u[i] if mask >> i & 1 else v[i] for i in range(n))
-        values[mask_to_indices(mask)] = sum(c[i] for i in mask_to_indices(mask)) + 0.5 * math.log(m / m_empty)
-    return min(values.values()), values
+    # (c_i / d_i, i, d_i > 0, then the c and m terms before and after the
+    # threshold) of every encoder with d_i != 0.
+    still, still_c, still_m = [], 0.0, p0
+    moving = []
+    for i in range(n):
+        d = v[i] - u[i]
+        if d == 0.0:
+            still_m += v[i]
+            if c[i] < 0.0:
+                still.append(i)
+                still_c += c[i]
+        elif d > 0.0:
+            moving.append((c[i] / d, i, True, 0.0, v[i], c[i], u[i]))
+        else:
+            moving.append((c[i] / d, i, False, c[i], u[i], 0.0, v[i]))
+    moving.sort()
+    best, best_at = math.inf, None
+    for j in range(n):
+        order = [e for e in moving if e[1] != j]
+        if u[j] == v[j]:
+            head_c, head_m = still_c + max(c[j], 0.0), still_m
+        else:
+            head_c, head_m = still_c + c[j], still_m + u[j]
+        tails = [(0.0, 0.0)]
+        tail_c = tail_m = 0.0
+        for _, _, _, c_before, m_before, _, _ in reversed(order):
+            tail_c += c_before
+            tail_m += m_before
+            tails.append((tail_c, tail_m))
+        for passed, (_, _, _, _, _, c_after, m_after) in enumerate(order):
+            tail_c, tail_m = tails[len(order) - passed]
+            value = head_c + tail_c + 0.5 * math.log((head_m + tail_m) / m_empty)
+            if value < best:
+                best, best_at = value, (j, order, passed)
+            head_c += c_after
+            head_m += m_after
+        value = head_c + 0.5 * math.log(head_m / m_empty)
+        if value < best:
+            best, best_at = value, (j, order, len(order))
+    if best_at is None:
+        return best, ()
+    j, order, passed = best_at
+    inside = {j, *still, *(e[1] for k, e in enumerate(order) if (k < passed) == e[2])}
+    return best, tuple(sorted(inside))
 
 
 def in_feasible_set(instance: CeoInstance, r, D: float, tol: float = TOL_EQ) -> bool:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import cli, inversion
+from gceo import cli, inversion, polymatroid
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision, rate_floor
 from gceo.polymatroid import (
@@ -33,8 +33,10 @@ from oracles import (
     enumerate_face,
     exhaustive_scan_slack,
     exhaustive_slack,
+    forced_scan_slack,
     instance_slack,
     rank_fD,
+    scan_value,
     supermodularity_margin,
     unconditioned_rank,
 )
@@ -466,15 +468,17 @@ def slack_cases(draw):
 
 
 @st.composite
-def signed_scan_cases(draw):
-    """(c, u, v, p0) of a threshold-scan query whose weights d = v - u take
-    either sign.
+def signed_scan_cases(draw, min_n=1, max_n=7):
+    """(c, u, v, p0) of a threshold-scan query with min_n to max_n encoders
+    whose weights d = v - u take either sign.
 
     Each encoder's pair (u_i, v_i) is drawn zero, equal (d_i = 0), growing
     (d_i > 0, a nested refinement stage) or shrinking (d_i < 0); the gaps c
-    are free, tied in their ratio c_i / d_i across signs, or hold a +inf.
+    are free, tied in their ratio c_i / d_i across signs, hold a +inf, or
+    are positive and at least the largest drop of the log term, so that
+    the minimum is often a singleton.
     """
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(min_n, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u, v = [], []
     for kind in draw(st.lists(st.sampled_from(["zero", "equal", "grow", "shrink"]), min_size=n, max_size=n)):
@@ -483,17 +487,23 @@ def signed_scan_cases(draw):
         v.append({"zero": 0.0, "equal": b, "grow": b, "shrink": a}[kind])
     p0 = float(10.0 ** rng.uniform(-1.0, 1.0))
     c = [float(x) for x in rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-2.0, 0.3)]
-    mode = draw(st.sampled_from(["free", "tied", "infinite"]))
+    mode = draw(st.sampled_from(["free", "tied", "infinite", "singleton"]))
     if mode == "tied":
         ratio = float(rng.uniform(-1.0, 1.0))
         c = [ratio * (b - a) if draw(st.booleans()) else ci for ci, a, b in zip(c, u, v)]
     elif mode == "infinite":
         c[draw(st.integers(0, n - 1))] = math.inf
+    elif mode == "singleton":
+        # No set lowers the log term by more than this floor.
+        floor = 0.5 * math.log((p0 + sum(v)) / p0)
+        c = [floor + abs(ci) for ci in c]
     return c, u, v, p0
 
 
 class TestThresholdScan:
-    """The O(L^2) scan against explicit enumeration of every subset."""
+    """The O(L log L) scan (one threshold sweep plus the singletons)
+    against explicit enumeration of every subset and, past its reach,
+    against the O(L^2) forced-encoder sweep."""
 
     @settings(max_examples=400)
     @given(signed_scan_cases())
@@ -506,6 +516,47 @@ class TestThresholdScan:
         else:
             assert low == pytest.approx(expect, abs=1e-12)
             assert values[subset] == pytest.approx(low, abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(signed_scan_cases(13, 64))
+    def test_signed_weights_match_forced_sweep(self, case):
+        c, u, v, p0 = case
+        low, subset = _scan_min_slack(c, u, v, p0)
+        expect, _ = forced_scan_slack(c, u, v, p0)
+        if math.isinf(expect):
+            assert low == expect
+        else:
+            assert low == pytest.approx(expect, abs=1e-12)
+            assert scan_value(c, u, v, p0, subset) == pytest.approx(low, abs=1e-12)
+
+    def test_logarithm_count_is_linear(self, monkeypatch):
+        # One sweep plus the singletons takes at most 2L + 1 logarithms;
+        # forcing each encoder in, as the O(L^2) sweep does, takes ~L^2.
+        rng = np.random.default_rng(29)
+        L = 256
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                calls.append(x)
+                return math.log(x)
+
+        monkeypatch.setattr(polymatroid, "math", CountingMath())
+        for kind in ("grow", "signed", "mixed"):
+            u = [float(x) for x in rng.uniform(0.0, 2.0, L)]
+            v = {
+                "grow": [x + float(y) for x, y in zip(u, rng.uniform(0.1, 1.0, L))],
+                "signed": [float(x) for x in rng.uniform(0.0, 2.0, L)],
+                "mixed": [x if k % 3 == 0 else float(y) for k, (x, y) in enumerate(zip(u, rng.uniform(0.0, 2.0, L)))],
+            }[kind]
+            c = [float(x) for x in rng.uniform(-0.05, 0.05, L)]
+            calls.clear()
+            low, subset = _scan_min_slack(c, u, v, 0.5)
+            assert 0 < len(calls) <= 2 * L + 1, kind
+            assert low == pytest.approx(forced_scan_slack(c, u, v, 0.5)[0], abs=1e-12)
 
     @settings(max_examples=300)
     @given(slack_cases())

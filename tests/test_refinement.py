@@ -330,10 +330,10 @@ class TestReachableGrid:
         # give the tag, and no tilde_params solve.  Once the grid table is
         # kept, a map makes only the origin and start r_star calls.  The
         # start sits on the grid, so no node needs a second target.  Either
-        # map builds stage ends only for the origin, the start and the
-        # nodes that dominate the start.
+        # map takes one stage minimum for stage 1 and one for each node
+        # that dominates the start.
         grid, start = (0.0, 2.0, 0.25), (0.5, 0.75)
-        calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0, "_stage_end": 0}
+        calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0, "_stage_min": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -347,15 +347,15 @@ class TestReachableGrid:
         counted(refinement, "r_star")
         counted(refinement, "omega_tag")
         counted(inversion, "tilde_params")
-        counted(refinement, "_stage_end")
+        counted(refinement, "_stage_min")
         cold = reachable_set_l2(sym2, start, grid)
-        ends = 2 + sum(R[0] >= start[0] and R[1] >= start[1] for R, *_ in cold)
+        stages = 1 + sum(R[0] >= start[0] and R[1] >= start[1] for R, *_ in cold)
         assert calls["r_star"] == calls["omega_tag"] + 2 == len(cold) + 2
-        assert calls["_stage_end"] == ends
-        calls.update(r_star=0, tilde_params=0, omega_tag=0, _stage_end=0)
+        assert calls["_stage_min"] == stages
+        calls.update(r_star=0, tilde_params=0, omega_tag=0, _stage_min=0)
         assert reachable_set_l2(sym2, start, grid) == cold
         # Only the origin and the start are inverted.
-        assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0, "_stage_end": ends}
+        assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0, "_stage_min": stages}
 
     def test_warm_map_equals_cold_map(self):
         # Every start of every instance is answered from the first start's
