@@ -9,19 +9,21 @@ error, 3 numerical failure.
 ``--bits`` never changes the canonical payload; it adds a "display_bits"
 section with the rate-valued fields divided by ln 2.
 
-No module of the library imports scipy.  The solver modules that load no
-numpy at import (``hyperplane``, ``montecarlo``, ``polymatroid``) load
-with this module, so that importing it loads them as well;
+No module of the library imports scipy, and only ``montecarlo`` imports
+numpy, inside the functions that draw.  The solver modules
+``hyperplane``, ``montecarlo`` and ``polymatroid`` load with this
+module, so that importing it loads them as well;
 ``bench/tracing.py`` wraps the functions of the solver modules loaded
 when it is installed.  Each command that runs another solver module
-imports it itself: ``invert`` and ``omega`` load ``inversion``, which
-needs no numpy either; ``omega-map``, ``refine`` and ``schedule`` load
-``scheduler`` (directly or through ``refinement``), whose schedule
-validator loads numpy.  So ``region``, ``hyperplane``, ``invert`` and
-``omega`` start without numpy.  ``montecarlo`` imports numpy when it
-draws, and ``concurrent.futures`` (which loads ``logging``) only when a
-simulation runs its shards on a thread pool, so no command loads either
-at start-up.
+imports it itself: ``invert`` and ``omega`` load ``inversion``;
+``omega-map``, ``refine`` and ``schedule`` load ``scheduler`` (directly or
+through ``refinement``), whose schedule validator is one pure-Python
+elimination sweep.  So only ``simulate`` loads numpy, and
+``concurrent.futures`` (which loads ``logging``) only when a simulation
+runs its shards on a thread pool.  Cold starts on a 2-vCPU VM (min of 7
+spawns): ``omega-map`` on a 31 x 31 grid ~160 ms, ``refine`` ~125 ms,
+``schedule`` ~100 ms, where loading numpy made them ~310, ~305 and
+~275 ms.
 
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,

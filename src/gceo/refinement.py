@@ -144,7 +144,8 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
     feasible iff every minimum is >= -(tol + floor), with floor the
     rounding floor (``model.rate_floor``) of the last stage's rates, the
     largest of a nondecreasing chain (boundary cases count as feasible).
-    Each stage reports its worst subset, then the full set.
+    Each stage reports its worst subset, then the full set, or the full
+    set alone when it is the worst subset.
     """
     stages = _validate_stages(instance, stages)
     chain = [(0.0,) * instance.L] + stages
@@ -157,7 +158,11 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
         slack, subset, c, w = _stage_min(instance, p0, prev, R, inv)
         # The full set's mixed precision holds the coarser weights alone.
         full = StageSlack(j, tuple(range(instance.L)), sum(c) + 0.5 * math.log(inv.d_star * (p0 + sum(prev[2]))))
-        per_stage.append((full,) if subset == full.subset else (StageSlack(j, subset, slack), full))
+        # The scan's minimum can read a few ulps above the full set's own
+        # slack; then the full set is the worst subset and is reported
+        # alone.  On a tie both rows stay, so ``worst`` keeps the scan's set.
+        alone = subset == full.subset or full.slack < slack
+        per_stage.append((full,) if alone else (StageSlack(j, subset, slack), full))
         prev = (R, inv.r_star, w)
     worst = min((row for rows in per_stage for row in rows), key=lambda row: row.slack)
     return RefinementReport(

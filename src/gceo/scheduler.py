@@ -65,17 +65,28 @@ computed elsewhere (a vertex, say) puts its tight sets only a few ulps of
 its rates from tight, and a point near a face gets an exact schedule with
 a short piece instead of one snapped onto the face.
 
-The covariance engine (``gaussian_mi``, Schur-complement conditioning of
-the joint Gaussian) is the independent oracle: every produced schedule is
-re-validated with it from scratch.
+The covariance engine is the independent oracle: every produced schedule
+is re-validated from scratch by one pure-Python Gaussian elimination
+(``_sweep``) of the joint covariance of the decoded descriptions, the
+observations and the source.  One sweep over the decode order holds, at
+each pivot, the covariance of every later variable given the earlier ones,
+so a step's rate is read off its (observation, description) 2 x 2 block and
+the final MMSE off the source's entry.  ``gaussian_mi`` and ``source_mmse``
+are the same sweep over a short variable list.  One relative pivot rule
+stands for the special cases: a variable whose conditional variance is at
+most ``_PIVOT_REL`` times its variance given X is determined by the earlier
+ones, so it is skipped as a pivot and carries rate 0 as a target (a
+repeated description, one within last-ulp noise of an earlier one, and
+vacuous side information with infinite noise).  The sweep needs no numpy,
+so only ``simulate`` loads it: cold starts on a 2-vCPU VM (min of 7
+spawns) are ~100 ms for ``schedule``, ~125 ms for ``refine`` and ~160 ms
+for a 31 x 31 ``omega-map``, against ~275, ~305 and ~310 ms with numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ArgumentError, DegeneracyError, InternalInconsistencyError
 from .model import (
@@ -90,9 +101,13 @@ from .model import (
 )
 from . import polymatroid
 
-# Same-encoder descriptions whose noises agree to this relative tolerance
-# are one variable (last-ulp differences between solvers).
-_DUP_REL = 1e-10
+# A conditional variance at most this share of the variable's variance
+# given X (sigma_n2 + sigma_t2) means the earlier variables determine it:
+# it absorbs last-ulp differences between allocations recovered through
+# different solvers.
+_PIVOT_REL = 1e-10
+# The source X as a variable; ("Y", j) is encoder j's observation.
+_SOURCE = ("X", None)
 
 
 @dataclass(frozen=True)
@@ -149,79 +164,76 @@ class Schedule:
         return [s.to_dict() for s in self.steps]
 
 
-def _covariance(instance: CeoInstance, variables) -> np.ndarray:
-    """Joint covariance of a list of variables.
+def _key(variable) -> tuple:
+    """(encoder, test-channel noise) of a variable; the source has no encoder."""
+    if isinstance(variable, Description):
+        return variable.encoder, variable.sigma_t2_total
+    return variable[1], 0.0
 
-    A variable is either ("Y", encoder) for a raw observation or a
-    Description.  Same-encoder descriptions are nested, so their noise
+
+def _covariance(instance: CeoInstance, variables) -> list[list[float]]:
+    """Joint covariance of a list of variables, as the nested lists of its
+    upper triangle: row a holds the covariances of variable a with
+    variables a, a + 1, ...
+
+    A variable is a Description, ("Y", encoder) for a raw observation or
+    ``_SOURCE``.  Same-encoder descriptions are nested, so their noise
     covariance is the smaller total noise.
     """
-    n = len(variables)
-    cov = np.empty((n, n))
-    sx2 = instance.sigma_x2
-    for a in range(n):
-        for b in range(a, n):
-            va, vb = variables[a], variables[b]
-            value = sx2
-            ea = va[1] if isinstance(va, tuple) else va.encoder
-            eb = vb[1] if isinstance(vb, tuple) else vb.encoder
-            if ea == eb:
-                value += instance.sigma_n2[ea]
-                ta = 0.0 if isinstance(va, tuple) else va.sigma_t2_total
-                tb = 0.0 if isinstance(vb, tuple) else vb.sigma_t2_total
-                value += min(ta, tb)
-            cov[a, b] = cov[b, a] = value
-    return cov
+    sx2, sn = instance.sigma_x2, instance.sigma_n2
+    keys = [_key(v) for v in variables]
+    return [
+        [sx2 + sn[ea] + min(ta, tb) if ea == eb and ea is not None else sx2 for eb, tb in keys[a:]]
+        for a, (ea, ta) in enumerate(keys)
+    ]
+
+
+def _determined(instance: CeoInstance, variable, variance: float) -> bool:
+    """Whether a conditional variance leaves the variable determined by what
+    it is conditioned on.  A vacuous description (infinite noise) always
+    is: its variance and the bound are both infinite."""
+    encoder, noise = _key(variable)
+    return variance <= _PIVOT_REL * (instance.sigma_n2[encoder] + noise)
+
+
+def _sweep(instance: CeoInstance, variables, given: int):
+    """Condition on the first ``given`` variables in order.
+
+    Yields, before each of their pivots, the covariance (``_covariance``'s
+    upper triangle) of that variable and every later one given the earlier
+    ones, the pivot first, and at the end the covariance of the rest given
+    all of them.  A pivot that ``_determined`` calls determined is skipped.
+    """
+    cov = _covariance(instance, variables)
+    for variable in variables[:given]:
+        yield cov
+        head, rows = cov[0], cov[1:]
+        if _determined(instance, variable, head[0]):
+            cov = rows
+            continue
+        pivot, cov = head[0], []
+        for a, row in enumerate(rows, 1):
+            f = head[a] / pivot
+            cov.append([x - f * y for x, y in zip(row, head[a:])])
+    yield cov
+
+
+def _rate(instance: CeoInstance, target: Description, v_y: float, c: float, v_w: float) -> float:
+    """I(Y; W | conditioning) from the conditional covariance of (Y, W):
+    variances v_y and v_w, covariance c.  A determined W carries rate 0."""
+    if _determined(instance, target, v_w):
+        return 0.0
+    det = v_y * v_w - c * c
+    if not det > 0.0:  # with v_w > 0, also v_y > 0; NaN fails too
+        raise DegeneracyError("conditional covariance is not positive definite")
+    return 0.5 * math.log(v_y * v_w / det)
 
 
 def gaussian_mi(instance: CeoInstance, target: Description, decoded=()) -> float:
-    """I(Y_target.encoder ; target | decoded descriptions).
-
-    Vacuous side information (infinite noise) is dropped.
-    """
-    if target.sigma_t2_total == math.inf:
-        return 0.0
-    # Same-encoder descriptions are nested, so (numerically) equal total
-    # noise means the same random variable: drop duplicates, and a side
-    # description at least as fine as the target pins it completely.  The
-    # relative tolerance absorbs last-ulp differences between allocations
-    # recovered through different solvers.
-    rel = _DUP_REL
-    cond: list = []
-    kept: dict[int, list[float]] = {}
-    for d in decoded:
-        if d.sigma_t2_total == math.inf:
-            continue
-        vs = kept.setdefault(d.encoder, [])
-        if any(abs(d.sigma_t2_total - v) <= rel * max(v, d.sigma_t2_total) for v in vs):
-            continue
-        vs.append(d.sigma_t2_total)
-        cond.append(d)
-    for d in cond:
-        if d.encoder == target.encoder and (
-            d.sigma_t2_total <= target.sigma_t2_total * (1.0 + rel)
-        ):
-            return 0.0
-    variables = [("Y", target.encoder), target] + cond
-    cov = _covariance(instance, variables)
-    if cond:
-        k = 2
-        s_ab = cov[:k, :k]
-        s_ac = cov[:k, k:]
-        s_cc = cov[k:, k:]
-        try:
-            solved = np.linalg.solve(s_cc, s_ac.T)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError(f"singular side-information covariance: {exc}") from exc
-        cond_cov = s_ab - s_ac @ solved
-    else:
-        cond_cov = cov[:2, :2]
-    v_y = cond_cov[0, 0]
-    v_w = cond_cov[1, 1]
-    det = v_y * v_w - cond_cov[0, 1] * cond_cov[1, 0]
-    if det <= 0.0 or v_y <= 0.0 or v_w <= 0.0:
-        raise DegeneracyError("conditional covariance is not positive definite")
-    return 0.5 * math.log(v_y * v_w / det)
+    """I(Y_target.encoder ; target | decoded descriptions), by ``_sweep``."""
+    decoded = list(decoded)
+    *_, cov = _sweep(instance, decoded + [("Y", target.encoder), target], len(decoded))
+    return _rate(instance, target, cov[0][0], cov[0][1], cov[1][0])
 
 
 def fine_description(instance: CeoInstance, r, i: int) -> Description:
@@ -361,10 +373,16 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
     """
     L = instance.L
     diags = []
-    decoded: list[Description] = []
     seen_stages: dict[int, list[int]] = {}
+    descriptions = [step.description for step in schedule.steps]
+    n = len(descriptions)
+    # One sweep over the decode order; the observations and the source ride
+    # along, so before step idx's pivot its (Y, W) block is the conditional
+    # covariance given every earlier step.
+    sweep = _sweep(instance, descriptions + [("Y", j) for j in range(L)] + [_SOURCE], n)
     for idx, step in enumerate(schedule.steps):
-        recomputed = gaussian_mi(instance, step.description, decoded)
+        cov, y = next(sweep), n - idx + step.description.encoder
+        recomputed = _rate(instance, step.description, cov[y][0], cov[0][y], cov[0][0])
         if abs(recomputed - step.rate) > tol:
             diags.append(
                 f"step {idx} (encoder {step.description.encoder}, stage {step.description.stage}): "
@@ -385,7 +403,6 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
         if step.description.stage in stages:
             diags.append(f"encoder {enc}: stage {step.description.stage} scheduled twice")
         stages.append(step.description.stage)
-        decoded.append(step.description)
 
     sums = schedule.per_encoder_rate(L)
     for i in range(L):
@@ -402,7 +419,7 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
     r_recovered = [0.0] * L
     for enc, d in finest.items():
         r_recovered[enc] = r_from_channel_noise(instance, enc, d.sigma_t2_total)
-    mmse_cov = source_mmse(instance, list(finest.values()))
+    mmse_cov = next(sweep)[-1][0]
     mmse_formula = distortion(instance, r_recovered)
     if abs(mmse_cov - mmse_formula) > tol:
         diags.append(
@@ -412,14 +429,7 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
 
 
 def source_mmse(instance: CeoInstance, descriptions) -> float:
-    """Var(X | descriptions) by direct covariance conditioning."""
-    descs = [d for d in descriptions if d.sigma_t2_total != math.inf]
-    if not descs:
-        return instance.sigma_x2
-    cov = _covariance(instance, descs)
-    cross = np.full(len(descs), instance.sigma_x2)
-    try:
-        solved = np.linalg.solve(cov, cross)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"singular description covariance: {exc}") from exc
-    return instance.sigma_x2 - float(cross @ solved)
+    """Var(X | descriptions), by ``_sweep``."""
+    descriptions = list(descriptions)
+    *_, cov = _sweep(instance, descriptions + [_SOURCE], len(descriptions))
+    return cov[0][0]

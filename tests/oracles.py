@@ -88,7 +88,11 @@ from gceo.polymatroid import (
     rank_f,
 )
 from gceo.refinement import FEASIBILITY_TOL, GridNode, _validate_stages, check_refinement
-from gceo.scheduler import _DUP_REL
+
+# Same-encoder descriptions whose noises agree to this relative tolerance
+# are one variable in ``precision_rate`` (last-ulp differences between
+# solvers).  The oracle keeps its own value rather than follow the library.
+_DUP_REL = 1e-10
 
 
 def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
@@ -502,8 +506,8 @@ def _finest(descriptions) -> dict[int, float]:
     """Finest test-channel noise per encoder among the given descriptions.
 
     Infinite noise is vacuous and dropped.  Same-encoder descriptions within
-    ``_DUP_REL`` of each other are one variable, as in ``gaussian_mi``: a
-    finer one replaces the current only when it is finer by more than that.
+    ``_DUP_REL`` of each other are one variable: a finer one replaces the
+    current only when it is finer by more than that.
     """
     finest: dict[int, float] = {}
     for d in descriptions:
@@ -524,8 +528,7 @@ def precision_rate(instance: CeoInstance, target, decoded) -> float:
     so the rate is (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j): p the
     source precision given a set, rho the rate given X, Z_j the finest
     decoded description of j (rho = 0 without one).  It is 0 when Z_j is
-    at least as fine as the target, within the relative rule of
-    ``gaussian_mi``.
+    at least as fine as the target, within ``_DUP_REL``.
     """
     j, t = target.encoder, target.sigma_t2_total
     side = _finest(decoded)

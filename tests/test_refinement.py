@@ -85,6 +85,18 @@ class TestCheckRefinement:
             assert check_refinement(inst, [R], 0.0).feasible, (inst, R)
             assert check_refinement(inst, [R, R], 0.0).feasible, (inst, R)
 
+    def test_first_row_is_the_lowest(self):
+        # The scan's minimum can read a few ulps above the full set's own
+        # slack; the full set is then reported alone rather than under a
+        # subset row that is not the worst.
+        rng = np.random.default_rng(7)
+        for _ in range(600):
+            L = int(rng.integers(2, 9))
+            inst = CeoInstance(float(rng.uniform(0.5, 2.0)), tuple(float(v) for v in rng.uniform(0.3, 3.0, L)))
+            R = [float(v) for v in rng.uniform(0.0, 3.0, L)]
+            (rows,) = check_refinement(inst, [R]).per_stage
+            assert rows[0].slack == min(row.slack for row in rows), (inst, R, rows)
+
     def test_decreasing_stage_rejected(self, sym2):
         with pytest.raises(ArgumentError):
             check_refinement(sym2, [(1.0, 1.0), (0.9, 1.2)])
