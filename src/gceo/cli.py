@@ -28,10 +28,12 @@ spawns): ``omega-map`` on a 31 x 31 grid ~160 ms, ``refine`` ~125 ms,
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,
 region tags, row text) is kept across maps in a memo of at most as many
-nodes as the r* cache holds answers, so a cold map costs one r* per node
-and a warm map one stage-2 minimum per node that dominates ``--from``:
-the node's precision weights, one threshold scan (one sort and at most
-2L + 1 logarithms) and one more logarithm, with no rows built.  One
+nodes as the r* cache holds answers, so a cold map costs one r* per node.
+A warm map tests each node that dominates ``--from`` by its two
+singleton stage-2 slacks (two precision weights and two logarithms),
+which reject most nodes exactly; only the nodes they do not reject take
+the stage-2 minimum: one threshold scan (one sort and at most 2L + 1
+logarithms) and one more logarithm, with no rows built.  One
 command runs one map, which is always cold; only a process that runs
 several maps of one grid (``main`` or ``reachable_set_l2`` called in a
 loop) gets warm maps.

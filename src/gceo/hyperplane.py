@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, InfeasibleDistortionError, InternalInconsistencyError
-from .model import CeoInstance, R_MAX, d_min, exp_neg2r, precision_weight
+from .errors import ArgumentError, ConvergenceError, InfeasibleDistortionError, InternalInconsistencyError
+from .model import TOL_EQ, CeoInstance, R_MAX, d_min, exp_neg2r, precision_weight
 from .polymatroid import vertex
 
 PRECISION_TOL = 1e-12
@@ -131,7 +131,12 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     """Support value phi(alpha) of the rate region at distortion D.
 
     Returns the optimal allocation, the multiplier, and the contact vertex
-    in the descending-alpha decoding order.
+    in the descending-alpha decoding order.  The multiplier is bisected
+    until the bracket's ends are adjacent floats, or sooner once the
+    bracket is narrower than 1e-16 max(1, |nu|) with the precision within
+    PRECISION_TOL of the target; ConvergenceError is raised when the
+    allocation at its upper end misses D by more than TOL_EQ nats,
+    (1/2) |ln(precision D)|.
     """
     alpha = _normalize_alpha(alpha)
     if len(alpha) != instance.L:
@@ -170,6 +175,8 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         p_prev = positive_precision(lo)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats: the bracket cannot move
             p_mid = positive_precision(mid)
             if p_mid >= target:
                 hi = mid
@@ -183,7 +190,15 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
             if hi - lo <= 1e-16 * max(1.0, abs(hi)) and abs(p_mid - target) <= PRECISION_TOL:
                 break
         nu = hi
-        rpos, _, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
+        rpos, running, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
+        # The allocation's distortion must be D to within TOL_EQ nats, the
+        # rate tolerance of membership, faces and schedules.
+        gap = 0.5 * math.log((base + running) / inv_d)
+        if not abs(gap) <= TOL_EQ:
+            raise ConvergenceError(
+                f"multiplier bisection misses the distortion target by {gap:.3e} nats "
+                f"(precision {base + running!r}, 1/D {inv_d!r})"
+            )
         for i in order[:positive]:
             r[i] = rpos[i]
 

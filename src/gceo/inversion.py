@@ -317,7 +317,8 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
 
 
 def _decompose(sn, R, p0: float):
-    """(r, KKT residual) for a reduced problem with two or more positive rates."""
+    """(r, KKT residual, min membership slack) for a reduced problem with
+    two or more positive rates."""
     r = [0.0] * len(sn)
     blocks = []
     members = list(range(len(sn)))
@@ -337,12 +338,16 @@ def _decompose(sn, R, p0: float):
         raise ConvergenceError(
             f"decomposition fails its KKT certificate (residual {residual:.3e} > {KKT_LIMIT:.0e})"
         )
-    return r, residual
+    return r, residual, slack
 
 
 def _assemble(
-    instance: CeoInstance, R, finite, r_finite, method: str, branch=None, kkt_residual=None, margins=None
+    instance: CeoInstance, R, finite, r_finite, method: str, branch=None, kkt_residual=None, margins=None, slack=None
 ):
+    """The ``InversionResult`` of the finite coordinates' allocation
+    ``r_finite``, checked against the residual contract.  ``slack`` is the
+    reduced region's min membership slack at ``r_finite`` when the caller
+    has computed it (``_decompose`` does), else it is computed here."""
     L = instance.L
     r = [0.0] * L
     for i in range(L):
@@ -359,7 +364,8 @@ def _assemble(
     # Sum-rate identity over the finite coordinates (capped encoders cancel
     # from both sides; their precision sits in the base p0).
     gap = abs(sum(finite_R) - _sum_rate_identity(finite_sn, r_finite, p0))
-    slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
+    if slack is None:
+        slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
     residuals = max(gap, -slack)
     result = InversionResult(
         r_star=tuple(r),
@@ -568,8 +574,8 @@ def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionRes
         return _assemble(instance, R, finite, r_finite, "closed_form_l1", branch=branch)
     sn = [instance.sigma_n2[i] for i in finite]
     rates = [R[i] for i in finite]
-    r_finite, kkt = _decompose(sn, rates, p0)
-    return _assemble(instance, R, finite, r_finite, "decomposition", kkt_residual=kkt)
+    r_finite, kkt, slack = _decompose(sn, rates, p0)
+    return _assemble(instance, R, finite, r_finite, "decomposition", kkt_residual=kkt, slack=slack)
 
 
 def r_star(instance: CeoInstance, R, method: str = "auto") -> InversionResult:

@@ -32,8 +32,10 @@ covariance engine, as an independent cross-check of the inequality form.
 of a two-encoder rate grid.  What does not depend on the start (each
 node's inversion, region tag and CSV row text) is a grid table, kept in a
 bounded memo of at most as many nodes in all as the r* cache holds
-answers.  A cold map costs one r* per node; a warm map, one stage-2
-minimum (``_stage_min``) per node that dominates the start.
+answers.  A cold map costs one r* per node.  A warm map costs, per node
+that dominates the start, its two singleton stage-2 slacks (two
+logarithms), which reject most nodes exactly; only the nodes they do not
+reject take the stage-2 minimum (``_stage_min``).
 """
 
 from __future__ import annotations
@@ -326,17 +328,35 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     with no second ``tilde_params`` solve.  Kept tables hold at most as
     many nodes in all as the r* LRU holds answers, least recently used
     dropped first; a larger grid's table is built, used and dropped.  The
-    per-start pass validates and inverts ``R_from``, evaluates stage 1
-    (0 -> R_from) once, and takes the stage-2 minimum of each dominating
-    node through the same ``_stage_min``, with no rows.  So a cold map
-    costs one r* per node, and a warm map per dominating node the node's
-    precision weights, one threshold scan (one sort and at most 2L + 1
-    logarithms) and one more logarithm.  A node
-    that undershoots ``R_from`` by at most ``CHAIN_DROP`` in some
-    coordinate is tested at the coordinatewise maximum, as the chain test
-    would see it.  Each node's minimum slack is compared at ``tol`` plus
-    the rounding floor of its stage-2 end (``model.rate_floor``), the
-    floor ``check_refinement`` applies to the chain's last stage.
+    per-start pass validates and inverts ``R_from`` and evaluates stage 1
+    (0 -> R_from) once.  A node whose minimum slack, min(stage 1,
+    stage 2), is at least -(tol + floor) is reachable, with floor the
+    rounding floor of its stage-2 end (``model.rate_floor``): the rule
+    ``check_refinement`` applies to the chain's last stage.  A node that
+    undershoots ``R_from`` by at most ``CHAIN_DROP`` in some coordinate is
+    tested at the coordinatewise maximum, as the chain test would see it.
+
+    Stage 2 of a node is first tested by its two singletons alone, in
+    scalar arithmetic: slack({i}) = c_i + (1/2) ln((p0 + u_i + w_j) D*),
+    j the other encoder, c as ``_stage_min`` computes it, u the start's
+    weights and w and D* the node's.  A singleton below
+    cut = -2 (tol + F), F the rounding floor of the grid's top node,
+    rejects the node, and exactly so.  The threshold scan evaluates every
+    singleton, so its minimum is at most its own value of that singleton,
+    which differs from the direct one only in rounding: the same c_i plus
+    a few ulps of the slack and of log terms no larger than the node's
+    rate sum (its precision is at most exp(2 sum R) / sigma_x2) or 745
+    nats (the largest logarithm of a float).  F is RATE_FLOOR (~450 ulps)
+    times the clipped rate sum of the top node: at least 1e-13, and 5e-12
+    once a rate reaches R_MAX.  Floors never decrease as the rates grow,
+    so the cut lies tol + F or more below the node's own threshold
+    -(tol + floor): room for that rounding at every tol.  Every node the
+    test does not reject, and every node tested at an off-grid target,
+    takes the stage-2 minimum through ``_stage_min``, with no rows.  So a
+    cold map costs one r* per node, and a warm map per dominating node its
+    two precision weights and two logarithms; only a node that passes (a
+    few percent of them on the test instances) adds one threshold scan (one
+    sort and at most 2L + 1 logarithms) and one more logarithm.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -356,12 +376,14 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     inv = r_star(instance, R_from)
     stage1, _, _, w_from = _stage_min(instance, p0, (zero, origin, _weights(instance, origin)), R_from, inv)
     start = (R_from, inv.r_star, w_from)
-    # Floors grow with the rates, so the floor of a node that dominates
-    # the start lies between the start's and the top node's: a slack above
-    # the start's band or below the top's needs no floor of its own (most
-    # reachable and most unreachable nodes).
-    sure = tol + rate_floor(R_from)
+    # The singleton test's cut: a margin of band below the largest
+    # threshold of a dominating node, -band, so that it holds the rounding
+    # of slacks near -tol as well as that of the log terms (see the
+    # docstring).
     band = tol + rate_floor((max(top, R_from[0]), max(top, R_from[1])))
+    cut = -2.0 * band
+    sn1, sn2 = instance.sigma_n2
+    (f1, f2), (s1, s2), (u1, u2) = start
     table = _grid_table(instance, lo, step, n)
     nodes = GridMap(table.nodes, table.prefixes)
     # Node coordinates grow with their index, so the nodes that dominate the
@@ -374,8 +396,16 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
         for k, y in zip(range(a * n + b0, (a + 1) * n), ys):
             node = nodes[k]
             target = (x, y)
-            stage2 = _stage_min(instance, p0, start, target, node if target == node.R else r_star(instance, target))[0]
-            low = min(stage1, stage2)
-            if low >= -sure or (low >= -band and low >= -(tol + rate_floor(target))):
+            if target == node.R:
+                (r1, r2), d = node.r_star, node.d_star
+                w1, w2 = precision_weight(sn1, r1), precision_weight(sn2, r2)
+                c1 = (0.0 if f1 == x else x - f1) - (r1 - s1)
+                c2 = (0.0 if f2 == y else y - f2) - (r2 - s2)
+                if c1 + 0.5 * math.log((p0 + u1 + w2) * d) < cut or c2 + 0.5 * math.log((p0 + w1 + u2) * d) < cut:
+                    continue
+                inv = node
+            else:
+                inv = r_star(instance, target)
+            if min(stage1, _stage_min(instance, p0, start, target, inv)[0]) >= -(tol + rate_floor(target)):
                 nodes[k] = GridNode(node.R, node.region, node.d_star, node.r_star, True)
     return nodes

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gceo.errors import ArgumentError, InfeasibleDistortionError
+from gceo import hyperplane
+from gceo.errors import ArgumentError, ConvergenceError, InfeasibleDistortionError
 from gceo.model import CeoInstance, R_MAX, d_min, precision
 from gceo.hyperplane import kkt_residual, support_value
 from gceo.polymatroid import vertex
@@ -66,6 +67,30 @@ class TestSupportValue:
             res = support_value(inst, alpha, D)
             if res.phi > 0.0:
                 assert precision(inst, res.r_star) == pytest.approx(1.0 / D, abs=1e-9)
+
+    def test_bisection_stops_at_adjacent_floats(self, sym2, monkeypatch):
+        # nu ~ 0.63, where one ulp exceeds 1e-16: the width test alone never
+        # passes and all 200 halvings ran.  From [-1, 1], about 54 halvings
+        # reach adjacent floats.
+        calls = []
+        recursion = hyperplane._recursion
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])  # the multiplier tried
+            return recursion(*args, **kwargs)
+
+        monkeypatch.setattr(hyperplane, "_recursion", counted)
+        res = support_value(sym2, (1.0, 0.5), 0.5)
+        assert res.nu >= 0.5 and len(calls) < 70
+        assert precision(sym2, res.r_star) == pytest.approx(2.0, rel=1e-14)
+
+    def test_missed_distortion_raises(self):
+        # At tiny noise the weight of a tiny rate, (num - alpha sigma_n2) /
+        # (num sigma_n2) with num = 2 nu + the alpha gaps, cancels: one ulp of
+        # nu moves the precision by ~1e-6 relative, so the allocation at the
+        # bracket's end misses D by ~2e-7 nats.  It is refused, not printed.
+        with pytest.raises(ConvergenceError, match="misses the distortion target"):
+            support_value(CeoInstance(1.0, (1e-5, 1e-5)), (1.0, 0.5), 0.99)
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(32)

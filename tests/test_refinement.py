@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import cli, inversion, refinement
+from gceo import cli, inversion, polymatroid, refinement
 from gceo.errors import ArgumentError
 from gceo.model import MAX_ENCODERS, CeoInstance
 from gceo.inversion import OmegaTag, classify_omega, omega_margins, r_star
@@ -343,7 +343,8 @@ class TestReachableGrid:
         # kept, a map makes only the origin and start r_star calls.  The
         # start sits on the grid, so no node needs a second target.  Either
         # map takes one stage minimum for stage 1 and one for each node
-        # that dominates the start.
+        # that the singleton test passes: of the 42 nodes that dominate the
+        # start, only the one reachable node.
         grid, start = (0.0, 2.0, 0.25), (0.5, 0.75)
         calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0, "_stage_min": 0}
 
@@ -361,13 +362,46 @@ class TestReachableGrid:
         counted(inversion, "tilde_params")
         counted(refinement, "_stage_min")
         cold = reachable_set_l2(sym2, start, grid)
-        stages = 1 + sum(R[0] >= start[0] and R[1] >= start[1] for R, *_ in cold)
+        dominating = sum(R[0] >= start[0] and R[1] >= start[1] for R, *_ in cold)
+        passed = sum(node.reachable for node in cold)
+        assert (dominating, passed) == (42, 1)
+        stages = 1 + passed
         assert calls["r_star"] == calls["omega_tag"] + 2 == len(cold) + 2
         assert calls["_stage_min"] == stages
         calls.update(r_star=0, tilde_params=0, omega_tag=0, _stage_min=0)
         assert reachable_set_l2(sym2, start, grid) == cold
         # Only the origin and the start are inverted.
         assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0, "_stage_min": stages}
+
+    def test_warm_map_takes_two_logarithms_per_rejected_node(self, monkeypatch):
+        # A warm map tests each dominating node by its two singleton slacks
+        # (two logarithms); only stage 1 and the nodes that pass take a
+        # threshold scan (at most 2L + 1 = 5 logarithms) and one more.
+        # Scanning every dominating node, as the full engine alone does,
+        # takes at least 4 per node.
+        rng = np.random.default_rng(83)
+        grid = (0.0, 3.0, 0.1)
+        inst = ASYM_INSTANCES[0]
+        start = tuple(float(v) for v in 0.1 * rng.integers(2, 16, 2))
+        reachable_set_l2(inst, start, grid)
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                calls.append(x)
+                return math.log(x)
+
+        monkeypatch.setattr(refinement, "math", CountingMath())
+        monkeypatch.setattr(polymatroid, "math", CountingMath())
+        nodes = reachable_set_l2(inst, start, grid)
+        dominating = sum(R[0] >= start[0] - 1e-12 and R[1] >= start[1] - 1e-12 for R, *_ in nodes)
+        reachable = sum(node.reachable for node in nodes)
+        # So the bound below is under 4 per dominating node.
+        assert len(nodes) == 31 * 31 and dominating > 3 * (1 + reachable)
+        assert len(calls) <= 2 * dominating + 6 * (1 + reachable)
 
     def test_warm_map_equals_cold_map(self):
         # Every start of every instance is answered from the first start's
@@ -407,10 +441,14 @@ class TestReachableGrid:
         coarse = (0.0, 2.0, 0.5)
         assert reachable_set_l2(sym2, start, coarse) == grid_map_oracle(sym2, start, coarse)
 
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(
         sigma_x2=st.floats(0.5, 2.0),
-        sigma_n2=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+        # Noise variances alike, or log-uniform over seven decades.
+        sigma_n2=st.one_of(
+            st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+            st.tuples(*[st.floats(-5.0, 2.0).map(lambda e: 10.0**e)] * 2),
+        ),
         lo=st.floats(0.0, 2.0),
         step=st.floats(0.02, 0.6),
         count=st.integers(0, 14),
