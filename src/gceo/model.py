@@ -61,11 +61,12 @@ CHAIN_DROP = 1e-12
 # Region membership and the refinement stage test (an O(L log L)
 # threshold scan each: one sweep plus the singletons), face
 # identification (O(L^2) candidate sets), the inverse map (a few scans
-# per decode block) and the scheduler (one grow per split, no
-# backtracking) enumerate
-# no subsets.  What still grows fast with L is the ``dominant_face_form``
-# cross-check (2^L conditional ranks), so L stays at desk scale until a
-# benchmark sweep over L shows what a larger cap costs.
+# and O(1)-cost Newton steps per decode block) and the scheduler (one
+# grow per split, no backtracking) enumerate no subsets.  What still
+# grows fast with L is the schedule validator (one elimination, cubic in
+# the steps plus L) and the ``dominant_face_form`` cross-check (2^L
+# conditional ranks, run by no command), so L stays at desk scale until
+# a benchmark sweep over L shows what a larger cap costs.
 MAX_ENCODERS = 16
 
 
@@ -102,8 +103,8 @@ class CeoInstance:
             raise ArgumentError("need at least one encoder")
         if len(self.sigma_n2) > MAX_ENCODERS:
             raise ArgumentError(
-                f"at most {MAX_ENCODERS} encoders supported (the refinement "
-                f"cross-check ranks all 2^L subsets), got {len(self.sigma_n2)}"
+                f"at most {MAX_ENCODERS} encoders supported (a desk-scale cap: the "
+                f"schedule validator is cubic in L), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
             if not (v > 0.0) or not math.isfinite(v):

@@ -50,6 +50,9 @@ bound) only at desk scale:
   partition (largest precision wins) and by a block-by-block decomposition
   that tries every subset as the next block, the references for
   ``inversion.r_star``; neither calls the code it checks;
+* ``decimal_r_star``: the same subset-by-subset decomposition in stdlib
+  ``decimal`` at ``DECIMAL_DIGITS`` digits (L <= 4), the reference that
+  can see a relative error on rates of 1e-8 nats;
 * ``RegionProgram``: the inverse map's convex program with one row per
   subset, whose all-rows KKT residual is the reference certificate;
 * ``grid_map_oracle``: the reachability grid map node by node, the full
@@ -58,6 +61,7 @@ bound) only at desk scale:
 """
 
 import math
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 import numpy as np
@@ -660,6 +664,75 @@ def greedy_r_star(sn, R, p0):
         p += sum(precision_weight(sn[i], sol[i]) for i in A)
         remaining = tuple(i for i in remaining if i not in A)
     return r
+
+
+# Working precision of ``decimal_r_star``, in significant digits.
+DECIMAL_DIGITS = 50
+
+
+def _decimal_block_level(sn, target, p, block):
+    """y = ln K_A of one block in ``decimal``, or None when K_A does not
+    exceed the block's largest noise (some member would take a negative
+    rate).  The group sum-rate equation in y,
+
+        h(y) = (1/2) ln(1 + (sum 1/s - n e^-y) / p) + (1/2) (n y - sum ln s),
+
+    is increasing and concave, so Newton's method from y = ln max s rises
+    monotonically to the root; it stops at a step below the working
+    precision."""
+    n = len(block)
+    inverse = sum(1 / sn[i] for i in block)
+    logs = sum(sn[i].ln() for i in block)
+    resolution = Decimal(10) ** (5 - DECIMAL_DIGITS)
+
+    def h(y):
+        weight = inverse - n / y.exp()
+        return (1 + weight / p).ln() / 2 + (n * y - logs) / 2, weight
+
+    y = max(sn[i] for i in block).ln()
+    value, weight = h(y)
+    if value >= target:
+        return None
+    while True:
+        slope = (n + (inverse - weight) / (p + weight)) / 2
+        step = (target - value) / slope
+        y += step
+        if abs(step) < resolution:
+            return y
+        value, weight = h(y)
+
+
+def decimal_r_star(sn, R, p0):
+    """Exact-to-float reference r* of a reduced problem (L <= 4): Fujishige's
+    decomposition in stdlib ``decimal`` at ``DECIMAL_DIGITS`` digits, with
+    every nonempty subset of the remaining encoders solved as the next
+    block (``_decimal_block_level``) and the largest K_A decoded, ties to
+    the larger set.  The float inputs convert to ``Decimal`` exactly, so
+    the answer is the decomposition of the very numbers the library sees,
+    rounded once to floats at the end; it shares no code with the library."""
+    assert len(sn) <= 4, "subset enumeration in decimal is a desk-scale oracle"
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        sn = [Decimal(v) for v in sn]
+        R = [Decimal(v) for v in R]
+        p = Decimal(p0)
+        tie = Decimal(10) ** (10 - DECIMAL_DIGITS)
+        r = [None] * len(sn)
+        remaining = tuple(range(len(sn)))
+        while remaining:
+            levels = []  # (y, block) in increasing block size
+            for size in range(1, len(remaining) + 1):
+                for block in combinations(remaining, size):
+                    y = _decimal_block_level(sn, sum(R[i] for i in block), p, block)
+                    if y is not None:
+                        levels.append((y, block))
+            level = max(y for y, _ in levels)
+            best = [block for y, block in levels if y >= level - tie][-1]
+            for i in best:
+                r[i] = (level - sn[i].ln()) / 2
+            p += sum(1 / sn[i] for i in best) - len(best) / level.exp()
+            remaining = tuple(i for i in remaining if i not in best)
+        return [float(v) for v in r]
 
 
 class RegionProgram:

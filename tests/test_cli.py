@@ -76,6 +76,18 @@ class TestRegion:
         assert run(["schedule", *argv])[0] == 0
 
 
+def test_too_many_encoders_exit_two(tmp_path):
+    path = tmp_path / "seventeen.json"
+    path.write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0] * 17}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["invert", "--instance", str(path), "--R", ",".join(["0.5"] * 17)])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (
+        "error: at most 16 encoders supported (a desk-scale cap: the schedule validator is cubic in L), got 17\n"
+    )
+
+
 class TestNanRates:
     """A NaN rate is a usage error (exit 2), never an answer or a
     numerical failure."""

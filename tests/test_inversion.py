@@ -33,6 +33,7 @@ from conftest import (
 )
 from oracles import (
     RegionProgram,
+    decimal_r_star,
     enumerate_r_star,
     exhaustive_slack,
     greedy_r_star,
@@ -489,6 +490,21 @@ class TestConvexSolver:
         reduced = r_star(CeoInstance(1.0, (0.5, 1.0, 2.0)), (0.0, 0.6, 0.0)).to_dict()
         assert (reduced["method"], reduced["branch"]) == ("closed_form_l1", "reduced")
 
+    def test_records_its_iterations(self, sym2):
+        # A decomposition answer counts its Newton steps and threshold
+        # scans: at least one scan and one step per block but the last,
+        # which a lone encoder solves in closed form.  Closed forms count
+        # none, and the count stays out of the JSON.
+        inst = CeoInstance(1.0, (0.5, 1.0, 2.0))
+        R = vertex(inst, (0.4, 0.9, 0.2), (0, 1, 2))
+        general = r_star(inst, R)
+        assert general.method == "decomposition"
+        assert 4 <= general.iterations <= 40
+        assert "iterations" not in general.to_dict()
+        for closed in (r_star(sym2, (2.0, 0.05)), r_star(inst, (0.0, 0.6, 0.0))):
+            assert closed.method.startswith("closed_form")
+            assert closed.iterations is None
+
 
 TINY_NOISE_RATES = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 49.0)
 TINY_NOISE_GRID = [(a, b) for a in TINY_NOISE_RATES for b in TINY_NOISE_RATES]
@@ -518,3 +534,34 @@ def test_decomposition_at_tiny_rates_and_noises():
         assert res.kkt_residual <= inversion.KKT_LIMIT
         assert res.residuals <= 1e-15
         assert all(0.0 < v < 1e-13 for v in res.r_star)
+
+
+def _decimal_oracle_cases(zone, rng, count):
+    for k in range(count):
+        L = 3 + k % 2
+        sigma_x2 = float(rng.uniform(0.5, 2.0))
+        if zone == "near_equal_noises":
+            sigma_n2 = 1.0 + rng.uniform(-1e-9, 1e-9, L)
+            R = np.exp(rng.uniform(math.log(1e-8), 0.0, L))
+        elif zone == "spread_noises":
+            sigma_n2 = np.exp(rng.uniform(math.log(1e-5), math.log(1e2), L))
+            R = rng.uniform(0.05, 3.0, L)
+        else:
+            sigma_n2 = rng.uniform(0.3, 3.0, L)
+            R = rng.uniform(10.0, 45.0, L)
+        yield CeoInstance(sigma_x2, tuple(sigma_n2.tolist())), tuple(R.tolist())
+
+
+@pytest.mark.parametrize("zone, seed", [("near_equal_noises", 61), ("spread_noises", 62), ("high_rates", 63)])
+def test_decomposition_matches_the_decimal_oracle(zone, seed):
+    # Every r*_i to 1e-13 relative of the exact decomposition of the same
+    # float inputs.  An absolute bound cannot see a relative error on
+    # rates of 1e-8 nats: block weights written as 1/s_i - exp(-2x)/s_top
+    # drop the float lift_i, no longer match the returned rates
+    # x + lift_i, and put r* off by 3e-10 relative on these cases.
+    for inst, R in _decimal_oracle_cases(zone, np.random.default_rng(seed), 40):
+        res = r_star(inst, R)
+        assert res.method == "decomposition"
+        exact = decimal_r_star(inst.sigma_n2, R, 1.0 / inst.sigma_x2)
+        for got, want in zip(res.r_star, exact):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
