@@ -17,8 +17,8 @@ module, so that importing it loads them as well;
 when it is installed.  Each command that runs another solver module
 imports it itself: ``invert`` and ``omega`` load ``inversion``;
 ``omega-map``, ``refine`` and ``schedule`` load ``scheduler`` (directly or
-through ``refinement``), whose schedule validator is one pure-Python
-elimination sweep.  So only ``simulate`` loads numpy, and
+through ``refinement``), whose schedule validator is a pure-Python closed
+form.  So only ``simulate`` loads numpy, and
 ``concurrent.futures`` (which loads ``logging``) only when a simulation
 runs its shards on a thread pool.  Cold starts on a 2-vCPU VM (min of 7
 spawns): ``omega-map`` on a 31 x 31 grid ~160 ms, ``refine`` ~125 ms,

@@ -13,10 +13,6 @@ class InfeasibleDistortionError(ArgumentError):
     """Requested distortion lies below the saturation floor of the instance."""
 
 
-class DegeneracyError(GceoError):
-    """A covariance became singular (e.g. duplicate noiseless descriptions)."""
-
-
 class InternalInconsistencyError(GceoError):
     """A structural invariant failed; usually a tolerance set too loose."""
 

@@ -61,12 +61,13 @@ CHAIN_DROP = 1e-12
 # Region membership and the refinement stage test (an O(L log L)
 # threshold scan each: one sweep plus the singletons), face
 # identification (O(L^2) candidate sets), the inverse map (a few scans
-# and O(1)-cost Newton steps per decode block) and the scheduler (one
-# grow per split, no backtracking) enumerate no subsets.  What still
-# grows fast with L is the schedule validator (one elimination, cubic in
-# the steps plus L) and the ``dominant_face_form`` cross-check (2^L
-# conditional ranks, run by no command), so L stays at desk scale until
-# a benchmark sweep over L shows what a larger cap costs.
+# and O(1)-cost Newton steps per decode block), the scheduler (one grow
+# per split, no backtracking) and its validator (O(L) in closed form)
+# enumerate no subsets.  What still grows fast with L is the builder's
+# face step (O(L^2) per call, run O(L) times: ~0.6 s at L = 128) and the
+# ``dominant_face_form`` cross-check (2^L conditional ranks, run by no
+# command), so L stays at desk scale until a benchmark sweep over L
+# shows what a larger cap costs.
 MAX_ENCODERS = 16
 
 
@@ -104,7 +105,7 @@ class CeoInstance:
         if len(self.sigma_n2) > MAX_ENCODERS:
             raise ArgumentError(
                 f"at most {MAX_ENCODERS} encoders supported (a desk-scale cap: the "
-                f"schedule validator is cubic in L), got {len(self.sigma_n2)}"
+                f"schedule builder is cubic in L), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
             if not (v > 0.0) or not math.isfinite(v):

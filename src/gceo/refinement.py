@@ -25,8 +25,9 @@ stage, its worst subset and the full set.
 The same test has a geometric form: the stage increment must lie on the
 dominant face of the conditional rate region whose descriptions are the
 test channels of r*(R_j) given the coarser channels of r*(R_{j-1}).
-``dominant_face_form`` evaluates that membership through the Gaussian
-covariance engine, as an independent cross-check of the inequality form.
+``dominant_face_form`` evaluates that membership through the
+conditional-MI engine ``scheduler.gaussian_mi``, one conditional rank
+per subset, as an independent cross-check of the inequality form.
 
 ``reachable_set_l2`` runs the two-stage test from one start to every node
 of a two-encoder rate grid.  What does not depend on the start (each
@@ -180,9 +181,9 @@ def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASI
     """Stage feasibility via conditional-region membership of the increment.
 
     Builds the fine descriptions of r*(R_next) and the nested coarse
-    descriptions of r*(R_prev), computes every conditional subset rank with
-    the covariance engine, and checks that the rate increment sits on the
-    dominant face.  A chain whose allocation is not nested (some r*
+    descriptions of r*(R_prev), computes every conditional subset rank as a
+    chain of ``scheduler.gaussian_mi`` step rates, and checks that the rate
+    increment sits on the dominant face.  A chain whose allocation is not nested (some r*
     coordinate decreasing) admits no such construction and returns False.
     """
     stages = _validate_stages(instance, [R_prev, R_next])

@@ -1,4 +1,4 @@
-"""Successive Wyner-Ziv schedules and the Gaussian conditional-MI engine.
+"""Successive Wyner-Ziv schedules and the closed-form conditional-MI engine.
 
 A schedule realizes a dominant-face rate tuple as an ordered pipeline of
 single-description Wyner-Ziv steps: each step conveys one description of
@@ -65,22 +65,38 @@ computed elsewhere (a vertex, say) puts its tight sets only a few ulps of
 its rates from tight, and a point near a face gets an exact schedule with
 a short piece instead of one snapped onto the face.
 
-The covariance engine is the independent oracle: every produced schedule
-is re-validated from scratch by one pure-Python Gaussian elimination
-(``_sweep``) of the joint covariance of the decoded descriptions, the
-observations and the source.  One sweep over the decode order holds, at
-each pivot, the covariance of every later variable given the earlier ones,
-so a step's rate is read off its (observation, description) 2 x 2 block and
-the final MMSE off the source's entry.  ``gaussian_mi`` and ``source_mmse``
-are the same sweep over a short variable list.  One relative pivot rule
-stands for the special cases: a variable whose conditional variance is at
-most ``_PIVOT_REL`` times its variance given X is determined by the earlier
-ones, so it is skipped as a pivot and carries rate 0 as a target (a
-repeated description, one within last-ulp noise of an earlier one, and
-vacuous side information with infinite noise).  The sweep needs no numpy,
-so only ``simulate`` loads it: cold starts on a 2-vCPU VM (min of 7
-spawns) are ~100 ms for ``schedule``, ~125 ms for ``refine`` and ~160 ms
-for a 31 x 31 ``omega-map``, against ~275, ~305 and ~310 ms with numpy.
+The validator.  Every produced schedule is re-validated by
+``validate_schedule``, which reads only the instance and the stated
+descriptions (none of the builder's pieces, weights or excesses).  Its
+rates are exact by the matrix determinant lemma.  Every decoded variable
+is X plus noise; the noises are independent across encoders and nested
+within one, with covariance min(a, a') of the totals a = sigma_n2[e] +
+sigma_t2 (the covariance of Brownian motion).  So the joint covariance of
+a set S of descriptions is sigma_x2 11' plus one such block per encoder,
+and
+
+    ln det C(S) = sum_e [ln a_min(e) + sum of ln gaps between e's sorted a]
+                  + ln(sigma_x2 p(S)),   p(S) = 1/sigma_x2 + sum_e 1/a_min(e),
+
+p(S) being the source precision given S.  A step that decodes W (noise t)
+of encoder j after the set Z has rate I(Y_j; W | Z) = (1/2)[ld(Z + W) -
+ld(Z) - ld(Z + Y_j + W) + ld(Z + Y_j)], ld = ln det, and every gap term
+cancels in it.  With t_side the noise of the finest description of j in
+Z (inf without one), the rate is 0 when t_side <= t (W adds nothing to a
+description at least as fine: a repeat, or vacuous with t = inf), and
+otherwise
+
+    (1/2) ln(p(Z + W) / p(Z)) + rho(t) - rho(t_side),
+
+rho = ``model.r_from_channel_noise`` (0 at inf).  The final MMSE is 1/p of
+everything decoded.  No covariance is formed, so sigma_x2 never swamps a
+small test-channel noise and the check holds at every rate; a schedule of
+n steps is checked in O(n + L) from one running precision and each
+encoder's finest noise.  ``gaussian_mi`` is the same formula
+over a given decoded list.  Only ``simulate`` loads numpy: cold starts on
+a 2-vCPU VM (min of 7 spawns) were ~100 ms for ``schedule``, ~125 ms for
+``refine`` and ~160 ms for a 31 x 31 ``omega-map``, against ~275, ~305
+and ~310 ms while the validator loaded numpy.
 """
 
 from __future__ import annotations
@@ -88,7 +104,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, DegeneracyError, InternalInconsistencyError
+from .errors import ArgumentError, InternalInconsistencyError
 from .model import (
     TOL_EQ,
     CeoInstance,
@@ -100,14 +116,6 @@ from .model import (
     rate_floor,
 )
 from . import polymatroid
-
-# A conditional variance at most this share of the variable's variance
-# given X (sigma_n2 + sigma_t2) means the earlier variables determine it:
-# it absorbs last-ulp differences between allocations recovered through
-# different solvers.
-_PIVOT_REL = 1e-10
-# The source X as a variable; ("Y", j) is encoder j's observation.
-_SOURCE = ("X", None)
 
 
 @dataclass(frozen=True)
@@ -164,76 +172,27 @@ class Schedule:
         return [s.to_dict() for s in self.steps]
 
 
-def _key(variable) -> tuple:
-    """(encoder, test-channel noise) of a variable; the source has no encoder."""
-    if isinstance(variable, Description):
-        return variable.encoder, variable.sigma_t2_total
-    return variable[1], 0.0
-
-
-def _covariance(instance: CeoInstance, variables) -> list[list[float]]:
-    """Joint covariance of a list of variables, as the nested lists of its
-    upper triangle: row a holds the covariances of variable a with
-    variables a, a + 1, ...
-
-    A variable is a Description, ("Y", encoder) for a raw observation or
-    ``_SOURCE``.  Same-encoder descriptions are nested, so their noise
-    covariance is the smaller total noise.
-    """
-    sx2, sn = instance.sigma_x2, instance.sigma_n2
-    keys = [_key(v) for v in variables]
-    return [
-        [sx2 + sn[ea] + min(ta, tb) if ea == eb and ea is not None else sx2 for eb, tb in keys[a:]]
-        for a, (ea, ta) in enumerate(keys)
-    ]
-
-
-def _determined(instance: CeoInstance, variable, variance: float) -> bool:
-    """Whether a conditional variance leaves the variable determined by what
-    it is conditioned on.  A vacuous description (infinite noise) always
-    is: its variance and the bound are both infinite."""
-    encoder, noise = _key(variable)
-    return variance <= _PIVOT_REL * (instance.sigma_n2[encoder] + noise)
-
-
-def _sweep(instance: CeoInstance, variables, given: int):
-    """Condition on the first ``given`` variables in order.
-
-    Yields, before each of their pivots, the covariance (``_covariance``'s
-    upper triangle) of that variable and every later one given the earlier
-    ones, the pivot first, and at the end the covariance of the rest given
-    all of them.  A pivot that ``_determined`` calls determined is skipped.
-    """
-    cov = _covariance(instance, variables)
-    for variable in variables[:given]:
-        yield cov
-        head, rows = cov[0], cov[1:]
-        if _determined(instance, variable, head[0]):
-            cov = rows
-            continue
-        pivot, cov = head[0], []
-        for a, row in enumerate(rows, 1):
-            f = head[a] / pivot
-            cov.append([x - f * y for x, y in zip(row, head[a:])])
-    yield cov
-
-
-def _rate(instance: CeoInstance, target: Description, v_y: float, c: float, v_w: float) -> float:
-    """I(Y; W | conditioning) from the conditional covariance of (Y, W):
-    variances v_y and v_w, covariance c.  A determined W carries rate 0."""
-    if _determined(instance, target, v_w):
-        return 0.0
-    det = v_y * v_w - c * c
-    if not det > 0.0:  # with v_w > 0, also v_y > 0; NaN fails too
-        raise DegeneracyError("conditional covariance is not positive definite")
-    return 0.5 * math.log(v_y * v_w / det)
+def _rate(instance: CeoInstance, j: int, t: float, t_side: float, p: float) -> tuple[float, float]:
+    """I(Y_j; W | Z) for a description W of encoder j with noise t, and the
+    source precision after W, given the decoded set Z: its source precision
+    p and the noise t_side of its finest description of j (inf without
+    one).  A description no finer than t_side carries rate 0."""
+    if not t < t_side:
+        return 0.0, p
+    sn = instance.sigma_n2[j]
+    gain = 1.0 / (sn + t) - 1.0 / (sn + t_side)
+    rate = 0.5 * math.log1p(gain / p) + r_from_channel_noise(instance, j, t) - r_from_channel_noise(instance, j, t_side)
+    return rate, p + gain
 
 
 def gaussian_mi(instance: CeoInstance, target: Description, decoded=()) -> float:
-    """I(Y_target.encoder ; target | decoded descriptions), by ``_sweep``."""
-    decoded = list(decoded)
-    *_, cov = _sweep(instance, decoded + [("Y", target.encoder), target], len(decoded))
-    return _rate(instance, target, cov[0][0], cov[0][1], cov[1][0])
+    """I(Y_target.encoder ; target | decoded descriptions), in closed form."""
+    finest: dict[int, float] = {}
+    for d in decoded:
+        finest[d.encoder] = min(d.sigma_t2_total, finest.get(d.encoder, math.inf))
+    p = 1.0 / instance.sigma_x2 + sum(1.0 / (instance.sigma_n2[e] + t) for e, t in finest.items())
+    j = target.encoder
+    return _rate(instance, j, target.sigma_t2_total, finest.get(j, math.inf), p)[0]
 
 
 def fine_description(instance: CeoInstance, r, i: int) -> Description:
@@ -321,7 +280,7 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
     skipped.  The pieces of the precision axis become steps in axis order,
     and the result is validated before being returned.  The tolerances of
     the dominant-face check and of that validation are fixed: 10 and 100
-    ``model.TOL_EQ``.
+    ``model.TOL_EQ`` (the latter ``validate_schedule``'s default).
     """
     r = _check_allocation(instance, r)
     if not polymatroid.on_dominant_face(instance, r, R, 10 * TOL_EQ):
@@ -346,7 +305,7 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
         decoded.append(d)
         rho[j] = rho_d
     schedule = Schedule(tuple(steps))
-    report = validate_schedule(instance, schedule, R, 100 * TOL_EQ)
+    report = validate_schedule(instance, schedule, R)
     if not report.ok:
         raise InternalInconsistencyError(
             "constructed schedule failed validation: " + "; ".join(report.diagnostics)
@@ -363,46 +322,38 @@ class ValidationReport:
         return self.ok
 
 
-def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float = 1e-7) -> ValidationReport:
+def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float = 100 * TOL_EQ) -> ValidationReport:
     """Re-derive every claim a schedule makes and compare against R.
 
     Checks, in order: stored step rates against rates recomputed from the
     exact decoded set at each point, per-encoder rate sums, well-ordering of
     coarse before fine, the 2L - 1 step bound, and the final MMSE against
-    the allocation's distortion.
+    the allocation's distortion.  One pass over the decode order keeps the
+    source precision p of the decoded set and each encoder's finest noise,
+    which is all the closed-form rate reads.
     """
     L = instance.L
     diags = []
     seen_stages: dict[int, list[int]] = {}
-    descriptions = [step.description for step in schedule.steps]
-    n = len(descriptions)
-    # One sweep over the decode order; the observations and the source ride
-    # along, so before step idx's pivot its (Y, W) block is the conditional
-    # covariance given every earlier step.
-    sweep = _sweep(instance, descriptions + [("Y", j) for j in range(L)] + [_SOURCE], n)
+    finest = [math.inf] * L
+    p = 1.0 / instance.sigma_x2
     for idx, step in enumerate(schedule.steps):
-        cov, y = next(sweep), n - idx + step.description.encoder
-        recomputed = _rate(instance, step.description, cov[y][0], cov[0][y], cov[0][0])
+        enc, t = step.description.encoder, step.description.sigma_t2_total
+        recomputed, p_next = _rate(instance, enc, t, finest[enc], p)
         if abs(recomputed - step.rate) > tol:
             diags.append(
-                f"step {idx} (encoder {step.description.encoder}, stage {step.description.stage}): "
+                f"step {idx} (encoder {enc}, stage {step.description.stage}): "
                 f"stored rate {step.rate:.12f} != recomputed {recomputed:.12f}"
             )
-        enc = step.description.encoder
         stages = seen_stages.setdefault(enc, [])
-        if step.description.stage == 2 and 1 in stages:
-            coarse_noise = next(
-                s.description.sigma_t2_total
-                for s in schedule.steps
-                if s.description.encoder == enc and s.description.stage == 1
-            )
-            if not step.description.sigma_t2_total < coarse_noise:
-                diags.append(f"encoder {enc}: fine stage is not strictly finer than coarse stage")
+        if step.description.stage == 2 and 1 in stages and not t < finest[enc]:
+            diags.append(f"encoder {enc}: fine stage is not strictly finer than coarse stage")
         if step.description.stage == 1 and 2 in stages:
             diags.append(f"encoder {enc}: coarse stage decoded after fine stage")
         if step.description.stage in stages:
             diags.append(f"encoder {enc}: stage {step.description.stage} scheduled twice")
         stages.append(step.description.stage)
+        p, finest[enc] = p_next, min(t, finest[enc])
 
     sums = schedule.per_encoder_rate(L)
     for i in range(L):
@@ -411,25 +362,10 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
     if schedule.total_steps > 2 * L - 1:
         diags.append(f"{schedule.total_steps} steps exceeds bound {2 * L - 1}")
 
-    finest: dict[int, Description] = {}
-    for step in schedule.steps:
-        d = step.description
-        if d.encoder not in finest or d.sigma_t2_total < finest[d.encoder].sigma_t2_total:
-            finest[d.encoder] = d
-    r_recovered = [0.0] * L
-    for enc, d in finest.items():
-        r_recovered[enc] = r_from_channel_noise(instance, enc, d.sigma_t2_total)
-    mmse_cov = next(sweep)[-1][0]
-    mmse_formula = distortion(instance, r_recovered)
-    if abs(mmse_cov - mmse_formula) > tol:
+    mmse = 1.0 / p
+    mmse_formula = distortion(instance, [r_from_channel_noise(instance, j, t) for j, t in enumerate(finest)])
+    if abs(mmse - mmse_formula) > tol:
         diags.append(
-            f"final MMSE {mmse_cov:.12f} != allocation distortion {mmse_formula:.12f}"
+            f"final MMSE {mmse:.12f} != allocation distortion {mmse_formula:.12f}"
         )
     return ValidationReport(ok=not diags, diagnostics=tuple(diags))
-
-
-def source_mmse(instance: CeoInstance, descriptions) -> float:
-    """Var(X | descriptions), by ``_sweep``."""
-    descriptions = list(descriptions)
-    *_, cov = _sweep(instance, descriptions + [_SOURCE], len(descriptions))
-    return cov[0][0]

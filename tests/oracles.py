@@ -34,9 +34,17 @@ bound) only at desk scale:
   ``brentq`` roots of their sum-rate identities, the references for
   ``inversion``'s closed forms;
 * ``precision_rate``: a Wyner-Ziv step's rate from the precisions of the
-  descriptions decoded before and after it, the precision-algebra
-  certificate of ``scheduler.build_schedule``'s step rates (itself checked
-  against the covariance engine ``scheduler.gaussian_mi``);
+  descriptions decoded before and after it, with same-encoder descriptions
+  within ``_DUP_REL`` of each other taken as one, the precision-algebra
+  certificate of ``scheduler.build_schedule``'s step rates;
+* ``covariance_mi`` and ``covariance_mmse``: a step's rate and the source
+  MMSE by Gaussian elimination of the joint covariance of the decoded
+  descriptions, the observation and the source (O((n + L)^3)), the
+  references for ``scheduler.gaussian_mi`` and ``validate_schedule``'s
+  closed form.  The float sweep skips a pivot within ``_PIVOT_REL`` of
+  determined and loses precision past ~8 nats, where sigma_x2 swamps the
+  test-channel noise; the ``Fraction`` sweep (``exact=True``) skips only
+  an exactly determined pivot and is exact up to the final logarithm;
 * ``exhaustive_stop``: where a piece grown in the scheduler's precision
   axis stops, over every subset (2^n), the reference for
   ``scheduler._stop``'s Dinkelbach iteration;
@@ -62,6 +70,7 @@ bound) only at desk scale:
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -97,6 +106,14 @@ from gceo.refinement import FEASIBILITY_TOL, GridNode, _validate_stages, check_r
 # are one variable in ``precision_rate`` (last-ulp differences between
 # solvers).  The oracle keeps its own value rather than follow the library.
 _DUP_REL = 1e-10
+# In the float covariance sweep, a conditional variance at most this share
+# of the variable's variance given X (sigma_n2 + sigma_t2) means the earlier
+# variables determine it: it absorbs last-ulp differences between
+# allocations recovered through different solvers.  The exact sweep's only
+# rule is a conditional variance of exactly zero.
+_PIVOT_REL = 1e-10
+# The source X as a variable; ("Y", j) is encoder j's observation.
+_SOURCE = ("X", None)
 
 
 def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
@@ -546,6 +563,78 @@ def precision_rate(instance: CeoInstance, target, decoded) -> float:
         + r_from_channel_noise(instance, j, t)
         - r_from_channel_noise(instance, j, t_side)
     )
+
+
+def _key(variable) -> tuple:
+    """(encoder, test-channel noise) of a variable; the source has no encoder."""
+    if isinstance(variable, tuple):
+        return variable[1], 0.0
+    return variable.encoder, variable.sigma_t2_total
+
+
+def _determined(instance: CeoInstance, variable, variance, exact: bool) -> bool:
+    """Whether a conditional variance leaves the variable determined by what
+    it is conditioned on: exactly zero (exact), or at most ``_PIVOT_REL``
+    times its variance given X (float)."""
+    if exact:
+        return variance == 0
+    encoder, noise = _key(variable)
+    return variance <= _PIVOT_REL * (instance.sigma_n2[encoder] + noise)
+
+
+def _conditioned(instance: CeoInstance, variables, given: int, exact: bool) -> list[list]:
+    """Covariance of ``variables[given:]`` given ``variables[:given]``, as
+    the nested lists of its upper triangle (row a holds the covariances of
+    variable a with variables a, a + 1, ...).
+
+    A variable is a finite-noise Description, ("Y", encoder) for a raw
+    observation or ``_SOURCE``.  Same-encoder descriptions are nested, so
+    their noise covariance is the smaller total noise.  One Gaussian
+    elimination conditions on the given variables in order, in floats or,
+    with ``exact``, in ``Fraction``s of the exact input floats; a pivot that
+    ``_determined`` calls determined is skipped.
+    """
+    number = Fraction if exact else float
+    sx2, sn = number(instance.sigma_x2), [number(v) for v in instance.sigma_n2]
+    keys = [_key(v) for v in variables]
+    cov = [
+        [sx2 + sn[ea] + number(min(ta, tb)) if ea == eb and ea is not None else sx2 for eb, tb in keys[a:]]
+        for a, (ea, ta) in enumerate(keys)
+    ]
+    for variable in variables[:given]:
+        head, rows = cov[0], cov[1:]
+        if _determined(instance, variable, head[0], exact):
+            cov = rows
+            continue
+        pivot, cov = head[0], []
+        for a, row in enumerate(rows, 1):
+            f = head[a] / pivot
+            cov.append([x - f * y for x, y in zip(row, head[a:])])
+    return cov
+
+
+def covariance_mi(instance: CeoInstance, target, decoded=(), exact: bool = False) -> float:
+    """I(Y_j; target | decoded), j the target's encoder, from the
+    conditional covariance of (Y_j, target) given the decoded descriptions:
+    the float sweep, or with ``exact`` the ``Fraction`` one.  A vacuous
+    description (infinite noise) carries rate 0 and conditions nothing."""
+    if target.sigma_t2_total == math.inf:
+        return 0.0
+    decoded = [d for d in decoded if d.sigma_t2_total < math.inf]
+    (v_y, c), (v_w,) = _conditioned(instance, decoded + [("Y", target.encoder), target], len(decoded), exact)
+    if _determined(instance, target, v_w, exact):
+        return 0.0
+    det = v_y * v_w - c * c
+    if not det > 0:  # with v_w > 0, also v_y > 0; NaN fails too
+        raise ArithmeticError("conditional covariance is not positive definite")
+    return 0.5 * math.log1p(c * c / det)
+
+
+def covariance_mmse(instance: CeoInstance, descriptions, exact: bool = False) -> float:
+    """Var(X | descriptions) by the same sweep as ``covariance_mi``."""
+    descriptions = [d for d in descriptions if d.sigma_t2_total < math.inf]
+    ((v,),) = _conditioned(instance, descriptions + [_SOURCE], len(descriptions), exact)
+    return float(v)
 
 
 def exhaustive_stop(e, w, top: bool) -> float:

@@ -84,7 +84,7 @@ def test_too_many_encoders_exit_two(tmp_path):
         code, out = run(["invert", "--instance", str(path), "--R", ",".join(["0.5"] * 17)])
     assert (code, out) == (2, "")
     assert err.getvalue() == (
-        "error: at most 16 encoders supported (a desk-scale cap: the schedule validator is cubic in L), got 17\n"
+        "error: at most 16 encoders supported (a desk-scale cap: the schedule builder is cubic in L), got 17\n"
     )
 
 

@@ -129,7 +129,7 @@ class TestVertices:
 
     def test_matches_covariance_engine(self):
         # Vertex coordinates are conditional mutual informations; recompute
-        # them through the Gaussian covariance path.
+        # them with the scheduler's conditional-MI engine.
         rng = np.random.default_rng(13)
         inst = random_instance(rng, 3)
         r = random_alloc(rng, 3, lo=0.1, hi=2.0)

@@ -4,7 +4,7 @@ import math
 import time
 from collections import Counter
 from contextlib import redirect_stdout
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from gceo.scheduler import (
     build_schedule,
     fine_description,
     gaussian_mi,
-    source_mmse,
     validate_schedule,
 )
 
@@ -32,7 +31,7 @@ from conftest import (
     random_alloc,
     random_instance,
 )
-from oracles import exhaustive_stop, precision_rate
+from oracles import covariance_mi, covariance_mmse, exhaustive_stop, precision_rate
 
 HALF_LN3 = 0.5493061443340549
 
@@ -57,7 +56,7 @@ class TestGaussianMi:
         inst = random_instance(rng, 3)
         r = random_alloc(rng, 3, lo=0.2)
         fines = [fine_description(inst, r, i) for i in range(3)]
-        d_s = source_mmse(inst, [fines[1], fines[2]])
+        d_s = covariance_mmse(inst, [fines[1], fines[2]])
         v = fines[0].sigma_t2_total
         expect = 0.5 * math.log((d_s + inst.sigma_n2[0] + v) / v)
         assert gaussian_mi(inst, fines[0], [fines[1], fines[2]]) == pytest.approx(
@@ -157,6 +156,23 @@ class TestValidateSchedule:
         report = validate_schedule(sym2, tampered, R, tol=1e-7)
         assert not report.ok
         assert any("step 0" in d for d in report.diagnostics)
+
+    def test_stage_order_diagnostics(self, sym2):
+        # The midpoint schedule decodes one encoder coarse, then the other,
+        # then the first one fine.
+        r = (0.5, 0.5)
+        mid = tuple((x + y) / 2 for x, y in zip(vertex(sym2, r, (0, 1)), vertex(sym2, r, (1, 0))))
+        coarse, other, fine = build_schedule(sym2, r, mid).steps
+        enc = fine.description.encoder
+        cases = {
+            (fine, other, coarse): f"encoder {enc}: coarse stage decoded after fine stage",
+            (coarse, other, WzStep(Description(enc, coarse.description.sigma_t2_total), fine.rate)):
+                f"encoder {enc}: fine stage is not strictly finer than coarse stage",
+            (coarse, other, fine, fine): f"encoder {enc}: stage 2 scheduled twice",
+        }
+        for steps, diagnostic in cases.items():
+            assert diagnostic in validate_schedule(sym2, Schedule(steps), mid).diagnostics
+        assert "4 steps exceeds bound 3" in validate_schedule(sym2, Schedule((coarse, other, fine, fine)), mid).diagnostics
 
     def test_rate_sum_mismatch_detected(self, sym2):
         r = (0.5, 0.5)
@@ -316,7 +332,7 @@ def _mixture(rng, inst, r, kind):
 @given(
     L=st.integers(min_value=3, max_value=8),
     kind=st.sampled_from(["two-vertex", "dirichlet", "near-face"]),
-    rates=st.sampled_from([(1e-6, 1e-3), (0.05, 3.0), (3.0, 7.0), (1e-6, 7.0)]),
+    rates=st.sampled_from([(1e-6, 1e-3), (0.05, 3.0), (3.0, 7.0), (1e-6, 7.0), (8.0, 45.0)]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_axis_tiling_reaches_every_point(L, kind, rates, seed):
@@ -354,7 +370,7 @@ def test_final_distortion_matches(sym2):
     R = vertex(sym2, r, (0, 1))
     schedule = build_schedule(sym2, r, R)
     finest = [s.description for s in schedule.steps if s.description.stage == 2]
-    assert source_mmse(sym2, finest) == pytest.approx(distortion(sym2, r), abs=1e-12)
+    assert covariance_mmse(sym2, finest) == pytest.approx(distortion(sym2, r), abs=1e-12)
 
 
 def _random_side_set(rng, fines):
@@ -377,31 +393,60 @@ def _random_side_set(rng, fines):
     return side
 
 
-class TestScalarRate:
-    """The precision-algebra rate oracle against the covariance engine.
+def _rate_draws(seed, lo, hi, count=600):
+    """(instance, target, side) triples: allocations uniform in [lo, hi],
+    side sets from ``_random_side_set`` (near-duplicates included), and for
+    each a fine, a coarse and a vacuous target."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        L = int(rng.integers(1, 6))
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=lo, hi=hi)
+        fines = [fine_description(inst, r, i) for i in range(L)]
+        side = _random_side_set(rng, fines)
+        j = int(rng.integers(0, L))
+        t = fines[j].sigma_t2_total
+        for target in (
+            fines[j],
+            Description(j, t * float(rng.uniform(1.01, 20.0)), stage=1),
+            Description(j, math.inf, stage=1),
+        ):
+            yield inst, target, side
 
-    Rates stay at or below 3 nats, where the oracle's own Schur-complement
-    error is ~1e-13 (it grows like exp(2r) ulps: ~1e-12 at 4 nats).
-    """
+
+class TestScalarRate:
+    """The closed-form rate engine and the float covariance sweep against
+    the exact (``Fraction``) covariance sweep."""
+
+    @staticmethod
+    def _worst_engine_error(seed, lo, hi):
+        return max(
+            abs(gaussian_mi(inst, target, side) - covariance_mi(inst, target, side, exact=True))
+            for inst, target, side in _rate_draws(seed, lo, hi)
+        )
 
     def test_matches_gaussian_mi(self):
-        rng = np.random.default_rng(31)
-        worst = 0.0
-        for _ in range(600):
-            L = int(rng.integers(1, 6))
-            inst = random_instance(rng, L)
-            r = random_alloc(rng, L, lo=0.05, hi=3.0)
-            fines = [fine_description(inst, r, i) for i in range(L)]
-            side = _random_side_set(rng, fines)
-            j = int(rng.integers(0, L))
-            t = fines[j].sigma_t2_total
-            for target in (
-                fines[j],
-                Description(j, t * float(rng.uniform(1.01, 20.0)), stage=1),
-                Description(j, math.inf, stage=1),
-            ):
-                worst = max(worst, abs(precision_rate(inst, target, side) - gaussian_mi(inst, target, side)))
-        assert worst <= 1e-12
+        assert self._worst_engine_error(31, 0.05, 3.0) <= 1e-12
+
+    def test_matches_gaussian_mi_at_high_rates(self):
+        # Where the float sweep cancels: sigma_x2 + sigma_n2 + t swamps t.
+        assert self._worst_engine_error(35, 8.0, 45.0) <= 1e-12
+
+    def test_float_sweep_matches_the_exact_sweep(self):
+        # Up to 3 nats the float sweep loses ~1e-13.  Its pivot rule takes a
+        # description within _PIVOT_REL of an earlier one of its encoder as
+        # determined, so a near-duplicate adds nothing where its exact rate
+        # is ~1e-11.
+        clean = near = 0.0
+        for inst, target, side in _rate_draws(31, 0.05, 3.0):
+            err = abs(covariance_mi(inst, target, side) - covariance_mi(inst, target, side, exact=True))
+            pairs = combinations([d for d in side + [target] if d.sigma_t2_total < math.inf], 2)
+            if any(a.encoder == b.encoder and 0.0 < abs(a.sigma_t2_total / b.sigma_t2_total - 1.0) < 1e-9 for a, b in pairs):
+                near = max(near, err)
+            else:
+                clean = max(clean, err)
+        assert clean <= 1e-12
+        assert near <= 1e-10
 
     def test_finer_side_description_pins_target(self, sym2):
         fine = Description(0, 0.5)
@@ -475,11 +520,6 @@ def test_two_vertex_point_at_max_encoders():
     assert elapsed < 0.25
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InternalInconsistencyError,
-    reason="ROADMAP item 8: the float covariance validator cancels past ~8 nats and rejects correct schedules",
-)
 def test_high_rate_vertex_pipelines_validate():
     rng = np.random.default_rng(34)
     for _ in range(20):
@@ -490,7 +530,9 @@ def test_high_rate_vertex_pipelines_validate():
         assert build_schedule(inst, r, R).total_steps == L
 
 
-_ALLOCATION_ENTRY = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=6.0))
+_ALLOCATION_ENTRY = st.one_of(
+    st.just(0.0), st.floats(min_value=0.05, max_value=6.0), st.floats(min_value=8.0, max_value=45.0)
+)
 
 
 @settings(max_examples=120)
@@ -513,3 +555,34 @@ def test_dominant_face_schedules(L, seed, data):
     sums = schedule.per_encoder_rate(L)
     for i in range(L):
         assert abs(sums[i] - R[i]) <= 1e-12 * max(1.0, R[i])
+
+
+@pytest.mark.parametrize("lo, hi", [(0.05, 3.0), (8.0, 12.0), (20.0, 45.0)])
+def test_validator_rejects_a_step_moved_by_1e_9(lo, hi):
+    """At tol 1e-12 every built two-vertex schedule validates, and moving
+    one step's rate by 1e-9 nats is rejected, at low and high rates alike.
+    The step rates agree with the exact covariance sweep to 1e-12, and with
+    the float sweep at low rates."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        L = int(rng.integers(2, 6))
+        inst = random_instance(rng, L)
+        r = random_alloc(rng, L, lo=lo, hi=hi)
+        R = _mixture(rng, inst, r, "two-vertex")
+        schedule = build_schedule(inst, r, R)
+        report = validate_schedule(inst, schedule, R, tol=1e-12)
+        assert report.ok, report.diagnostics
+        decoded = []
+        for step in schedule.steps:
+            assert abs(step.rate - covariance_mi(inst, step.description, decoded, exact=True)) <= 1e-12
+            if hi <= 3.0:
+                assert abs(step.rate - covariance_mi(inst, step.description, decoded)) <= 1e-12
+            decoded.append(step.description)
+        k = int(rng.integers(0, schedule.total_steps))
+        moved = replace(schedule.steps[k], rate=schedule.steps[k].rate + float(rng.choice([-1e-9, 1e-9])))
+        tampered = Schedule(schedule.steps[:k] + (moved,) + schedule.steps[k + 1 :])
+        report = validate_schedule(inst, tampered, R, tol=1e-12)
+        assert not report.ok
+        assert any(d.startswith(f"step {k} ") for d in report.diagnostics)
