@@ -22,8 +22,7 @@ form.  So only ``simulate`` loads numpy, and
 ``concurrent.futures`` (which loads ``logging``) only when a simulation
 runs its shards on a thread pool.  Cold starts on a 2-vCPU VM (min of 7
 spawns): ``omega-map`` on a 31 x 31 grid ~160 ms, ``refine`` ~125 ms,
-``schedule`` ~100 ms, where loading numpy made them ~310, ~305 and
-~275 ms.
+``schedule`` ~100 ms.
 
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,

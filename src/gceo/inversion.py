@@ -76,7 +76,9 @@ Newton step through a few sums and each step costs one ``expm1`` and one
 No subset is enumerated.  Since h_A grows with K, K_A > K iff
 g(A, K) = h_A(K) - R(A) < 0, and g(., K) is a modular function plus a
 concave function of the modular w(A): its minimizers are prefixes of the
-remaining encoders sorted by c_i / w_i (``polymatroid._min_threshold_set``).
+remaining encoders sorted by c_i / w_i, one pass over which gives g of
+every prefix (``polymatroid._prefix_values``, shared with the scheduler's
+face step).
 Every singleton has K_i > sigma_n2[i], so the answer lies above the largest
 remaining noise, x > 0.  A Dinkelbach iteration finds it from x = 0: at the
 current x take the set minimizing g, move x to that set's root, and stop
@@ -116,7 +118,7 @@ from functools import lru_cache
 
 from .errors import ArgumentError, ConvergenceError
 from .model import RATE_FLOOR, TOL_EQ, CeoInstance, R_MAX, is_cap, precision_weight, rate_floor
-from .polymatroid import _min_threshold_set, _scan_min_slack
+from .polymatroid import _prefix_values, _reduced_min_slack
 
 RESIDUAL_LIMIT = 1e-5
 OMEGA_TOL = 1e-7
@@ -202,12 +204,6 @@ def _solve_l1(sn: float, rate: float, p0: float) -> float:
     return 0.5 * math.log1p(a * math.expm1(2.0 * rate) / (1.0 + a))
 
 
-def _reduced_min_slack(sn, R, r, p0: float) -> float:
-    """Min subset-rate slack of the reduced region (conditioned on the base)."""
-    w = [precision_weight(s, v) for s, v in zip(sn, r)]
-    return _scan_min_slack([a - b for a, b in zip(R, r)], [0.0] * len(w), w, p0)[0]
-
-
 def _block_rate(block, R, lift, a, b, p: float, x: float):
     """(x', steps): the root x' >= x of a block's group sum-rate equation
     at base precision p, in log-excess coordinates, and the Newton steps
@@ -270,9 +266,10 @@ def _top_block(sn, R, members, p: float):
     from x = 0, where the noisiest member has weight 0: while the set
     minimizing g(., x) has g < 0, its root (``_block_rate``) exceeds x and
     becomes the next x.  Each scan costs one ``expm1`` for m and the scan's
-    own logarithms.  Values of g within the rounding floor of the members'
-    rates (``model.rate_floor``) of the minimum count as ties; a step that
-    cannot raise x ends the search.
+    own logarithms.  The set taken is the longest prefix of
+    ``_prefix_values`` whose g is within the rounding floor of the members'
+    rates (``model.rate_floor``) of the minimum; a step that cannot raise x
+    ends the search.
     """
     rates = [R[i] for i in members]
     tie = rate_floor(rates)
@@ -283,12 +280,14 @@ def _top_block(sn, R, members, p: float):
     x, block, iterations = 0.0, None, 0
     while True:
         m = -math.expm1(-2.0 * x)
-        low, prefix = _min_threshold_set(
+        order, values = _prefix_values(
             [x + v - u for v, u in zip(lift, rates)],
             [u + v * m for u, v in zip(a, b)],
+            range(len(members)),
             p,
-            tie,
         )
+        low = min(values)
+        prefix = order[: max(k for k, v in enumerate(values) if v <= low + tie)]
         iterations += 1
         found = prefix or block
         if low >= -tie:

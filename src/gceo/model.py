@@ -59,15 +59,16 @@ RATE_FLOOR = 1e-13
 CHAIN_DROP = 1e-12
 
 # Region membership and the refinement stage test (an O(L log L)
-# threshold scan each: one sweep plus the singletons), face
-# identification (O(L^2) candidate sets), the inverse map (a few scans
-# and O(1)-cost Newton steps per decode block), the scheduler (one grow
-# per split, no backtracking) and its validator (O(L) in closed form)
-# enumerate no subsets.  What still grows fast with L is the builder's
-# face step (O(L^2) per call, run O(L) times: ~0.6 s at L = 128) and the
-# ``dominant_face_form`` cross-check (2^L conditional ranks, run by no
-# command), so L stays at desk scale until a benchmark sweep over L
-# shows what a larger cap costs.
+# threshold scan each: one sweep plus the singletons), the inverse map (a
+# few scans and O(1)-cost Newton steps per decode block), the scheduler
+# (one pass over the threshold prefixes per face step, one grow per
+# split, no backtracking) and its validator (O(L) in closed form)
+# enumerate no subsets; a schedule takes ~0.1 s at L = 256.  What still
+# grows fast with L is face identification (O(L^2) candidate sets), the
+# inverse map (~L^2: one loop of threshold scans per decode block, ~0.2 s
+# at L = 256) and the ``dominant_face_form`` cross-check (2^L conditional
+# ranks, run by no command), so L stays at desk scale until a benchmark
+# sweep over L shows what a larger cap costs.
 MAX_ENCODERS = 16
 
 
@@ -104,8 +105,8 @@ class CeoInstance:
             raise ArgumentError("need at least one encoder")
         if len(self.sigma_n2) > MAX_ENCODERS:
             raise ArgumentError(
-                f"at most {MAX_ENCODERS} encoders supported (a desk-scale cap: the "
-                f"schedule builder is cubic in L), got {len(self.sigma_n2)}"
+                f"at most {MAX_ENCODERS} encoders supported (a desk-scale cap: face "
+                f"identification and the inverse map grow as L^2), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
             if not (v > 0.0) or not math.isfinite(v):

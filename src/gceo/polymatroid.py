@@ -38,9 +38,7 @@ O(L log L).
 precision as p0 + u(A) + v(A^c), a sum of nonnegative terms: region
 membership and the inverse map's reduced regions pass u = 0 and v = w,
 and a refinement stage passes the weights of the coarser and the finer
-allocation, whose difference may have either sign.  The inverse map's
-block search minimizes the mirror form with the precision p0 + w(A)
-inside A over the same sorted prefixes (``_min_threshold_set``).
+allocation, whose difference may have either sign.
 
 Faces need no enumeration either.  On the dominant face the group rate
 of A never exceeds its unconditioned rank f(I, r) - f(A^c, r), and A is
@@ -50,13 +48,18 @@ tight when the two are equal, i.e. when
 
 vanishes.  g is modular plus concave of w(A) and >= 0 on the face, so a
 tight set minimizes it and, up to ratio ties, is a prefix of the encoders
-sorted by (r_i - R_i) / w_i.  Within a tolerance a tight set need only
-nearly minimize g and can differ from a prefix in an encoder whose ratio
-sits near the threshold; ``_tight_chain`` tests every prefix and every
-set one encoder away from a prefix, O(L^2) sets from running sums (unlike
-the O(L log L) slack minimum, which needs no near-minimizers).  It
-serves ``identify_face`` and the scheduler's face step, whose base
-precision p0 is that of the descriptions decoded so far.
+sorted by (r_i - R_i) / w_i; with positive weights g is strictly
+submodular, so every exactly tight set is one.  ``_prefix_values`` is the
+one pass over those prefixes: one sort and one ``log1p`` per encoder
+gives g of each.  The scheduler's face step cuts its chain from it, with
+the base precision p0 of the descriptions decoded so far, and the inverse
+map's block search reads its minimum off it (the same g, with the
+precision p0 + w(A) inside A).  Within a caller's tolerance a tight set
+need only nearly minimize g and can differ from a prefix in an encoder
+whose ratio sits near the threshold.  ``_tight_chain``, which serves only
+``identify_face``, also tests every set one encoder away from a prefix,
+O(L^2) sets from running sums, so that a face names the near-tight sets
+that cross.
 
 Subsets are bitmasks over encoder indices 0..L-1.
 """
@@ -203,28 +206,34 @@ def _scan_min_slack(c, u, v, p0: float) -> tuple[float, tuple[int, ...]]:
     return best, tuple(sorted(inside))
 
 
-def _min_threshold_set(c, w, p0: float, tie: float):
-    """min over every A, the empty set included, of
-    c(A) + (1/2) ln((p0 + w(A)) / p0), and the largest minimizer.
+def _prefix_values(c, w, members, p0: float):
+    """(order, values): ``members`` in ``_threshold_order`` and
+    g(A) = c(A) + (1/2) log1p(w(A) / p0) of each prefix A of that order,
+    the empty prefix first.  One sort and one ``log1p`` per member.
 
-    Needs every w_i >= 0 (``_threshold_order`` places a zero-weight
-    encoder by the sign of c_i).  The same tangent-line argument as in
-    ``_scan_min_slack`` makes some minimizer a prefix of the encoders in
-    increasing c_i / w_i, and the union of all minimizers is one too, so a
-    single pass over the prefixes finds both, O(n log n).  Prefixes within
-    ``tie`` of the minimum count as minimizers; the longest is returned as
-    a list of indices.
+    Needs every w_i >= 0 and p0 > 0.  The same tangent-line argument as in
+    ``_scan_min_slack`` makes some minimizer of g a prefix, and the union
+    of all minimizers is one too; with positive weights g is strictly
+    submodular, so every set with g = 0 is a prefix as well.  The inverse
+    map's block search reads the minimum and the longest prefix within its
+    tie of it off these values, and the scheduler's face step cuts the
+    order at the proper prefixes with |g| within its tie.
     """
-    order = _threshold_order(c, w, range(len(c)))
+    order = _threshold_order(c, w, members)
     values = [0.0]
-    acc, inner = 0.0, p0
+    acc = w_sum = 0.0
     for i in order:
         acc += c[i]
-        inner += w[i]
-        values.append(acc + 0.5 * math.log(inner / p0))
-    low = min(values)
-    size = max(k for k, v in enumerate(values) if v <= low + tie)
-    return low, order[:size]
+        w_sum += w[i]
+        values.append(acc + 0.5 * math.log1p(w_sum / p0))
+    return order, values
+
+
+def _reduced_min_slack(sn, R, r, p0: float) -> float:
+    """``min_slack`` of the region of noises ``sn`` and allocation ``r`` at
+    base precision p0 (the prior plus any descriptions already decoded)."""
+    w = [precision_weight(s, v) for s, v in zip(sn, r)]
+    return _scan_min_slack([a - b for a, b in zip(R, r)], [0.0] * len(w), w, p0)[0]
 
 
 def min_slack(instance: CeoInstance, r, R) -> float:
@@ -238,16 +247,13 @@ def min_slack(instance: CeoInstance, r, R) -> float:
     L = instance.L
     if len(R) != L:
         raise ArgumentError(f"rate vector has length {len(R)}, expected {L}")
-    c = []
-    for i in range(L):
-        R_i = float(R[i])
+    R = [float(v) for v in R]
+    for i, (R_i, r_i) in enumerate(zip(R, r)):
         if math.isnan(R_i):
             raise ArgumentError(f"rate entries must not be NaN, got R_{i + 1} = nan")
-        if math.isnan(R_i - r[i]):
-            raise ArgumentError(f"R_{i + 1} - r_{i + 1} is undefined ({R_i} - {r[i]})")
-        c.append(R_i - r[i])
-    w = [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
-    return _scan_min_slack(c, [0.0] * L, w, 1.0 / instance.sigma_x2)[0]
+        if math.isnan(R_i - r_i):
+            raise ArgumentError(f"R_{i + 1} - r_{i + 1} is undefined ({R_i} - {r_i})")
+    return _reduced_min_slack(instance.sigma_n2, R, r, 1.0 / instance.sigma_x2)
 
 
 def region_check(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> tuple[bool, float]:

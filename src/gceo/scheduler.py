@@ -35,8 +35,12 @@ exactly:
 
   one member: it takes the whole interval, as its fine description;
   face step: when a proper set is tight at the bottom, the tight chain
-      (``polymatroid._tight_chain`` with c = -e and base precision lo)
-      cuts the interval into consecutive blocks, each tiled on its own;
+      cuts the interval into consecutive blocks, each tiled on its own.
+      Every exactly tight set is a prefix of the members sorted by
+      -e_i / w_i (g is strictly submodular for positive weights), so the
+      chain is read off one pass over the prefixes
+      (``polymatroid._prefix_values`` with c = -e and base precision lo):
+      one sort and one logarithm per member;
   grow: otherwise a member k with no piece yet grows a piece from the top
       or the bottom of the interval.  Sets holding k keep their slack and
       every other set loses slack, until a set A of the others is tight
@@ -93,10 +97,7 @@ everything decoded.  No covariance is formed, so sigma_x2 never swamps a
 small test-channel noise and the check holds at every rate; a schedule of
 n steps is checked in O(n + L) from one running precision and each
 encoder's finest noise.  ``gaussian_mi`` is the same formula
-over a given decoded list.  Only ``simulate`` loads numpy: cold starts on
-a 2-vCPU VM (min of 7 spawns) were ~100 ms for ``schedule``, ~125 ms for
-``refine`` and ~160 ms for a 31 x 31 ``omega-map``, against ~275, ~305
-and ~310 ms while the validator loaded numpy.
+over a given decoded list.  Only ``simulate`` loads numpy.
 """
 
 from __future__ import annotations
@@ -200,8 +201,13 @@ def fine_description(instance: CeoInstance, r, i: int) -> Description:
 
 
 def _tight_blocks(members, lo, e, w, tie):
-    """Blocks of the members' tight chain on an interval with bottom lo (the face step)."""
-    return polymatroid._tight_chain(members, {j: -e[j] for j in members}, w, lo, tie)[0]
+    """Blocks of the members' tight chain on an interval with bottom lo (the
+    face step), as sorted index tuples in decode order: the threshold order
+    of ``polymatroid._prefix_values`` with c = -e, cut at every proper
+    prefix whose |g| is at most ``tie``."""
+    order, values = polymatroid._prefix_values({j: -e[j] for j in members}, w, members, lo)
+    cuts = [0] + [k for k in range(1, len(order)) if abs(values[k]) <= tie] + [len(order)]
+    return tuple(tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:]))
 
 
 def _stop(e, w, top: bool) -> float:

@@ -33,18 +33,15 @@ bound) only at desk scale:
   the Omega_1 / Omega_2 partner rate of the two-encoder inverse map as
   ``brentq`` roots of their sum-rate identities, the references for
   ``inversion``'s closed forms;
-* ``precision_rate``: a Wyner-Ziv step's rate from the precisions of the
-  descriptions decoded before and after it, with same-encoder descriptions
-  within ``_DUP_REL`` of each other taken as one, the precision-algebra
-  certificate of ``scheduler.build_schedule``'s step rates;
 * ``covariance_mi`` and ``covariance_mmse``: a step's rate and the source
   MMSE by Gaussian elimination of the joint covariance of the decoded
   descriptions, the observation and the source (O((n + L)^3)), the
-  references for ``scheduler.gaussian_mi`` and ``validate_schedule``'s
-  closed form.  The float sweep skips a pivot within ``_PIVOT_REL`` of
-  determined and loses precision past ~8 nats, where sigma_x2 swamps the
-  test-channel noise; the ``Fraction`` sweep (``exact=True``) skips only
-  an exactly determined pivot and is exact up to the final logarithm;
+  references for ``scheduler.gaussian_mi``, ``validate_schedule``'s
+  closed form and ``scheduler.build_schedule``'s step rates.  The float
+  sweep skips a pivot within ``_PIVOT_REL`` of determined and loses
+  precision past ~8 nats, where sigma_x2 swamps the test-channel noise;
+  the ``Fraction`` sweep (``exact=True``) skips only an exactly
+  determined pivot and is exact up to the final logarithm;
 * ``exhaustive_stop``: where a piece grown in the scheduler's precision
   axis stops, over every subset (2^n), the reference for
   ``scheduler._stop``'s Dinkelbach iteration;
@@ -89,7 +86,6 @@ from gceo.model import (
     exp_neg2r,
     precision,
     precision_weight,
-    r_from_channel_noise,
     rate_floor,
 )
 from gceo.polymatroid import (
@@ -102,10 +98,6 @@ from gceo.polymatroid import (
 )
 from gceo.refinement import FEASIBILITY_TOL, GridNode, _validate_stages, check_refinement
 
-# Same-encoder descriptions whose noises agree to this relative tolerance
-# are one variable in ``precision_rate`` (last-ulp differences between
-# solvers).  The oracle keeps its own value rather than follow the library.
-_DUP_REL = 1e-10
 # In the float covariance sweep, a conditional variance at most this share
 # of the variable's variance given X (sigma_n2 + sigma_t2) means the earlier
 # variables determine it: it absorbs last-ulp differences between
@@ -521,48 +513,6 @@ def partner_rate_root(
         return joint + r_first + r - sum_rate
 
     return brentq(g, 0.0, rate_other + 1e-12, xtol=1e-15, rtol=8.9e-16)
-
-
-def _finest(descriptions) -> dict[int, float]:
-    """Finest test-channel noise per encoder among the given descriptions.
-
-    Infinite noise is vacuous and dropped.  Same-encoder descriptions within
-    ``_DUP_REL`` of each other are one variable: a finer one replaces the
-    current only when it is finer by more than that.
-    """
-    finest: dict[int, float] = {}
-    for d in descriptions:
-        if d.sigma_t2_total < finest.get(d.encoder, math.inf) * (1.0 - _DUP_REL):
-            finest[d.encoder] = d.sigma_t2_total
-    return finest
-
-
-def _precision(instance: CeoInstance, finest: dict[int, float]) -> float:
-    """1/Var(X | descriptions): 1/sigma_x2 plus 1/(sigma_n2 + sigma_t2) per encoder."""
-    return 1.0 / instance.sigma_x2 + sum(1.0 / (instance.sigma_n2[e] + t) for e, t in finest.items())
-
-
-def precision_rate(instance: CeoInstance, target, decoded) -> float:
-    """I(Y_j; target | decoded) by precision algebra, j the target's encoder.
-
-    Descriptions are independent given X and same-encoder ones are nested,
-    so the rate is (1/2) ln(p(Z + W) / p(Z)) + rho(W) - rho(Z_j): p the
-    source precision given a set, rho the rate given X, Z_j the finest
-    decoded description of j (rho = 0 without one).  It is 0 when Z_j is
-    at least as fine as the target, within ``_DUP_REL``.
-    """
-    j, t = target.encoder, target.sigma_t2_total
-    side = _finest(decoded)
-    t_side = side.get(j, math.inf)
-    if t == math.inf or t_side <= t * (1.0 + _DUP_REL):
-        return 0.0
-    p_side = _precision(instance, side)
-    side[j] = t
-    return (
-        0.5 * math.log(_precision(instance, side) / p_side)
-        + r_from_channel_noise(instance, j, t)
-        - r_from_channel_noise(instance, j, t_side)
-    )
 
 
 def _key(variable) -> tuple:

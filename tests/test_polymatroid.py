@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import cli, inversion, polymatroid
+from gceo import cli, polymatroid
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision, rate_floor
 from gceo.polymatroid import (
@@ -565,7 +565,7 @@ class TestThresholdScan:
         expect = exhaustive_slack(sn, R, r, p0)
         # A reduced region: the base also holds two capped encoders.
         base = p0 + 1.0 / 0.7 + 1.0 / 2.3
-        assert inversion._reduced_min_slack(sn, R, r, base) == pytest.approx(
+        assert polymatroid._reduced_min_slack(sn, R, r, base) == pytest.approx(
             exhaustive_slack(sn, R, r, base), abs=1e-12
         )
         assert min_slack(CeoInstance(1.0 / p0, sn), r, R) == pytest.approx(expect, abs=1e-12)

@@ -5,12 +5,13 @@ import time
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gceo import cli
+from gceo import cli, polymatroid, scheduler
 from gceo.errors import ArgumentError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, CeoInstance, R_MAX, distortion
 from gceo.polymatroid import identify_face, rank_f, vertex
@@ -31,7 +32,7 @@ from conftest import (
     random_alloc,
     random_instance,
 )
-from oracles import covariance_mi, covariance_mmse, exhaustive_stop, precision_rate
+from oracles import covariance_mi, covariance_mmse, exhaustive_stop
 
 HALF_LN3 = 0.5493061443340549
 
@@ -269,7 +270,8 @@ class TestFaceStep:
 
     def test_crossing_tight_sets_still_schedule(self):
         # At 1e-6 nats the descriptions are independent to within the
-        # tolerance, so tight sets cross; the chain keeps the largest ones.
+        # tolerance, so near-tight sets cross; the face step keeps the
+        # prefixes of the threshold order within the rounding floor.
         inst = CeoInstance(1.0, (1.0, 1.0, 2.0))
         r = (1e-6, 1e-6, 1e-6)
         for pi in permutations(range(3)):
@@ -278,6 +280,23 @@ class TestFaceStep:
             assert schedule.total_steps == 3
             report = validate_schedule(inst, schedule, R)
             assert report.ok, report.diagnostics
+
+
+def _partition_mixture(rng, inst, r, vertices):
+    """A random mixture of ``vertices`` vertices whose decode orders keep
+    one random ordered partition of the encoders into blocks of any size:
+    a point of the face that partition cuts out."""
+    L = inst.L
+    perm = [int(i) for i in rng.permutation(L)]
+    blocks = []
+    while perm:
+        size = int(rng.integers(1, len(perm) + 1))
+        blocks.append(perm[:size])
+        perm = perm[size:]
+    orders = [tuple(int(i) for b in blocks for i in rng.permutation(b)) for _ in range(vertices)]
+    weights = rng.dirichlet(np.ones(vertices))
+    vs = [vertex(inst, r, pi) for pi in orders]
+    return tuple(float(sum(w * v[j] for w, v in zip(weights, vs))) for j in range(L))
 
 
 @settings(max_examples=150)
@@ -293,20 +312,93 @@ def test_partition_mixtures_take_l_plus_d_steps(L, vertices, seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, L)
     r = random_alloc(rng, L)
-    perm = [int(i) for i in rng.permutation(L)]
-    blocks = []
-    while perm:
-        size = int(rng.integers(1, len(perm) + 1))
-        blocks.append(perm[:size])
-        perm = perm[size:]
-    orders = [tuple(int(i) for b in blocks for i in rng.permutation(b)) for _ in range(vertices)]
-    weights = rng.dirichlet(np.ones(vertices))
-    vs = [vertex(inst, r, pi) for pi in orders]
-    R = tuple(float(sum(w * v[j] for w, v in zip(weights, vs))) for j in range(L))
+    R = _partition_mixture(rng, inst, r, vertices)
     schedule = build_schedule(inst, r, R)
     report = validate_schedule(inst, schedule, R)
     assert report.ok, report.diagnostics
     assert schedule.total_steps <= L + identify_face(inst, r, R).dimension
+
+
+def _face_steps(L, rates, seed):
+    """(instance, R, schedule, calls): a schedule built at a random face
+    point (allocations log-uniform in ``rates``), with every face step the
+    builder took as (members, lo, e, w, tie, blocks), e and w copied at
+    the call."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, L)
+    r = tuple(float(v) for v in np.exp(rng.uniform(math.log(rates[0]), math.log(rates[1]), L)))
+    R = _partition_mixture(rng, inst, r, int(rng.integers(1, 5)))
+    calls = []
+    real = scheduler._tight_blocks
+
+    def recording(members, lo, e, w, tie):
+        blocks = real(members, lo, e, w, tie)
+        calls.append((list(members), lo, dict(e), dict(w), tie, blocks))
+        return blocks
+
+    with mock.patch.object(scheduler, "_tight_blocks", recording):
+        schedule = build_schedule(inst, r, R)
+    return inst, R, schedule, calls
+
+
+@settings(max_examples=150)
+@given(L=st.integers(min_value=2, max_value=16), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_face_step_prefixes_match_the_one_away_scan(L, seed):
+    """At the builder's tie (the rounding floor), the chain cut from the
+    prefixes of the threshold order is the chain of ``_tight_chain``,
+    which also tests every set one encoder away from a prefix."""
+    _, _, _, calls = _face_steps(L, (1e-4, 45.0), seed)
+    assert calls
+    for members, lo, e, w, tie, blocks in calls:
+        assert blocks == polymatroid._tight_chain(members, {j: -e[j] for j in members}, w, lo, tie)[0]
+
+
+@settings(max_examples=100)
+# A face step here cuts a different chain from the one-away scan's: at
+# 1e-7..1e-4 nats g is nearly modular and sets tie within the floor.
+@example(L=4, seed=107)
+@given(L=st.integers(min_value=2, max_value=16), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_tiny_allocation_schedules_validate(L, seed):
+    inst, R, schedule, _ = _face_steps(L, (1e-7, 1e-4), seed)
+    report = validate_schedule(inst, schedule, R)
+    assert report.ok, report.diagnostics
+
+
+def test_face_step_logarithm_count_is_linear():
+    # One pass over the prefixes takes one log1p per member; the one-away
+    # scan took one per candidate set, ~L^2.
+    rng = np.random.default_rng(41)
+    L = 256
+    members = list(range(L))
+    w = [float(x) for x in rng.uniform(0.1, 2.0, L)]
+    # Excesses of a mixture of two decode orders inside each of three
+    # blocks: the blocks' unions are tight at the bottom lo = 1.
+    cuts = (0, 80, 170, L)
+    e, lo = [0.0] * L, 1.0
+    for a, b in zip(cuts, cuts[1:]):
+        block = members[a:b]
+        t = float(rng.uniform(0.2, 0.8))
+        for order, share in ((block, t), (block[::-1], 1.0 - t)):
+            p = lo
+            for i in order:
+                e[i] += share * 0.5 * math.log1p(w[i] / p)
+                p += w[i]
+        lo = p
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log1p(self, x):
+            calls.append(x)
+            return math.log1p(x)
+
+    tie = 1e-10
+    with mock.patch.object(polymatroid, "math", CountingMath()):
+        blocks = scheduler._tight_blocks(members, 1.0, e, w, tie)
+    assert 0 < len(calls) <= L
+    assert blocks == tuple(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def _mixture(rng, inst, r, kind):
@@ -337,9 +429,9 @@ def _mixture(rng, inst, r, kind):
 )
 def test_axis_tiling_reaches_every_point(L, kind, rates, seed):
     """Every point builds (no exit 3) within L + d steps, with at most two
-    descriptions per encoder, no empty piece, step rates that the precision
-    algebra of the decoded descriptions reproduces, and exact rate sums.
-    Allocations are log-uniform in the drawn range."""
+    descriptions per encoder, no empty piece, step rates that the exact
+    covariance sweep of the decoded descriptions reproduces, and exact rate
+    sums.  Allocations are log-uniform in the drawn range."""
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, L)
     r = tuple(float(v) for v in np.exp(rng.uniform(math.log(rates[0]), math.log(rates[1]), L)))
@@ -358,7 +450,7 @@ def test_axis_tiling_reaches_every_point(L, kind, rates, seed):
         desc, scale = step.description, max(1.0, R[step.description.encoder])
         assert step.rate > 0.0
         assert desc.stage == 2 or fine_description(inst, r, desc.encoder).sigma_t2_total < desc.sigma_t2_total < math.inf
-        assert abs(step.rate - precision_rate(inst, desc, decoded)) <= 1e-12 * scale
+        assert abs(step.rate - covariance_mi(inst, desc, decoded, exact=True)) <= 1e-12 * scale
         decoded.append(desc)
     sums = schedule.per_encoder_rate(L)
     for i in range(L):
@@ -447,13 +539,6 @@ class TestScalarRate:
                 clean = max(clean, err)
         assert clean <= 1e-12
         assert near <= 1e-10
-
-    def test_finer_side_description_pins_target(self, sym2):
-        fine = Description(0, 0.5)
-        coarse = Description(0, 2.0, stage=1)
-        assert precision_rate(sym2, coarse, [fine]) == 0.0
-        assert precision_rate(sym2, fine, [Description(0, 0.5 * (1.0 + 5e-11))]) == 0.0
-        assert precision_rate(sym2, fine, [coarse]) > 0.0
 
     def test_grow_stop_matches_every_subset(self):
         # Dinkelbach's iteration over the threshold scan against the best
