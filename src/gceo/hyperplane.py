@@ -44,6 +44,9 @@ class HyperplaneResult:
     phi: float
     contact_vertex: tuple[float, ...]
     pi_star: tuple[int, ...]
+    # ``_recursion`` passes of the multiplier search, 0 when the capped
+    # encoders alone meet D; not part of the serialized result.
+    iterations: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -152,6 +155,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     for i in capped:
         r[i] = R_MAX
     nu = 0.0
+    passes = 0
 
     if base < inv_d - PRECISION_TOL:
         # Residual precision must come from positive-alpha encoders: bisect
@@ -159,6 +163,8 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         target = inv_d - (base - 1.0 / instance.sigma_x2)
 
         def positive_precision(nu_val: float) -> float:
+            nonlocal passes
+            passes += 1
             _, running, _ = _recursion(instance, alpha, order, positive, nu_val, inv_d)
             return 1.0 / instance.sigma_x2 + running
 
@@ -191,6 +197,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
                 break
         nu = hi
         rpos, running, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
+        passes += 1
         # The allocation's distortion must be D to within TOL_EQ nats, the
         # rate tolerance of membership, faces and schedules.
         gap = 0.5 * math.log((base + running) / inv_d)
@@ -212,6 +219,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         phi=phi,
         contact_vertex=contact,
         pi_star=order,
+        iterations=passes,
     )
 
 

@@ -80,11 +80,16 @@ remaining encoders sorted by c_i / w_i, one pass over which gives g of
 every prefix (``polymatroid._prefix_values``, shared with the scheduler's
 face step).
 Every singleton has K_i > sigma_n2[i], so the answer lies above the largest
-remaining noise, x > 0.  A Dinkelbach iteration finds it from x = 0: at the
-current x take the set minimizing g, move x to that set's root, and stop
-when no set has g < 0; x rises strictly, so the loop ends, in practice
-within a few steps.  A query of three to five encoders takes ~40 Newton
-steps and threshold scans in all (``InversionResult.iterations``).
+remaining noise, x > 0.  A Dinkelbach iteration finds it from any level at
+or below it: at the current x take the set minimizing g, move x to that
+set's root, and stop when no set has g < 0; x rises strictly, so the loop
+ends.  It starts at the best singleton.  Each member alone meets its rate
+at a level given in closed form (``_solve_l1`` less its lift), and the top
+block's K is the largest over all sets, so the largest of these levels is
+a start from below.  Most blocks are that singleton, and one confirming
+scan then decides the block with no Newton step.  A query of three to five
+encoders takes ~4 Newton steps and threshold scans in all
+(``InversionResult.iterations``).
 
 Every answer is certified.  It must lie in the region (minimum subset slack
 >= -TOL_EQ) and pass a KKT check of the same optimization written as one
@@ -262,14 +267,20 @@ def _top_block(sn, R, members, p: float):
 
     a sum of two nonnegative terms, so it does not cancel.  The constants
     are built once here from the float lift_i, so every weight is the
-    weight of the rate x + lift_i that is returned.  Dinkelbach iteration
-    from x = 0, where the noisiest member has weight 0: while the set
-    minimizing g(., x) has g < 0, its root (``_block_rate``) exceeds x and
-    becomes the next x.  Each scan costs one ``expm1`` for m and the scan's
-    own logarithms.  The set taken is the longest prefix of
-    ``_prefix_values`` whose g is within the rounding floor of the members'
-    rates (``model.rate_floor``) of the minimum; a step that cannot raise x
-    ends the search.
+    weight of the rate x + lift_i that is returned.
+
+    Dinkelbach iteration from the best singleton.  Member k alone meets
+    its rate at the level x_k = ``_solve_l1`` - lift_k (one ``expm1`` and
+    one ``log1p``).  K of the top block is the largest over all sets, so
+    the top level is at least max x_k, and the search starts there with
+    that singleton as the block.  While the set minimizing g(., x) has
+    g < 0, its root (``_block_rate``) exceeds x and becomes the next x.
+    Each scan costs one ``expm1`` for m and the scan's own logarithms.
+    The set taken is the longest prefix of ``_prefix_values`` whose g is
+    within the rounding floor of the members' rates (``model.rate_floor``)
+    of the minimum; a step that cannot raise x ends the search.  When the
+    top block is the starting singleton, one scan confirms it and no
+    Newton step runs.
     """
     rates = [R[i] for i in members]
     tie = rate_floor(rates)
@@ -277,7 +288,9 @@ def _top_block(sn, R, members, p: float):
     lift = [0.5 * math.log(top / sn[i]) for i in members]
     a = [-math.expm1(-2.0 * v) / sn[i] for i, v in zip(members, lift)]
     b = [math.exp(-2.0 * v) / sn[i] for i, v in zip(members, lift)]
-    x, block, iterations = 0.0, None, 0
+    levels = [_solve_l1(sn[i], u, p) - v for i, u, v in zip(members, rates, lift)]
+    x = max(levels)
+    block, iterations = [levels.index(x)], 0
     while True:
         m = -math.expm1(-2.0 * x)
         order, values = _prefix_values(
@@ -297,7 +310,7 @@ def _top_block(sn, R, members, p: float):
         if not x_next > x:
             break  # x is the top level to an ulp; ``found`` ties with ``block``
         x, block = x_next, found
-    if found != block:  # the first step's set, or a tie merged into the block
+    if found != block:  # a tie merged into the block
         x, steps = _block_rate(found, rates, lift, a, b, p, 0.0)
         iterations += steps
     return [members[k] for k in found], [x + lift[k] for k in found], iterations

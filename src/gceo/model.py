@@ -59,13 +59,14 @@ RATE_FLOOR = 1e-13
 CHAIN_DROP = 1e-12
 
 # Region membership and the refinement stage test (an O(L log L)
-# threshold scan each: one sweep plus the singletons), the inverse map (a
-# few scans and O(1)-cost Newton steps per decode block), the scheduler
+# threshold scan each: one sweep plus the singletons), the inverse map
+# (each block search starts at its best singleton; a singleton block takes
+# one scan and no Newton step), the scheduler
 # (one pass over the threshold prefixes per face step, one grow per
 # split, no backtracking) and its validator (O(L) in closed form)
 # enumerate no subsets; a schedule takes ~0.1 s at L = 256.  What still
 # grows fast with L is face identification (O(L^2) candidate sets), the
-# inverse map (~L^2: one loop of threshold scans per decode block, ~0.2 s
+# inverse map (~L^2 log L: one threshold scan per singleton block, ~50 ms
 # at L = 256) and the ``dominant_face_form`` cross-check (2^L conditional
 # ranks, run by no command), so L stays at desk scale until a benchmark
 # sweep over L shows what a larger cap costs.

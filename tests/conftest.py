@@ -131,6 +131,27 @@ def sample_omega_point(instance, rng, want, margin=1e-3, lo=0.02, hi=3.0, tries=
     raise RuntimeError(f"could not sample a point in {want} for {instance}")
 
 
+class CountingMath:
+    """Stand-in for ``math`` in a module under test (patch it in as the
+    module's ``math``): every call to one of ``names`` appends its argument
+    to ``calls``, and every other attribute is the real one."""
+
+    def __init__(self, *names):
+        self.calls = []
+        self.names = names
+
+    def __getattr__(self, name):
+        real = getattr(math, name)
+        if name not in self.names:
+            return real
+
+        def counted(x):
+            self.calls.append(x)
+            return real(x)
+
+        return counted
+
+
 def roadmap_repro(seed, L):
     """Random instance and boundary vertex of the ROADMAP inverse-map repros
     (L=7 with seed 3, L=8 with seed 1): (instance, R, allocation)."""

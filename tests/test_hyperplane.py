@@ -84,6 +84,25 @@ class TestSupportValue:
         assert res.nu >= 0.5 and len(calls) < 70
         assert precision(sym2, res.r_star) == pytest.approx(2.0, rel=1e-14)
 
+    def test_records_its_iterations(self, sym2, monkeypatch):
+        # An answer counts the ``_recursion`` passes of its multiplier
+        # search.  None runs when the capped encoder alone meets D or D is
+        # the source variance, and the count stays out of the JSON.
+        calls = []
+        recursion = hyperplane._recursion
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return recursion(*args, **kwargs)
+
+        monkeypatch.setattr(hyperplane, "_recursion", counted)
+        res = support_value(sym2, (1.0, 0.5), 0.5)
+        assert res.iterations == len(calls) > 0
+        assert "iterations" not in res.to_dict()
+        for alpha, D in (((0.0, 1.0), 0.6), ((0.6, 0.8), sym2.sigma_x2)):
+            calls.clear()
+            assert support_value(sym2, alpha, D).iterations == len(calls) == 0
+
     def test_missed_distortion_raises(self):
         # At tiny noise the weight of a tiny rate, (num - alpha sigma_n2) /
         # (num sigma_n2) with num = 2 nu + the alpha gaps, cancels: one ulp of

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import inversion
+from gceo import inversion, polymatroid
 from gceo.errors import ArgumentError, ConvergenceError
-from gceo.model import CeoInstance, MAX_ENCODERS, R_MAX, d_min, distortion, exp_neg2r, precision
+from gceo.model import CeoInstance, MAX_ENCODERS, R_MAX, d_min, distortion, exp_neg2r, precision, precision_weight
 from gceo.inversion import (
     OmegaTag,
     classify_omega,
@@ -23,6 +23,7 @@ from gceo.hyperplane import support_value
 
 from conftest import (
     ASYM_INSTANCES,
+    CountingMath,
     boundary_vertex,
     compatible_decode_order,
     dominant_face_point,
@@ -492,18 +493,57 @@ class TestConvexSolver:
 
     def test_records_its_iterations(self, sym2):
         # A decomposition answer counts its Newton steps and threshold
-        # scans: at least one scan and one step per block but the last,
-        # which a lone encoder solves in closed form.  Closed forms count
-        # none, and the count stays out of the JSON.
+        # scans.  Here every block is a singleton, so each search starts at
+        # its own block's level: one confirming scan per block but the
+        # last, which a lone encoder solves in closed form, and no Newton
+        # step.  Closed forms count none, and the count stays out of the
+        # JSON.
         inst = CeoInstance(1.0, (0.5, 1.0, 2.0))
         R = vertex(inst, (0.4, 0.9, 0.2), (0, 1, 2))
         general = r_star(inst, R)
         assert general.method == "decomposition"
-        assert 4 <= general.iterations <= 40
+        assert general.iterations == 2
         assert "iterations" not in general.to_dict()
         for closed in (r_star(sym2, (2.0, 0.05)), r_star(inst, (0.0, 0.6, 0.0))):
             assert closed.method.startswith("closed_form")
             assert closed.iterations is None
+
+
+def _vertex_rates(sn, r, order, p0):
+    """Rates of the vertex of allocation r that decodes ``order`` first to
+    last over the base precision p0, on plain lists."""
+    R, p = [0.0] * len(sn), p0
+    for i in order:
+        w = precision_weight(sn[i], r[i])
+        R[i] = r[i] + 0.5 * math.log1p(w / p)
+        p += w
+    return R
+
+
+def test_block_search_scans_once_per_singleton_block(monkeypatch):
+    # Each block search starts at the closed-form level of its best
+    # singleton.  At a vertex decoded in decreasing K every block is that
+    # singleton, so one confirming scan per block but the last decides it
+    # and no Newton step runs.  Climbing from x = 0 took 7770 iterations at
+    # this vertex and 7595 at the midpoint.  Plain lists run past the
+    # instance cap.
+    rng = np.random.default_rng(256)
+    L, p0 = 256, 1.0
+    sn = [float(v) for v in rng.uniform(0.2, 3.0, L)]
+    r = [float(v) for v in rng.uniform(0.05, 1.0, L)]
+    falling = sorted(range(L), key=lambda i: -sn[i] * math.exp(2.0 * r[i]))
+    corner = _vertex_rates(sn, r, falling, p0)
+    orders = [[int(i) for i in rng.permutation(L)] for _ in range(2)]
+    midpoint = [0.5 * (u + v) for u, v in zip(*(_vertex_rates(sn, r, o, p0) for o in orders))]
+    counter = CountingMath("log1p")
+    monkeypatch.setattr(polymatroid, "math", counter)
+    solved, _, _, iterations = inversion._decompose(sn, corner, p0)
+    assert iterations == L - 1
+    # A scan takes one log1p per remaining member: L, L - 1, ..., 2.
+    assert len(counter.calls) == L * (L + 1) // 2 - 1
+    assert solved == pytest.approx(r, rel=1e-12)
+    _, _, _, iterations = inversion._decompose(sn, midpoint, p0)
+    assert iterations <= 2 * L
 
 
 TINY_NOISE_RATES = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 49.0)
@@ -526,7 +566,8 @@ def test_decomposition_at_tiny_noise_matches_the_closed_form():
 def test_decomposition_at_tiny_rates_and_noises():
     # Every block root below 5e-14 nats: the threshold scan used to start
     # just above the largest noise, above every root, and found no block
-    # (TypeError).  From rate 0 the scan's first step always finds one.
+    # (TypeError).  From the best singleton's level, at or below the top
+    # block's, the first scan always decides one.
     inst = CeoInstance(2.0, (1e-6, 1e-6, 2e-6))
     for R in [(1e-8, 1e-8, 1e-8), (2e-9, 3e-9, 1e-8)]:
         res = r_star(inst, R)

@@ -24,6 +24,7 @@ from gceo.polymatroid import (
 from gceo import scheduler
 
 from conftest import (
+    CountingMath,
     dominant_face_point,
     random_alloc,
     random_instance,
@@ -534,17 +535,9 @@ class TestThresholdScan:
         # forcing each encoder in, as the O(L^2) sweep does, takes ~L^2.
         rng = np.random.default_rng(29)
         L = 256
-        calls = []
-
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            def log(self, x):
-                calls.append(x)
-                return math.log(x)
-
-        monkeypatch.setattr(polymatroid, "math", CountingMath())
+        counter = CountingMath("log")
+        calls = counter.calls
+        monkeypatch.setattr(polymatroid, "math", counter)
         for kind in ("grow", "signed", "mixed"):
             u = [float(x) for x in rng.uniform(0.0, 2.0, L)]
             v = {

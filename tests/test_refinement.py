@@ -18,6 +18,7 @@ from gceo.refinement import (
 
 from conftest import (
     ASYM_INSTANCES,
+    CountingMath,
     last_decoded_chain,
     random_instance,
     sample_omega_point,
@@ -384,18 +385,10 @@ class TestReachableGrid:
         inst = ASYM_INSTANCES[0]
         start = tuple(float(v) for v in 0.1 * rng.integers(2, 16, 2))
         reachable_set_l2(inst, start, grid)
-        calls = []
-
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            def log(self, x):
-                calls.append(x)
-                return math.log(x)
-
-        monkeypatch.setattr(refinement, "math", CountingMath())
-        monkeypatch.setattr(polymatroid, "math", CountingMath())
+        counter = CountingMath("log")
+        calls = counter.calls
+        monkeypatch.setattr(refinement, "math", counter)
+        monkeypatch.setattr(polymatroid, "math", counter)
         nodes = reachable_set_l2(inst, start, grid)
         dominating = sum(R[0] >= start[0] - 1e-12 and R[1] >= start[1] - 1e-12 for R, *_ in nodes)
         reachable = sum(node.reachable for node in nodes)

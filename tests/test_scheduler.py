@@ -27,6 +27,7 @@ from gceo.scheduler import (
 )
 
 from conftest import (
+    CountingMath,
     boundary_vertex,
     dominant_face_point,
     random_alloc,
@@ -384,20 +385,11 @@ def test_face_step_logarithm_count_is_linear():
                 e[i] += share * 0.5 * math.log1p(w[i] / p)
                 p += w[i]
         lo = p
-    calls = []
-
-    class CountingMath:
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        def log1p(self, x):
-            calls.append(x)
-            return math.log1p(x)
-
+    counter = CountingMath("log1p")
     tie = 1e-10
-    with mock.patch.object(polymatroid, "math", CountingMath()):
+    with mock.patch.object(polymatroid, "math", counter):
         blocks = scheduler._tight_blocks(members, 1.0, e, w, tie)
-    assert 0 < len(calls) <= L
+    assert 0 < len(counter.calls) <= L
     assert blocks == tuple(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
