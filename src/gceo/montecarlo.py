@@ -9,9 +9,9 @@ Everything is jointly Gaussian, so the per-stage MMSE estimate is linear:
 
 Draw plan.  A stage's error depends only on the joint law of (X, W_j.):
 W_ji = X + U_ji with U_ji ~ N(0, sigma_n2[i] + sigma_t2[j][i]) independent
-across encoders and of X.  So the simulation never draws N_i and T_i
-apart (Y_i enters no estimate), and one independent standard normal row
-per source of noise suffices:
+across encoders and of X.  So the plan never splits N_i and T_i
+(Y_i enters no estimate), and it has one independent standard normal row
+per source of noise:
 
 * row 0 is X / sqrt(sigma_x2);
 * each encoder heard at some stage gets one row, its finest noise
@@ -24,10 +24,22 @@ per source of noise suffices:
 
 Stage j's error X - xhat_j is then linear in the draws: it is G[j] @ z
 for the (stages x rows) error map G built once per call by ``_error_map``.
-Each shard makes one ``standard_normal((rows, m))`` block, one matrix
-product gives every stage's errors, and the sums of e^2 and e^4 are two
-reductions.  With unscaled coefficients the squares of G's row j sum to
-D_j, which the tests check exactly.
+With unscaled coefficients the squares of G's row j sum to D_j, which the
+tests check exactly.  The plan defines G; it is not what is drawn.
+
+Draws.  The stage errors G z are jointly Gaussian, N(0, G G^T), so any
+map with the same Gram matrix draws them with the same law.  Equal stages
+give equal rows, and ``_draw_map`` keeps each distinct row once.  When G
+then has more columns than rows it factors G^T = Q T (reduced QR, T
+square and upper triangular) and draws through T^T: G z = T^T (Q^T z),
+and Q^T z is standard normal because Q has orthonormal columns.  So a
+sample draws min(rows of the plan, distinct stages) normals -- one for a
+single stage where the plan has one per heard encoder plus X.  QR, unlike
+a Cholesky factor of G G^T, also holds for a rank-deficient map.  Each
+shard makes one ``standard_normal`` block, one matrix product gives every
+distinct stage's errors, and the sums of e^2 and e^4 are two reductions.
+A given seed draws different samples than it did with one normal per
+plan row (the law is the same).
 
 Sampling.  The sample range is cut into shards of ``SHARD_SIZE`` = 16384
 samples (the last one shorter), and shard k draws from its own stream,
@@ -159,8 +171,9 @@ def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
 
     Stage j's estimation error is ``G[j] @ z`` for a vector z of independent
     standard normals, one entry per row of the draw plan (see the module
-    docstring).  With ``coef_scale = 1`` the squares of row j sum to stage
-    j's predicted distortion.
+    docstring); ``_draw_map`` reduces G to what is drawn.  With
+    ``coef_scale = 1`` the squares of row j sum to stage j's predicted
+    distortion.
     """
     import numpy as np
 
@@ -193,13 +206,28 @@ def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
     return np.array([[sx * w for w in x_weight], *columns]).T, analytic
 
 
+def _draw_map(G):
+    """Draw map of the error map G and the stage-to-row index.
+
+    Equal stages keep one row, so their errors are bit-identical.  With
+    more columns than distinct rows, the rows are replaced by T^T from the
+    reduced QR factorization G^T = Q T: G z = T^T (Q^T z) and Q^T z is
+    standard normal, so the reduced map's errors have the law of G z with
+    one draw per distinct stage.
+    """
+    import numpy as np
+
+    G, stage_row = np.unique(G, axis=0, return_inverse=True)
+    if G.shape[1] > len(G):
+        G = np.linalg.qr(G.T, mode="r").T
+    return G, stage_row.reshape(-1)  # stage_row is 2-D in numpy 2.0.0
+
+
 def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float = 1.0) -> SimReport:
     import numpy as np
 
     G, analytic = _error_map(instance, chain, coef_scale)
-    # Equal stages give equal rows of G; multiplying only the distinct rows
-    # makes their errors, and so their statistics, bit-identical.
-    G, stage_row = np.unique(G, axis=0, return_inverse=True)
+    G, stage_row = _draw_map(G)
     sum_se = np.zeros(len(G))
     sum_se2 = np.zeros(len(G))
     for se, se2 in _shard_results(G, config):
@@ -207,7 +235,6 @@ def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float
         sum_se2 += se2
     n = config.n_samples
     M = len(chain)
-    stage_row = stage_row.reshape(M)  # 2-D in numpy 2.0.0
     sum_se, sum_se2 = sum_se[stage_row].tolist(), sum_se2[stage_row].tolist()
     mse = [s / n for s in sum_se]
     stderr = []

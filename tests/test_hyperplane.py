@@ -1,12 +1,14 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gceo import hyperplane
+from gceo import hyperplane, inversion
 from gceo.errors import ArgumentError, ConvergenceError, InfeasibleDistortionError
-from gceo.model import CeoInstance, R_MAX, d_min, precision
+from gceo.model import CeoInstance, R_MAX, d_min, precision, precision_weight
 from gceo.hyperplane import kkt_residual, support_value
 from gceo.polymatroid import vertex
 
@@ -170,6 +172,44 @@ class TestSupportValue:
         assert res.contact_vertex == pytest.approx(
             vertex(sym2, res.r_star, res.pi_star), abs=1e-12
         )
+
+
+def _tangent_moves(instance, r, step):
+    """Allocations that move r_i by +-step and r_j to keep the precision,
+    for every ordered pair i != j with both rates staying nonnegative."""
+    sn = instance.sigma_n2
+    for i, j in itertools.permutations(range(instance.L), 2):
+        for ri in (r[i] + step, r[i] - step):
+            wj = precision_weight(sn[j], r[j]) + precision_weight(sn[i], r[i]) - precision_weight(sn[i], ri)
+            if ri >= 0.0 and 0.0 <= wj * sn[j] < 1.0:
+                moved = list(r)
+                moved[i], moved[j] = ri, -0.5 * math.log1p(-sn[j] * wj)
+                yield moved
+
+
+@settings(max_examples=200)
+@given(data=st.data(), L=st.integers(2, 8), sigma_x2=st.floats(0.5, 2.0), depth=st.floats(1e-6, 1.0))
+def test_hyperplane_answer_round_trips_and_is_stationary(data, L, sigma_x2, depth):
+    """Two checks that share no code with ``_recursion``, which
+    ``kkt_residual`` re-evaluates.  The inverse map sends the contact
+    vertex back to the hyperplane's allocation and distortion; it does so
+    for the vertex of any allocation, so it cannot see a wrong one.  No
+    move along the distortion constraint lowers phi, which checks that the
+    allocation is optimal."""
+    inst = CeoInstance(sigma_x2, tuple(data.draw(st.lists(st.floats(0.2, 3.0), min_size=L, max_size=L))))
+    alpha = data.draw(st.lists(st.floats(0.05, 1.0), min_size=L, max_size=L))
+    floor = d_min(inst, L)
+    D = floor + depth * (sigma_x2 - floor)
+    res = support_value(inst, alpha, D)
+    back = inversion.r_star(inst, res.contact_vertex)
+    for got, want in zip(back.r_star, res.r_star):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (back.r_star, res.r_star)
+    assert math.isclose(back.d_star, D, rel_tol=1e-12, abs_tol=0.0), (back.d_star, D)
+    # A step of 1e-5 nats leaves second-order gains near 1e-10; rounding
+    # and the bisection's precision tolerance stay below 1e-11.
+    for moved in _tangent_moves(inst, res.r_star, 1e-5):
+        phi = sum(a * v for a, v in zip(res.alpha, vertex(inst, moved, res.pi_star)))
+        assert phi >= res.phi - 1e-9, (moved, phi, res)
 
 
 class TestGridOracle:

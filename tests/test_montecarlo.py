@@ -12,6 +12,7 @@ from gceo.montecarlo import (
     SHARD_SIZE,
     SimConfig,
     SimReport,
+    _draw_map,
     _error_map,
     _shard_rng,
     _simulate,
@@ -148,14 +149,18 @@ def _draw_count(chain, L):
     return count
 
 
-def test_error_map_certifies_every_stage_distortion():
-    """With unscaled coefficients the squared entries of G's row j sum to
-    stage j's predicted distortion, and G has one column per planned draw."""
+def _error_map_cases():
     rng = np.random.default_rng(77)
     cases = [(random_instance(rng, L), _random_chain(rng, L)) for L in rng.integers(1, 7, 300)]
     # Heard at a coarse stage only, within the chain tolerance.
     cases.append((SYM2, [(1e-12, 0.5), (0.0, 0.7)]))
-    for inst, chain in cases:
+    return cases
+
+
+def test_error_map_certifies_every_stage_distortion():
+    """With unscaled coefficients the squared entries of G's row j sum to
+    stage j's predicted distortion, and G has one column per planned draw."""
+    for inst, chain in _error_map_cases():
         L = inst.L
         G, analytic = _error_map(inst, chain)
         assert G.shape == (len(chain), _draw_count(chain, L)), chain
@@ -167,6 +172,33 @@ def test_error_map_certifies_every_stage_distortion():
                 assert np.array_equal(G[j], G[j - 1])
 
 
+def test_draw_map_keeps_the_law_of_the_error_map():
+    """The stage errors drawn through the reduced map have G's covariance
+    G G^T, entry by entry, with one normal per distinct stage at most."""
+    for inst, chain in _error_map_cases():
+        G = _error_map(inst, chain)[0]
+        draw, stage_row = _draw_map(G)
+        assert draw.shape[1] == min(G.shape[1], len(set(chain))), chain
+        want = G @ G.T
+        scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        got = draw[stage_row] @ draw[stage_row].T
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (inst, chain)
+
+
+def _wide_oracle_configs():
+    """A single-stage and a two-stage chain at each of L = 4, 5, 6, where
+    the reduced draw map departs most from one draw per noise source."""
+    rng = np.random.default_rng(26)
+    configs = []
+    for L in (4, 5, 6):
+        inst = random_instance(rng, L)
+        chain = _random_chain(rng, L)
+        while len(chain) < 2 or chain[-2] == chain[-1]:
+            chain = _random_chain(rng, L)
+        configs += [(inst, chain[-1:]), (inst, chain[-2:])]
+    return configs
+
+
 _ORACLE_CONFIGS = [
     (SYM2, [(0.0, 0.0)]),
     (SYM2, [(0.5, 0.5)]),
@@ -175,6 +207,7 @@ _ORACLE_CONFIGS = [
     (SYM2, [(0.5, 0.5), (0.5, 0.5)]),
     (SYM2, [(0.0, 0.4), (0.6, 0.8)]),
     *((inst, [r]) for inst, r in _calibration_battery()),
+    *_wide_oracle_configs(),
 ]
 
 
@@ -197,8 +230,9 @@ def test_config_validation():
 
 def _sequential(instance, chain, n, seed):
     """(MSE, standard error) per stage from one shard after another, each
-    drawn with ``_shard_rng`` and summed in shard order."""
-    G, row = np.unique(_error_map(instance, chain)[0], axis=0, return_inverse=True)
+    drawn with ``_shard_rng`` through ``_draw_map`` and summed in shard
+    order."""
+    G, row = _draw_map(_error_map(instance, chain)[0])
     sum_se, sum_se2 = np.zeros(len(G)), np.zeros(len(G))
     for shard in range(-(-n // SHARD_SIZE)):
         z = _shard_rng(seed, shard).standard_normal((G.shape[1], min(SHARD_SIZE, n - shard * SHARD_SIZE)))
@@ -207,7 +241,7 @@ def _sequential(instance, chain, n, seed):
         sum_se += se.sum(axis=1)
         sum_se2 += (se * se).sum(axis=1)
     mse, stderr = [], []
-    for j in row.reshape(len(chain)).tolist():
+    for j in row.tolist():
         mse.append(float(sum_se[j]) / n)
         var = (float(sum_se2[j]) - n * mse[-1] ** 2) / max(n - 1, 1)
         stderr.append(math.sqrt(max(var, 0.0) / n))
