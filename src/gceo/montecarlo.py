@@ -43,44 +43,28 @@ plan row (the law is the same).
 
 Sampling.  The sample range is cut into shards of ``SHARD_SIZE`` = 16384
 samples (the last one shorter), and shard k draws from its own stream,
-SFC64 seeded by ``SeedSequence([seed, k])``.  The shards' sums are added
-in shard order, so a report depends only on (instance, chain, n, seed),
-never on how the shards ran.  A given seed draws different samples than
-it did before the generator changed from Philox to SFC64 and the shards
-shrank from 65536 samples.
+SFC64 seeded by ``SeedSequence([seed, k])``.  The shards run one after
+another in the calling thread and their sums are added in shard order, so
+a report depends only on (instance, chain, n, seed).  There is no thread
+pool: on two vCPUs one was within noise at 1e5 samples and about a fifth
+faster at 1e6, which does not pay for a second code path.
+A given seed draws different samples than it did before the generator
+changed from Philox to SFC64 and the shards shrank from 65536 samples.
 
-Concurrency.  With more than one shard and more than one usable CPU,
-each shard's draw, product and reductions run on a module-level thread
-pool (built on first use; numpy releases the GIL for all three), while
-the calling thread adds the finished shards' sums in shard order.  At
-most ``IN_FLIGHT_PER_WORKER`` shards per worker are submitted ahead of
-that sum, which bounds memory and the work started for any n.  With one
-worker the shards run inline and no pool is built.  Workers call only
-``_shard_rng`` and numpy.
-
-numpy and ``concurrent.futures`` are imported by the functions that use
-them, not with the module, so that the command-line front end loads this
-module at start-up without loading either.
+numpy is imported by the functions that use it, not with the module, so
+that the command-line front end loads this module at start-up without
+loading numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ArgumentError
 from .model import CHAIN_DROP, CeoInstance, _check_allocation, channel_noise_from_r, distortion
 
 SHARD_SIZE = 1 << 14
-# Shards submitted ahead of the in-order sum, per worker: enough to keep
-# every worker busy, few enough to bound the memory held by pending draws.
-IN_FLIGHT_PER_WORKER = 2
-
-_pool_lock = threading.Lock()
-_pool = None  # (pid, ThreadPoolExecutor); a forked child builds its own
 
 
 @dataclass(frozen=True)
@@ -117,53 +101,12 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, shard])))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (os.getpid(), ThreadPoolExecutor(_usable_cpus(), "gceo-shard"))
-        return _pool[1]
-
-
 def _shard_sums(G, seed: int, shard: int, m: int):
     """Per row of G, the sums of e^2 and e^4 over shard's m draws."""
     z = _shard_rng(seed, shard).standard_normal((G.shape[1], m))
     se = G @ z
     se *= se
     return se.sum(axis=1), (se * se).sum(axis=1)
-
-
-def _shard_results(G, config: SimConfig):
-    """Yield ``_shard_sums`` of every shard, in shard order."""
-    n = config.n_samples
-    shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
-    jobs = ((G, config.seed, k, min(SHARD_SIZE, n - k * SHARD_SIZE)) for k in range(shards))
-    workers = min(shards, _usable_cpus())
-    if workers == 1:
-        for job in jobs:
-            yield _shard_sums(*job)
-        return
-    pool = _executor()
-    pending = deque()
-    try:
-        for job in jobs:
-            pending.append(pool.submit(_shard_sums, *job))
-            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
@@ -228,12 +171,13 @@ def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float
 
     G, analytic = _error_map(instance, chain, coef_scale)
     G, stage_row = _draw_map(G)
+    n = config.n_samples
     sum_se = np.zeros(len(G))
     sum_se2 = np.zeros(len(G))
-    for se, se2 in _shard_results(G, config):
+    for k in range((n + SHARD_SIZE - 1) // SHARD_SIZE):
+        se, se2 = _shard_sums(G, config.seed, k, min(SHARD_SIZE, n - k * SHARD_SIZE))
         sum_se += se
         sum_se2 += se2
-    n = config.n_samples
     M = len(chain)
     sum_se, sum_se2 = sum_se[stage_row].tolist(), sum_se2[stage_row].tolist()
     mse = [s / n for s in sum_se]

@@ -388,35 +388,38 @@ def test_region_check_loads_no_numpy_or_scipy(sym2_file, tmp_path):
     # Each command imports only its own solver module, no module of the
     # library imports scipy, and only montecarlo imports numpy, inside the
     # functions that draw.  So no command but simulate starts numpy or
-    # scipy.  No command loads the thread pool's concurrent.futures, which
-    # only a simulation with several shards uses.
+    # scipy.  No command loads concurrent.futures or leaves a thread
+    # running: simulate runs its shards (here 7 full ones and 5 samples)
+    # in the calling thread.
     l4_file = tmp_path / "l4.json"
     l4_file.write_text(json.dumps({"sigma_x2": 1.3, "sigma_n2": [0.7, 1.1, 2.9, 0.4]}))
     stages = tmp_path / "stages.json"
     stages.write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
     vertex = "--R=0.6636797648786638,0.7449400628223749"
     commands = [
-        ["region", "check", "--instance", sym2_file, "--r", "0.5,0.5", "--R", "0.7,0.8"],
-        ["invert", "--instance", sym2_file, "--R", "0.7,0.8"],
-        ["invert", "--instance", str(l4_file), "--R", "0.9,1.3,0.4,0.6"],
-        ["omega", "--instance", sym2_file, "--R", "0.7,0.8"],
-        ["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=0,1,0.5"],
-        ["refine", "--instance", sym2_file, "--stages", str(stages)],
-        ["schedule", "--instance", sym2_file, "--r=0.5,0.5", vertex],
-        ["hyperplane", "--instance", sym2_file, "--alpha", "1,2", "--D", "0.5"],
+        (["region", "check", "--instance", sym2_file, "--r", "0.5,0.5", "--R", "0.7,0.8"], []),
+        (["invert", "--instance", sym2_file, "--R", "0.7,0.8"], []),
+        (["invert", "--instance", str(l4_file), "--R", "0.9,1.3,0.4,0.6"], []),
+        (["omega", "--instance", sym2_file, "--R", "0.7,0.8"], []),
+        (["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=0,1,0.5"], []),
+        (["refine", "--instance", sym2_file, "--stages", str(stages)], []),
+        (["schedule", "--instance", sym2_file, "--r=0.5,0.5", vertex], []),
+        (["hyperplane", "--instance", sym2_file, "--alpha", "1,2", "--D", "0.5"], []),
+        (["simulate", "--instance", sym2_file, "--r", "0.5,0.5", "--n", "114693"], ["numpy"]),
     ]
-    for argv in commands:
+    for argv, loaded in commands:
         code = (
-            "import sys\n"
+            "import sys, threading\n"
             "from gceo import cli\n"
             f"status = cli.main({argv + ['--output', os.devnull]!r})\n"
-            "print(status, sorted(m for m in ('numpy', 'scipy', 'concurrent.futures') if m in sys.modules))\n"
+            "print(status, sorted(m for m in ('numpy', 'scipy', 'concurrent.futures') if m in sys.modules),"
+            " threading.active_count())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
         )
-        assert (proc.returncode, proc.stdout) == (0, "0 []\n"), (argv, proc.stderr)
+        assert (proc.returncode, proc.stdout) == (0, f"0 {loaded} 1\n"), (argv, proc.stderr)
 
 
 class TestTolerance:

@@ -1,5 +1,4 @@
 import math
-import threading
 import time
 
 import numpy as np
@@ -248,16 +247,6 @@ def _sequential(instance, chain, n, seed):
     return tuple(mse), tuple(stderr)
 
 
-@pytest.fixture(params=[1, 3], ids=["inline", "pooled"])
-def cpus(request, monkeypatch):
-    """Run the shards inline (one usable CPU) or on a fresh three-thread pool."""
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
-    monkeypatch.setattr(montecarlo, "_pool", None)
-    yield request.param
-    if montecarlo._pool is not None:
-        montecarlo._pool[1].shutdown()
-
-
 _SEQUENTIAL_CHAINS = [
     (SYM2, [(0.5, 0.7)]),
     (SYM2, [(0.3, 0.2), (0.5, 0.5), (0.5, 0.5), (0.9, 0.5)]),
@@ -267,26 +256,21 @@ _SEQUENTIAL_CHAINS = [
 
 @pytest.mark.parametrize("n", [1, SHARD_SIZE, SHARD_SIZE + 1, 7 * SHARD_SIZE + 5])
 @pytest.mark.parametrize("k", range(len(_SEQUENTIAL_CHAINS)))
-def test_pooled_shards_equal_the_sequential_loop(cpus, n, k):
+def test_shards_equal_the_sequential_loop(n, k):
     inst, chain = _SEQUENTIAL_CHAINS[k]
     rep = _simulate(inst, chain, SimConfig(n, seed=40 + k))
     assert (rep.empirical_mse, rep.stderr) == _sequential(inst, chain, n, seed=40 + k)
 
 
-def test_in_flight_window_is_bounded(cpus, monkeypatch):
+def test_failing_shard_stops_the_run(monkeypatch):
     """A failing shard stops the simulation promptly, even at n = 2^62,
-    having started no more than the in-flight window beyond it."""
+    having started no shard after it."""
     k = 5
     calls = []
-    lock = threading.Lock()
 
     def failing_sums(G, seed, shard, m):
-        with lock:
-            calls.append(shard)
-            failed = len(calls) - k
-        if failed == 1:
-            time.sleep(0.2)  # let the other workers run as far ahead as they may
-        if failed > 0:
+        calls.append(shard)
+        if shard == k:
             raise RuntimeError("shard failed")
         return np.zeros(len(G)), np.zeros(len(G))
 
@@ -295,4 +279,4 @@ def test_in_flight_window_is_bounded(cpus, monkeypatch):
     with pytest.raises(RuntimeError, match="shard failed"):
         simulate_distortion(SYM2, (0.5, 0.5), SimConfig(2**62, seed=1))
     assert time.perf_counter() - start < 10.0
-    assert len(calls) <= k + montecarlo.IN_FLIGHT_PER_WORKER * cpus, calls
+    assert calls == list(range(k + 1))
