@@ -1,5 +1,7 @@
 import math
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -254,29 +256,61 @@ _SEQUENTIAL_CHAINS = [
 ]
 
 
+@pytest.fixture(params=[1, 3], ids=["inline", "pooled"])
+def callers(request):
+    """Simulate from the test thread alone, or from three pool threads at
+    once: the shards run in each caller's own thread and the module keeps
+    no state between calls, so concurrent callers get the same answers."""
+    return request.param
+
+
+def _in_callers(callers, fn):
+    """The outcome of ``fn()`` in each caller: its value, or the exception
+    it raised.  A barrier starts the pooled callers together, each in a
+    thread of its own."""
+    start = threading.Barrier(callers)
+
+    def outcome():
+        start.wait(timeout=10.0)
+        try:
+            return fn()
+        except Exception as exc:
+            return exc
+
+    if callers == 1:
+        return [outcome()]
+    with ThreadPoolExecutor(callers) as pool:
+        return list(pool.map(lambda _: outcome(), range(callers)))
+
+
 @pytest.mark.parametrize("n", [1, SHARD_SIZE, SHARD_SIZE + 1, 7 * SHARD_SIZE + 5])
 @pytest.mark.parametrize("k", range(len(_SEQUENTIAL_CHAINS)))
-def test_shards_equal_the_sequential_loop(n, k):
+def test_pooled_shards_equal_the_sequential_loop(callers, n, k):
     inst, chain = _SEQUENTIAL_CHAINS[k]
-    rep = _simulate(inst, chain, SimConfig(n, seed=40 + k))
-    assert (rep.empirical_mse, rep.stderr) == _sequential(inst, chain, n, seed=40 + k)
+    expected = _sequential(inst, chain, n, seed=40 + k)
+    reps = _in_callers(callers, lambda: _simulate(inst, chain, SimConfig(n, seed=40 + k)))
+    assert [(rep.empirical_mse, rep.stderr) for rep in reps] == [expected] * callers
 
 
-def test_failing_shard_stops_the_run(monkeypatch):
+def test_in_flight_window_is_bounded(callers, monkeypatch):
     """A failing shard stops the simulation promptly, even at n = 2^62,
-    having started no shard after it."""
+    and in every caller no shard after it has started: the window of
+    shards in flight beyond the current one is empty."""
     k = 5
-    calls = []
+    calls = {}
+    lock = threading.Lock()
 
     def failing_sums(G, seed, shard, m):
-        calls.append(shard)
+        with lock:
+            calls.setdefault(threading.get_ident(), []).append(shard)
         if shard == k:
             raise RuntimeError("shard failed")
         return np.zeros(len(G)), np.zeros(len(G))
 
     monkeypatch.setattr(montecarlo, "_shard_sums", failing_sums)
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="shard failed"):
-        simulate_distortion(SYM2, (0.5, 0.5), SimConfig(2**62, seed=1))
+    outcomes = _in_callers(callers, lambda: simulate_distortion(SYM2, (0.5, 0.5), SimConfig(2**62, seed=1)))
     assert time.perf_counter() - start < 10.0
-    assert calls == list(range(k + 1))
+    assert all(isinstance(o, RuntimeError) and str(o) == "shard failed" for o in outcomes), outcomes
+    assert sum(len(c) for c in calls.values()) == callers * (k + 1)
+    assert all(c == list(range(k + 1)) for c in calls.values()), calls
