@@ -47,7 +47,7 @@ import sys
 from itertools import permutations
 
 from .errors import ArgumentError, GceoError
-from .model import TOL_EQ, CeoInstance
+from .model import TOL_EQ, CeoInstance, joint_rate
 from . import hyperplane, montecarlo, polymatroid
 
 LN2 = math.log(2.0)
@@ -114,10 +114,7 @@ def _scale_rates(obj, keys: set):
     return obj
 
 
-_RATE_KEYS = {
-    "R", "r", "r_star", "r_chain", "rate", "phi", "contact_vertex",
-    "rank_total", "slack", "alpha_weighted_rate", "sum_rate",
-}
+_RATE_KEYS = {"R", "r_star", "r_chain", "rate", "phi", "contact_vertex", "rank_total", "slack"}
 
 
 def _emit(args, payload: dict, rate_keys=_RATE_KEYS) -> None:
@@ -195,7 +192,7 @@ def _cmd_region(args) -> int:
             for pi in permutations(range(instance.L))
         ]
         _emit(args, {
-            "rank_total": polymatroid.rank_f(instance, r, (1 << instance.L) - 1),
+            "rank_total": joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2),
             "vertices": vertices,
         })
         return 0

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConvergenceError, InfeasibleDistortionError, InternalInconsistencyError
-from .model import TOL_EQ, CeoInstance, R_MAX, d_min, exp_neg2r, precision_weight
+from .model import TOL_EQ, CeoInstance, R_MAX, capped_precision, d_min, exp_neg2r, precision_weight
 from .polymatroid import vertex
 
 PRECISION_TOL = 1e-12
@@ -90,11 +90,6 @@ def _check_distortion(instance: CeoInstance, D: float) -> None:
         )
 
 
-def _capped_precision(instance: CeoInstance, capped) -> float:
-    """Source precision given the capped (zero-alpha, infinite-rate) encoders alone."""
-    return 1.0 / instance.sigma_x2 + sum(1.0 / instance.sigma_n2[i] for i in capped)
-
-
 def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: float, fixed=None):
     """Sorted-order allocation r*(nu) with running clamping.
 
@@ -150,7 +145,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     capped = order[positive:]
 
     inv_d = 1.0 / D
-    base = _capped_precision(instance, capped)
+    base = capped_precision(instance, capped)
     r = [0.0] * instance.L
     for i in capped:
         r[i] = R_MAX
@@ -238,7 +233,7 @@ def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResul
     alpha = _normalize_alpha(alpha)
     positive = sum(1 for a in alpha if a > 0.0)
     capped = result.pi_star[positive:]
-    if capped and _capped_precision(instance, capped) >= 1.0 / D - PRECISION_TOL:
+    if capped and capped_precision(instance, capped) >= 1.0 / D - PRECISION_TOL:
         return max(result.r_star[i] for i in result.pi_star[:positive])
     _, _, nums = _recursion(instance, alpha, result.pi_star, positive, result.nu, 1.0 / D, result.r_star)
     worst = 0.0

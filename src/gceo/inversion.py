@@ -12,7 +12,10 @@ always satisfies two identities: the distortion constraint is tight,
 
 and the sum rate telescopes,
 
-    sum_i R_i = (1/2) ln(sigma_x2 / D*(R)) + sum_i r*_i.
+    sum_i R_i = (1/2) ln(sigma_x2 / D*(R)) + sum_i r*_i,
+
+the joint rate of all descriptions (``model.joint_rate`` over the prior
+precision 1/sigma_x2).
 
 Encoders with R_i = 0 take r*_i = 0 and drop out; capped (infinite) rates
 take r*_i at the cap and fold into the prior precision.
@@ -20,7 +23,8 @@ take r*_i at the cap and fold into the prior precision.
 Closed forms
 ------------
 For one encoder over a base precision p0, r* solves the scalar sum-rate
-identity (1/2) ln((p0 + w(r)) / p0) + r = R, whose root is
+identity (1/2) ln((p0 + w(r)) / p0) + r = R, the one description's
+``joint_rate``, whose root (``_solve_l1``) is
 
     r = (1/2) ln(1 + a expm1(2R) / (1 + a)),   a = sigma_n2 p0.
 
@@ -122,7 +126,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentError, ConvergenceError
-from .model import RATE_FLOOR, TOL_EQ, CeoInstance, R_MAX, is_cap, precision_weight, rate_floor
+from .model import (
+    RATE_FLOOR, TOL_EQ, CeoInstance, R_MAX, _check_allocation, capped_precision,
+    is_cap, joint_rate, precision_weight, rate_floor,
+)
 from .polymatroid import _prefix_values, _reduced_min_slack
 
 RESIDUAL_LIMIT = 1e-5
@@ -175,16 +182,6 @@ class TildeParams:
     r_tilde: tuple[float, float]
 
 
-def _check_rates(instance: CeoInstance, R) -> tuple[float, ...]:
-    R = tuple(float(v) for v in R)
-    if len(R) != instance.L:
-        raise ArgumentError(f"rate vector has length {len(R)}, expected {instance.L}")
-    for v in R:
-        if v < 0.0 or math.isnan(v):
-            raise ArgumentError(f"rates must be >= 0, got {v}")
-    return R
-
-
 # ----------------------------------------------------------------------
 # Reduced-problem helpers.  A reduced problem is a list of encoder noise
 # variances with target rates plus a base precision p0 that absorbs the
@@ -192,14 +189,8 @@ def _check_rates(instance: CeoInstance, R) -> tuple[float, ...]:
 # ----------------------------------------------------------------------
 
 
-def _sum_rate_identity(sn, r, p0: float) -> float:
-    """(1/2) ln(precision / p0) + sum r, the dominant-face sum rate."""
-    p = p0 + sum(precision_weight(s, v) for s, v in zip(sn, r))
-    return 0.5 * math.log(p / p0) + sum(r)
-
-
 def _solve_l1(sn: float, rate: float, p0: float) -> float:
-    """Unique r with (1/2) ln((p0 + w(r)) / p0) + r = rate, in closed form:
+    """Unique r with ``joint_rate((sn,), (r,), p0)`` = rate, in closed form:
     exp(2r) = 1 + a expm1(2 rate) / (1 + a) with a = sn p0."""
     if rate <= 0.0:
         return 0.0
@@ -410,6 +401,7 @@ def _assemble(
     R,
     finite,
     r_finite,
+    p0: float,
     method: str,
     branch=None,
     kkt_residual=None,
@@ -418,9 +410,10 @@ def _assemble(
     iterations=None,
 ):
     """The ``InversionResult`` of the finite coordinates' allocation
-    ``r_finite``, checked against the residual contract.  ``slack`` is the
-    reduced region's min membership slack at ``r_finite`` when the caller
-    has computed it (``_decompose`` does), else it is computed here."""
+    ``r_finite`` over the base precision p0 (``_split_rates``), checked
+    against the residual contract.  ``slack`` is the reduced region's min
+    membership slack at ``r_finite`` when the caller has computed it
+    (``_decompose`` does), else it is computed here."""
     L = instance.L
     r = [0.0] * L
     for i in range(L):
@@ -431,12 +424,9 @@ def _assemble(
     d = 1.0 / (1.0 / instance.sigma_x2 + sum(precision_weight(s, v) for s, v in zip(instance.sigma_n2, r)))
     finite_sn = [instance.sigma_n2[i] for i in finite]
     finite_R = [R[i] for i in finite]
-    p0 = 1.0 / instance.sigma_x2 + sum(
-        1.0 / instance.sigma_n2[i] for i in range(L) if is_cap(R[i])
-    )
     # Sum-rate identity over the finite coordinates (capped encoders cancel
     # from both sides; their precision sits in the base p0).
-    gap = abs(sum(finite_R) - _sum_rate_identity(finite_sn, r_finite, p0))
+    gap = abs(sum(finite_R) - joint_rate(finite_sn, r_finite, p0))
     if slack is None:
         slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
     residuals = max(gap, -slack)
@@ -462,10 +452,7 @@ def _split_rates(instance: CeoInstance, R):
     # Rates up to TOL_EQ nats are treated as zero; the sum-rate identity
     # then holds to well within the residual contract.
     finite = [i for i in range(instance.L) if TOL_EQ < R[i] < R_MAX]
-    p0 = 1.0 / instance.sigma_x2 + sum(
-        1.0 / instance.sigma_n2[i] for i in range(instance.L) if is_cap(R[i])
-    )
-    return finite, p0
+    return finite, capped_precision(instance, [i for i in range(instance.L) if is_cap(R[i])])
 
 
 # ----------------------------------------------------------------------
@@ -527,21 +514,16 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     return TildeParams(l_d=l_d, d_tilde=1.0 / (p_max - gap), r_tilde=(level_rate(sn1), r2))
 
 
-def _axis_rate(sx2: float, sn: float, rho: float) -> float:
-    """Unconditioned single-encoder rate at allocation rho (decode-first rate)."""
-    return 0.5 * math.log(sx2 * (1.0 / sx2 + precision_weight(sn, rho))) + rho
-
-
 def _thresholds(instance: CeoInstance, R):
     """(r~, (threshold_a, threshold_b)) of a validated rate pair from one
     ``tilde_params`` solve: the minimum-sum-rate allocation of its sum rate
     and the unconditioned single-encoder rates at r~, in the noise-sorted
     order.  The omega margins are R_a - threshold_a and R_b - threshold_b."""
     a, b = _sorted_order(instance)
-    sx2 = instance.sigma_x2
+    p_prior = 1.0 / instance.sigma_x2
     tp = tilde_params(instance, R[a] + R[b])
-    th1 = _axis_rate(sx2, instance.sigma_n2[a], tp.r_tilde[0])
-    th2 = _axis_rate(sx2, instance.sigma_n2[b], tp.r_tilde[1])
+    th1 = joint_rate((instance.sigma_n2[a],), (tp.r_tilde[0],), p_prior)
+    th2 = joint_rate((instance.sigma_n2[b],), (tp.r_tilde[1],), p_prior)
     return tp.r_tilde, (th1, th2)
 
 
@@ -550,7 +532,7 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
     the omega margins of R."""
     if instance.L != 2:
         raise ArgumentError("r_star_l2 requires exactly two encoders")
-    R = _check_rates(instance, R)
+    R = _check_allocation(instance, R, "rate vector")
     a, b = _sorted_order(instance)
     R1, R2 = R[a], R[b]
     r_tilde, (th1, th2) = _thresholds(instance, R)
@@ -560,7 +542,7 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
         r_finite = [
             _solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite
         ]
-        return _assemble(instance, R, finite, r_finite, "closed_form_l2", branch="reduced", margins=margins)
+        return _assemble(instance, R, finite, r_finite, p0, "closed_form_l2", branch="reduced", margins=margins)
 
     p_prior = 1.0 / instance.sigma_x2
     sn1, sn2 = instance.sigma_n2[a], instance.sigma_n2[b]
@@ -579,7 +561,7 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
         r1, r2 = r_tilde
     r = [0.0, 0.0]
     r[a], r[b] = r1, r2
-    return _assemble(instance, R, [0, 1], r, "closed_form_l2", branch=branch, margins=margins)
+    return _assemble(instance, R, [0, 1], r, p0, "closed_form_l2", branch=branch, margins=margins)
 
 
 def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
@@ -590,7 +572,7 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
     """
     if instance.L != 2:
         raise ArgumentError("omega classification requires exactly two encoders")
-    R = _check_rates(instance, R)
+    R = _check_allocation(instance, R, "rate vector")
     a, b = _sorted_order(instance)
     _, (th1, th2) = _thresholds(instance, R)
     return R[a] - th1, R[b] - th2
@@ -645,12 +627,12 @@ def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionRes
     if len(finite) <= 1:
         r_finite = [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
         branch = None if instance.L == 1 else "reduced"
-        return _assemble(instance, R, finite, r_finite, "closed_form_l1", branch=branch)
+        return _assemble(instance, R, finite, r_finite, p0, "closed_form_l1", branch=branch)
     sn = [instance.sigma_n2[i] for i in finite]
     rates = [R[i] for i in finite]
     r_finite, kkt, slack, iterations = _decompose(sn, rates, p0)
     return _assemble(
-        instance, R, finite, r_finite, "decomposition", kkt_residual=kkt, slack=slack, iterations=iterations
+        instance, R, finite, r_finite, p0, "decomposition", kkt_residual=kkt, slack=slack, iterations=iterations
     )
 
 
@@ -672,7 +654,7 @@ def r_star(instance: CeoInstance, R, method: str = "auto") -> InversionResult:
     """
     if method not in ("auto", "bisection"):
         raise ArgumentError(f"unknown method {method!r}")
-    R = _check_rates(instance, R)
+    R = _check_allocation(instance, R, "rate vector")
     return _r_star_cached(instance, R, method)
 
 
@@ -681,14 +663,14 @@ def d_star(instance: CeoInstance, R, method: str = "auto") -> float:
     return r_star(instance, R, method=method).d_star
 
 
-def uniqueness_probe(instance: CeoInstance, R, result: InversionResult, delta: float = 1e-3) -> bool:
+def uniqueness_probe(instance: CeoInstance, R, result: InversionResult) -> bool:
     """Confirm optimality of r* under single-coordinate perturbations.
 
-    Each coordinate is nudged by +-delta and re-projected onto the
+    Each coordinate is nudged by +-1e-3 nats and re-projected onto the
     sum-rate identity through another coordinate; every such neighbor must
     either lose precision or leave the rate region.
     """
-    R = _check_rates(instance, R)
+    R = _check_allocation(instance, R, "rate vector")
     finite, p0 = _split_rates(instance, R)
     if len(finite) < 2:
         return True
@@ -698,9 +680,9 @@ def uniqueness_probe(instance: CeoInstance, R, result: InversionResult, delta: f
     base_p = p0 + sum(precision_weight(s, v) for s, v in zip(sn, base_r))
     target = sum(rates)
     for i in range(len(finite)):
-        for sign in (+1.0, -1.0):
+        for step in (1e-3, -1e-3):
             cand = list(base_r)
-            cand[i] = base_r[i] + sign * delta
+            cand[i] = base_r[i] + step
             if cand[i] < 0.0:
                 continue
             projected = None

@@ -20,6 +20,19 @@ Joint MMSE decoding of all descriptions gives the precision
 whose reciprocal is the achievable distortion for the allocation r.  The
 feasible set of a distortion target D is F(D) = {r >= 0 : precision(r) >= 1/D}.
 
+Three rules that the other modules share have their one definition here:
+
+* ``joint_rate``, the joint rate (1/2) log1p(w / p0) + sum r of a set of
+  descriptions decoded together over a base precision p0, w their total
+  weight: the rank f(A, r) of the rate region, the dominant face's sum
+  rate and the inverse map's sum-rate identity;
+* ``capped_precision``, the precision of the prior and of encoders
+  described at infinite rate (the inverse map's base, the hyperplane's
+  zero-direction encoders, ``d_min``);
+* ``_check_allocation`` and ``_check_chain``, the checks of a rate or
+  allocation vector and of a nondecreasing chain of them (refinement
+  stages, Monte Carlo allocation chains).
+
 Tolerances.  The region's subset inequalities, its vertices and faces,
 and the stage inequalities of a refinement chain hold with equality at
 points that matter (the full set, a vertex's decode chain, the one-stage
@@ -132,14 +145,29 @@ class CeoInstance:
         return {"sigma_x2": self.sigma_x2, "sigma_n2": list(self.sigma_n2)}
 
 
-def _check_allocation(instance: CeoInstance, r) -> tuple[float, ...]:
+def _check_allocation(instance: CeoInstance, r, what: str = "allocation") -> tuple[float, ...]:
+    """r as a tuple of floats, one entry >= 0 per encoder (infinity allowed,
+    NaN not); ``what`` names the vector in the error text."""
     r = tuple(float(v) for v in r)
     if len(r) != instance.L:
-        raise ArgumentError(f"allocation has length {len(r)}, instance has {instance.L} encoders")
+        raise ArgumentError(f"{what} has length {len(r)}, instance has {instance.L} encoders")
     for v in r:
         if v < 0.0 or math.isnan(v):
-            raise ArgumentError(f"allocation entries must be >= 0, got {v}")
+            raise ArgumentError(f"{what} entries must be >= 0, got {v}")
     return r
+
+
+def _check_chain(instance: CeoInstance, chain, what: str) -> list[tuple[float, ...]]:
+    """The vectors of a nonempty chain, each checked by ``_check_allocation``
+    (the j-th named "``what`` j"), where no entry drops by more than
+    CHAIN_DROP from one vector to the next."""
+    out = [_check_allocation(instance, v, f"{what} {j + 1}") for j, v in enumerate(chain)]
+    if not out:
+        raise ArgumentError(f"need at least one {what}")
+    for j in range(1, len(out)):
+        if any(a > b + CHAIN_DROP for a, b in zip(out[j - 1], out[j])):
+            raise ArgumentError(f"{what} {j + 1} decreases some entry relative to {what} {j}")
+    return out
 
 
 def r_from_channel_noise(instance: CeoInstance, i: int, sigma_t2: float) -> float:
@@ -180,6 +208,25 @@ def precision_weight(sn: float, r: float) -> float:
     return -math.expm1(-2.0 * r) / sn
 
 
+def joint_rate(sn, r, p0: float) -> float:
+    """(1/2) log1p(w / p0) + sum r: the joint rate of descriptions at rates r
+    of observations with noise variances sn, decoded together once the
+    decoder holds the precision p0, with w their total precision weight.
+
+    This is the rank f(A, r) of a set A (p0 the prior plus the weights of
+    A's complement) and, at p0 = 1/sigma_x2, the sum rate of the dominant
+    face.  log1p keeps it accurate when w is small next to p0.
+    """
+    return 0.5 * math.log1p(sum(map(precision_weight, sn, r)) / p0) + sum(r)
+
+
+def capped_precision(instance: CeoInstance, capped) -> float:
+    """1/sigma_x2 plus 1/sigma_n2[i] for each encoder i in ``capped``: the
+    precision of those encoders described at infinite rate
+    (``precision_weight(sn, R_MAX)`` is exactly 1/sn)."""
+    return 1.0 / instance.sigma_x2 + sum(1.0 / instance.sigma_n2[i] for i in capped)
+
+
 def precision(instance: CeoInstance, r) -> float:
     """1/sigma_x2 + sum_i (1 - exp(-2 r_i)) / sigma_n2[i]; increasing in each r_i."""
     r = _check_allocation(instance, r)
@@ -197,5 +244,4 @@ def d_min(instance: CeoInstance, k: int) -> float:
     """Distortion floor using the k least-noisy encoders at infinite rate."""
     if not 1 <= k <= instance.L:
         raise ArgumentError(f"k must be in [1, {instance.L}], got {k}")
-    noise = sorted(instance.sigma_n2)
-    return 1.0 / (1.0 / instance.sigma_x2 + sum(1.0 / v for v in noise[:k]))
+    return 1.0 / capped_precision(instance, sorted(range(instance.L), key=instance.sigma_n2.__getitem__)[:k])

@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .model import CHAIN_DROP, CeoInstance, _check_allocation, channel_noise_from_r, distortion
+from .model import CeoInstance, _check_allocation, _check_chain, channel_noise_from_r, distortion
 
 SHARD_SIZE = 1 << 14
 
@@ -209,10 +209,4 @@ def simulate_refinement(instance: CeoInstance, r_chain, config: SimConfig) -> Si
     Stage j's estimate uses only stage j's (degraded) descriptions; each
     stage is scored against its own predicted distortion.
     """
-    chain = [_check_allocation(instance, r) for r in r_chain]
-    if not chain:
-        raise ArgumentError("need at least one stage")
-    for j in range(1, len(chain)):
-        if any(a > b + CHAIN_DROP for a, b in zip(chain[j - 1], chain[j])):
-            raise ArgumentError(f"allocation chain decreases at stage {j + 1}")
-    return _simulate(instance, chain, config)
+    return _simulate(instance, _check_chain(instance, r_chain, "allocation"), config)

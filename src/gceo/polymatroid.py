@@ -10,7 +10,10 @@ with the supermodular rank function
               + sum_{i in A} r_i,
 
 where "precision restricted to B" is 1/sigma_x2 + sum_{i in B} w_i and
-w_i = (1 - exp(-2 r_i)) / sigma_n2[i].
+w_i = (1 - exp(-2 r_i)) / sigma_n2[i].  So f(A, r) = (1/2) ln(1 + w(A)/p)
++ r(A) with p the precision restricted to A's complement: the joint rate
+``model.joint_rate``, through which ``rank_f`` goes, and so does the
+full-set rank (the dominant face's sum rate) of ``on_dominant_face``.
 
 The region has L! vertices, one per decoding order: the last-decoded
 encoder pays its fully conditioned rate, the first-decoded its
@@ -61,7 +64,9 @@ whose ratio sits near the threshold.  ``_tight_chain``, which serves only
 O(L^2) sets from running sums, so that a face names the near-tight sets
 that cross.
 
-Subsets are bitmasks over encoder indices 0..L-1.
+Within this module, bitmasks over encoder indices 0..L-1 remain only in
+``rank_f`` and ``_tight_chain`` (``mask_to_indices`` also serves the
+2^L oracle ``refinement.dominant_face_form``).
 """
 
 from __future__ import annotations
@@ -70,36 +75,23 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .model import CeoInstance, TOL_EQ, _check_allocation, precision_weight, rate_floor
-
-
-def full_mask(L: int) -> int:
-    return (1 << L) - 1
+from .model import CeoInstance, TOL_EQ, _check_allocation, joint_rate, precision_weight, rate_floor
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def partial_precision(instance: CeoInstance, r, mask: int) -> float:
-    """1/sigma_x2 plus the precision weights of the encoders in ``mask``."""
-    total = 1.0 / instance.sigma_x2
-    for i in range(instance.L):
-        if mask >> i & 1:
-            total += precision_weight(instance.sigma_n2[i], r[i])
-    return total
-
-
 def rank_f(instance: CeoInstance, r, mask: int) -> float:
     """Rank of subset ``mask``: the joint rate needed by those encoders when
-    every other description is already decoded."""
+    every other description is already decoded (``model.joint_rate`` over
+    1/sigma_x2 plus the complement's weights)."""
     r = _check_allocation(instance, r)
-    if mask == 0:
-        return 0.0
-    comp = full_mask(instance.L) & ~mask
-    p_all = partial_precision(instance, r, full_mask(instance.L))
-    p_comp = partial_precision(instance, r, comp)
-    return 0.5 * math.log(p_all / p_comp) + sum(r[i] for i in mask_to_indices(mask))
+    sn = instance.sigma_n2
+    inside = mask_to_indices(mask)
+    outside = [i for i in range(instance.L) if not mask >> i & 1]
+    p0 = 1.0 / instance.sigma_x2 + sum(precision_weight(sn[i], r[i]) for i in outside)
+    return joint_rate([sn[i] for i in inside], [r[i] for i in inside], p0)
 
 
 def _threshold_order(c, w, members):
@@ -293,9 +285,11 @@ def vertex(instance: CeoInstance, r, pi) -> tuple[float, ...]:
 
 
 def on_dominant_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:
-    """Region membership plus sum-rate equality with the full-set rank,
-    both within tol over the rounding floor of R."""
-    total = rank_f(instance, r, full_mask(instance.L))
+    """Region membership plus sum-rate equality with the full-set rank
+    (``model.joint_rate`` at 1/sigma_x2), both within tol over the rounding
+    floor of R."""
+    r = _check_allocation(instance, r)
+    total = joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2)
     if abs(sum(R) - total) > tol + rate_floor(R):
         return False
     return region_contains(instance, r, R, tol)

@@ -50,7 +50,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import ArgumentError
-from .model import CHAIN_DROP, R_MAX, CeoInstance, channel_noise_from_r, precision_weight, rate_floor
+from .model import CHAIN_DROP, R_MAX, CeoInstance, _check_chain, channel_noise_from_r, precision_weight, rate_floor
 from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import _R_STAR_CACHE_SIZE, OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
@@ -95,22 +95,6 @@ class RefinementReport:
         }
 
 
-def _validate_stages(instance: CeoInstance, stages) -> list[tuple[float, ...]]:
-    out = []
-    for j, stage in enumerate(stages):
-        stage = tuple(float(v) for v in stage)
-        if len(stage) != instance.L:
-            raise ArgumentError(f"stage {j + 1} has length {len(stage)}, expected {instance.L}")
-        if any(v < 0.0 or math.isnan(v) for v in stage):
-            raise ArgumentError(f"stage {j + 1} has negative or NaN rates")
-        if out and any(a > b + CHAIN_DROP for a, b in zip(out[-1], stage)):
-            raise ArgumentError(f"stage {j + 1} decreases some rate relative to stage {j}")
-        out.append(stage)
-    if not out:
-        raise ArgumentError("need at least one stage")
-    return out
-
-
 def _weights(instance: CeoInstance, r) -> list[float]:
     """The precision weights of allocation r."""
     return [precision_weight(sn, v) for sn, v in zip(instance.sigma_n2, r)]
@@ -150,7 +134,7 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
     Each stage reports its worst subset, then the full set, or the full
     set alone when it is the worst subset.
     """
-    stages = _validate_stages(instance, stages)
+    stages = _check_chain(instance, stages, "stage")
     chain = [(0.0,) * instance.L] + stages
     inversions = [r_star(instance, R) for R in chain]
     p0 = 1.0 / instance.sigma_x2
@@ -186,7 +170,7 @@ def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASI
     increment sits on the dominant face.  A chain whose allocation is not nested (some r*
     coordinate decreasing) admits no such construction and returns False.
     """
-    stages = _validate_stages(instance, [R_prev, R_next])
+    stages = _check_chain(instance, [R_prev, R_next], "stage")
     R_prev, R_next = stages
     L = instance.L
     r_prev = r_star(instance, R_prev).r_star
@@ -371,7 +355,7 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     top = lo + (n - 1) * step
     if not math.isfinite(top):
         raise ArgumentError(f"grid {grid} has a node past the largest float")
-    (R_from,) = _validate_stages(instance, [R_from])
+    (R_from,) = _check_chain(instance, [R_from], "stage")
     zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
     origin = r_star(instance, zero).r_star
     inv = r_star(instance, R_from)

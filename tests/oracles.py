@@ -8,7 +8,9 @@ bound) only at desk scale:
   ``polymatroid.identify_face``'s threshold-order candidates;
 * ``unconditioned_rank``, ``rank_fD``, ``supermodularity_margin`` and
   ``check_supermodular``: rank-function identities over every subset or
-  subset pair (4^L);
+  subset pair (4^L), on the bitmask helpers ``full_mask`` and
+  ``partial_precision`` (the prior's precision plus a masked set's
+  weights);
 * ``brute_force_phi``: the support value over a lattice of allocations
   (L <= 3), an upper bound on ``hyperplane.support_value``;
 * ``pairwise_equivalence``: the full-chain refinement verdict against the
@@ -58,6 +60,10 @@ bound) only at desk scale:
 * ``decimal_r_star``: the same subset-by-subset decomposition in stdlib
   ``decimal`` at ``DECIMAL_DIGITS`` digits (L <= 4), the reference that
   can see a relative error on rates of 1e-8 nats;
+* ``decimal_joint_rate``: the rank (1/2) ln(1 + w(A)/p) + r(A) in
+  ``decimal`` at ``DECIMAL_DIGITS`` digits, the reference for
+  ``model.joint_rate`` and ``polymatroid.rank_f`` down to rates of 1e-15
+  nats;
 * ``RegionProgram``: the inverse map's convex program with one row per
   subset, whose all-rows KKT residual is the reference certificate;
 * ``grid_map_oracle``: the reachability grid map node by node, the full
@@ -81,6 +87,7 @@ from gceo.model import (
     R_MAX,
     TOL_EQ,
     _check_allocation,
+    _check_chain,
     channel_noise_from_r,
     distortion,
     exp_neg2r,
@@ -90,13 +97,11 @@ from gceo.model import (
 )
 from gceo.polymatroid import (
     FaceDescriptor,
-    full_mask,
     mask_to_indices,
     on_dominant_face,
-    partial_precision,
     rank_f,
 )
-from gceo.refinement import FEASIBILITY_TOL, GridNode, _validate_stages, check_refinement
+from gceo.refinement import FEASIBILITY_TOL, GridNode, check_refinement
 
 # In the float covariance sweep, a conditional variance at most this share
 # of the variable's variance given X (sigma_n2 + sigma_t2) means the earlier
@@ -106,6 +111,19 @@ from gceo.refinement import FEASIBILITY_TOL, GridNode, _validate_stages, check_r
 _PIVOT_REL = 1e-10
 # The source X as a variable; ("Y", j) is encoder j's observation.
 _SOURCE = ("X", None)
+
+
+def full_mask(L: int) -> int:
+    return (1 << L) - 1
+
+
+def partial_precision(instance: CeoInstance, r, mask: int) -> float:
+    """1/sigma_x2 plus the precision weights of the encoders in ``mask``."""
+    total = 1.0 / instance.sigma_x2
+    for i in range(instance.L):
+        if mask >> i & 1:
+            total += precision_weight(instance.sigma_n2[i], r[i])
+    return total
 
 
 def unconditioned_rank(instance: CeoInstance, r, mask: int) -> float:
@@ -322,7 +340,7 @@ def pairwise_equivalence(instance: CeoInstance, stages, tol: float = FEASIBILITY
     This must always hold (the stage test only couples adjacent stages); it
     is checked rather than assumed.
     """
-    stages = _validate_stages(instance, stages)
+    stages = _check_chain(instance, stages, "stage")
     full = check_refinement(instance, stages, tol).feasible
     pairs = True
     prev = None
@@ -739,6 +757,18 @@ def _decimal_block_level(sn, target, p, block):
         if abs(step) < resolution:
             return y
         value, weight = h(y)
+
+
+def decimal_joint_rate(instance: CeoInstance, r, inside) -> Decimal:
+    """(1/2) ln(1 + w(A)/p) + r(A) for the encoders A = ``inside`` in
+    ``decimal`` at ``DECIMAL_DIGITS`` digits, with p = 1/sigma_x2 + w(A^c)
+    and w_i = (1 - exp(-2 r_i)) / sigma_n2[i], from the float inputs taken
+    exactly."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        w = [(1 - (-2 * Decimal(v)).exp()) / Decimal(s) for s, v in zip(instance.sigma_n2, r)]
+        p = 1 / Decimal(instance.sigma_x2) + sum(w[i] for i in range(instance.L) if i not in inside)
+        return (1 + sum(w[i] for i in inside) / p).ln() / 2 + sum(Decimal(r[i]) for i in inside)
 
 
 def decimal_r_star(sn, R, p0):

@@ -110,6 +110,10 @@ class TestInvertAndOmega:
         assert payload["method"] == "closed_form_l2"
         assert payload["residuals"] <= 1e-6
 
+    def test_invert_negative_rate_exits_two(self, sym2_file):
+        code, out = run(["invert", "--instance", sym2_file, "--R=-1,0.5"])
+        assert (code, out) == (2, "")
+
     def test_omega(self, sym2_file):
         code, out = run(["omega", "--instance", sym2_file, "--R", "3,0.01"])
         assert code == 0
@@ -548,6 +552,25 @@ class TestMalformedInputFiles:
     def test_chain_not_json(self, sym2_file, tmp_path):
         code, out = self._run_with(sym2_file, tmp_path, "simulate", "--chain", "not json")
         assert (code, out) == (2, "")
+
+    # One chain contract for both chain commands: nonempty, one entry >= 0
+    # per encoder, and no entry dropping by more than model.CHAIN_DROP.
+    @pytest.mark.parametrize("command, flag", [("refine", "--stages"), ("simulate", "--chain")])
+    @pytest.mark.parametrize(
+        "chain",
+        [[], [[0.2, 0.3, 0.4]], [[0.2, -0.3]], [[0.2, math.nan]], [[0.2, 0.3], [0.2 - 1e-6, 0.4]]],
+        ids=["empty", "wrong-length", "negative", "nan", "drop"],
+    )
+    def test_chain_contract(self, sym2_file, tmp_path, command, flag, chain):
+        code, out = self._run_with(sym2_file, tmp_path, command, flag, json.dumps(chain))
+        assert (code, out) == (2, "")
+
+    def test_stages_with_a_rate_drop_within_tolerance_run(self, sym2_file, tmp_path):
+        code, out = self._run_with(
+            sym2_file, tmp_path, "refine", "--stages", json.dumps([[0.2 + 5e-13, 0.3], [0.2, 0.4]])
+        )
+        assert code in (0, 1)
+        assert len(json.loads(out)["per_stage"]) == 2
 
     def test_well_formed_chain_still_runs(self, sym2_file, tmp_path):
         code, out = self._run_with(sym2_file, tmp_path, "simulate", "--chain", '{"chain": [[0.2, 0.3], [0.4, 0.5]]}')

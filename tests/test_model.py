@@ -1,9 +1,13 @@
+import io
 import json
 import math
+from contextlib import redirect_stdout
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from gceo import cli
 from gceo.errors import ArgumentError
 from gceo.model import (
     CeoInstance,
@@ -11,13 +15,15 @@ from gceo.model import (
     channel_noise_from_r,
     d_min,
     distortion,
+    joint_rate,
     precision,
     precision_weight,
     r_from_channel_noise,
 )
+from gceo.polymatroid import rank_f
 
 from conftest import random_alloc, random_instance
-from oracles import in_feasible_set
+from oracles import decimal_joint_rate, in_feasible_set
 
 HALF_LN2 = 0.34657359027997264
 
@@ -139,3 +145,56 @@ class TestFeasibleSet:
         assert in_feasible_set(sym2, (0.5, 0.5), 0.45)
         assert not in_feasible_set(sym2, (0.0, 0.0), 0.5)
         assert in_feasible_set(sym2, (0.0, 0.0), 1.0)
+
+
+class TestJointRateAccuracy:
+    """The joint rate (1/2) ln(1 + w(A)/p) + r(A) to 1e-15 relative against a
+    50-digit reference, from rates of 1e-15 nats up to 40: through
+    ``joint_rate``, ``rank_f`` on the full set and a proper subset, and the
+    ``rank_total`` of ``region vertices``."""
+
+    # Weights of rates near 1e-12 change only the last digits of the
+    # precision p, so ln(p / p0) would keep few of them (1.3e-5 relative
+    # on this full set); log1p(w / p0) keeps them all.
+    TINY = (CeoInstance(1.0, (0.7, 1.3, 2.0)), (1e-12, 2e-12, 3e-13))
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(28)
+        yield TestJointRateAccuracy.TINY
+        for _ in range(150):
+            L = int(rng.integers(2, 7))
+            noise = tuple(float(v) for v in 10 ** rng.uniform(-3, 1.5, L))
+            instance = CeoInstance(float(10 ** rng.uniform(-1, 1)), noise)
+            kinds = rng.integers(0, 3, L)
+            tiny, mid = 10 ** rng.uniform(-15, -3, L), rng.uniform(0.05, 3.0, L)
+            r = tuple(float(tiny[i]) if k == 0 else float(mid[i]) if k == 1 else 40.0 for i, k in enumerate(kinds))
+            yield instance, r
+
+    @staticmethod
+    def _rel(got: float, exact: Decimal) -> float:
+        return float(abs(Decimal(got) - exact) / exact)
+
+    def test_joint_rate_and_rank_f(self):
+        rng = np.random.default_rng(29)
+        for instance, r in self._cases():
+            L = instance.L
+            everyone = decimal_joint_rate(instance, r, range(L))
+            assert self._rel(joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2), everyone) <= 1e-15
+            assert self._rel(rank_f(instance, r, (1 << L) - 1), everyone) <= 1e-15
+            mask = int(rng.integers(1, (1 << L) - 1))
+            inside = [i for i in range(L) if mask >> i & 1]
+            assert self._rel(rank_f(instance, r, mask), decimal_joint_rate(instance, r, inside)) <= 1e-15
+
+    def test_region_vertices_rank_total(self, tmp_path):
+        path = tmp_path / "instance.json"
+        for k, (instance, r) in enumerate(self._cases()):
+            if k % 5 or instance.L > 4:
+                continue
+            path.write_text(json.dumps(instance.to_dict()))
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli.main(["region", "vertices", "--instance", str(path), "--r", ",".join(map(repr, r))])
+            assert code == 0
+            got = json.loads(buf.getvalue())["rank_total"]
+            assert self._rel(got, decimal_joint_rate(instance, r, range(instance.L))) <= 1e-15
