@@ -18,10 +18,10 @@ when it is installed.  Each command that runs another solver module
 imports it itself: ``invert`` and ``omega`` load ``inversion``;
 ``omega-map``, ``refine`` and ``schedule`` load ``scheduler`` (directly or
 through ``refinement``), whose schedule validator is a pure-Python closed
-form.  So only ``simulate`` loads numpy.  It runs its shards in order in
-the calling thread and starts no other (see ``montecarlo``).  Cold starts
-on a 2-vCPU VM (min of 7 spawns): ``omega-map`` on a 31 x 31 grid
-~160 ms, ``refine`` ~125 ms, ``schedule`` ~100 ms.
+form.  So only ``simulate`` loads numpy.  It draws from one seeded
+stream in the calling thread and starts no other (see ``montecarlo``).
+Cold starts on a 2-vCPU VM (min of 7 spawns): ``omega-map`` on a 31 x 31
+grid ~160 ms, ``refine`` ~125 ms, ``schedule`` ~100 ms.
 
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,

@@ -429,7 +429,8 @@ def _assemble(
     gap = abs(sum(finite_R) - joint_rate(finite_sn, r_finite, p0))
     if slack is None:
         slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
-    residuals = max(gap, -slack)
+    # max() would drop a NaN slack; keep it, so that the check below fails.
+    residuals = max(gap, -slack) if slack == slack else slack
     result = InversionResult(
         r_star=tuple(r),
         d_star=d,
@@ -440,7 +441,7 @@ def _assemble(
         margins=margins,
         iterations=iterations,
     )
-    if residuals > RESIDUAL_LIMIT:
+    if not residuals <= RESIDUAL_LIMIT:
         raise ConvergenceError(
             f"inversion residual {residuals:.3e} exceeds {RESIDUAL_LIMIT:.0e} "
             f"(sum-rate gap {gap:.3e}, worst membership slack {slack:.3e})"
@@ -476,14 +477,16 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     overflows at high rates:
 
         two levels:  g = 2 P2 t / (t + sqrt(t^2 + sn1 sn2 P2 / sx2)),
-        one level:   g = sx2 P1 t^2 / (sx2 t^2 + sn1),
+        one level:   r~_1 = (1/2) log1p(sn1 (1 - t^2) / ((sn1 + sx2) t^2)),
 
-    with Pk = 1/D_min(k).  Both encoders are active iff the two-level
-    solution has 1/D~ >= 1/D_c (up to 1e-12 relative), the precision at
-    which the noisier encoder starts to describe.  Rates follow the cap
-    convention of ``model``: r~ is clamped at R_MAX, and an infinite sum
-    rate gives D~ = D_min(k).  The allocation r~ is returned in the
-    noise-sorted encoder order.
+    with Pk = 1/D_min(k); the one-level root needs no g, and log1p keeps
+    the tiny rate of a tiny noise.  Both encoders are active iff the
+    two-level solution has 1/D~ >= 1/D_c (up to 1e-12 relative), the
+    precision at which the noisier encoder starts to describe.  D~ is
+    1 / (1/sx2 + the precision weights of r~), which, unlike Pk - g, does
+    not cancel.  Rates follow the cap convention of ``model``: r~ is
+    clamped at R_MAX, and an infinite sum rate gives D~ = D_min(k).  The
+    allocation r~ is returned in the noise-sorted encoder order.
     """
     if instance.L != 2:
         raise ArgumentError("tilde parameters are defined for two encoders")
@@ -499,19 +502,16 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     p1 = 1.0 / sx2 + 1.0 / sn1
     p2 = p1 + 1.0 / sn2
     inv_dc = p1 - 1.0 / sn2
-    l_d, p_max = 2, p2
     gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2))
     if p2 - gap < inv_dc * (1.0 - 1e-12):
-        l_d, p_max = 1, p1
-        gap = sx2 * p1 * t * t / (sx2 * t * t + sn1)
-
-    def level_rate(sn):
-        if gap == 0.0:
-            return R_MAX
-        return min(max(0.5 * math.log(l_d / (sn * gap)), 0.0), R_MAX)
-
-    r2 = 0.0 if l_d == 1 else level_rate(sn2)
-    return TildeParams(l_d=l_d, d_tilde=1.0 / (p_max - gap), r_tilde=(level_rate(sn1), r2))
+        l_d, r2 = 1, 0.0
+        arg = -sn1 * math.expm1(-2.0 * sum_rate) / ((sn1 + sx2) * t * t) if t * t > 0.0 else math.inf
+        r1 = min(0.5 * math.log1p(arg), R_MAX)
+    else:  # gap = 0 only at an infinite sum rate
+        l_d = 2
+        r1, r2 = (R_MAX if gap == 0.0 else min(max(0.5 * math.log(2.0 / (sn * gap)), 0.0), R_MAX) for sn in (sn1, sn2))
+    d_tilde = 1.0 / (1.0 / sx2 + precision_weight(sn1, r1) + precision_weight(sn2, r2))
+    return TildeParams(l_d=l_d, d_tilde=d_tilde, r_tilde=(r1, r2))
 
 
 def _thresholds(instance: CeoInstance, R):

@@ -111,10 +111,14 @@ class CeoInstance:
     sigma_n2: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_n2", tuple(float(v) for v in self.sigma_n2))
-        object.__setattr__(self, "sigma_x2", float(self.sigma_x2))
-        if not (self.sigma_x2 > 0.0) or not math.isfinite(self.sigma_x2):
-            raise ArgumentError(f"sigma_x2 must be finite and positive, got {self.sigma_x2}")
+        try:
+            object.__setattr__(self, "sigma_n2", tuple(float(v) for v in self.sigma_n2))
+            object.__setattr__(self, "sigma_x2", float(self.sigma_x2))
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"variances must be numbers: {exc}") from exc
+        # A subnormal variance below ~5.6e-309 has an infinite precision.
+        if not (0.0 < self.sigma_x2 < math.inf and 1.0 / self.sigma_x2 < math.inf):
+            raise ArgumentError(f"sigma_x2 must be finite and positive with a finite reciprocal, got {self.sigma_x2}")
         if len(self.sigma_n2) == 0:
             raise ArgumentError("need at least one encoder")
         if len(self.sigma_n2) > MAX_ENCODERS:
@@ -123,8 +127,8 @@ class CeoInstance:
                 f"identification and the inverse map grow as L^2), got {len(self.sigma_n2)}"
             )
         for v in self.sigma_n2:
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ArgumentError(f"every sigma_n2 entry must be finite and positive, got {v}")
+            if not (0.0 < v < math.inf and 1.0 / v < math.inf):
+                raise ArgumentError(f"every sigma_n2 entry must be finite and positive with a finite reciprocal, got {v}")
 
     @property
     def L(self) -> int:

@@ -29,27 +29,22 @@ tests check exactly.  The plan defines G; it is not what is drawn.
 
 Draws.  The stage errors G z are jointly Gaussian, N(0, G G^T), so any
 map with the same Gram matrix draws them with the same law.  Equal stages
-give equal rows, and ``_draw_map`` keeps each distinct row once.  When G
-then has more columns than rows it factors G^T = Q T (reduced QR, T
-square and upper triangular) and draws through T^T: G z = T^T (Q^T z),
-and Q^T z is standard normal because Q has orthonormal columns.  So a
-sample draws min(rows of the plan, distinct stages) normals -- one for a
-single stage where the plan has one per heard encoder plus X.  QR, unlike
-a Cholesky factor of G G^T, also holds for a rank-deficient map.  Each
-shard makes one ``standard_normal`` block, one matrix product gives every
-distinct stage's errors, and the sums of e^2 and e^4 are two reductions.
-A given seed draws different samples than it did with one normal per
-plan row (the law is the same).
+give equal rows, and ``_draw_map`` keeps each distinct row once, then
+factors G^T = Q T (reduced QR, T upper triangular with min(columns,
+distinct rows) rows) and draws through T^T: G z = T^T (Q^T z), and Q^T z
+is standard normal because Q has orthonormal columns.  So a sample draws
+min(rows of the plan, distinct stages) normals -- one for a single stage
+where the plan has one per heard encoder plus X.  QR, unlike a Cholesky
+factor of G G^T, also holds for a rank-deficient map.
 
-Sampling.  The sample range is cut into shards of ``SHARD_SIZE`` = 16384
-samples (the last one shorter), and shard k draws from its own stream,
-SFC64 seeded by ``SeedSequence([seed, k])``.  The shards run one after
-another in the calling thread and their sums are added in shard order, so
-a report depends only on (instance, chain, n, seed).  There is no thread
-pool: on two vCPUs one was within noise at 1e5 samples and about a fifth
-faster at 1e6, which does not pay for a second code path.
-A given seed draws different samples than it did before the generator
-changed from Philox to SFC64 and the shards shrank from 65536 samples.
+Sampling.  Each call draws from one stream, SFC64 seeded by ``seed``, in
+chunks of ``SHARD_SIZE`` = 16384 samples (the last one shorter).  Each
+chunk makes one ``standard_normal`` block, one matrix product gives every
+distinct stage's errors, and the sums of e^2 and e^4 are two reductions,
+added in chunk order.  So a report depends only on (instance, chain, n,
+seed), the chunks bound the memory a call holds, and equal stages get
+bit-identical reports.  Everything runs in the calling thread, and the
+module keeps no state between calls.
 
 numpy is imported by the functions that use it, not with the module, so
 that the command-line front end loads this module at start-up without
@@ -95,16 +90,9 @@ class SimReport:
         }
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    import numpy as np
-
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, shard])))
-
-
-def _shard_sums(G, seed: int, shard: int, m: int):
-    """Per row of G, the sums of e^2 and e^4 over shard's m draws."""
-    z = _shard_rng(seed, shard).standard_normal((G.shape[1], m))
-    se = G @ z
+def _shard_sums(G, rng, m: int):
+    """Per row of G, the sums of e^2 and e^4 over the next m draws of rng."""
+    se = G @ rng.standard_normal((G.shape[1], m))
     se *= se
     return se.sum(axis=1), (se * se).sum(axis=1)
 
@@ -152,18 +140,16 @@ def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
 def _draw_map(G):
     """Draw map of the error map G and the stage-to-row index.
 
-    Equal stages keep one row, so their errors are bit-identical.  With
-    more columns than distinct rows, the rows are replaced by T^T from the
-    reduced QR factorization G^T = Q T: G z = T^T (Q^T z) and Q^T z is
-    standard normal, so the reduced map's errors have the law of G z with
-    one draw per distinct stage.
+    Equal stages keep one row, so their errors are bit-identical.  The
+    distinct rows are replaced by T^T from the reduced QR factorization
+    G^T = Q T: G z = T^T (Q^T z) and Q^T z is standard normal, so the
+    reduced map's errors have the law of G z with at most one draw per
+    distinct stage.
     """
     import numpy as np
 
     G, stage_row = np.unique(G, axis=0, return_inverse=True)
-    if G.shape[1] > len(G):
-        G = np.linalg.qr(G.T, mode="r").T
-    return G, stage_row.reshape(-1)  # stage_row is 2-D in numpy 2.0.0
+    return np.linalg.qr(G.T, mode="r").T, stage_row.reshape(-1)  # stage_row is 2-D in numpy 2.0.0
 
 
 def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float = 1.0) -> SimReport:
@@ -172,14 +158,12 @@ def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float
     G, analytic = _error_map(instance, chain, coef_scale)
     G, stage_row = _draw_map(G)
     n = config.n_samples
-    sum_se = np.zeros(len(G))
-    sum_se2 = np.zeros(len(G))
-    for k in range((n + SHARD_SIZE - 1) // SHARD_SIZE):
-        se, se2 = _shard_sums(G, config.seed, k, min(SHARD_SIZE, n - k * SHARD_SIZE))
-        sum_se += se
-        sum_se2 += se2
+    rng = np.random.Generator(np.random.SFC64(config.seed))
+    sums = np.zeros((2, len(G)))
+    for start in range(0, n, SHARD_SIZE):
+        sums += _shard_sums(G, rng, min(SHARD_SIZE, n - start))
     M = len(chain)
-    sum_se, sum_se2 = sum_se[stage_row].tolist(), sum_se2[stage_row].tolist()
+    sum_se, sum_se2 = sums[:, stage_row].tolist()
     mse = [s / n for s in sum_se]
     stderr = []
     for j in range(M):

@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ConvergenceError
 from .model import CeoInstance, TOL_EQ, _check_allocation, joint_rate, precision_weight, rate_floor
 
 
@@ -85,8 +85,11 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
 def rank_f(instance: CeoInstance, r, mask: int) -> float:
     """Rank of subset ``mask``: the joint rate needed by those encoders when
     every other description is already decoded (``model.joint_rate`` over
-    1/sigma_x2 plus the complement's weights)."""
+    1/sigma_x2 plus the complement's weights).  ``mask`` must be a subset
+    of the L encoders, 0 <= mask < 2^L."""
     r = _check_allocation(instance, r)
+    if not 0 <= mask < 1 << instance.L:
+        raise ArgumentError(f"mask must be in [0, 2^{instance.L}), got {mask}")
     sn = instance.sigma_n2
     inside = mask_to_indices(mask)
     outside = [i for i in range(instance.L) if not mask >> i & 1]
@@ -251,8 +254,11 @@ def min_slack(instance: CeoInstance, r, R) -> float:
 def region_check(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> tuple[bool, float]:
     """(contains, slack): the minimum subset-rate slack of R (``min_slack``)
     and whether it is >= -(tol + rate_floor(R)), the rounding floor of
-    ``model`` under the caller's tolerance."""
+    ``model`` under the caller's tolerance.  A NaN slack raises
+    ``ConvergenceError``."""
     slack = min_slack(instance, r, R)
+    if slack != slack:
+        raise ConvergenceError(f"region slack of R = {tuple(R)} is NaN")
     return slack >= -(tol + rate_floor(R)), slack
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ConvergenceError
 from .model import CHAIN_DROP, R_MAX, CeoInstance, _check_chain, channel_noise_from_r, precision_weight, rate_floor
 from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import _R_STAR_CACHE_SIZE, OmegaTag, omega_tag, r_star
@@ -132,7 +132,8 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
     rounding floor (``model.rate_floor``) of the last stage's rates, the
     largest of a nondecreasing chain (boundary cases count as feasible).
     Each stage reports its worst subset, then the full set, or the full
-    set alone when it is the worst subset.
+    set alone when it is the worst subset.  A NaN slack raises
+    ``ConvergenceError``.
     """
     stages = _check_chain(instance, stages, "stage")
     chain = [(0.0,) * instance.L] + stages
@@ -145,6 +146,8 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
         slack, subset, c, w = _stage_min(instance, p0, prev, R, inv)
         # The full set's mixed precision holds the coarser weights alone.
         full = StageSlack(j, tuple(range(instance.L)), sum(c) + 0.5 * math.log(inv.d_star * (p0 + sum(prev[2]))))
+        if slack != slack or full.slack != full.slack:
+            raise ConvergenceError(f"stage {j} has a NaN slack")
         # The scan's minimum can read a few ulps above the full set's own
         # slack; then the full set is the worst subset and is reported
         # alone.  On a tie both rows stay, so ``worst`` keeps the scan's set.

@@ -336,7 +336,8 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
     coarse before fine, the 2L - 1 step bound, and the final MMSE against
     the allocation's distortion.  One pass over the decode order keeps the
     source precision p of the decoded set and each encoder's finest noise,
-    which is all the closed-form rate reads.
+    which is all the closed-form rate reads.  A NaN fails the comparison
+    it enters.
     """
     L = instance.L
     diags = []
@@ -346,7 +347,7 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
     for idx, step in enumerate(schedule.steps):
         enc, t = step.description.encoder, step.description.sigma_t2_total
         recomputed, p_next = _rate(instance, enc, t, finest[enc], p)
-        if abs(recomputed - step.rate) > tol:
+        if not abs(recomputed - step.rate) <= tol:
             diags.append(
                 f"step {idx} (encoder {enc}, stage {step.description.stage}): "
                 f"stored rate {step.rate:.12f} != recomputed {recomputed:.12f}"
@@ -363,14 +364,14 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
 
     sums = schedule.per_encoder_rate(L)
     for i in range(L):
-        if abs(sums[i] - R[i]) > tol:
+        if not abs(sums[i] - R[i]) <= tol:
             diags.append(f"encoder {i}: rate sum {sums[i]:.12f} != target {R[i]:.12f}")
     if schedule.total_steps > 2 * L - 1:
         diags.append(f"{schedule.total_steps} steps exceeds bound {2 * L - 1}")
 
     mmse = 1.0 / p
     mmse_formula = distortion(instance, [r_from_channel_noise(instance, j, t) for j, t in enumerate(finest)])
-    if abs(mmse - mmse_formula) > tol:
+    if not abs(mmse - mmse_formula) <= tol:
         diags.append(
             f"final MMSE {mmse:.12f} != allocation distortion {mmse_formula:.12f}"
         )

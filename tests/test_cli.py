@@ -393,7 +393,7 @@ def test_region_check_loads_no_numpy_or_scipy(sym2_file, tmp_path):
     # library imports scipy, and only montecarlo imports numpy, inside the
     # functions that draw.  So no command but simulate starts numpy or
     # scipy.  No command loads concurrent.futures or leaves a thread
-    # running: simulate runs its shards (here 7 full ones and 5 samples)
+    # running: simulate draws its chunks (here 7 full ones and 5 samples)
     # in the calling thread.
     l4_file = tmp_path / "l4.json"
     l4_file.write_text(json.dumps({"sigma_x2": 1.3, "sigma_n2": [0.7, 1.1, 2.9, 0.4]}))
@@ -526,8 +526,21 @@ class TestNegativeVectorValues:
 
 
 class TestMalformedInputFiles:
-    """Malformed --stages / --chain files are usage errors (exit 2), never
-    a traceback (which would exit 1, the "answer false" code)."""
+    """Malformed instance, --stages and --chain files are usage errors
+    (exit 2), never a traceback (which would exit 1, the "answer false"
+    code)."""
+
+    @pytest.mark.parametrize("sigma_n2", [["a", 1], {"a": 1}], ids=["string-entry", "object"])
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--R", "1,1"],
+        ["region", "check", "--r", "0.5,0.5", "--R", "1,1"],
+        ["simulate", "--r", "0.5,0.5", "--n", "10"],
+    ], ids=["invert", "region", "simulate"])
+    def test_instance_non_numeric_entry(self, tmp_path, sigma_n2, argv):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"sigma_x2": 1, "sigma_n2": sigma_n2}))
+        code, out = run(argv + ["--instance", str(path)])
+        assert (code, out) == (2, "")
 
     def _run_with(self, sym2_file, tmp_path, command, flag, text):
         path = tmp_path / "input.json"
@@ -588,8 +601,10 @@ class TestMalformedInputFiles:
 
 
 class TestExtremeInputs:
-    """Infinite and out-of-range-scaled directions and rates near zero keep
-    the exit-code contract."""
+    """Infinite and out-of-range-scaled directions, rates near zero and
+    extreme variances keep the exit-code contract: a variance whose
+    precision overflows is a usage error, a tiny but representable noise
+    is answered."""
 
     def test_infinite_alpha_entry_exits_two(self, sym2_file):
         code, out = run(["hyperplane", "--instance", sym2_file, "--alpha", "1,inf", "--D", "0.5"])
@@ -622,6 +637,83 @@ class TestExtremeInputs:
         ])
         assert code == 0
         assert json.loads(out)["total_steps"] <= 7
+
+    @pytest.mark.parametrize("instance, argv", [
+        ({"sigma_x2": 1, "sigma_n2": [1, 1e-320]}, ["invert", "--R", "1,1"]),
+        ({"sigma_x2": 1, "sigma_n2": [1, 1e-320]}, ["refine", "--stages", "{stages}"]),
+        ({"sigma_x2": 1, "sigma_n2": [1, 1e-320]}, ["omega", "--R", "1,1"]),
+        ({"sigma_x2": 1, "sigma_n2": [1, 1e-320]}, ["simulate", "--r", "0.5,0.5", "--n", "10"]),
+        ({"sigma_x2": 1, "sigma_n2": [1, 1e-320]}, ["region", "check", "--r", "0.5,0.5", "--R", "1,1"]),
+        ({"sigma_x2": 1e-320, "sigma_n2": [1, 1]}, ["region", "check", "--r", "0.5,0.5", "--R", "1,1"]),
+    ], ids=["invert", "refine", "omega", "simulate", "region", "region-prior"])
+    def test_overflowing_precision_exits_two(self, tmp_path, instance, argv):
+        path, stages = tmp_path / "instance.json", tmp_path / "stages.json"
+        path.write_text(json.dumps(instance))
+        stages.write_text("[[0.5, 0.5], [1, 1]]")
+        code, out = run([a.format(stages=stages) for a in argv] + ["--instance", str(path)])
+        assert (code, out) == (2, "")
+
+    def test_two_encoders_at_a_noise_of_1e_18(self, tmp_path):
+        # 1/D~ = P1 - g cancelled to 0 here and divided by zero.
+        path, stages = tmp_path / "instance.json", tmp_path / "stages.json"
+        path.write_text(json.dumps({"sigma_x2": 1, "sigma_n2": [1, 1e-18]}))
+        stages.write_text("[[0.5, 0.5], [1, 1]]")
+        argv = ["--instance", str(path)]
+        answers = []
+        for method in ("auto", "bisection"):
+            code, out = run(["invert", "--R", "1,1", "--method", method] + argv)
+            assert code == 0
+            answers.append(json.loads(out))
+        closed, bisection = answers
+        assert closed["method"] == "closed_form_l2"
+        assert closed["d_star"] == pytest.approx(bisection["d_star"], rel=1e-12)
+        assert closed["r_star"] == pytest.approx(bisection["r_star"], rel=1e-12, abs=1e-30)
+        assert run(["omega", "--R", "1,1"] + argv)[0] == 0
+        assert run(["refine", "--stages", str(stages)] + argv)[0] in (0, 1)
+        assert run(["omega-map", "--from", "0,0", "--grid", "0,1,0.5"] + argv)[0] == 0
+
+
+@pytest.fixture(scope="module")
+def scale_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scales")
+
+
+_VARIANCE = st.floats(min_value=-12.0, max_value=12.0).map(lambda u: 10.0**u)
+_RATE = st.floats(min_value=0.0, max_value=3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), L=st.integers(min_value=2, max_value=4))
+def test_variances_across_24_decades_keep_the_exit_code_contract(scale_dir, data, L):
+    """Over sigma_x2 and sigma_n2 drawn from 10^U[-12, 12], every command
+    exits 0-3 without raising, and no answer (exit 0 or 1) holds NaN."""
+    sigma_x2 = data.draw(_VARIANCE)
+    sigma_n2 = data.draw(st.lists(_VARIANCE, min_size=L, max_size=L))
+    r, R, step, alpha = (data.draw(st.lists(_RATE, min_size=L, max_size=L)) for _ in range(4))
+    # A target between the finest distortion and sigma_x2, geometrically.
+    f = data.draw(st.floats(min_value=0.01, max_value=0.99))
+    D = (1.0 / sigma_x2 + sum(1.0 / v for v in sigma_n2)) ** -f * sigma_x2 ** (1.0 - f)
+    instance, stages = scale_dir / "instance.json", scale_dir / "stages.json"
+    instance.write_text(json.dumps({"sigma_x2": sigma_x2, "sigma_n2": sigma_n2}))
+    stages.write_text(json.dumps([R, [a + b for a, b in zip(R, step)]]))
+    vec = lambda v: ",".join(map(repr, v))
+    commands = [
+        ["invert", f"--R={vec(R)}"],
+        ["region", "check", f"--r={vec(r)}", f"--R={vec(R)}"],
+        ["refine", "--stages", str(stages)],
+        ["hyperplane", f"--alpha={vec([a + 0.05 for a in alpha])}", f"--D={D!r}"],
+        ["simulate", f"--r={vec(r)}", "--n", "200"],
+    ]
+    if L == 2:
+        commands.append(["omega", f"--R={vec(R)}"])
+    for argv in commands:
+        argv = argv + ["--instance", str(instance)]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if code in (0, 1):
+            assert "NaN" not in out, (argv, out)
 
 
 _FUZZ_ENTRY = st.one_of(

@@ -111,6 +111,16 @@ class TestTildeParams:
         assert res.r_star == pytest.approx(tp.r_tilde, abs=1e-9)
 
 
+class TestAssemble:
+    """The residual contract lets no NaN through."""
+
+    @pytest.mark.parametrize("r_finite, slack", [((math.nan, 0.5), None), ((0.5, 0.5), math.nan)])
+    def test_nan_fails_the_residual_check(self, sym2, r_finite, slack):
+        R = vertex(sym2, (0.5, 0.5), (0, 1))  # r = (0.5, 0.5) meets every residual
+        with pytest.raises(ConvergenceError):
+            inversion._assemble(sym2, R, [0, 1], r_finite, 1.0, "test", slack=slack)
+
+
 class TestRStarL2:
     def test_zero_rates(self, sym2):
         res = r_star_l2(sym2, (0.0, 0.0))
@@ -561,6 +571,25 @@ def test_decomposition_at_tiny_noise_matches_the_closed_form():
         b = r_star(inst, R, method="bisection")
         assert a.r_star == pytest.approx(b.r_star, abs=1e-9)
         assert a.d_star == pytest.approx(b.d_star, rel=1e-12)
+
+
+def test_closed_form_matches_the_decomposition_down_to_noise_1e_19():
+    # One water-filling level: r~_1 = (1/2) ln(1/(sn_1 g)) took the log of a
+    # ratio within ~1e-16 of 1 once sn_1 fell below ~1e-15 of sigma_x2, so
+    # r~ and the omega thresholds lost every digit: the closed form picked
+    # the wrong branch (d* off by up to 68%) or divided by zero in D~.
+    rng = np.random.default_rng(30)
+    for decade in range(19):
+        for _ in range(20):
+            sn = [1.0, 10.0 ** -(decade + rng.random())]
+            rng.shuffle(sn)
+            inst = CeoInstance(10.0 ** rng.uniform(-1.0, 1.0), tuple(sn))
+            R = tuple(float(v) for v in rng.uniform(0.0, 4.0, 2))
+            a = r_star_l2(inst, R)
+            b = r_star(inst, R, method="bisection")
+            assert a.d_star == pytest.approx(b.d_star, rel=1e-12), (inst, R)
+            for x, y in zip(a.r_star, b.r_star):
+                assert x == pytest.approx(y, rel=1e-12, abs=0.0), (inst, R)
 
 
 def test_decomposition_at_tiny_rates_and_noises():

@@ -15,7 +15,6 @@ from gceo.montecarlo import (
     SimReport,
     _draw_map,
     _error_map,
-    _shard_rng,
     _simulate,
     simulate_distortion,
     simulate_refinement,
@@ -230,14 +229,14 @@ def test_config_validation():
 
 
 def _sequential(instance, chain, n, seed):
-    """(MSE, standard error) per stage from one shard after another, each
-    drawn with ``_shard_rng`` through ``_draw_map`` and summed in shard
-    order."""
+    """(MSE, standard error) per stage from one SFC64 stream seeded by
+    ``seed``, drawn chunk after chunk through ``_draw_map`` and summed in
+    chunk order."""
     G, row = _draw_map(_error_map(instance, chain)[0])
+    rng = np.random.Generator(np.random.SFC64(seed))
     sum_se, sum_se2 = np.zeros(len(G)), np.zeros(len(G))
-    for shard in range(-(-n // SHARD_SIZE)):
-        z = _shard_rng(seed, shard).standard_normal((G.shape[1], min(SHARD_SIZE, n - shard * SHARD_SIZE)))
-        se = G @ z
+    for start in range(0, n, SHARD_SIZE):
+        se = G @ rng.standard_normal((G.shape[1], min(SHARD_SIZE, n - start)))
         se *= se
         sum_se += se.sum(axis=1)
         sum_se2 += (se * se).sum(axis=1)
@@ -259,8 +258,9 @@ _SEQUENTIAL_CHAINS = [
 @pytest.fixture(params=[1, 3], ids=["inline", "pooled"])
 def callers(request):
     """Simulate from the test thread alone, or from three pool threads at
-    once: the shards run in each caller's own thread and the module keeps
-    no state between calls, so concurrent callers get the same answers."""
+    once: each call draws from its own stream in its caller's thread and
+    the module keeps no state between calls, so concurrent callers get the
+    same answers."""
     return request.param
 
 
@@ -286,31 +286,34 @@ def _in_callers(callers, fn):
 @pytest.mark.parametrize("n", [1, SHARD_SIZE, SHARD_SIZE + 1, 7 * SHARD_SIZE + 5])
 @pytest.mark.parametrize("k", range(len(_SEQUENTIAL_CHAINS)))
 def test_pooled_shards_equal_the_sequential_loop(callers, n, k):
+    """Every caller's report equals the one-stream chunk loop."""
     inst, chain = _SEQUENTIAL_CHAINS[k]
     expected = _sequential(inst, chain, n, seed=40 + k)
     reps = _in_callers(callers, lambda: _simulate(inst, chain, SimConfig(n, seed=40 + k)))
     assert [(rep.empirical_mse, rep.stderr) for rep in reps] == [expected] * callers
 
 
-def test_in_flight_window_is_bounded(callers, monkeypatch):
-    """A failing shard stops the simulation promptly, even at n = 2^62,
-    and in every caller no shard after it has started: the window of
-    shards in flight beyond the current one is empty."""
+def test_failing_chunk_stops_every_caller(callers, monkeypatch):
+    """A failing chunk stops the simulation promptly, even at n = 2^62,
+    and in every caller no chunk after it has started.  Each call draws
+    every chunk from one generator of its own."""
     k = 5
     calls = {}
     lock = threading.Lock()
 
-    def failing_sums(G, seed, shard, m):
+    def failing_sums(G, rng, m):
         with lock:
-            calls.setdefault(threading.get_ident(), []).append(shard)
-        if shard == k:
-            raise RuntimeError("shard failed")
+            rngs = calls.setdefault(threading.get_ident(), [])
+            rngs.append(rng)
+        if len(rngs) == k + 1:
+            raise RuntimeError("chunk failed")
         return np.zeros(len(G)), np.zeros(len(G))
 
     monkeypatch.setattr(montecarlo, "_shard_sums", failing_sums)
     start = time.perf_counter()
     outcomes = _in_callers(callers, lambda: simulate_distortion(SYM2, (0.5, 0.5), SimConfig(2**62, seed=1)))
     assert time.perf_counter() - start < 10.0
-    assert all(isinstance(o, RuntimeError) and str(o) == "shard failed" for o in outcomes), outcomes
-    assert sum(len(c) for c in calls.values()) == callers * (k + 1)
-    assert all(c == list(range(k + 1)) for c in calls.values()), calls
+    assert all(isinstance(o, RuntimeError) and str(o) == "chunk failed" for o in outcomes), outcomes
+    assert sorted(len(rngs) for rngs in calls.values()) == [k + 1] * callers, calls
+    assert all(rng is rngs[0] for rngs in calls.values() for rng in rngs)
+    assert len({id(rngs[0]) for rngs in calls.values()}) == callers

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import cli, polymatroid
-from gceo.errors import ArgumentError, InternalInconsistencyError
+from gceo.errors import ArgumentError, ConvergenceError, InternalInconsistencyError
 from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision, rate_floor
 from gceo.polymatroid import (
     _scan_min_slack,
@@ -55,6 +55,11 @@ class TestRankFunctions:
     def test_empty_set(self, sym2):
         assert rank_f(sym2, (0.7, 0.2), 0) == 0.0
         assert rank_fD(sym2, (0.7, 0.2), 0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("mask", [-1, 4, 5])
+    def test_mask_outside_the_encoders_is_rejected(self, sym2, mask):
+        with pytest.raises(ArgumentError):
+            rank_f(sym2, (0.5, 0.5), mask)
 
     def test_nonnegative_nondecreasing(self):
         rng = np.random.default_rng(11)
@@ -101,6 +106,11 @@ class TestMembership:
     def test_vertices_inside(self, sym2):
         for pi in permutations(range(2)):
             assert region_contains(sym2, (0.5, 0.5), vertex(sym2, (0.5, 0.5), pi), tol=1e-9)
+
+    def test_nan_slack_is_no_verdict(self, sym2, monkeypatch):
+        monkeypatch.setattr(polymatroid, "min_slack", lambda *args: math.nan)
+        with pytest.raises(ConvergenceError):
+            polymatroid.region_check(sym2, (0.5, 0.5), (1.0, 1.0))
 
 
 class TestVertices:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import cli, inversion, polymatroid, refinement
-from gceo.errors import ArgumentError
+from gceo.errors import ArgumentError, ConvergenceError
 from gceo.model import MAX_ENCODERS, CeoInstance
 from gceo.inversion import OmegaTag, classify_omega, omega_margins, r_star
 from gceo.refinement import (
@@ -27,6 +27,12 @@ from oracles import enumerate_stage_slacks, grid_map_oracle, pairwise_equivalenc
 
 
 class TestCheckRefinement:
+    def test_nan_slack_is_no_verdict(self, sym2, monkeypatch):
+        stage_min = refinement._stage_min
+        monkeypatch.setattr(refinement, "_stage_min", lambda *args: (math.nan, *stage_min(*args)[1:]))
+        with pytest.raises(ConvergenceError):
+            check_refinement(sym2, [(0.5, 0.5), (1.0, 1.0)])
+
     def test_repeat_stage_is_feasible(self, sym2):
         rep = check_refinement(sym2, [(0.7, 0.9), (0.7, 0.9)])
         assert rep.feasible

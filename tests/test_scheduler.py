@@ -176,6 +176,20 @@ class TestValidateSchedule:
             assert diagnostic in validate_schedule(sym2, Schedule(steps), mid).diagnostics
         assert "4 steps exceeds bound 3" in validate_schedule(sym2, Schedule((coarse, other, fine, fine)), mid).diagnostics
 
+    @pytest.mark.parametrize("check", ["step", "sum", "mmse"])
+    def test_nan_fails_each_check(self, sym2, check, monkeypatch):
+        r = (0.5, 0.5)
+        R = vertex(sym2, r, (0, 1))
+        schedule = build_schedule(sym2, r, R)
+        if check == "step":
+            first = schedule.steps[0]
+            schedule = Schedule((WzStep(first.description, math.nan, first.side_info),) + schedule.steps[1:])
+        elif check == "sum":
+            R = (R[0], math.nan)
+        else:
+            monkeypatch.setattr(scheduler, "distortion", lambda *args: math.nan)
+        assert not validate_schedule(sym2, schedule, R).ok
+
     def test_rate_sum_mismatch_detected(self, sym2):
         r = (0.5, 0.5)
         R = vertex(sym2, r, (0, 1))
