@@ -16,8 +16,11 @@ yields a Lagrangian whose stationarity conditions solve in closed form:
 
 with S_i the running precision weight of the first i sorted encoders and
 [x]+ = max(x, 0).  Each r*_k increases with nu and with the earlier r*'s,
-so the precision of r*(nu) is nondecreasing in nu and the multiplier is
-found by bisection against the distortion constraint.
+so the precision of r*(nu) is nondecreasing in nu.  The multiplier is the
+least float nu whose allocation reaches the target precision 1/D, found in
+at most 64 halvings of the integers that order the floats.  It depends only
+on the data, so scaling every variance by a power of two scales nu by the
+same power and leaves the rates and phi bit-identical.
 
 Zero-alpha encoders are free: their allocation is pushed to the cap
 (infinite rate).  If the capped encoders alone already beat the target
@@ -27,13 +30,16 @@ distortion, the positive-alpha encoders need no rate and phi = 0.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConvergenceError, InfeasibleDistortionError, InternalInconsistencyError
 from .model import TOL_EQ, CeoInstance, R_MAX, capped_precision, d_min, exp_neg2r, precision_weight
 from .polymatroid import vertex
 
-PRECISION_TOL = 1e-12
+# Bounds of the multiplier search: 2 nu stays finite.
+NU_LIMIT = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,19 @@ def _normalize_alpha(alpha) -> tuple[float, ...]:
     return tuple(a / norm for a in alpha)
 
 
+def _float_key(x: float) -> int:
+    """Integer that orders the floats: adjacent floats have adjacent keys,
+    and both zeros have key 0."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _key_float(key: int) -> float:
+    """The float of a ``_float_key``."""
+    (x,) = struct.unpack("<d", struct.pack("<q", abs(key)))
+    return x if key >= 0 else -x
+
+
 def _sort_order(alpha) -> tuple[int, ...]:
     # Descending alpha, ties broken by ascending encoder index (stable).
     return tuple(sorted(range(len(alpha)), key=lambda i: (-alpha[i], i)))
@@ -108,10 +127,9 @@ def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: 
         if k > 0:
             prev = order[k - 1]
             gap = alpha[prev] - alpha[idx]
-            denom = inv_d - running
-            if denom <= 1e-300:
-                denom = 1e-300
-            correction += gap / denom
+            # The floor is reached only above the root, where running
+            # passes 1/D.
+            correction += gap / max(inv_d - running, math.ulp(inv_d))
         num = 2.0 * nu + correction
         nums.append(num)
         if fixed is None:
@@ -129,12 +147,11 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     """Support value phi(alpha) of the rate region at distortion D.
 
     Returns the optimal allocation, the multiplier, and the contact vertex
-    in the descending-alpha decoding order.  The multiplier is bisected
-    until the bracket's ends are adjacent floats, or sooner once the
-    bracket is narrower than 1e-16 max(1, |nu|) with the precision within
-    PRECISION_TOL of the target; ConvergenceError is raised when the
-    allocation at its upper end misses D by more than TOL_EQ nats,
-    (1/2) |ln(precision D)|.
+    in the descending-alpha decoding order.  The multiplier is the least
+    float in [-NU_LIMIT, NU_LIMIT] whose allocation reaches the target
+    precision, bisected over ``_float_key`` in at most 64 halvings;
+    ConvergenceError is raised when its allocation misses D by more than
+    TOL_EQ nats, (1/2) |ln(precision D)|.
     """
     alpha = _normalize_alpha(alpha)
     if len(alpha) != instance.L:
@@ -152,45 +169,26 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     nu = 0.0
     passes = 0
 
-    if base < inv_d - PRECISION_TOL:
-        # Residual precision must come from positive-alpha encoders: bisect
-        # the multiplier against the distortion equality.
-        target = inv_d - (base - 1.0 / instance.sigma_x2)
-
-        def positive_precision(nu_val: float) -> float:
-            nonlocal passes
+    if base < inv_d:
+        # Residual precision must come from positive-alpha encoders.  The
+        # multiplier may take either sign (very uneven directions at loose
+        # targets need nu < 0, with the leading allocations clamped at zero).
+        p0 = 1.0 / instance.sigma_x2
+        target = inv_d - (base - p0)
+        lo, hi = _float_key(-NU_LIMIT), _float_key(NU_LIMIT)
+        p_lo = p0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            _, running, _ = _recursion(instance, alpha, order, positive, _key_float(mid), inv_d)
             passes += 1
-            _, running, _ = _recursion(instance, alpha, order, positive, nu_val, inv_d)
-            return 1.0 / instance.sigma_x2 + running
-
-        # The multiplier of the distortion equality may take either sign
-        # (very uneven directions at loose targets need nu < 0, with the
-        # leading allocations clamped at zero).
-        lo, hi = -1.0, 1.0
-        while positive_precision(hi) < target and hi < 1e18:
-            hi *= 2.0
-        if positive_precision(hi) < target:
-            raise InternalInconsistencyError("multiplier bracket never reached the target")
-        while positive_precision(lo) > target and lo > -1e18:
-            lo *= 2.0
-        p_prev = positive_precision(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: the bracket cannot move
-            p_mid = positive_precision(mid)
+            p_mid = p0 + running
             if p_mid >= target:
                 hi = mid
+            elif 0.5 * math.log(p_lo / p_mid) > TOL_EQ:
+                raise InternalInconsistencyError("precision decreased along the multiplier bisection")
             else:
-                if p_mid < p_prev - 1e-9:
-                    raise InternalInconsistencyError(
-                        "precision decreased along the multiplier bisection"
-                    )
-                lo = mid
-                p_prev = p_mid
-            if hi - lo <= 1e-16 * max(1.0, abs(hi)) and abs(p_mid - target) <= PRECISION_TOL:
-                break
-        nu = hi
+                lo, p_lo = mid, p_mid
+        nu = _key_float(hi)
         rpos, running, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
         passes += 1
         # The allocation's distortion must be D to within TOL_EQ nats, the
@@ -226,14 +224,14 @@ def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResul
     nonpositive unclamped derivative direction.  The numerators come from
     ``_recursion`` evaluated at the returned allocation.
 
-    When some alpha is zero and the capped encoders alone reach D, the
+    When the capped (zero-alpha) encoders alone reach D, the
     multiplier is 0 and the answer is optimal iff no positive-alpha encoder
     spends rate, so the residual is the largest such rate.
     """
     alpha = _normalize_alpha(alpha)
     positive = sum(1 for a in alpha if a > 0.0)
     capped = result.pi_star[positive:]
-    if capped and capped_precision(instance, capped) >= 1.0 / D - PRECISION_TOL:
+    if capped_precision(instance, capped) >= 1.0 / D:
         return max(result.r_star[i] for i in result.pi_star[:positive])
     _, _, nums = _recursion(instance, alpha, result.pi_star, positive, result.nu, 1.0 / D, result.r_star)
     worst = 0.0

@@ -225,6 +225,8 @@ def _stop(e, w, top: bool) -> float:
     y, A = None, range(len(e))
     while True:
         e_A, w_A = sum(e[i] for i in A), sum(w[i] for i in A)
+        if e_A == 0.0:
+            return math.inf  # a set with weight and no excess leaves no room
         y_A = w_A / -math.expm1(-2.0 * e_A) if top else w_A / math.expm1(2.0 * e_A)
         if y is not None and (y_A <= y if top else y_A >= y):
             return y
@@ -334,10 +336,11 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
     Checks, in order: stored step rates against rates recomputed from the
     exact decoded set at each point, per-encoder rate sums, well-ordering of
     coarse before fine, the 2L - 1 step bound, and the final MMSE against
-    the allocation's distortion.  One pass over the decode order keeps the
-    source precision p of the decoded set and each encoder's finest noise,
-    which is all the closed-form rate reads.  A NaN fails the comparison
-    it enters.
+    the allocation's distortion, as (1/2) |ln(mmse / distortion)| in nats
+    like the rates.  One pass over the decode order keeps the source
+    precision p of the decoded set and each encoder's finest noise, which
+    is all the closed-form rate reads.  A NaN fails the comparison it
+    enters.
     """
     L = instance.L
     diags = []
@@ -371,7 +374,7 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
 
     mmse = 1.0 / p
     mmse_formula = distortion(instance, [r_from_channel_noise(instance, j, t) for j, t in enumerate(finest)])
-    if not abs(mmse - mmse_formula) <= tol:
+    if not 0.5 * abs(math.log(mmse / mmse_formula)) <= tol:
         diags.append(
             f"final MMSE {mmse:.12f} != allocation distortion {mmse_formula:.12f}"
         )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import cli, refinement
-from gceo.model import R_MAX, CeoInstance
+from gceo.model import R_MAX, TOL_EQ, CeoInstance, precision
 from gceo.polymatroid import vertex
 
 
@@ -86,6 +86,17 @@ def test_too_many_encoders_exit_two(tmp_path):
     assert err.getvalue() == (
         "error: at most 16 encoders supported (a desk-scale cap: face identification and the inverse map grow as L^2), got 17\n"
     )
+
+
+def test_schedule_of_an_encoder_without_excess_exits_three(sym2_file):
+    # R_1 = r_1 exactly: encoder 1 has zero excess, which no point of the
+    # dominant face allows, yet R is within the face tolerance.  Growing a
+    # piece divided by expm1(0) and raised past cli.main.
+    argv = ["schedule", "--r=1.0602043697052657e-11,4.482934367491191e-227", "--R=1.0602043697052657e-11,0.0"]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run(argv + ["--instance", sym2_file]) == (3, "")
+    assert "no member of [0, 1] can grow a piece" in err.getvalue()
 
 
 class TestNanRates:
@@ -686,7 +697,9 @@ _RATE = st.floats(min_value=0.0, max_value=3.0)
 @given(data=st.data(), L=st.integers(min_value=2, max_value=4))
 def test_variances_across_24_decades_keep_the_exit_code_contract(scale_dir, data, L):
     """Over sigma_x2 and sigma_n2 drawn from 10^U[-12, 12], every command
-    exits 0-3 without raising, and no answer (exit 0 or 1) holds NaN."""
+    exits 0-3 without raising, and no answer (exit 0 or 1) holds NaN.  A
+    ``hyperplane`` answer at exit 0 also meets D: the precision of its
+    printed allocation is within TOL_EQ nats of 1/D."""
     sigma_x2 = data.draw(_VARIANCE)
     sigma_n2 = data.draw(st.lists(_VARIANCE, min_size=L, max_size=L))
     r, R, step, alpha = (data.draw(st.lists(_RATE, min_size=L, max_size=L)) for _ in range(4))
@@ -714,6 +727,55 @@ def test_variances_across_24_decades_keep_the_exit_code_contract(scale_dir, data
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         if code in (0, 1):
             assert "NaN" not in out, (argv, out)
+        if code == 0 and argv[0] == "hyperplane":
+            r_star = json.loads(out)["r_star"]
+            gap = 0.5 * abs(math.log(precision(CeoInstance(sigma_x2, tuple(sigma_n2)), r_star) * D))
+            assert gap <= TOL_EQ, (argv, out, gap)
+
+
+class TestScaledRepros:
+    """Power-of-two scalings of small instances answer as the small ones
+    do: the same rates and support value, with distortions, multipliers and
+    test-channel noises scaled by the same power of two."""
+
+    @staticmethod
+    def answer(tmp_path, sigma_x2, sigma_n2, argv):
+        path = tmp_path / f"{sigma_x2!r}.json"
+        path.write_text(json.dumps({"sigma_x2": sigma_x2, "sigma_n2": sigma_n2}))
+        code, out = run(argv + ["--instance", str(path)])
+        assert code == 0
+        return json.loads(out)
+
+    def test_hyperplane_at_variance_1e12(self, tmp_path):
+        # 1/D - 1/sigma_x2 is 1.1e-13 here: an absolute test on the capped
+        # encoders' precision read it as met and printed phi 0, r [0, 0].
+        c = 2.0**40
+        big = self.answer(tmp_path, 1e12, [1e12, 1e12], ["hyperplane", "--alpha=1,1", "--D=0.9e12"])
+        unit = self.answer(tmp_path, 1e12 / c, [1e12 / c] * 2, ["hyperplane", "--alpha=1,1", f"--D={0.9e12 / c!r}"])
+        assert big["phi"] == 0.07766766957357488
+        assert big["r_star"] == [0.02857920691997431] * 2
+        assert big["nu"] == unit["nu"] * c
+        assert {**big, "nu": None} == {**unit, "nu": None}
+
+    def test_hyperplane_at_variance_2_to_the_minus_200(self, tmp_path):
+        # A multiplier bracket of fixed width [-1, 1] missed D by 0.14 nats.
+        c = 2.0**-200
+        assert c == 6.223015277861142e-61
+        tiny = self.answer(tmp_path, c, [c, c], ["hyperplane", "--alpha=1,1", "--D=3.111507638930571e-61"])
+        sym2 = self.answer(tmp_path, 1.0, [1.0, 1.0], ["hyperplane", "--alpha=1,1", "--D=0.5"])
+        assert tiny["nu"] == sym2["nu"] * c
+        assert {**tiny, "nu": None} == {**sym2, "nu": None}
+
+    def test_schedule_at_variance_1e10(self, tmp_path):
+        # The final MMSE matched the allocation's distortion to one ulp
+        # (~5e-7 here) and failed an absolute 1e-7 test.
+        c = 2.0**34
+        argv = ["schedule", "--r=0.5,0.8,0.3", "--R=0.6864236757254651,0.8704732484222093,0.558007736255467"]
+        big = self.answer(tmp_path, 1e10, [1e10, 3e10, 5e9], argv)["steps"]
+        unit = self.answer(tmp_path, 1e10 / c, [1e10 / c, 3e10 / c, 5e9 / c], argv)["steps"]
+        assert len(big) == 5
+        assert [s["sigma_t2"] for s in big] == [s["sigma_t2"] * c for s in unit]
+        assert [{**s, "sigma_t2": None} for s in big] == [{**s, "sigma_t2": None} for s in unit]
 
 
 _FUZZ_ENTRY = st.one_of(

@@ -71,9 +71,9 @@ class TestSupportValue:
                 assert precision(inst, res.r_star) == pytest.approx(1.0 / D, abs=1e-9)
 
     def test_bisection_stops_at_adjacent_floats(self, sym2, monkeypatch):
-        # nu ~ 0.63, where one ulp exceeds 1e-16: the width test alone never
-        # passes and all 200 halvings ran.  From [-1, 1], about 54 halvings
-        # reach adjacent floats.
+        # The search halves the integers that order the floats in
+        # [-NU_LIMIT, NU_LIMIT], fewer than 2^64 of them: at most 64 halvings
+        # and one pass at the answer, whatever the scale of nu (~0.63 here).
         calls = []
         recursion = hyperplane._recursion
 
@@ -109,7 +109,8 @@ class TestSupportValue:
         # At tiny noise the weight of a tiny rate, (num - alpha sigma_n2) /
         # (num sigma_n2) with num = 2 nu + the alpha gaps, cancels: one ulp of
         # nu moves the precision by ~1e-6 relative, so the allocation at the
-        # bracket's end misses D by ~2e-7 nats.  It is refused, not printed.
+        # least multiplier that reaches D overshoots it by ~2e-7 nats.  It is
+        # refused, not printed.
         with pytest.raises(ConvergenceError, match="misses the distortion target"):
             support_value(CeoInstance(1.0, (1e-5, 1e-5)), (1.0, 0.5), 0.99)
 
