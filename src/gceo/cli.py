@@ -4,10 +4,22 @@ Commands consume an instance JSON file ({"sigma_x2": ..., "sigma_n2":
 [...]}) and emit JSON (canonical, rates always in nats, 17 significant
 digits) or CSV for grid maps.  Exit codes: 0 success / domain answer true,
 1 domain answer false (e.g. infeasible refinement, region miss), 2 usage
-error, 3 numerical failure.
+error (an unreadable instance or an unwritable output file included), 3
+numerical failure (a solver's ``GceoError``, or an arithmetic or domain
+error such as an overflow or the logarithm of a ratio that underflows).
 
-``--bits`` never changes the canonical payload; it adds a "display_bits"
-section with the rate-valued fields divided by ln 2.
+One command path.  ``main`` parses the arguments, reads ``--instance``,
+calls the command's handler as ``handler(args, instance)``, which returns
+``(exit code, payload)``, and writes the payload to ``--output``: a dict
+as JSON with "units" first, otherwise its strings in order (the CSV of
+``omega-map``).  Each command's parser holds only the options the command
+reads, with their defaults: ``--tol`` on ``region`` (``model.TOL_EQ``),
+``omega`` (``model.OMEGA_TOL``), and ``omega-map`` and ``refine``
+(``model.FEASIBILITY_TOL``); ``--bits`` on the commands whose payload has
+rate fields (``region``, ``hyperplane``, ``invert``, ``refine``,
+``schedule``).  Any other option is a usage error.  ``--bits`` never
+changes the canonical payload; it adds a "display_bits" section with the
+rate-valued fields divided by ln 2.
 
 No module of the library imports scipy, and only ``montecarlo`` imports
 numpy, inside the functions that draw.  The solver modules
@@ -18,10 +30,10 @@ when it is installed.  Each command that runs another solver module
 imports it itself: ``invert`` and ``omega`` load ``inversion``;
 ``omega-map``, ``refine`` and ``schedule`` load ``scheduler`` (directly or
 through ``refinement``), whose schedule validator is a pure-Python closed
-form.  So only ``simulate`` loads numpy.  It draws from one seeded
-stream in the calling thread and starts no other (see ``montecarlo``).
-Cold starts on a 2-vCPU VM (min of 7 spawns): ``omega-map`` on a 31 x 31
-grid ~160 ms, ``refine`` ~125 ms, ``schedule`` ~100 ms.
+form.  The parser takes its defaults from ``model``, so building it loads
+none of these.  So only ``simulate`` loads numpy.  It draws from one
+seeded stream in the calling thread and starts no other (see
+``montecarlo``).
 
 ``omega-map`` writes the CSV text that ``refinement.reachable_set_l2``
 returns with its nodes.  A grid's start-independent part (inversions,
@@ -47,7 +59,7 @@ import sys
 from itertools import permutations
 
 from .errors import ArgumentError, GceoError
-from .model import TOL_EQ, CeoInstance, joint_rate
+from .model import FEASIBILITY_TOL, OMEGA_TOL, TOL_EQ, CeoInstance, joint_rate
 from . import hyperplane, montecarlo, polymatroid
 
 LN2 = math.log(2.0)
@@ -97,43 +109,44 @@ def _to_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _scale_rates(obj, keys: set):
+_RATE_KEYS = {"R", "r_star", "r_chain", "rate", "phi", "contact_vertex", "rank_total", "slack"}
+
+
+def _scale_rates(obj):
     """Copy of obj with rate-valued fields divided by ln 2 (display only)."""
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
-            if k in keys and isinstance(v, (int, float)):
+            if k in _RATE_KEYS and isinstance(v, (int, float)):
                 out[k] = v / LN2
-            elif k in keys and isinstance(v, (list, tuple)):
+            elif k in _RATE_KEYS and isinstance(v, (list, tuple)):
                 out[k] = [x / LN2 if isinstance(x, (int, float)) else x for x in v]
             else:
-                out[k] = _scale_rates(v, keys)
+                out[k] = _scale_rates(v)
         return out
     if isinstance(obj, (list, tuple)):
-        return [_scale_rates(v, keys) for v in obj]
+        return [_scale_rates(v) for v in obj]
     return obj
 
 
-_RATE_KEYS = {"R", "r_star", "r_chain", "rate", "phi", "contact_vertex", "rank_total", "slack"}
-
-
-def _emit(args, payload: dict, rate_keys=_RATE_KEYS) -> None:
-    payload = {"units": "nats", **payload}
-    if args.bits:
-        payload["display_bits"] = _scale_rates(
-            {k: v for k, v in payload.items() if k != "units"}, rate_keys
-        )
-    text = _to_json(payload) + "\n"
-    _write(args.output, [text])
-
-
-def _write(output: str, chunks) -> None:
-    """Write the strings ``chunks`` in order to ``output`` ("-": stdout)."""
-    if output == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(output, "w") as fh:
-            fh.writelines(chunks)
+def _write(args, payload) -> None:
+    """Write a command's payload to ``--output`` ("-": stdout): a dict as
+    canonical JSON, "units" first and, under ``--bits``, a "display_bits"
+    section last; anything else as its strings in order."""
+    if isinstance(payload, dict):
+        canonical = {"units": "nats", **payload}
+        if getattr(args, "bits", False):
+            canonical["display_bits"] = _scale_rates(payload)
+        payload = [_to_json(canonical) + "\n"]
+    if args.output == "-":
+        sys.stdout.writelines(payload)
+        return
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        raise ArgumentError(f"cannot write output file: {exc}") from exc
+    with fh:
+        fh.writelines(payload)
 
 
 def _load_instance(path: str) -> CeoInstance:
@@ -142,7 +155,7 @@ def _load_instance(path: str) -> CeoInstance:
             return CeoInstance.from_json(fh.read())
     except OSError as exc:
         raise ArgumentError(f"cannot read instance file: {exc}") from exc
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
         raise ArgumentError(f"malformed instance JSON: {exc}") from exc
 
 
@@ -164,7 +177,7 @@ def _load_vectors(path: str, key: str) -> list[tuple[float, ...]]:
             data = json.load(fh)
     except OSError as exc:
         raise ArgumentError(f"cannot read {key} file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"malformed {key} JSON: {exc}") from exc
     if isinstance(data, dict):
         if key not in data:
@@ -177,12 +190,11 @@ def _load_vectors(path: str, key: str) -> list[tuple[float, ...]]:
 
 
 # ----------------------------------------------------------------------
-# Command handlers (return process exit code).
+# Command handlers: (args, instance) -> (exit code, payload).
 # ----------------------------------------------------------------------
 
 
-def _cmd_region(args) -> int:
-    instance = _load_instance(args.instance)
+def _cmd_region(args, instance):
     r = _parse_vector(args.r, instance.L, "r")
     if args.action == "vertices":
         if instance.L > 8:
@@ -191,103 +203,82 @@ def _cmd_region(args) -> int:
             {"pi": [i + 1 for i in pi], "R": list(polymatroid.vertex(instance, r, pi))}
             for pi in permutations(range(instance.L))
         ]
-        _emit(args, {
-            "rank_total": joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2),
-            "vertices": vertices,
-        })
-        return 0
+        rank_total = joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2)
+        return 0, {"rank_total": rank_total, "vertices": vertices}
     if args.R is None:
         raise ArgumentError(f"region {args.action} needs --R")
     R = _parse_vector(args.R, instance.L, "R")
     if args.action == "check":
         contains, slack = polymatroid.region_check(instance, r, R, args.tol)
-        _emit(args, {"contains": contains, "slack": slack})
-        return 0 if contains else 1
-    if args.action == "face":
-        face = polymatroid.identify_face(instance, r, R, args.tol)
-        _emit(args, face.to_dict())
-        return 0
-    raise ArgumentError(f"unknown region action {args.action!r}")
+        return (0 if contains else 1), {"contains": contains, "slack": slack}
+    return 0, polymatroid.identify_face(instance, r, R, args.tol).to_dict()
 
 
-def _cmd_hyperplane(args) -> int:
-    instance = _load_instance(args.instance)
+def _cmd_hyperplane(args, instance):
     alpha = _parse_vector(args.alpha, instance.L, "alpha")
-    result = hyperplane.support_value(instance, alpha, args.D)
-    _emit(args, result.to_dict())
-    return 0
+    return 0, hyperplane.support_value(instance, alpha, args.D).to_dict()
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args, instance):
     from . import inversion
 
-    instance = _load_instance(args.instance)
     R = _parse_vector(args.R, instance.L, "R")
-    result = inversion.r_star(instance, R, method=args.method)
-    _emit(args, result.to_dict())
-    return 0
+    return 0, inversion.r_star(instance, R, method=args.method).to_dict()
 
 
-def _cmd_omega(args) -> int:
+def _cmd_omega(args, instance):
     from . import inversion
 
-    instance = _load_instance(args.instance)
     R = _parse_vector(args.R, instance.L, "R")
-    tag = inversion.classify_omega(instance, R, tol=args.tol)
-    _emit(args, {"tag": tag.value})
-    return 0
+    return 0, {"tag": inversion.classify_omega(instance, R, tol=args.tol).value}
 
 
-def _cmd_omega_map(args) -> int:
+def _cmd_omega_map(args, instance):
     from . import refinement
 
-    instance = _load_instance(args.instance)
     R_from = _parse_vector(getattr(args, "from"), instance.L, "from")
     grid = _parse_vector(args.grid, 3, "grid")
-    nodes = refinement.reachable_set_l2(instance, R_from, grid, tol=args.tol)
-    _write(args.output, nodes.csv_chunks())
-    return 0
+    return 0, refinement.reachable_set_l2(instance, R_from, grid, tol=args.tol).csv_chunks()
 
 
-def _cmd_refine(args) -> int:
+def _cmd_refine(args, instance):
     from . import refinement
 
-    instance = _load_instance(args.instance)
     stages = _load_vectors(args.stages, "stages")
     report = refinement.check_refinement(instance, stages, tol=args.tol)
-    _emit(args, report.to_dict())
-    return 0 if report.feasible else 1
+    return (0 if report.feasible else 1), report.to_dict()
 
 
-def _cmd_schedule(args) -> int:
+def _cmd_schedule(args, instance):
     from . import scheduler
 
-    instance = _load_instance(args.instance)
     r = _parse_vector(args.r, instance.L, "r")
     R = _parse_vector(args.R, instance.L, "R")
     schedule = scheduler.build_schedule(instance, r, R)
-    _emit(args, {"total_steps": schedule.total_steps, "steps": schedule.to_list()})
-    return 0
+    return 0, {"total_steps": schedule.total_steps, "steps": schedule.to_list()}
 
 
-def _cmd_simulate(args) -> int:
-    instance = _load_instance(args.instance)
+def _cmd_simulate(args, instance):
     config = montecarlo.SimConfig(n_samples=args.n, seed=args.seed)
     if args.chain:
         chain = _load_vectors(args.chain, "chain")
-        report = montecarlo.simulate_refinement(instance, chain, config)
-    else:
-        if not args.r:
-            raise ArgumentError("simulate needs --r or --chain")
-        r = _parse_vector(args.r, instance.L, "r")
-        report = montecarlo.simulate_distortion(instance, r, config)
-    _emit(args, report.to_dict(), rate_keys=set())
-    return 0
+        return 0, montecarlo.simulate_refinement(instance, chain, config).to_dict()
+    if not args.r:
+        raise ArgumentError("simulate needs --r or --chain")
+    r = _parse_vector(args.r, instance.L, "r")
+    return 0, montecarlo.simulate_distortion(instance, r, config).to_dict()
 
 
 # ----------------------------------------------------------------------
 # Parser.
 # ----------------------------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {tol}")
+    return tol
 
 
 @functools.cache
@@ -302,47 +293,52 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--instance", required=True, help="instance JSON file")
     common.add_argument("--output", default="-", help="output path or - for stdout")
-    common.add_argument("--bits", action="store_true", help="add a bits display section")
-    common.add_argument(
-        "--tol", type=float, default=None,
-        help="tolerance in nats on top of the rounding floor of the rates involved, so 0 means "
-        "exact up to that floor (default: model.TOL_EQ = 1e-9 for region; inversion.OMEGA_TOL = 1e-7 "
-        "for omega; refinement.FEASIBILITY_TOL = 1e-6 for refine and omega-map; "
-        "schedule ignores it and uses fixed tolerances)",
-    )
+    rates = argparse.ArgumentParser(add_help=False, parents=[common])
+    rates.add_argument("--bits", action="store_true", help="add a bits display section")
+
+    def add_tol(p, default):
+        p.add_argument(
+            "--tol", type=_tolerance, default=default,
+            help="tolerance in nats on top of the rounding floor of the rates involved, "
+            "so 0 means exact up to that floor (default: %(default)s)",
+        )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("region", parents=[common], help="rate-region queries")
+    p = sub.add_parser("region", parents=[rates], help="rate-region queries")
     p.add_argument("action", choices=["vertices", "check", "face"])
     p.add_argument("--r", required=True, help="allocation, comma separated (nats)")
     p.add_argument("--R", help="rate tuple, comma separated (nats)")
+    add_tol(p, TOL_EQ)
     p.set_defaults(handler=_cmd_region)
 
-    p = sub.add_parser("hyperplane", parents=[common], help="supporting hyperplane")
+    p = sub.add_parser("hyperplane", parents=[rates], help="supporting hyperplane")
     p.add_argument("--alpha", required=True, help="direction, comma separated")
     p.add_argument("--D", type=float, required=True, help="distortion target")
     p.set_defaults(handler=_cmd_hyperplane)
 
-    p = sub.add_parser("invert", parents=[common], help="minimal distortion and its allocation")
+    p = sub.add_parser("invert", parents=[rates], help="minimal distortion and its allocation")
     p.add_argument("--R", required=True)
     p.add_argument("--method", choices=["auto", "bisection"], default="auto")
     p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("omega", parents=[common], help="two-encoder branch region of a rate pair")
     p.add_argument("--R", required=True)
+    add_tol(p, OMEGA_TOL)
     p.set_defaults(handler=_cmd_omega)
 
     p = sub.add_parser("omega-map", parents=[common], help="region / reachability grid (CSV)")
     p.add_argument("--from", required=True, help="starting rate pair r1,r2")
     p.add_argument("--grid", required=True, help="min,max,step for both axes")
+    add_tol(p, FEASIBILITY_TOL)
     p.set_defaults(handler=_cmd_omega_map)
 
-    p = sub.add_parser("refine", parents=[common], help="multistage refinement feasibility")
+    p = sub.add_parser("refine", parents=[rates], help="multistage refinement feasibility")
     p.add_argument("--stages", required=True, help="stages JSON file")
+    add_tol(p, FEASIBILITY_TOL)
     p.set_defaults(handler=_cmd_refine)
 
-    p = sub.add_parser("schedule", parents=[common], help="successive Wyner-Ziv schedule")
+    p = sub.add_parser("schedule", parents=[rates], help="successive Wyner-Ziv schedule (fixed tolerances)")
     p.add_argument("--r", required=True)
     p.add_argument("--R", required=True)
     p.set_defaults(handler=_cmd_schedule)
@@ -354,22 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=_cmd_simulate)
     return parser
-
-
-def _resolve_defaults(args) -> None:
-    if args.tol is None:
-        if args.command == "omega":
-            from .inversion import OMEGA_TOL
-
-            args.tol = OMEGA_TOL
-        elif args.command in ("omega-map", "refine"):
-            from .refinement import FEASIBILITY_TOL
-
-            args.tol = FEASIBILITY_TOL
-        else:
-            args.tol = TOL_EQ
-    elif not 0.0 <= args.tol < math.inf:
-        raise ArgumentError(f"--tol must be finite and >= 0, got {args.tol}")
 
 
 # Comma-separated vector options.  argparse reads a value such as
@@ -396,12 +376,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _resolve_defaults(args)
-        return args.handler(args)
+        code, payload = args.handler(args, _load_instance(args.instance))
+        _write(args, payload)
+        return code
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GceoError as exc:
+    except (GceoError, ArithmeticError, ValueError) as exc:
+        # A solver's own failure, or an overflow or domain error of float
+        # arithmetic at the extremes of the input range.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

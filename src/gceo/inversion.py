@@ -127,13 +127,12 @@ from functools import lru_cache
 
 from .errors import ArgumentError, ConvergenceError
 from .model import (
-    RATE_FLOOR, TOL_EQ, CeoInstance, R_MAX, _check_allocation, capped_precision,
+    OMEGA_TOL, RATE_FLOOR, TOL_EQ, CeoInstance, R_MAX, _check_allocation, capped_precision,
     is_cap, joint_rate, precision_weight, rate_floor,
 )
 from .polymatroid import _prefix_values, _reduced_min_slack
 
 RESIDUAL_LIMIT = 1e-5
-OMEGA_TOL = 1e-7
 # Largest relative slope violation (``_chain_kkt_residual``) a general-
 # solver answer may carry.  The exact optimum measures <= 1e-14; the wrong
 # block structures of the certificate tests measure >= 1e-2.

@@ -63,6 +63,12 @@ R_MAX = 50.0
 # region membership, faces and schedules, in nats.
 TOL_EQ = 1e-9
 
+# Default ``tol`` of the two-encoder region tags (``inversion.omega_tag``)
+# and of the refinement stage test (``refinement.check_refinement`` and its
+# grid map), in nats.
+OMEGA_TOL = 1e-7
+FEASIBILITY_TOL = 1e-6
+
 # Rounding floor of a rate comparison, per nat of the rates involved
 # (``rate_floor``): ~450 ulps of their sum.
 RATE_FLOOR = 1e-13

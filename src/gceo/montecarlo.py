@@ -46,6 +46,14 @@ seed), the chunks bound the memory a call holds, and equal stages get
 bit-identical reports.  Everything runs in the calling thread, and the
 module keeps no state between calls.
 
+Scale.  Each row of the draw map is taken in units of 2^b, b the binary
+exponent of its largest entry, so the sums of e^2 and e^4 stay in float
+range at any variance scale.  The scaling is exact and is undone on the
+results: scaling every variance by 4^k scales the MSEs, standard errors
+and predicted distortions by exactly 4^k and leaves the z-scores
+bit-identical, and where the unscaled sums neither overflow nor
+underflow the reports are those of unscaled sums.
+
 numpy is imported by the functions that use it, not with the module, so
 that the command-line front end loads this module at start-up without
 loading numpy.
@@ -157,22 +165,23 @@ def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float
 
     G, analytic = _error_map(instance, chain, coef_scale)
     G, stage_row = _draw_map(G)
+    # Each row in units of 2^b (see "Scale" in the module docstring).
+    b = np.frexp(np.abs(G).max(axis=1))[1]
+    G = np.ldexp(G, -b[:, None])
     n = config.n_samples
     rng = np.random.Generator(np.random.SFC64(config.seed))
     sums = np.zeros((2, len(G)))
     for start in range(0, n, SHARD_SIZE):
         sums += _shard_sums(G, rng, min(SHARD_SIZE, n - start))
-    M = len(chain)
     sum_se, sum_se2 = sums[:, stage_row].tolist()
-    mse = [s / n for s in sum_se]
-    stderr = []
-    for j in range(M):
-        var = (sum_se2[j] - n * mse[j] ** 2) / max(n - 1, 1)
-        stderr.append(math.sqrt(max(var, 0.0) / n))
-    z = [
-        (mse[j] - analytic[j]) / stderr[j] if stderr[j] > 0.0 else math.inf
-        for j in range(M)
-    ]
+    mse, stderr, z = [], [], []
+    for j, k in enumerate((2 * b[stage_row]).tolist()):
+        m = sum_se[j] / n
+        var = (sum_se2[j] - n * m ** 2) / max(n - 1, 1)
+        s = math.sqrt(max(var, 0.0) / n)
+        mse.append(math.ldexp(m, k))
+        stderr.append(math.ldexp(s, k))
+        z.append((m - math.ldexp(analytic[j], -k)) / s if s > 0.0 else math.inf)
     return SimReport(
         empirical_mse=tuple(mse),
         analytic_d=tuple(analytic),

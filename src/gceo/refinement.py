@@ -50,12 +50,11 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import ArgumentError, ConvergenceError
-from .model import CHAIN_DROP, R_MAX, CeoInstance, _check_chain, channel_noise_from_r, precision_weight, rate_floor
+from .model import CHAIN_DROP, FEASIBILITY_TOL, R_MAX, CeoInstance, _check_chain, channel_noise_from_r, precision_weight, rate_floor
 from .polymatroid import _scan_min_slack, mask_to_indices
 from .inversion import _R_STAR_CACHE_SIZE, OmegaTag, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
 
-FEASIBILITY_TOL = 1e-6
 # Most nodes a reachability grid may have: no Python list holds more.
 MAX_GRID_NODES = sys.maxsize
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import cli, refinement
-from gceo.model import R_MAX, TOL_EQ, CeoInstance, precision
+from gceo.model import FEASIBILITY_TOL, OMEGA_TOL, R_MAX, TOL_EQ, CeoInstance, precision
 from gceo.polymatroid import vertex
 
 
@@ -439,7 +439,9 @@ def test_region_check_loads_no_numpy_or_scipy(sym2_file, tmp_path):
 
 class TestTolerance:
     """--tol must be finite and >= 0 (exit 2).  A NaN, infinite or negative
-    tolerance used to give answers that contradict the reported slack."""
+    tolerance used to give answers that contradict the reported slack.
+    ``schedule`` reads no --tol, so there any --tol is an unknown option
+    (exit 2 as well)."""
 
     @pytest.fixture
     def commands(self, sym2_file, tmp_path):
@@ -466,9 +468,10 @@ class TestTolerance:
         assert (code, json.loads(out)["contains"]) == (0, True)
 
     def test_zero_tol_schedules_a_vertex(self, sym2_file, commands):
-        # At tol = 0 the builder must still accept the few ulps by which a
-        # vertex and its own rate formula differ.
-        code, out = run(commands["schedule"] + ["--instance", sym2_file, "--tol=0"])
+        # The builder has fixed tolerances (schedule takes no --tol); they
+        # must accept the few ulps by which a vertex and its own rate
+        # formula differ.
+        code, out = run(commands["schedule"] + ["--instance", sym2_file])
         assert (code, json.loads(out)["total_steps"]) == (0, 2)
 
 
@@ -493,8 +496,8 @@ class TestDeterminismAndErrors:
         """The parser is built once per process; options given to one
         command must not become defaults of the next."""
         check = ["region", "check", "--instance", sym2_file, "--r", "0.5,0.5", "--R", "0.6,0.7"]
-        code, _ = run(["simulate", "--instance", sym2_file, "--r", "0.5,0.5", "--n", "10", "--bits", "--tol", "1e-3"])
-        assert code == 0
+        code, _ = run(check + ["--bits", "--tol", "1e-3"])
+        assert code == 1
         shared = run(check)
         fresh = subprocess.run(
             [sys.executable, "-m", "gceo.cli", *check], capture_output=True, text=True,
@@ -507,6 +510,72 @@ class TestDeterminismAndErrors:
         _, out = run(["invert", "--instance", sym2_file, "--R", "1,1"])
         value = json.loads(out)["d_star"]
         assert f"{value:.17g}" in out
+
+
+class TestCommandPath:
+    """``main`` reads the instance, runs the command's handler and writes
+    its payload; each command's parser holds only the options it reads."""
+
+    VERTEX = "--R=0.6636797648786638,0.7449400628223749"
+    # 5e-10 nats below the vertex: inside at the default TOL_EQ, outside
+    # at --tol 0.
+    NEAR_VERTEX = "--R=0.6636797643786638,0.7449400628223749"
+
+    @pytest.fixture
+    def stages(self, tmp_path):
+        path = tmp_path / "stages.json"
+        path.write_text(json.dumps([[0.5, 0.5], [0.7, 0.9]]))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, setting", [
+        (["hyperplane", "--alpha=1,2", "--D=0.5"], "--tol=1e-3"),
+        (["invert", "--R=1,1"], "--tol=1e-3"),
+        (["schedule", "--r=0.5,0.5", VERTEX], "--tol=1e-3"),
+        (["simulate", "--r=0.5,0.5", "--n=10"], "--tol=1e-3"),
+        (["omega", "--R=1,1"], "--bits"),
+        (["omega-map", "--from=0.2,0.6", "--grid=0,1,0.5"], "--bits"),
+        (["simulate", "--r=0.5,0.5", "--n=10"], "--bits"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v.split("=")[0])
+    def test_a_setting_the_command_does_not_read_exits_two(self, sym2_file, argv, setting):
+        argv = argv + ["--instance", sym2_file]
+        assert run(argv)[0] == 0
+        assert run(argv + [setting]) == (2, "")
+
+    @pytest.mark.parametrize("argv, default", [
+        pytest.param(["region", "check", "--r=0.5,0.5", NEAR_VERTEX], TOL_EQ, id="region check"),
+        pytest.param(["region", "face", "--r=0.5,0.5", VERTEX], TOL_EQ, id="region face"),
+        pytest.param(["region", "vertices", "--r=0.5,0.5"], TOL_EQ, id="region vertices"),
+        pytest.param(["omega", "--R=3,0.01"], OMEGA_TOL, id="omega"),
+        pytest.param(["omega-map", "--from=0.2,0.6", "--grid=0,1,0.5"], FEASIBILITY_TOL, id="omega-map"),
+        pytest.param(["refine", "--stages={stages}"], FEASIBILITY_TOL, id="refine"),
+    ])
+    def test_default_tol_is_the_library_default(self, sym2_file, stages, argv, default):
+        argv = [part.format(stages=stages) for part in argv] + ["--instance", sym2_file]
+        assert run(argv) == run(argv + [f"--tol={default!r}"])
+
+    def test_default_tol_decides_a_region_check(self, sym2_file):
+        argv = ["region", "check", "--instance", sym2_file, "--r=0.5,0.5", self.NEAR_VERTEX]
+        assert run(argv)[0] == 0
+        assert run(argv + ["--tol=0"])[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "check", "--r=0.5,0.5", "--R=1,1"],
+        ["omega-map", "--from=0.2,0.6", "--grid=0,1,0.5"],
+    ], ids=lambda v: v[0])
+    def test_unwritable_output_exits_two(self, sym2_file, tmp_path, argv):
+        output = str(tmp_path / "no such dir" / "out")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(argv + ["--instance", sym2_file, "--output", output]) == (2, "")
+        assert "cannot write output file" in err.getvalue()
+
+    @pytest.mark.parametrize("error", [ValueError, OverflowError, ZeroDivisionError])
+    def test_arithmetic_or_domain_error_is_a_numerical_failure(self, sym2_file, monkeypatch, error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli.polymatroid, "region_check", fail)
+        assert run(["region", "check", "--instance", sym2_file, "--r=0.5,0.5", "--R=1,1"]) == (3, "")
 
 
 class TestNegativeVectorValues:
@@ -552,6 +621,14 @@ class TestMalformedInputFiles:
         path.write_text(json.dumps({"sigma_x2": 1, "sigma_n2": sigma_n2}))
         code, out = run(argv + ["--instance", str(path)])
         assert (code, out) == (2, "")
+
+    def test_files_that_are_not_utf8_exit_two(self, sym2_file, tmp_path):
+        # A UnicodeDecodeError is a ValueError, which main reads as a
+        # numerical failure unless the loaders name it a usage error.
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"sigma_x2": 1}')
+        assert run(["invert", "--instance", str(path), "--R", "1,1"]) == (2, "")
+        assert run(["refine", "--instance", sym2_file, "--stages", str(path)]) == (2, "")
 
     def _run_with(self, sym2_file, tmp_path, command, flag, text):
         path = tmp_path / "input.json"
@@ -690,18 +767,17 @@ def scale_dir(tmp_path_factory):
 
 
 _VARIANCE = st.floats(min_value=-12.0, max_value=12.0).map(lambda u: 10.0**u)
+_WIDE_VARIANCE = st.floats(min_value=-300.0, max_value=300.0).map(lambda u: 10.0**u)
 _RATE = st.floats(min_value=0.0, max_value=3.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), L=st.integers(min_value=2, max_value=4))
-def test_variances_across_24_decades_keep_the_exit_code_contract(scale_dir, data, L):
-    """Over sigma_x2 and sigma_n2 drawn from 10^U[-12, 12], every command
-    exits 0-3 without raising, and no answer (exit 0 or 1) holds NaN.  A
-    ``hyperplane`` answer at exit 0 also meets D: the precision of its
-    printed allocation is within TOL_EQ nats of 1/D."""
-    sigma_x2 = data.draw(_VARIANCE)
-    sigma_n2 = data.draw(st.lists(_VARIANCE, min_size=L, max_size=L))
+def _keeps_the_exit_code_contract(scale_dir, data, L, variance):
+    """Every command exits 0-3 without raising, and no answer (exit 0 or
+    1) holds NaN.  A ``hyperplane`` answer at exit 0 also meets D: the
+    precision of its printed allocation is within TOL_EQ nats of 1/D.  A
+    ``simulate`` answer has a positive standard error and a finite z."""
+    sigma_x2 = data.draw(variance)
+    sigma_n2 = data.draw(st.lists(variance, min_size=L, max_size=L))
     r, R, step, alpha = (data.draw(st.lists(_RATE, min_size=L, max_size=L)) for _ in range(4))
     # A target between the finest distortion and sigma_x2, geometrically.
     f = data.draw(st.floats(min_value=0.01, max_value=0.99))
@@ -731,6 +807,54 @@ def test_variances_across_24_decades_keep_the_exit_code_contract(scale_dir, data
             r_star = json.loads(out)["r_star"]
             gap = 0.5 * abs(math.log(precision(CeoInstance(sigma_x2, tuple(sigma_n2)), r_star) * D))
             assert gap <= TOL_EQ, (argv, out, gap)
+        if code == 0 and argv[0] == "simulate":
+            report = json.loads(out)
+            assert report["stderr"][0] > 0.0 and math.isfinite(report["z_scores"][0]), (argv, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), L=st.integers(min_value=2, max_value=4))
+def test_variances_across_24_decades_keep_the_exit_code_contract(scale_dir, data, L):
+    """Over sigma_x2 and sigma_n2 drawn from 10^U[-12, 12]."""
+    _keeps_the_exit_code_contract(scale_dir, data, L, _VARIANCE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), L=st.integers(min_value=2, max_value=4))
+def test_variances_across_600_decades_keep_the_exit_code_contract(scale_dir, data, L):
+    """Over sigma_x2 and sigma_n2 drawn from 10^U[-300, 300].  Logarithms
+    of ratios that underflow and overflows in the solvers end as exit 3,
+    and ``simulate`` sums in power-of-two units, so its answers stay
+    finite."""
+    _keeps_the_exit_code_contract(scale_dir, data, L, _WIDE_VARIANCE)
+
+
+class TestExtremeRatioRepros:
+    """Inputs of the 10^U[-300, 300] sweep that raised past ``main``."""
+
+    def test_log_of_an_underflowing_ratio_exits_three(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"sigma_x2": 1e200, "sigma_n2": [1e-200, 1]}))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(["region", "check", "--instance", str(path), "--r", "0.5,0.5", "--R", "1,1"]) == (3, "")
+        assert err.getvalue() == "numerical failure: math domain error\n"
+
+    def test_simulate_past_a_mse_of_1e154_answers(self, tmp_path):
+        # mse ** 2 overflowed once a stage MSE passed ~1e154.  The sums
+        # are now in power-of-two units; z = 10.4 shows the cancellation
+        # of the float estimator at this ratio, not an overflow.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "sigma_x2": 4.473122682078453e243,
+            "sigma_n2": [1.913304941363993e-279, 3.2437994909828574e-264, 2.3682154996852834e204],
+        }))
+        argv = ["simulate", "--instance", str(path), "--r", "0.1284443497668345,0.820770795214035,0.35231015307850944"]
+        code, out = run(argv + ["--n", "200"])
+        report = json.loads(out)
+        assert code == 0
+        assert all(math.isfinite(v) and v > 0.0 for v in report["empirical_mse"] + report["stderr"])
+        assert report["z_scores"][0] == pytest.approx(10.4, abs=0.05)
 
 
 class TestScaledRepros:
@@ -866,7 +990,7 @@ _FUZZ_COMMANDS = (
     ("refine", "--stages={s}"),
     ("region", "check", "--r=0.5,0.5", "--R=1,1", "--tol={x}"),
     ("region", "face", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),
-    ("schedule", "--r=0.5,0.5", "--R=0.6636797648786638,0.7449400628223749", "--tol={x}"),
+    ("omega-map", "--from=0.2,0.6", "--grid=0,1,0.5", "--tol={x}"),
     ("refine", "--stages={s}", "--tol={x}"),
     # Three encoders, so the stage threshold scan sweeps more than a pair.
     ("refine", "--stages={t}", "--instance={dir}/three.json"),

@@ -11,8 +11,10 @@ distortions, multipliers and test-channel noises must scale by exactly
 with zero rate takes no rate and moves nothing else; both hold to
 rounding, 1e-15 relative.
 
-``simulate`` stays out: its law is scale-free but its samples are not,
-and the z-tests of ``test_montecarlo`` cover it.
+``simulate`` takes its sums in power-of-two units, so scaling every
+variance by 4^k (which scales its draw map by exactly 2^k) leaves its
+z-scores bit-identical and scales its MSEs and standard errors by exactly
+4^k, over the whole float range.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from gceo import inversion, refinement, scheduler
 from gceo.hyperplane import support_value
 from gceo.model import CeoInstance, d_min
+from gceo.montecarlo import SimConfig, simulate_refinement
 from gceo.polymatroid import region_check, vertex
 
 REL = 1e-15
@@ -127,6 +130,24 @@ def test_support_value_is_scale_equivariant(data, L, k):
     assert (res_c.r_star, res_c.phi, res_c.contact_vertex, res_c.pi_star) == (
         res.r_star, res.phi, res.contact_vertex, res.pi_star
     )
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    L=st.integers(min_value=1, max_value=5),
+    k=st.one_of(st.sampled_from([-480, -300, 300, 480]), st.integers(min_value=-480, max_value=480)),
+)
+def test_simulate_is_exact_under_scaling_by_powers_of_four(data, L, k):
+    inst, c = _draw_instance(data, L), 4.0**k
+    chain = [_vec(data, L, _RATE)]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        chain.append(tuple(a + b for a, b in zip(chain[-1], _vec(data, L, _RATE))))
+    config = SimConfig(n_samples=data.draw(st.integers(min_value=2, max_value=3000)), seed=data.draw(st.integers(0, 99)))
+    rep, rep_c = simulate_refinement(inst, chain, config), simulate_refinement(_scaled(inst, c), chain, config)
+    assert rep_c.z_scores == rep.z_scores
+    for field in ("empirical_mse", "stderr", "analytic_d"):
+        assert getattr(rep_c, field) == tuple(v * c for v in getattr(rep, field)), field
 
 
 # ----------------------------------------------------------------------
