@@ -13,13 +13,14 @@ calls the command's handler as ``handler(args, instance)``, which returns
 ``(exit code, payload)``, and writes the payload to ``--output``: a dict
 as JSON with "units" first, otherwise its strings in order (the CSV of
 ``omega-map``).  Each command's parser holds only the options the command
-reads, with their defaults: ``--tol`` on ``region`` (``model.TOL_EQ``),
+reads, with their defaults (each ``region`` action has its own parser):
+``--tol`` on ``region check`` and ``region face`` (``model.TOL_EQ``),
 ``omega`` (``model.OMEGA_TOL``), and ``omega-map`` and ``refine``
 (``model.FEASIBILITY_TOL``); ``--bits`` on the commands whose payload has
-rate fields (``region``, ``hyperplane``, ``invert``, ``refine``,
-``schedule``).  Any other option is a usage error.  ``--bits`` never
-changes the canonical payload; it adds a "display_bits" section with the
-rate-valued fields divided by ln 2.
+rate fields (``region vertices``, ``region check``, ``hyperplane``,
+``invert``, ``refine``, ``schedule``).  Any other option is a usage error.
+``--bits`` never changes the canonical payload; it adds a "display_bits"
+section with the rate-valued fields divided by ln 2.
 
 No module of the library imports scipy, and only ``montecarlo`` imports
 numpy, inside the functions that draw.  The solver modules
@@ -194,23 +195,26 @@ def _load_vectors(path: str, key: str) -> list[tuple[float, ...]]:
 # ----------------------------------------------------------------------
 
 
-def _cmd_region(args, instance):
+def _cmd_vertices(args, instance):
     r = _parse_vector(args.r, instance.L, "r")
-    if args.action == "vertices":
-        if instance.L > 8:
-            raise ArgumentError("vertex enumeration limited to 8 encoders")
-        vertices = [
-            {"pi": [i + 1 for i in pi], "R": list(polymatroid.vertex(instance, r, pi))}
-            for pi in permutations(range(instance.L))
-        ]
-        rank_total = joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2)
-        return 0, {"rank_total": rank_total, "vertices": vertices}
-    if args.R is None:
-        raise ArgumentError(f"region {args.action} needs --R")
-    R = _parse_vector(args.R, instance.L, "R")
-    if args.action == "check":
-        contains, slack = polymatroid.region_check(instance, r, R, args.tol)
-        return (0 if contains else 1), {"contains": contains, "slack": slack}
+    if instance.L > 8:
+        raise ArgumentError("vertex enumeration limited to 8 encoders")
+    vertices = [
+        {"pi": [i + 1 for i in pi], "R": list(polymatroid.vertex(instance, r, pi))}
+        for pi in permutations(range(instance.L))
+    ]
+    rank_total = joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2)
+    return 0, {"rank_total": rank_total, "vertices": vertices}
+
+
+def _cmd_check(args, instance):
+    r, R = _parse_vector(args.r, instance.L, "r"), _parse_vector(args.R, instance.L, "R")
+    contains, slack = polymatroid.region_check(instance, r, R, args.tol)
+    return (0 if contains else 1), {"contains": contains, "slack": slack}
+
+
+def _cmd_face(args, instance):
+    r, R = _parse_vector(args.r, instance.L, "r"), _parse_vector(args.R, instance.L, "R")
     return 0, polymatroid.identify_face(instance, r, R, args.tol).to_dict()
 
 
@@ -305,12 +309,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("region", parents=[rates], help="rate-region queries")
-    p.add_argument("action", choices=["vertices", "check", "face"])
-    p.add_argument("--r", required=True, help="allocation, comma separated (nats)")
-    p.add_argument("--R", help="rate tuple, comma separated (nats)")
-    add_tol(p, TOL_EQ)
-    p.set_defaults(handler=_cmd_region)
+    actions = sub.add_parser("region", help="rate-region queries").add_subparsers(dest="action", required=True)
+    for action, parent, handler in (
+        ("vertices", rates, _cmd_vertices), ("check", rates, _cmd_check), ("face", common, _cmd_face),
+    ):
+        p = actions.add_parser(action, parents=[parent])
+        p.add_argument("--r", required=True, help="allocation, comma separated (nats)")
+        if action != "vertices":
+            p.add_argument("--R", required=True, help="rate tuple, comma separated (nats)")
+            add_tol(p, TOL_EQ)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("hyperplane", parents=[rates], help="supporting hyperplane")
     p.add_argument("--alpha", required=True, help="direction, comma separated")

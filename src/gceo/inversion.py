@@ -95,9 +95,8 @@ scan then decides the block with no Newton step.  A query of three to five
 encoders takes ~4 Newton steps and threshold scans in all
 (``InversionResult.iterations``).
 
-Every answer is certified.  It must lie in the region (minimum subset slack
->= -TOL_EQ) and pass a KKT check of the same optimization written as one
-jointly convex program in (r, u), u = ln(1/D):
+Every decomposition answer carries a KKT certificate of the same
+optimization written as one jointly convex program in (r, u), u = ln(1/D):
 
     maximize u  subject to, for every subset A of the finite encoders,
     u/2 - (1/2) ln(p0 + w(A^c)) + sum_{i in A} r_i <= R(A),
@@ -114,8 +113,18 @@ to scale, and it is nonnegative iff the slopes exp(-2 r_i) / sigma_n2[i]
 the next (``_chain_kkt_residual`` derives it).  Active rows and a largest
 relative slope violation of at most KKT_LIMIT prove global optimality.
 Otherwise ``ConvergenceError`` is raised.  The violation is reported on
-the result as ``kkt_residual``.  ``method="bisection"`` is the historical
-name for forcing this solver on two encoders.
+the result as ``kkt_residual``.  ``method="bisection"`` forces this solver
+at any L; it is the cross-check of the closed forms.
+
+Acceptance
+----------
+Every answer, closed form or decomposition, passes one rule before it is
+returned (``_assemble``): R lies in the region of r* (minimum membership
+slack >= -TOL_EQ), and the sum-rate identity over the finite rates holds
+within TOL_EQ plus their rounding floor (``model.rate_floor``).  A NaN
+fails both.  Otherwise ``ConvergenceError`` is raised.  The result reports
+the larger of the sum-rate gap and the membership shortfall as
+``residuals``.
 """
 
 from __future__ import annotations
@@ -132,7 +141,6 @@ from .model import (
 )
 from .polymatroid import _prefix_values, _reduced_min_slack
 
-RESIDUAL_LIMIT = 1e-5
 # Largest relative slope violation (``_chain_kkt_residual``) a general-
 # solver answer may carry.  The exact optimum measures <= 1e-14; the wrong
 # block structures of the certificate tests measure >= 1e-2.
@@ -363,10 +371,11 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
 
 
 def _decompose(sn, R, p0: float):
-    """(r, KKT residual, min membership slack, iterations) for a reduced
-    problem with two or more positive rates.  ``iterations`` counts the
-    Newton steps and threshold scans of every ``_top_block``.  An encoder
-    left alone is its own last block, solved in closed form (``_solve_l1``)."""
+    """(r, blocks, iterations) for a reduced problem with two or more
+    positive rates: the allocation, its decode blocks in decode order, and
+    the Newton steps and threshold scans of every ``_top_block``.  An
+    encoder left alone is its own last block, solved in closed form
+    (``_solve_l1``)."""
     r = [0.0] * len(sn)
     blocks = []
     members = list(range(len(sn)))
@@ -384,73 +393,45 @@ def _decompose(sn, R, p0: float):
         (last,) = members
         r[last] = _solve_l1(sn[last], R[last], p)
         blocks.append(members)
-    slack = _reduced_min_slack(sn, R, r, p0)
-    if slack < -TOL_EQ:
-        raise ConvergenceError(f"decomposition leaves the rate region (slack {slack:.3e})")
-    residual = _chain_kkt_residual(sn, R, r, blocks, p0)
-    if not residual <= KKT_LIMIT:
-        raise ConvergenceError(
-            f"decomposition fails its KKT certificate (residual {residual:.3e} > {KKT_LIMIT:.0e})"
-        )
-    return r, residual, slack, iterations
+    return r, blocks, iterations
 
 
-def _assemble(
-    instance: CeoInstance,
-    R,
-    finite,
-    r_finite,
-    p0: float,
-    method: str,
-    branch=None,
-    kkt_residual=None,
-    margins=None,
-    slack=None,
-    iterations=None,
-):
+def _assemble(instance: CeoInstance, R, finite, r_finite, p0: float, method: str, blocks=None, **fields):
     """The ``InversionResult`` of the finite coordinates' allocation
-    ``r_finite`` over the base precision p0 (``_split_rates``), checked
-    against the residual contract.  ``slack`` is the reduced region's min
-    membership slack at ``r_finite`` when the caller has computed it
-    (``_decompose`` does), else it is computed here."""
-    L = instance.L
-    r = [0.0] * L
-    for i in range(L):
-        if is_cap(R[i]):
-            r[i] = R_MAX
-    for pos, i in enumerate(finite):
-        r[i] = r_finite[pos]
-    d = 1.0 / (1.0 / instance.sigma_x2 + sum(precision_weight(s, v) for s, v in zip(instance.sigma_n2, r)))
+    ``r_finite`` over the base precision p0 (``_split_rates``), once it
+    meets the acceptance rule of every method: R lies in the region of the
+    allocation (minimum membership slack >= -TOL_EQ) and the sum-rate
+    identity over the finite rates holds within TOL_EQ plus their rounding
+    floor (``model.rate_floor``).  A NaN fails both; a miss raises
+    ``ConvergenceError``.  A decomposition answer, which passes its decode
+    ``blocks``, must then also pass its KKT certificate
+    (``_chain_kkt_residual``).  ``fields`` are the result's optional
+    fields."""
     finite_sn = [instance.sigma_n2[i] for i in finite]
     finite_R = [R[i] for i in finite]
     # Sum-rate identity over the finite coordinates (capped encoders cancel
     # from both sides; their precision sits in the base p0).
     gap = abs(sum(finite_R) - joint_rate(finite_sn, r_finite, p0))
-    if slack is None:
-        slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
-    # max() would drop a NaN slack; keep it, so that the check below fails.
-    residuals = max(gap, -slack) if slack == slack else slack
-    result = InversionResult(
-        r_star=tuple(r),
-        d_star=d,
-        method=method,
-        residuals=residuals,
-        branch=branch,
-        kkt_residual=kkt_residual,
-        margins=margins,
-        iterations=iterations,
-    )
-    if not residuals <= RESIDUAL_LIMIT:
+    slack = _reduced_min_slack(finite_sn, finite_R, r_finite, p0) if finite else 0.0
+    if not (slack >= -TOL_EQ and gap <= TOL_EQ + rate_floor(finite_R)):
         raise ConvergenceError(
-            f"inversion residual {residuals:.3e} exceeds {RESIDUAL_LIMIT:.0e} "
+            f"{method} answer fails the acceptance rule "
             f"(sum-rate gap {gap:.3e}, worst membership slack {slack:.3e})"
         )
-    return result
+    if blocks is not None:
+        kkt = fields["kkt_residual"] = _chain_kkt_residual(finite_sn, finite_R, r_finite, blocks, p0)
+        if not kkt <= KKT_LIMIT:
+            raise ConvergenceError(f"decomposition fails its KKT certificate (residual {kkt:.3e} > {KKT_LIMIT:.0e})")
+    r = [R_MAX if is_cap(v) else 0.0 for v in R]
+    for pos, i in enumerate(finite):
+        r[i] = r_finite[pos]
+    d = 1.0 / (1.0 / instance.sigma_x2 + sum(precision_weight(s, v) for s, v in zip(instance.sigma_n2, r)))
+    return InversionResult(r_star=tuple(r), d_star=d, method=method, residuals=max(gap, -slack), **fields)
 
 
 def _split_rates(instance: CeoInstance, R):
-    # Rates up to TOL_EQ nats are treated as zero; the sum-rate identity
-    # then holds to well within the residual contract.
+    # Rates up to TOL_EQ nats are treated as zero: each moves the sum-rate
+    # identity by at most TOL_EQ.
     finite = [i for i in range(instance.L) if TOL_EQ < R[i] < R_MAX]
     return finite, capped_precision(instance, [i for i in range(instance.L) if is_cap(R[i])])
 
@@ -526,23 +507,13 @@ def _thresholds(instance: CeoInstance, R):
     return tp.r_tilde, (th1, th2)
 
 
-def r_star_l2(instance: CeoInstance, R) -> InversionResult:
-    """Closed-form inverse allocation for two encoders; the result carries
-    the omega margins of R."""
-    if instance.L != 2:
-        raise ArgumentError("r_star_l2 requires exactly two encoders")
-    R = _check_allocation(instance, R, "rate vector")
+def _closed_form_l2(instance: CeoInstance, R, r_tilde, thresholds):
+    """(branch, r) of a rate pair with both rates finite and positive, from
+    the minimum-sum-rate allocation r~ and the omega thresholds of its sum
+    rate (``_thresholds``)."""
     a, b = _sorted_order(instance)
     R1, R2 = R[a], R[b]
-    r_tilde, (th1, th2) = _thresholds(instance, R)
-    margins = (R1 - th1, R2 - th2)
-    finite, p0 = _split_rates(instance, R)
-    if len(finite) < 2:
-        r_finite = [
-            _solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite
-        ]
-        return _assemble(instance, R, finite, r_finite, p0, "closed_form_l2", branch="reduced", margins=margins)
-
+    th1, th2 = thresholds
     p_prior = 1.0 / instance.sigma_x2
     sn1, sn2 = instance.sigma_n2[a], instance.sigma_n2[b]
     # In Omega_1 (Omega_2) the pinned encoder is decoded first, alone; its
@@ -560,7 +531,7 @@ def r_star_l2(instance: CeoInstance, R) -> InversionResult:
         r1, r2 = r_tilde
     r = [0.0, 0.0]
     r[a], r[b] = r1, r2
-    return _assemble(instance, R, [0, 1], r, p0, "closed_form_l2", branch=branch, margins=margins)
+    return branch, r
 
 
 def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
@@ -620,28 +591,40 @@ _R_STAR_CACHE_SIZE = 65536
 
 @lru_cache(maxsize=_R_STAR_CACHE_SIZE)
 def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionResult:
-    if method == "auto" and instance.L == 2:
-        return r_star_l2(instance, R)
+    """r* of a rate tuple that ``r_star`` has validated.  At most one finite
+    positive rate takes the one-encoder closed form; otherwise "auto" takes
+    the two-encoder closed form at L = 2 and the decomposition beyond.  An
+    "auto" answer at L = 2 is labelled ``closed_form_l2`` and carries the
+    omega margins of R."""
     finite, p0 = _split_rates(instance, R)
+    closed_l2 = method == "auto" and instance.L == 2
+    label = "closed_form_l2" if closed_l2 else "closed_form_l1"
+    fields = {}
+    if closed_l2:
+        r_tilde, thresholds = _thresholds(instance, R)
+        a, b = _sorted_order(instance)
+        fields["margins"] = (R[a] - thresholds[0], R[b] - thresholds[1])
     if len(finite) <= 1:
         r_finite = [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
         branch = None if instance.L == 1 else "reduced"
-        return _assemble(instance, R, finite, r_finite, p0, "closed_form_l1", branch=branch)
+        return _assemble(instance, R, finite, r_finite, p0, label, branch=branch, **fields)
+    if closed_l2:
+        branch, r_finite = _closed_form_l2(instance, R, r_tilde, thresholds)
+        return _assemble(instance, R, finite, r_finite, p0, label, branch=branch, **fields)
     sn = [instance.sigma_n2[i] for i in finite]
-    rates = [R[i] for i in finite]
-    r_finite, kkt, slack, iterations = _decompose(sn, rates, p0)
-    return _assemble(
-        instance, R, finite, r_finite, p0, "decomposition", kkt_residual=kkt, slack=slack, iterations=iterations
-    )
+    r_finite, blocks, iterations = _decompose(sn, [R[i] for i in finite], p0)
+    return _assemble(instance, R, finite, r_finite, p0, "decomposition", blocks=blocks, iterations=iterations)
 
 
 def r_star(instance: CeoInstance, R, method: str = "auto") -> InversionResult:
     """Unique allocation achieving the minimal distortion of a rate tuple.
 
     ``method`` is "auto" (closed forms for one or two encoders, the
-    decomposition otherwise) or "bisection", the historical name for
-    forcing the decomposition.  Reduced problems with at most one finite
-    positive rate are always solved in closed form.
+    decomposition otherwise) or "bisection", which forces the
+    decomposition, the cross-check of the closed forms.  Reduced problems
+    with at most one finite positive rate are always solved in closed
+    form.  Every answer meets the acceptance rule of the module docstring,
+    or ``ConvergenceError`` is raised.
 
     r* is the exact-arithmetic optimum, built from the decode blocks and
     their group sum rates, not picked by comparing distortions.  That

@@ -285,7 +285,8 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
     """Successive Wyner-Ziv schedule realizing a dominant-face rate tuple.
 
     Zero-allocation encoders carry no rate on the dominant face and are
-    skipped.  The pieces of the precision axis become steps in axis order,
+    skipped; an active encoder whose R_i is below r_i is a usage error.
+    The pieces of the precision axis become steps in axis order,
     and the result is validated before being returned.  The tolerances of
     the dominant-face check and of that validation are fixed: 10 and 100
     ``model.TOL_EQ`` (the latter ``validate_schedule``'s default).
@@ -294,6 +295,11 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
     if not polymatroid.on_dominant_face(instance, r, R, 10 * TOL_EQ):
         raise ArgumentError("rate tuple is not on the dominant face of the allocation")
     active = [i for i in range(instance.L) if r[i] > 0.0]
+    for i in active:
+        # Every singleton rank is >= r_i, so no point of the region has
+        # R_i < r_i, however close to the face it lies.
+        if R[i] < r[i]:
+            raise ArgumentError(f"R_{i + 1} = {R[i]!r} is below the allocation r_{i + 1} = {r[i]!r}")
     w = {i: precision_weight(instance.sigma_n2[i], r[i]) for i in active}
     e = {i: R[i] - r[i] for i in active}
     tie = rate_floor([R[i] for i in active])

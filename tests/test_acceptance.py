@@ -20,7 +20,6 @@ from gceo.inversion import (
     classify_omega,
     omega_margins,
     r_star,
-    r_star_l2,
     uniqueness_probe,
 )
 from gceo.montecarlo import SimConfig, simulate_distortion, simulate_refinement
@@ -144,7 +143,7 @@ def test_criterion_4_l2_closed_form_vs_general():
     for inst in instances:
         for _ in range(250):
             R = tuple(float(v) for v in rng.uniform(0.01, 3.0, 2))
-            closed = r_star_l2(inst, R)
+            closed = r_star(inst, R)
             general = r_star(inst, R, method="bisection")
             gap = max(abs(a - b) for a, b in zip(closed.r_star, general.r_star))
             worst = max(worst, gap)

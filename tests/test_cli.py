@@ -88,15 +88,32 @@ def test_too_many_encoders_exit_two(tmp_path):
     )
 
 
-def test_schedule_of_an_encoder_without_excess_exits_three(sym2_file):
-    # R_1 = r_1 exactly: encoder 1 has zero excess, which no point of the
-    # dominant face allows, yet R is within the face tolerance.  Growing a
-    # piece divided by expm1(0) and raised past cli.main.
+def test_schedule_of_an_encoder_below_its_allocation_exits_two(sym2_file):
+    # R_2 = 0 < r_2: no point of the region has R_i < r_i, yet R is within
+    # the face tolerance.  Growing a piece divided by expm1(0) and exited 3.
     argv = ["schedule", "--r=1.0602043697052657e-11,4.482934367491191e-227", "--R=1.0602043697052657e-11,0.0"]
     err = io.StringIO()
     with redirect_stderr(err):
-        assert run(argv + ["--instance", sym2_file]) == (3, "")
-    assert "no member of [0, 1] can grow a piece" in err.getvalue()
+        assert run(argv + ["--instance", sym2_file]) == (2, "")
+    assert "R_2 = 0.0 is below the allocation r_2 = 4.482934367491191e-227" in err.getvalue()
+
+
+def _readme_cli_lines():
+    readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")).read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("gceo ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda argv: " ".join(argv[:2]).split(" --")[0])
+def test_every_readme_cli_line_exits_zero(tmp_path, monkeypatch, argv):
+    # The block's relative paths (sym2.json, stages.json, map.csv) resolve
+    # in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sym2.json").write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0, 1.0]}))
+    (tmp_path / "stages.json").write_text(json.dumps([[0.7, 0.8]]))
+    code, out = run(argv)
+    assert code == 0
+    assert out or "--output" in argv
 
 
 class TestNanRates:
@@ -535,7 +552,10 @@ class TestCommandPath:
         (["omega", "--R=1,1"], "--bits"),
         (["omega-map", "--from=0.2,0.6", "--grid=0,1,0.5"], "--bits"),
         (["simulate", "--r=0.5,0.5", "--n=10"], "--bits"),
-    ], ids=lambda v: v[0] if isinstance(v, list) else v.split("=")[0])
+        (["region", "vertices", "--r=0.5,0.5"], "--R=9,9"),
+        (["region", "vertices", "--r=0.5,0.5"], "--tol=5"),
+        (["region", "face", "--r=0.5,0.5", VERTEX], "--bits"),
+    ], ids=lambda v: " ".join(w for w in v[:2] if not w.startswith("-")) if isinstance(v, list) else v.split("=")[0])
     def test_a_setting_the_command_does_not_read_exits_two(self, sym2_file, argv, setting):
         argv = argv + ["--instance", sym2_file]
         assert run(argv)[0] == 0
@@ -544,7 +564,6 @@ class TestCommandPath:
     @pytest.mark.parametrize("argv, default", [
         pytest.param(["region", "check", "--r=0.5,0.5", NEAR_VERTEX], TOL_EQ, id="region check"),
         pytest.param(["region", "face", "--r=0.5,0.5", VERTEX], TOL_EQ, id="region face"),
-        pytest.param(["region", "vertices", "--r=0.5,0.5"], TOL_EQ, id="region vertices"),
         pytest.param(["omega", "--R=3,0.01"], OMEGA_TOL, id="omega"),
         pytest.param(["omega-map", "--from=0.2,0.6", "--grid=0,1,0.5"], FEASIBILITY_TOL, id="omega-map"),
         pytest.param(["refine", "--stages={stages}"], FEASIBILITY_TOL, id="refine"),
@@ -839,6 +858,16 @@ class TestExtremeRatioRepros:
         with redirect_stderr(err):
             assert run(["region", "check", "--instance", str(path), "--r", "0.5,0.5", "--R", "1,1"]) == (3, "")
         assert err.getvalue() == "numerical failure: math domain error\n"
+
+    def test_a_subnormal_closed_form_answer_exits_three(self, tmp_path):
+        # The one-encoder closed form misses the sum rate by 9.6e-6 nats
+        # here; a 1e-5 bound for closed forms printed r* 4.47e-318.
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"sigma_x2": 4.7129584987925615e73, "sigma_n2": [2.2910680002970525e-246]}))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(["invert", "--instance", str(path), "--R", "2.6095244276438327"]) == (3, "")
+        assert "closed_form_l1 answer fails the acceptance rule (sum-rate gap 9.627e-06" in err.getvalue()
 
     def test_simulate_past_a_mse_of_1e154_answers(self, tmp_path):
         # mse ** 2 overflowed once a stage MSE passed ~1e154.  The sums

@@ -14,7 +14,6 @@ from gceo.inversion import (
     omega_margins,
     omega_tag,
     r_star,
-    r_star_l2,
     tilde_params,
     uniqueness_probe,
 )
@@ -112,39 +111,85 @@ class TestTildeParams:
 
 
 class TestAssemble:
-    """The residual contract lets no NaN through."""
+    """One acceptance rule for every method, and one validation of R per
+    query."""
+
+    METHODS = [
+        pytest.param(CeoInstance(1.0, (1.0,)), (0.8,), "closed_form_l1", id="closed_form_l1"),
+        pytest.param(CeoInstance(1.0, (1.0, 1.0)), (2.0, 0.05), "closed_form_l2", id="closed_form_l2"),
+        pytest.param(CeoInstance(1.0, (0.5, 1.0, 2.0)), (0.8, 0.6, 0.7), "decomposition", id="decomposition"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        inversion._r_star_cached.cache_clear()
+        yield
+        inversion._r_star_cached.cache_clear()
 
     @pytest.mark.parametrize("r_finite, slack", [((math.nan, 0.5), None), ((0.5, 0.5), math.nan)])
-    def test_nan_fails_the_residual_check(self, sym2, r_finite, slack):
+    def test_nan_fails_the_residual_check(self, sym2, monkeypatch, r_finite, slack):
         R = vertex(sym2, (0.5, 0.5), (0, 1))  # r = (0.5, 0.5) meets every residual
+        if slack is not None:
+            monkeypatch.setattr(inversion, "_reduced_min_slack", lambda *args: slack)
         with pytest.raises(ConvergenceError):
-            inversion._assemble(sym2, R, [0, 1], r_finite, 1.0, "test", slack=slack)
+            inversion._assemble(sym2, R, [0, 1], r_finite, 1.0, "test")
+
+    @pytest.mark.parametrize("nudge", [1e-8, -1e-8])
+    @pytest.mark.parametrize("inst, R, method", METHODS)
+    def test_a_root_nudged_by_1e_8_nats_is_refused(self, monkeypatch, inst, R, method, nudge):
+        # 1e-8 nats is inside the 1e-5 the closed forms were once allowed,
+        # and ten times the sum-rate band every method now meets.  Raised
+        # rates leave the region as well; lowered ones miss the sum rate
+        # alone.
+        assert r_star(inst, R).method == method
+        inversion._r_star_cached.cache_clear()
+        if method == "decomposition":
+            solve = inversion._decompose
+
+            def nudged(*args):
+                r, blocks, iterations = solve(*args)
+                return [r[0] + nudge] + r[1:], blocks, iterations
+
+            monkeypatch.setattr(inversion, "_decompose", nudged)
+        else:
+            solve = inversion._solve_l1
+            monkeypatch.setattr(inversion, "_solve_l1", lambda *args: solve(*args) + nudge)
+        with pytest.raises(ConvergenceError, match=f"{method} answer fails the acceptance rule"):
+            r_star(inst, R)
+
+    @pytest.mark.parametrize("inst, R, method", METHODS)
+    def test_each_query_validates_its_rates_once(self, monkeypatch, inst, R, method):
+        check = inversion._check_allocation
+        calls = []
+        monkeypatch.setattr(inversion, "_check_allocation", lambda *args: calls.append(args) or check(*args))
+        assert r_star(inst, R).method == method
+        assert len(calls) == 1
 
 
 class TestRStarL2:
     def test_zero_rates(self, sym2):
-        res = r_star_l2(sym2, (0.0, 0.0))
+        res = r_star(sym2, (0.0, 0.0))
         assert res.r_star == (0.0, 0.0)
         assert res.d_star == sym2.sigma_x2
 
     def test_axis_reduction(self, sym2):
-        res = r_star_l2(sym2, (0.8, 0.0))
+        res = r_star(sym2, (0.8, 0.0))
         assert res.r_star[1] == 0.0
         # Sum-rate identity pins the single coordinate.
         got = 0.5 * math.log(precision(sym2, res.r_star) * sym2.sigma_x2) + res.r_star[0]
         assert got == pytest.approx(0.8, abs=1e-10)
 
     def test_saturation(self, sym2):
-        res = r_star_l2(sym2, (R_MAX, R_MAX))
+        res = r_star(sym2, (R_MAX, R_MAX))
         assert res.d_star == pytest.approx(d_min(sym2, 2), abs=1e-12)
 
     def test_branch_example(self, sym2):
-        res = r_star_l2(sym2, (2.0, 0.05))
+        res = r_star(sym2, (2.0, 0.05))
         assert res.branch == "omega1"
         assert classify_omega(sym2, (2.0, 0.05)) is OmegaTag.OMEGA1
 
     def test_equal_rates_take_min_sum_branch(self, sym2):
-        res = r_star_l2(sym2, (0.9, 0.9))
+        res = r_star(sym2, (0.9, 0.9))
         assert res.branch == "omega3"
         assert res.r_star[0] == pytest.approx(res.r_star[1], abs=1e-12)
 
@@ -153,7 +198,7 @@ class TestRStarL2:
         for _ in range(100):
             inst = random_instance(rng, 2)
             R = tuple(float(v) for v in rng.uniform(0.01, 3.0, 2))
-            res = r_star_l2(inst, R)
+            res = r_star(inst, R)
             assert precision(inst, res.r_star) == pytest.approx(1.0 / res.d_star, rel=1e-9)
             total = 0.5 * math.log(inst.sigma_x2 / res.d_star) + sum(res.r_star)
             assert total == pytest.approx(sum(R), abs=1e-9)
@@ -164,9 +209,9 @@ def _log_uniform_rate(rng, lo=1e-9, hi=49.0):
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def _root_found_r_star_l2(inst, R, branch):
-    """r*(R) in the branch ``r_star_l2`` took, each rate a ``brentq`` root
-    of its sum-rate identity."""
+def _root_found_l2(inst, R, branch):
+    """r*(R) in the branch the two-encoder closed form took, each rate a
+    ``brentq`` root of its sum-rate identity."""
     sn, sx2 = inst.sigma_n2, inst.sigma_x2
     if branch == "reduced":
         finite, p0 = inversion._split_rates(inst, R)
@@ -202,11 +247,11 @@ class TestClosedForms:
             R = [_log_uniform_rate(rng), _log_uniform_rate(rng)]
             if k % 4 == 0:
                 R[int(rng.integers(2))] = float(rng.choice([0.0, R_MAX]))
-            res = r_star_l2(inst, R)
+            res = r_star(inst, R)
             if res.branch == "omega3":
                 continue  # r~ from tilde_params: no root involved
             branches.add(res.branch)
-            expected = _root_found_r_star_l2(inst, R, res.branch)
+            expected = _root_found_l2(inst, R, res.branch)
             assert max(abs(x - y) for x, y in zip(res.r_star, expected)) <= 1e-13, (inst, R)
         assert branches == {"omega1", "omega2", "reduced"}
 
@@ -266,7 +311,7 @@ class TestRoundTrips:
                 R = sample_omega_point(inst, rng, "OMEGA3")
             else:
                 R = tuple(float(v) for v in rng.uniform(0.01, 3.0, 2))
-            a = r_star_l2(inst, R)
+            a = r_star(inst, R)
             b = r_star(inst, R, method="bisection")
             assert b.method == "decomposition"
             assert a.r_star == pytest.approx(b.r_star, abs=1e-9)
@@ -348,7 +393,7 @@ class TestOmega:
             for _ in range(50):
                 R = tuple(float(v) for v in rng.uniform(0.02, 3.0, 2))
                 tag = classify_omega(inst, R)
-                branch = r_star_l2(inst, R).branch
+                branch = r_star(inst, R).branch
                 if tag is OmegaTag.OMEGA1:
                     assert branch == "omega1"
                 elif tag is OmegaTag.OMEGA2:
@@ -547,12 +592,12 @@ def test_block_search_scans_once_per_singleton_block(monkeypatch):
     midpoint = [0.5 * (u + v) for u, v in zip(*(_vertex_rates(sn, r, o, p0) for o in orders))]
     counter = CountingMath("log1p")
     monkeypatch.setattr(polymatroid, "math", counter)
-    solved, _, _, iterations = inversion._decompose(sn, corner, p0)
+    solved, _, iterations = inversion._decompose(sn, corner, p0)
     assert iterations == L - 1
     # A scan takes one log1p per remaining member: L, L - 1, ..., 2.
     assert len(counter.calls) == L * (L + 1) // 2 - 1
     assert solved == pytest.approx(r, rel=1e-12)
-    _, _, _, iterations = inversion._decompose(sn, midpoint, p0)
+    _, _, iterations = inversion._decompose(sn, midpoint, p0)
     assert iterations <= 2 * L
 
 
@@ -567,7 +612,7 @@ def test_decomposition_at_tiny_noise_matches_the_closed_form():
     # in d* at others; rates in log-excess coordinates answer every point.
     inst = CeoInstance(1.0, (1e-12, 1.0))
     for R in TINY_NOISE_GRID:
-        a = r_star_l2(inst, R)
+        a = r_star(inst, R)
         b = r_star(inst, R, method="bisection")
         assert a.r_star == pytest.approx(b.r_star, abs=1e-9)
         assert a.d_star == pytest.approx(b.d_star, rel=1e-12)
@@ -585,7 +630,7 @@ def test_closed_form_matches_the_decomposition_down_to_noise_1e_19():
             rng.shuffle(sn)
             inst = CeoInstance(10.0 ** rng.uniform(-1.0, 1.0), tuple(sn))
             R = tuple(float(v) for v in rng.uniform(0.0, 4.0, 2))
-            a = r_star_l2(inst, R)
+            a = r_star(inst, R)
             b = r_star(inst, R, method="bisection")
             assert a.d_star == pytest.approx(b.d_star, rel=1e-12), (inst, R)
             for x, y in zip(a.r_star, b.r_star):

@@ -15,13 +15,24 @@ rounding, 1e-15 relative.
 variance by 4^k (which scales its draw map by exactly 2^k) leaves its
 z-scores bit-identical and scales its MSEs and standard errors by exactly
 4^k, over the whole float range.
+
+The same properties hold through ``cli.main`` for ``omega``, ``region
+face`` and ``omega-map``: under power-of-two scaling their printed tags,
+chains, blocks, r* columns and reach bits are byte-identical and the
+printed d_star scales by exactly 2^k, and permuting the encoders permutes
+the blocks of ``region face``.
 """
 
+import io
+import json
 import math
+import os
+from contextlib import redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gceo import inversion, refinement, scheduler
+from gceo import cli, inversion, refinement, scheduler
 from gceo.hyperplane import support_value
 from gceo.model import CeoInstance, d_min
 from gceo.montecarlo import SimConfig, simulate_refinement
@@ -198,3 +209,84 @@ def test_a_zero_rate_encoder_changes_nothing(data, L):
     rep_z = refinement.check_refinement(grown, [insert_zero(s) for s in stages])
     assert rep_z.feasible == rep.feasible
     assert all(_close(a, b) for a, b in zip(rep_z.d_chain, rep.d_chain))
+
+
+# ----------------------------------------------------------------------
+# The same properties through the command line.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("metamorphic")
+
+
+def _cli(workdir, instance, argv):
+    """(exit code, stdout) of ``cli.main`` on ``instance`` written as JSON."""
+    path = os.path.join(workdir, "instance.json")
+    with open(path, "w") as fh:
+        json.dump({"sigma_x2": instance.sigma_x2, "sigma_n2": list(instance.sigma_n2)}, fh)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv + ["--instance", path])
+    return code, out.getvalue()
+
+
+def _csv(values):
+    return ",".join(repr(v) for v in values)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), k=_K)
+def test_omega_prints_the_same_tag_under_scaling(workdir, data, k):
+    inst, c = _draw_instance(data, 2), 2.0**k
+    argv = ["omega", f"--R={_csv(_vec(data, 2, _RATE))}"]
+    assert _cli(workdir, _scaled(inst, c), argv) == _cli(workdir, inst, argv)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), L=st.integers(min_value=2, max_value=6), k=_K)
+def test_region_face_prints_the_same_face_under_scaling(workdir, data, L, k):
+    inst, c = _draw_instance(data, L), 2.0**k
+    r = _vec(data, L, _ALLOC)
+    argv = ["region", "face", f"--r={_csv(r)}", f"--R={_csv(_face_point(data, inst, r))}"]
+    code, out = _cli(workdir, inst, argv)
+    assert code == 0
+    assert _cli(workdir, _scaled(inst, c), argv) == (code, out)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), L=st.integers(min_value=2, max_value=6))
+def test_region_face_permutes_its_blocks_with_the_encoders(workdir, data, L):
+    inst = _draw_instance(data, L)
+    perm = data.draw(st.permutations(range(L)))
+    permuted = CeoInstance(inst.sigma_x2, tuple(inst.sigma_n2[p] for p in perm))
+    r = _vec(data, L, _ALLOC)
+    R = _face_point(data, inst, r)
+    code, out = _cli(workdir, inst, ["region", "face", f"--r={_csv(r)}", f"--R={_csv(R)}"])
+    code_p, out_p = _cli(
+        workdir, permuted,
+        ["region", "face", f"--r={_csv(r[p] for p in perm)}", f"--R={_csv(R[p] for p in perm)}"],
+    )
+    assert (code, code_p) == (0, 0)
+    # Encoder j of the permuted instance is encoder perm[j] of the original.
+    blocks_p = [sorted(perm[j - 1] + 1 for j in block) for block in json.loads(out_p)["blocks"]]
+    assert blocks_p == [sorted(block) for block in json.loads(out)["blocks"]]
+
+
+@settings(max_examples=40)
+@given(data=st.data(), k=_K)
+def test_omega_map_is_scale_equivariant(workdir, data, k):
+    inst, c = _draw_instance(data, 2), 2.0**k
+    argv = ["omega-map", f"--from={_csv(_vec(data, 2, _RATE))}", "--grid=0,3,0.5"]
+    code, out = _cli(workdir, inst, argv)
+    code_c, out_c = _cli(workdir, _scaled(inst, c), argv)
+    assert (code, code_c) == (0, 0)
+    rows, rows_c = out.splitlines(), out_c.splitlines()
+    assert len(rows_c) == len(rows) == 50
+    assert rows_c[0] == rows[0] == "R1,R2,region,d_star,r1_star,r2_star,reachable"
+    for row, row_c in zip(rows[1:], rows_c[1:]):
+        *head, d, r1, r2, reach = row.split(",")
+        *head_c, d_c, r1_c, r2_c, reach_c = row_c.split(",")
+        assert (head_c, r1_c, r2_c, reach_c) == (head, r1, r2, reach)
+        assert float(d_c) == float(d) * c
