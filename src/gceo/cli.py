@@ -113,21 +113,14 @@ def _to_json(obj, indent: int = 0) -> str:
 _RATE_KEYS = {"R", "r_star", "r_chain", "rate", "phi", "contact_vertex", "rank_total", "slack"}
 
 
-def _scale_rates(obj):
-    """Copy of obj with rate-valued fields divided by ln 2 (display only)."""
+def _scale_rates(obj, rate: bool = False):
+    """Copy of obj with the numbers under rate-valued fields, at any depth,
+    divided by ln 2 (display only)."""
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if k in _RATE_KEYS and isinstance(v, (int, float)):
-                out[k] = v / LN2
-            elif k in _RATE_KEYS and isinstance(v, (list, tuple)):
-                out[k] = [x / LN2 if isinstance(x, (int, float)) else x for x in v]
-            else:
-                out[k] = _scale_rates(v)
-        return out
+        return {k: _scale_rates(v, k in _RATE_KEYS) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_scale_rates(v) for v in obj]
-    return obj
+        return [_scale_rates(v, rate) for v in obj]
+    return obj / LN2 if rate and isinstance(obj, (int, float)) else obj
 
 
 def _write(args, payload) -> None:
@@ -267,8 +260,6 @@ def _cmd_simulate(args, instance):
     if args.chain:
         chain = _load_vectors(args.chain, "chain")
         return 0, montecarlo.simulate_refinement(instance, chain, config).to_dict()
-    if not args.r:
-        raise ArgumentError("simulate needs --r or --chain")
     r = _parse_vector(args.r, instance.L, "r")
     return 0, montecarlo.simulate_distortion(instance, r, config).to_dict()
 
@@ -352,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schedule)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo distortion check")
-    p.add_argument("--r", help="single-stage allocation")
-    p.add_argument("--chain", help="JSON file with an allocation chain")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--r", help="single-stage allocation")
+    source.add_argument("--chain", help="JSON file with an allocation chain")
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=_cmd_simulate)

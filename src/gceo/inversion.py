@@ -31,18 +31,19 @@ identity (1/2) ln((p0 + w(r)) / p0) + r = R, the one description's
 For two, the plane splits into three parametric branches driven by the
 minimum-sum-rate allocation (``tilde_params``): a water-filling level
 count L_D, the unique distortion D~ matching the sum rate, and the
-allocation r~.  These are closed-form roots of the level equation, a
-quadratic (two levels) or linear (one level) equation in the precision
-gap 1/D_min(L_D) - 1/D~, written in exp(-sum rate) so that no sum rate
-overflows.  When R_1 exceeds the unconditioned single-encoder rate at
-r~_1 (region Omega_1), encoder 1 is decoded first at exactly that rate,
-and encoder 2 follows as one encoder over the base precision
-1/sigma_x2 + w_1(r_1); symmetrically for Omega_2; otherwise r* = r~ and R
-sits strictly inside the minimum-sum-rate segment (Omega_3).  Every
-branch is a closed form: no root-finder is involved.  Encoders are
-ordered by noise internally (sigma_n2[0] <= sigma_n2[1]); region tags
-refer to that ordering.  The one ``tilde_params`` solve that picks the
-branch also gives the two omega margins (``omega_margins``), which the
+allocation r~.  With two levels r~ is the root of the pair's quadratic
+in the precision gap 1/D_min(2) - 1/D~, written in exp(-sum rate) so
+that no sum rate overflows; with one level r~_1 is ``_solve_l1`` of the
+less noisy encoder at the sum rate.  When R_1 exceeds the unconditioned
+single-encoder rate at r~_1 (region Omega_1), encoder 1 is decoded first
+at exactly that rate, and encoder 2 follows as one encoder over the base
+precision 1/sigma_x2 + w_1(r_1), both by ``_solve_l1``; symmetrically
+for Omega_2; otherwise r* = r~ and R sits strictly inside the
+minimum-sum-rate segment (Omega_3).  Every branch is a closed form: no
+root-finder is involved.  Encoders are ordered by noise internally
+(sigma_n2[0] <= sigma_n2[1]); region tags refer to that ordering.  The
+one ``tilde_params`` solve that picks the branch also gives the two
+omega margins (``_thresholds``), which ``omega_margins`` returns and the
 two-encoder answer records as ``margins``, so that a cached answer tags
 its region (``omega_tag``) with no second solve.
 
@@ -131,6 +132,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,12 +200,17 @@ class TildeParams:
 
 def _solve_l1(sn: float, rate: float, p0: float) -> float:
     """Unique r with ``joint_rate((sn,), (r,), p0)`` = rate, in closed form:
-    exp(2r) = 1 + a expm1(2 rate) / (1 + a) with a = sn p0."""
+    exp(2r) = 1 + a expm1(2 rate) / (1 + a) with a = sn p0.  Where a is
+    subnormal or 0, the product is formed as sn expm1(2 rate) p0 instead;
+    p0 >= 1/sigma_x2 > 5.6e-309 then bounds sn by ~4, so sn expm1(2 rate)
+    cannot overflow."""
     if rate <= 0.0:
         return 0.0
     if rate >= R_MAX:
         return R_MAX
     a = sn * p0
+    if a < sys.float_info.min:
+        return 0.5 * math.log1p(sn * math.expm1(2.0 * rate) * p0)
     return 0.5 * math.log1p(a * math.expm1(2.0 * rate) / (1.0 + a))
 
 
@@ -341,6 +348,8 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
     the slopes do not decrease from one block to the next.  The returned
     residual is the larger of the worst within-block slope spread and the
     worst drop between adjacent blocks, each relative to the larger slope.
+    Where every slope compared underflows to 0, their logs -2 r_i -
+    ln sigma_n2[i] are compared instead.
 
     Complementary slackness needs every chain row active: a row with
     slack above TOL_EQ plus the rounding floor of R (``model.rate_floor``)
@@ -355,7 +364,7 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
     # its complement: p_out = p0 + w(A^c) and excess = R(A) - r(A).
     p_out = p0
     excess = sum(v - u for v, u in zip(R, r))
-    residual, prev = 0.0, 0.0
+    residual, prev, last = 0.0, 0.0, []
     for block in blocks:
         slack = excess - 0.5 * math.log(p_all / p_out)
         if slack > active:
@@ -365,8 +374,14 @@ def _chain_kkt_residual(sn, R, r, blocks, p0: float) -> float:
         p_out += sum(w[i] for i in block)
         excess -= sum(R[i] - r[i] for i in block)
         slopes = [math.exp(-2.0 * r[i]) / sn[i] for i in block]
-        residual = max(residual, 1.0 - min(slopes) / max(max(slopes), prev))
-        prev = max(slopes)
+        top = max(max(slopes), prev)
+        if top > 0.0:
+            residual = max(residual, 1.0 - min(slopes) / top)
+        else:  # this block's and the previous block's slopes all underflow: compare their logs
+            logs = [-2.0 * r[i] - math.log(sn[i]) for i in block]
+            top = max(logs + [-2.0 * r[i] - math.log(sn[i]) for i in last])
+            residual = max(residual, -math.expm1(min(logs) - top))
+        prev, last = max(slopes), block
     return residual
 
 
@@ -450,22 +465,23 @@ def _sorted_order(instance: CeoInstance) -> tuple[int, int]:
 def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     """Minimum-sum-rate allocation for a two-encoder instance.
 
-    With k water-filling levels and the gap g = 1/D_min(k) - 1/D~, the
-    level equation (1/2) ln(sigma_x2 / D~) + sum_{i <= k} r~_i = sum_rate,
-    r~_i = (1/2) ln(k / (sigma_n2[i] g)), is a polynomial in g with one
+    With two water-filling levels and the gap g = 1/D_min(2) - 1/D~, the
+    level equation (1/2) ln(sigma_x2 / D~) + r~_1 + r~_2 = sum_rate,
+    r~_i = (1/2) ln(2 / (sigma_n2[i] g)), is a quadratic in g with one
     positive root.  Written in t = exp(-sum_rate), so that nothing
-    overflows at high rates:
+    overflows at high rates,
 
-        two levels:  g = 2 P2 t / (t + sqrt(t^2 + sn1 sn2 P2 / sx2)),
-        one level:   r~_1 = (1/2) log1p(sn1 (1 - t^2) / ((sn1 + sx2) t^2)),
+        g = 2 P2 t / (t + sqrt(t^2 + sn1 sn2 P2 / sx2)),   P2 = 1/D_min(2).
 
-    with Pk = 1/D_min(k); the one-level root needs no g, and log1p keeps
-    the tiny rate of a tiny noise.  Both encoders are active iff the
-    two-level solution has 1/D~ >= 1/D_c (up to 1e-12 relative), the
-    precision at which the noisier encoder starts to describe.  D~ is
-    1 / (1/sx2 + the precision weights of r~), which, unlike Pk - g, does
-    not cancel.  Rates follow the cap convention of ``model``: r~ is
-    clamped at R_MAX, and an infinite sum rate gives D~ = D_min(k).  The
+    With one level only the less noisy encoder describes, and r~_1 is the
+    one-encoder root at the sum rate over the prior, ``_solve_l1(sn1,
+    sum_rate, 1/sx2)``.  Both encoders are active iff the two-level
+    solution has 1/D~ >= 1/D_c (up to 1e-12 relative), the precision at
+    which the noisier encoder starts to describe.  D~ is 1 / (1/sx2 + the
+    precision weights of r~), which, unlike P2 - g, does not cancel.
+    Rates follow the cap convention of ``model``: r~ is clamped at R_MAX,
+    a one-level sum rate at or beyond R_MAX counts as infinite (as in
+    ``_solve_l1``), and an infinite sum rate gives D~ = D_min(k).  The
     allocation r~ is returned in the noise-sorted encoder order.
     """
     if instance.L != 2:
@@ -484,9 +500,7 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     inv_dc = p1 - 1.0 / sn2
     gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2))
     if p2 - gap < inv_dc * (1.0 - 1e-12):
-        l_d, r2 = 1, 0.0
-        arg = -sn1 * math.expm1(-2.0 * sum_rate) / ((sn1 + sx2) * t * t) if t * t > 0.0 else math.inf
-        r1 = min(0.5 * math.log1p(arg), R_MAX)
+        l_d, r1, r2 = 1, _solve_l1(sn1, sum_rate, 1.0 / sx2), 0.0
     else:  # gap = 0 only at an infinite sum rate
         l_d = 2
         r1, r2 = (R_MAX if gap == 0.0 else min(max(0.5 * math.log(2.0 / (sn * gap)), 0.0), R_MAX) for sn in (sn1, sn2))
@@ -495,43 +509,36 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
 
 
 def _thresholds(instance: CeoInstance, R):
-    """(r~, (threshold_a, threshold_b)) of a validated rate pair from one
-    ``tilde_params`` solve: the minimum-sum-rate allocation of its sum rate
-    and the unconditioned single-encoder rates at r~, in the noise-sorted
-    order.  The omega margins are R_a - threshold_a and R_b - threshold_b."""
-    a, b = _sorted_order(instance)
+    """(r~, thresholds, margins) of a validated rate pair from one
+    ``tilde_params`` solve: the minimum-sum-rate allocation of its sum
+    rate, the unconditioned single-encoder rates at r~ and the omega
+    margins R_a - threshold_a and R_b - threshold_b, each pair in the
+    noise-sorted order."""
     p_prior = 1.0 / instance.sigma_x2
-    tp = tilde_params(instance, R[a] + R[b])
-    th1 = joint_rate((instance.sigma_n2[a],), (tp.r_tilde[0],), p_prior)
-    th2 = joint_rate((instance.sigma_n2[b],), (tp.r_tilde[1],), p_prior)
-    return tp.r_tilde, (th1, th2)
+    order = _sorted_order(instance)
+    tp = tilde_params(instance, sum(R))
+    thresholds = tuple(joint_rate((instance.sigma_n2[i],), (v,), p_prior) for i, v in zip(order, tp.r_tilde))
+    return tp.r_tilde, thresholds, tuple(R[i] - th for i, th in zip(order, thresholds))
 
 
 def _closed_form_l2(instance: CeoInstance, R, r_tilde, thresholds):
     """(branch, r) of a rate pair with both rates finite and positive, from
     the minimum-sum-rate allocation r~ and the omega thresholds of its sum
-    rate (``_thresholds``)."""
+    rate (``_thresholds``).
+
+    In Omega_1 (Omega_2) the pinned encoder, the less (more) noisy one, is
+    decoded first, alone; its partner is then one encoder over the prior
+    plus the pinned weight.  Otherwise r* = r~ (Omega_3)."""
     a, b = _sorted_order(instance)
-    R1, R2 = R[a], R[b]
-    th1, th2 = thresholds
-    p_prior = 1.0 / instance.sigma_x2
-    sn1, sn2 = instance.sigma_n2[a], instance.sigma_n2[b]
-    # In Omega_1 (Omega_2) the pinned encoder is decoded first, alone; its
-    # partner is then one encoder over the prior plus the pinned weight.
-    if R1 >= th1 - RATE_FLOOR:
-        branch = "omega1"
-        r1 = _solve_l1(sn1, R1, p_prior)
-        r2 = _solve_l1(sn2, R2, p_prior + precision_weight(sn1, r1))
-    elif R2 >= th2 - RATE_FLOOR:
-        branch = "omega2"
-        r2 = _solve_l1(sn2, R2, p_prior)
-        r1 = _solve_l1(sn1, R1, p_prior + precision_weight(sn2, r2))
-    else:
-        branch = "omega3"
-        r1, r2 = r_tilde
+    sn, p_prior = instance.sigma_n2, 1.0 / instance.sigma_x2
     r = [0.0, 0.0]
-    r[a], r[b] = r1, r2
-    return branch, r
+    for branch, first, second, threshold in (("omega1", a, b, thresholds[0]), ("omega2", b, a, thresholds[1])):
+        if R[first] >= threshold - RATE_FLOOR:
+            r[first] = _solve_l1(sn[first], R[first], p_prior)
+            r[second] = _solve_l1(sn[second], R[second], p_prior + precision_weight(sn[first], r[first]))
+            return branch, r
+    r[a], r[b] = r_tilde
+    return "omega3", r
 
 
 def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
@@ -542,10 +549,7 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
     """
     if instance.L != 2:
         raise ArgumentError("omega classification requires exactly two encoders")
-    R = _check_allocation(instance, R, "rate vector")
-    a, b = _sorted_order(instance)
-    _, (th1, th2) = _thresholds(instance, R)
-    return R[a] - th1, R[b] - th2
+    return _thresholds(instance, _check_allocation(instance, R, "rate vector"))[2]
 
 
 def omega_tag(margins, R, tol: float = OMEGA_TOL) -> OmegaTag:
@@ -601,9 +605,7 @@ def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionRes
     label = "closed_form_l2" if closed_l2 else "closed_form_l1"
     fields = {}
     if closed_l2:
-        r_tilde, thresholds = _thresholds(instance, R)
-        a, b = _sorted_order(instance)
-        fields["margins"] = (R[a] - thresholds[0], R[b] - thresholds[1])
+        r_tilde, thresholds, fields["margins"] = _thresholds(instance, R)
     if len(finite) <= 1:
         r_finite = [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
         branch = None if instance.L == 1 else "reduced"

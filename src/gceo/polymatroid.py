@@ -262,11 +262,6 @@ def region_check(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> tuple[bool
     return slack >= -(tol + rate_floor(R)), slack
 
 
-def region_contains(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:
-    """Whether R satisfies all 2^L - 1 subset-rate inequalities (``region_check``)."""
-    return region_check(instance, r, R, tol)[0]
-
-
 def vertex(instance: CeoInstance, r, pi) -> tuple[float, ...]:
     """Vertex of the region for decoding order ``pi``.
 
@@ -298,7 +293,7 @@ def on_dominant_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> bool:
     total = joint_rate(instance.sigma_n2, r, 1.0 / instance.sigma_x2)
     if abs(sum(R) - total) > tol + rate_floor(R):
         return False
-    return region_contains(instance, r, R, tol)
+    return region_check(instance, r, R, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,10 @@ def _grow(members, lo, hi, e, w, grown, tie):
     """Cut one piece for the first member k (ascending index, top before
     bottom) that has none yet and whose growth leaves k in a block with no
     other member of ``grown``.  Updates e, w and grown; returns the piece
-    (k, start, end), whether it sits on top, and the blocks of the rest."""
+    (k, start, end), whether it sits on top, and the blocks of the rest.
+    When no member can grow, a member with no excess left is a usage
+    error (no piece of positive length fits it); otherwise the choice rule
+    has failed."""
     for k in members:
         if k in grown:
             continue
@@ -257,6 +260,9 @@ def _grow(members, lo, hi, e, w, grown, tie):
                 e[k], w[k] = rest[k], cut[k]
                 grown.add(k)
                 return ((k, y, hi) if top else (k, lo, y)), top, blocks
+    for k in members:
+        if e[k] <= 0.0:
+            raise ArgumentError(f"encoder {k + 1} has no rate left above its allocation for a piece of the schedule")
     raise InternalInconsistencyError(f"no member of {members} can grow a piece")
 
 
@@ -285,7 +291,9 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
     """Successive Wyner-Ziv schedule realizing a dominant-face rate tuple.
 
     Zero-allocation encoders carry no rate on the dominant face and are
-    skipped; an active encoder whose R_i is below r_i is a usage error.
+    skipped; an active encoder whose R_i is below r_i, or that the tiling
+    needs a piece of when it has no excess R_i - r_i left, is a usage
+    error.
     The pieces of the precision axis become steps in axis order,
     and the result is validated before being returned.  The tolerances of
     the dominant-face check and of that validation are fixed: 10 and 100
@@ -331,9 +339,6 @@ def build_schedule(instance: CeoInstance, r, R) -> Schedule:
 class ValidationReport:
     ok: bool
     diagnostics: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float = 100 * TOL_EQ) -> ValidationReport:

@@ -12,8 +12,12 @@ The samplers encode the geometry facts the tests rely on:
 
 The exhaustive oracles live in ``oracles.py``.  This module also
 registers a derandomized hypothesis profile, so property tests draw the
-same examples on every run, and empties the kept reachability-grid
-tables before every test, so call counts do not depend on test order.
+same examples on every run while no numeric literal in the source
+changes: hypothesis 6.155 adds the numeric literals of local
+modules to its draws, so adding or deleting one anywhere in ``src`` or
+``tests`` changes what every property draws.  It also empties the kept
+reachability-grid tables before every test, so call counts do not
+depend on test order.
 """
 
 import math

@@ -62,7 +62,7 @@ def test_criterion_1_polymatroid_suite():
         for pi in permutations(range(L)):
             R = pm.vertex(inst, r, pi)
             assert abs(sum(R) - total) <= 1e-9
-            assert pm.region_contains(inst, r, R, tol=1e-9)
+            assert pm.region_check(inst, r, R, tol=1e-9)[0]
             checked += 1
     elapsed = time.perf_counter() - start
     _verdict("criterion 1 (rank/vertex suite)", True, elapsed, 2.0, f"{checked} vertices")

@@ -88,6 +88,15 @@ def test_too_many_encoders_exit_two(tmp_path):
     )
 
 
+def test_region_vertices_past_eight_encoders_exits_two(tmp_path):
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": [1.0] * 9}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run(["region", "vertices", "--instance", str(path), "--r", ",".join(["0.5"] * 9)]) == (2, "")
+    assert err.getvalue() == "error: vertex enumeration limited to 8 encoders\n"
+
+
 def test_schedule_of_an_encoder_below_its_allocation_exits_two(sym2_file):
     # R_2 = 0 < r_2: no point of the region has R_i < r_i, yet R is within
     # the face tolerance.  Growing a piece divided by expm1(0) and exited 3.
@@ -96,6 +105,17 @@ def test_schedule_of_an_encoder_below_its_allocation_exits_two(sym2_file):
     with redirect_stderr(err):
         assert run(argv + ["--instance", sym2_file]) == (2, "")
     assert "R_2 = 0.0 is below the allocation r_2 = 4.482934367491191e-227" in err.getvalue()
+
+
+def test_schedule_of_an_encoder_without_excess_exits_two(sym2_file):
+    # R_1 = r_1 exactly: the point is within the face tolerance, but no
+    # piece of positive length fits encoder 1.  This exited 3 as a failed
+    # choice rule.
+    argv = ["schedule", "--r=1.0602043697052657e-11,0.5", "--R=1.0602043697052657e-11,0.7449400628288708"]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run(argv + ["--instance", sym2_file]) == (2, "")
+    assert err.getvalue() == "error: encoder 1 has no rate left above its allocation for a piece of the schedule\n"
 
 
 def _readme_cli_lines():
@@ -192,6 +212,24 @@ class TestRefineAndSimulate:
             return json.loads(out)["per_stage"][1]
 
         assert stage_two(math.inf) == stage_two(1e308)
+
+    def test_refine_bits_scales_every_rate_field(self, sym2_file, tmp_path):
+        # The nested rate lists (per_stage rows, r_chain stages) are scaled
+        # like the flat ones; the canonical fields stay in nats.
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([[0.5, 0.5], [0.7, 0.9]]))
+        argv = ["refine", "--instance", sym2_file, "--stages", str(stages)]
+        code, out = run(argv + ["--bits"])
+        payload = json.loads(out)
+        bits = payload.pop("display_bits")
+        assert code == 1
+        assert json.loads(run(argv)[1]) == payload
+        assert bits["worst"] == {**payload["worst"], "slack": payload["worst"]["slack"] / math.log(2.0)}
+        assert bits["d_chain"] == payload["d_chain"]
+        assert bits["r_chain"] == [[v / math.log(2.0) for v in stage] for stage in payload["r_chain"]]
+        assert bits["per_stage"] == [
+            [{**row, "slack": row["slack"] / math.log(2.0)} for row in stage] for stage in payload["per_stage"]
+        ]
 
     def test_simulate(self, sym2_file):
         code, out = run([
@@ -561,6 +599,15 @@ class TestCommandPath:
         assert run(argv)[0] == 0
         assert run(argv + [setting]) == (2, "")
 
+    def test_simulate_takes_r_or_chain_not_both(self, sym2_file, tmp_path):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps([[0.5, 0.5], [0.7, 0.9]]))
+        argv = ["simulate", "--instance", sym2_file, "--n=10"]
+        assert run(argv + [f"--chain={chain}"])[0] == 0
+        assert run(argv + ["--r=0.5,0.5"])[0] == 0
+        assert run(argv + [f"--chain={chain}", "--r=0.5,0.5"]) == (2, "")
+        assert run(argv) == (2, "")
+
     @pytest.mark.parametrize("argv, default", [
         pytest.param(["region", "check", "--r=0.5,0.5", NEAR_VERTEX], TOL_EQ, id="region check"),
         pytest.param(["region", "face", "--r=0.5,0.5", VERTEX], TOL_EQ, id="region face"),
@@ -660,6 +707,12 @@ class TestMalformedInputFiles:
     def test_stages_object_without_key(self, sym2_file, tmp_path):
         code, out = self._run_with(sym2_file, tmp_path, "refine", "--stages", '{"foo": 1}')
         assert (code, out) == (2, "")
+
+    def test_missing_stages_file_exits_two(self, sym2_file, tmp_path):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(["refine", "--instance", sym2_file, "--stages", str(tmp_path / "none.json")]) == (2, "")
+        assert err.getvalue().startswith("error: cannot read stages file:")
 
     def test_stages_non_numeric_entry(self, sym2_file, tmp_path):
         code, out = self._run_with(sym2_file, tmp_path, "refine", "--stages", '{"stages": [["a", 1]]}')
@@ -860,14 +913,42 @@ class TestExtremeRatioRepros:
         assert err.getvalue() == "numerical failure: math domain error\n"
 
     def test_a_subnormal_closed_form_answer_exits_three(self, tmp_path):
-        # The one-encoder closed form misses the sum rate by 9.6e-6 nats
-        # here; a 1e-5 bound for closed forms printed r* 4.47e-318.
+        # The one-encoder closed form's r* is subnormal here (4.47e-318,
+        # ~1e-6 relative precision), so it misses the sum rate by 2.7e-7
+        # nats; a 1e-5 bound for closed forms printed it.
         path = tmp_path / "subnormal.json"
         path.write_text(json.dumps({"sigma_x2": 4.7129584987925615e73, "sigma_n2": [2.2910680002970525e-246]}))
         err = io.StringIO()
         with redirect_stderr(err):
             assert run(["invert", "--instance", str(path), "--R", "2.6095244276438327"]) == (3, "")
-        assert "closed_form_l1 answer fails the acceptance rule (sum-rate gap 9.627e-06" in err.getvalue()
+        assert "closed_form_l1 answer fails the acceptance rule (sum-rate gap 2.748e-07" in err.getvalue()
+
+    def test_tilde_params_past_an_underflowing_t_squared_answers(self, tmp_path):
+        # The one-level root divided by (sn1 + sx2) exp(-2 S), which
+        # underflows to 0 at this sum rate S = 79.8; it is _solve_l1 now.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"sigma_x2": 3.508705806646719e-270, "sigma_n2": [2.7702450534652542e-241, 6.381637675161741e-268]}))
+        argv = ["--instance", str(path), "--R", "54.65745318684737,25.185893369371996"]
+        code, out = run(["invert"] + argv)
+        answer = json.loads(out)
+        assert code == 0
+        assert (answer["r_star"], answer["method"], answer["branch"]) == ([50, 25.183151835349776], "closed_form_l2", "reduced")
+        code, out = run(["omega"] + argv)
+        assert (code, json.loads(out)["tag"]) == (0, "OMEGA2")
+
+    def test_kkt_certificate_of_underflowing_slopes_answers(self, tmp_path):
+        # Both blocks' slopes exp(-2 r_i) / sigma_n2[i] underflow to 0, so
+        # the certificate compares their logs (-762.9, then -570.5: no drop)
+        # instead of dividing 0 by 0.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "sigma_x2": 2.7488768668921903e252,
+            "sigma_n2": [5.76950590906642e247, 2.649263541023996e242, 7.005334631100889e298],
+        }))
+        code, out = run(["invert", "--instance", str(path), "--R", "3.6080051447412753,0.0,37.397037205311406"])
+        answer = json.loads(out)
+        assert code == 0
+        assert (answer["method"], answer["kkt_residual"]) == ("decomposition", 0)
 
     def test_simulate_past_a_mse_of_1e154_answers(self, tmp_path):
         # mse ** 2 overflowed once a stage MSE passed ~1e154.  The sums

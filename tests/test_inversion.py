@@ -405,6 +405,20 @@ class TestOmega:
         with pytest.raises(ArgumentError):
             classify_omega(CeoInstance(1.0, (1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
 
+    def test_one_level_threshold_where_sn_over_sx2_underflows(self):
+        # sn1 / sx2 ~ 3.6e-342 underflows.  With one level the less noisy
+        # encoder's threshold is the sum rate itself, so its margin is
+        # -R_b and R sits in Omega_2; a one-level root that dropped the
+        # underflowed product read r~_1 = 0 and tagged it OMEGA1.
+        inst = CeoInstance(2.4917003450328088e48, (8.879616580963038e-294, 1.5650753709270025e28))
+        R = (0.7520768640765157, 30.0209474477635)
+        tp = tilde_params(inst, sum(R))
+        assert tp.l_d == 1 and tp.r_tilde[0] > 0.0
+        margins = omega_margins(inst, R)
+        assert margins[0] == pytest.approx(-R[1], rel=1e-8)
+        assert margins[1] == R[1]
+        assert classify_omega(inst, R) is OmegaTag.OMEGA2
+
 
 def _reduced(inst, R):
     return list(inst.sigma_n2), list(R), 1.0 / inst.sigma_x2

@@ -18,7 +18,7 @@ from gceo.polymatroid import (
     min_slack,
     on_dominant_face,
     rank_f,
-    region_contains,
+    region_check,
     vertex,
 )
 from gceo import scheduler
@@ -98,14 +98,14 @@ class TestRankFunctions:
 
 class TestMembership:
     def test_origin_in_zero_region(self, sym2):
-        assert region_contains(sym2, (0.0, 0.0), (0.0, 0.0))
+        assert region_check(sym2, (0.0, 0.0), (0.0, 0.0))[0]
 
     def test_positive_sum_rate_excludes_origin(self, sym2):
-        assert not region_contains(sym2, (0.5, 0.5), (0.0, 0.0))
+        assert not region_check(sym2, (0.5, 0.5), (0.0, 0.0))[0]
 
     def test_vertices_inside(self, sym2):
         for pi in permutations(range(2)):
-            assert region_contains(sym2, (0.5, 0.5), vertex(sym2, (0.5, 0.5), pi), tol=1e-9)
+            assert region_check(sym2, (0.5, 0.5), vertex(sym2, (0.5, 0.5), pi), tol=1e-9)[0]
 
     def test_nan_slack_is_no_verdict(self, sym2, monkeypatch):
         monkeypatch.setattr(polymatroid, "min_slack", lambda *args: math.nan)
@@ -136,7 +136,7 @@ class TestVertices:
             for pi in permutations(range(L)):
                 R = vertex(inst, r, pi)
                 assert sum(R) == pytest.approx(total, abs=1e-9)
-                assert region_contains(inst, r, R, tol=1e-9)
+                assert region_check(inst, r, R, tol=1e-9)[0]
 
     def test_matches_covariance_engine(self):
         # Vertex coordinates are conditional mutual informations; recompute
@@ -301,6 +301,16 @@ class TestFaceIdentification:
         assert face.active == (0, 1)
         assert face.dimension == 0
 
+    def test_zero_allocation_rate_between_the_floor_and_tol_eq(self):
+        # R_3 = 5e-10 passes the face check, which allows at least TOL_EQ;
+        # only tol decides whether a zero-allocation encoder's rate is zero.
+        inst = CeoInstance(1.0, (1.0, 1.0, 1.0))
+        r = (0.5, 0.5, 0.0)
+        R = vertex(inst, r, (0, 1, 2))[:2] + (5e-10,)
+        assert identify_face(inst, r, R, 1e-9).dimension == 0
+        with pytest.raises(ArgumentError, match="zero allocation but rate 5e-10"):
+            identify_face(inst, r, R, 0.0)
+
     def test_requires_dominant_face(self, sym2):
         with pytest.raises(ArgumentError):
             identify_face(sym2, (0.5, 0.5), (5.0, 5.0))
@@ -397,8 +407,8 @@ class TestRoundingFloor:
         payload = json.loads(out.getvalue())
         assert (code, payload["contains"]) == (1, False)
         assert payload["slack"] == pytest.approx(-1e-10, rel=1e-5)
-        assert not region_contains(inst, r, R, 0.0)
-        assert region_contains(inst, r, R, 2e-10)
+        assert not region_check(inst, r, R, 0.0)[0]
+        assert region_check(inst, r, R, 2e-10)[0]
 
 
 class TestSupermodularity:
@@ -597,7 +607,7 @@ class TestThresholdScan:
         with pytest.raises(ArgumentError, match="NaN"):
             min_slack(sym2, (0.5, 0.5), R)
         with pytest.raises(ArgumentError, match="NaN"):
-            region_contains(sym2, (0.5, 0.5), R)
+            region_check(sym2, (0.5, 0.5), R)
         with pytest.raises(ArgumentError, match="NaN"):
             on_dominant_face(sym2, (0.5, 0.5), R)
 
