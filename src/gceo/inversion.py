@@ -43,9 +43,12 @@ minimum-sum-rate segment (Omega_3).  Every branch is a closed form: no
 root-finder is involved.  Encoders are ordered by noise internally
 (sigma_n2[0] <= sigma_n2[1]); region tags refer to that ordering.  The
 one ``tilde_params`` solve that picks the branch also gives the two
-omega margins (``_thresholds``), which ``omega_margins`` returns and the
-two-encoder answer records as ``margins``, so that a cached answer tags
-its region (``omega_tag``) with no second solve.
+omega thresholds (``_thresholds``), which depend on R only through its
+sum rate.  The margins of R to them are what ``omega_margins`` returns
+and what the two-encoder answer (``_solve_l2``) records as ``margins``,
+so that an answer tags its region (``omega_tag``) with no second solve;
+a reachability grid solves the thresholds once per distinct sum rate
+and each node through ``_solve_l2``.
 
 General solver
 --------------
@@ -508,17 +511,22 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     return TildeParams(l_d=l_d, d_tilde=d_tilde, r_tilde=(r1, r2))
 
 
-def _thresholds(instance: CeoInstance, R):
-    """(r~, thresholds, margins) of a validated rate pair from one
-    ``tilde_params`` solve: the minimum-sum-rate allocation of its sum
-    rate, the unconditioned single-encoder rates at r~ and the omega
-    margins R_a - threshold_a and R_b - threshold_b, each pair in the
-    noise-sorted order."""
+def _thresholds(instance: CeoInstance, sum_rate: float):
+    """(r~, thresholds) of a sum rate from one ``tilde_params`` solve: the
+    minimum-sum-rate allocation and the unconditioned single-encoder rates
+    at r~, each pair in the noise-sorted order.  A rate pair enters them
+    only through its sum, so a grid solves them once per distinct sum."""
     p_prior = 1.0 / instance.sigma_x2
-    order = _sorted_order(instance)
-    tp = tilde_params(instance, sum(R))
-    thresholds = tuple(joint_rate((instance.sigma_n2[i],), (v,), p_prior) for i, v in zip(order, tp.r_tilde))
-    return tp.r_tilde, thresholds, tuple(R[i] - th for i, th in zip(order, thresholds))
+    tp = tilde_params(instance, sum_rate)
+    return tp.r_tilde, tuple(
+        joint_rate((instance.sigma_n2[i],), (v,), p_prior) for i, v in zip(_sorted_order(instance), tp.r_tilde)
+    )
+
+
+def _margins(instance: CeoInstance, R, thresholds) -> tuple[float, float]:
+    """The omega margins R_a - threshold_a and R_b - threshold_b of a rate
+    pair, in the noise-sorted order."""
+    return tuple(R[i] - th for i, th in zip(_sorted_order(instance), thresholds))
 
 
 def _closed_form_l2(instance: CeoInstance, R, r_tilde, thresholds):
@@ -541,6 +549,23 @@ def _closed_form_l2(instance: CeoInstance, R, r_tilde, thresholds):
     return "omega3", r
 
 
+def _solve_l2(instance: CeoInstance, R, r_tilde, thresholds) -> InversionResult:
+    """The "auto" answer of a validated two-encoder rate pair, from r~ and
+    the omega thresholds of its sum rate (``_thresholds``).  At most one
+    finite positive rate takes the one-encoder closed form (branch
+    "reduced"), otherwise ``_closed_form_l2``.  The answer is labelled
+    ``closed_form_l2``, carries the omega margins of R and meets the
+    acceptance rule (``_assemble``).  ``_r_star_cached`` and the
+    reachability grid table (``refinement``) both solve a pair here."""
+    finite, p0 = _split_rates(instance, R)
+    if len(finite) <= 1:
+        branch, r_finite = "reduced", [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
+    else:
+        branch, r_finite = _closed_form_l2(instance, R, r_tilde, thresholds)
+    margins = _margins(instance, R, thresholds)
+    return _assemble(instance, R, finite, r_finite, p0, "closed_form_l2", branch=branch, margins=margins)
+
+
 def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
     """Signed distances of a rate pair to the two branch thresholds.
 
@@ -549,7 +574,8 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
     """
     if instance.L != 2:
         raise ArgumentError("omega classification requires exactly two encoders")
-    return _thresholds(instance, _check_allocation(instance, R, "rate vector"))[2]
+    R = _check_allocation(instance, R, "rate vector")
+    return _margins(instance, R, _thresholds(instance, sum(R))[1])
 
 
 def omega_tag(margins, R, tol: float = OMEGA_TOL) -> OmegaTag:
@@ -589,30 +615,22 @@ def classify_omega(instance: CeoInstance, R, tol: float = OMEGA_TOL) -> OmegaTag
 # ----------------------------------------------------------------------
 
 
-# Answers the r* LRU holds; refinement keeps as many grid-table nodes.
+# Answers the r* LRU holds.
 _R_STAR_CACHE_SIZE = 65536
 
 
 @lru_cache(maxsize=_R_STAR_CACHE_SIZE)
 def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionResult:
-    """r* of a rate tuple that ``r_star`` has validated.  At most one finite
-    positive rate takes the one-encoder closed form; otherwise "auto" takes
-    the two-encoder closed form at L = 2 and the decomposition beyond.  An
-    "auto" answer at L = 2 is labelled ``closed_form_l2`` and carries the
-    omega margins of R."""
+    """r* of a rate tuple that ``r_star`` has validated.  "auto" at L = 2
+    takes ``_solve_l2``.  Otherwise at most one finite positive rate takes
+    the one-encoder closed form, and more take the decomposition."""
+    if method == "auto" and instance.L == 2:
+        return _solve_l2(instance, R, *_thresholds(instance, sum(R)))
     finite, p0 = _split_rates(instance, R)
-    closed_l2 = method == "auto" and instance.L == 2
-    label = "closed_form_l2" if closed_l2 else "closed_form_l1"
-    fields = {}
-    if closed_l2:
-        r_tilde, thresholds, fields["margins"] = _thresholds(instance, R)
     if len(finite) <= 1:
         r_finite = [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
         branch = None if instance.L == 1 else "reduced"
-        return _assemble(instance, R, finite, r_finite, p0, label, branch=branch, **fields)
-    if closed_l2:
-        branch, r_finite = _closed_form_l2(instance, R, r_tilde, thresholds)
-        return _assemble(instance, R, finite, r_finite, p0, label, branch=branch, **fields)
+        return _assemble(instance, R, finite, r_finite, p0, "closed_form_l1", branch=branch)
     sn = [instance.sigma_n2[i] for i in finite]
     r_finite, blocks, iterations = _decompose(sn, [R[i] for i in finite], p0)
     return _assemble(instance, R, finite, r_finite, p0, "decomposition", blocks=blocks, iterations=iterations)

@@ -396,7 +396,7 @@ def identify_face(instance: CeoInstance, r, R, tol: float = TOL_EQ) -> FaceDescr
     for i in range(L):
         if r[i] == 0.0 and abs(R[i]) > band:
             raise ArgumentError(
-                f"encoder {i} has zero allocation but rate {R[i]}; not on the dominant face"
+                f"encoder {i + 1} has zero allocation but rate {R[i]}; not on the dominant face"
             )
     if not active:
         return FaceDescriptor(chain=(), blocks=(), dimension=0, active=())

@@ -31,12 +31,14 @@ per subset, as an independent cross-check of the inequality form.
 
 ``reachable_set_l2`` runs the two-stage test from one start to every node
 of a two-encoder rate grid.  What does not depend on the start (each
-node's inversion, region tag and CSV row text) is a grid table, kept in a
-bounded memo of at most as many nodes in all as the r* cache holds
-answers.  A cold map costs one r* per node.  A warm map costs, per node
-that dominates the start, its two singleton stage-2 slacks (two
-logarithms), which reject most nodes exactly; only the nodes they do not
-reject take the stage-2 minimum (``_stage_min``).
+node's inversion, precision weights, region tag and CSV line) is a grid
+table, built in one pass and kept in a bounded memo of its own.  A cold
+map solves the minimum-sum-rate allocation once per distinct sum rate
+and each node by the two-encoder closed form and acceptance rule of
+``r_star``, without the r* cache.  A warm map costs, per node that
+dominates the start, its two singleton stage-2 slacks (two logarithms),
+which reject most nodes exactly; only the nodes they do not reject take
+the stage-2 minimum (``_stage_min``).
 """
 
 from __future__ import annotations
@@ -46,13 +48,15 @@ import sys
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 from .errors import ArgumentError, ConvergenceError
-from .model import CHAIN_DROP, FEASIBILITY_TOL, R_MAX, CeoInstance, _check_chain, channel_noise_from_r, precision_weight, rate_floor
+from .model import (
+    CHAIN_DROP, FEASIBILITY_TOL, R_MAX, CeoInstance, _check_allocation, _check_chain, channel_noise_from_r,
+    precision_weight, rate_floor,
+)
 from .polymatroid import _scan_min_slack, mask_to_indices
-from .inversion import _R_STAR_CACHE_SIZE, OmegaTag, omega_tag, r_star
+from .inversion import OmegaTag, _solve_l2, _thresholds, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
 
 # Most nodes a reachability grid may have: no Python list holds more.
@@ -224,69 +228,88 @@ def _csv_value(r: float) -> str:
     return "CAP" if r >= R_MAX else "%.17g" % r
 
 
-def _csv_prefix(node: GridNode) -> str:
-    """The CSV fields of a node that do not depend on the start, each
-    followed by a comma.  Node coordinates and D* are finite, so "%.17g"
-    writes them as the JSON output's ``_fmt`` does."""
-    (R1, R2), region, d_star, (r1, r2), _ = node
-    return "%.17g,%.17g,%s,%.17g,%s,%s," % (R1, R2, region.value, d_star, _csv_value(r1), _csv_value(r2))
-
-
 class GridMap(list):
     """A reachability map: the ``GridNode`` of every node in row-major
-    order, with the CSV row prefixes of its grid table (a tuple)."""
+    order, with a list of their CSV lines."""
 
-    def __init__(self, nodes, prefixes: tuple[str, ...]):
+    def __init__(self, nodes, lines):
         super().__init__(nodes)
-        self.prefixes = prefixes
+        self.lines = list(lines)
 
     def csv_chunks(self):
         """The map as ``omega-map`` writes it, 1024 lines of text at a time
         (so no copy of the whole text is held): the header, then each
-        node's kept prefix and its reach bit."""
+        node's line."""
         yield _CSV_HEADER
-        lines = zip(self.prefixes, self)
-        while chunk := "".join([p + ("1\n" if node.reachable else "0\n") for p, node in islice(lines, 1024)]):
-            yield chunk
+        for k in range(0, len(self.lines), 1024):
+            yield "".join(self.lines[k : k + 1024])
 
 
 class _GridTable(NamedTuple):
     """The part of a reachability map that does not depend on the start.
 
     ``axis[k]`` is the k-th node coordinate along either axis; node (a, b)
-    is entry a * n + b of ``nodes`` (its ``GridNode``, unreachable) and of
-    ``prefixes`` (its ``_csv_prefix``).
+    is entry a * n + b of ``nodes`` (its ``GridNode``, unreachable), of
+    ``weights`` (the precision weights of its r*) and of ``lines`` (its
+    CSV line, reachable bit 0).
     """
 
     axis: list[float]
     nodes: list[GridNode]
-    prefixes: tuple[str, ...]
+    weights: list[tuple[float, float]]
+    lines: list[str]
 
 
 # Grid tables kept across maps, least recently used first, keyed by
-# (instance, lo, step, n).  They hold at most _KEPT_NODES nodes in all, as
-# many as the r* cache holds answers; a larger grid's table is not kept.
+# (instance, lo, step, n).  They hold at most _KEPT_NODES nodes in all,
+# about 570 bytes each (under 40 MB); a larger grid's table is not kept.
 _grid_tables: OrderedDict = OrderedDict()
-_KEPT_NODES = _R_STAR_CACHE_SIZE
+_KEPT_NODES = 65536
 
 
 def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridTable:
     """The table of the n x n grid from ``lo`` by ``step``: kept, or built
-    by one ``r_star`` call and one ``omega_tag`` per node."""
+    node by node in one pass.
+
+    Node coordinates only grow from the first node (lo, lo), so its check
+    (``model._check_allocation``, the one ``r_star`` makes) holds for all
+    of them.  A pair enters the minimum-sum-rate allocation and the omega
+    thresholds (``inversion._thresholds``) only through its sum, so they are
+    solved once per distinct float sum rate; each node then takes the
+    two-encoder solve that ``r_star`` runs (``inversion._solve_l2``), its
+    acceptance rule included, and one ``omega_tag``.  The row and column
+    coordinates are written once each, the columns while the first row is
+    built.  Nothing is built ahead of the node that needs it.
+    """
     key = (instance, lo, step, n)
     table = _grid_tables.get(key)
     if table is not None:
         _grid_tables.move_to_end(key)
         return table
-    axis, nodes = [], []
+    _check_allocation(instance, (lo, lo), "rate vector")
+    sn1, sn2 = instance.sigma_n2
+    table = _GridTable([], [], [], [])
+    axis, nodes, weights, lines = table
+    columns, sums = [], {}
     for a in range(n):
         R1 = lo + a * step
+        row = "%.17g" % R1
         for b in range(n):
             R = (R1, lo + b * step)
-            inv = r_star(instance, R)
-            nodes.append(GridNode(R, omega_tag(inv.margins, R), inv.d_star, inv.r_star, False))
+            if not a:
+                columns.append("%.17g" % R[1])
+            tilde = sums.get(R1 + R[1])
+            if tilde is None:
+                tilde = sums[R1 + R[1]] = _thresholds(instance, R1 + R[1])
+            inv = _solve_l2(instance, R, *tilde)
+            region = omega_tag(inv.margins, R)
+            (r1, r2), d = inv.r_star, inv.d_star
+            nodes.append(GridNode(R, region, d, inv.r_star, False))
+            weights.append((precision_weight(sn1, r1), precision_weight(sn2, r2)))
+            # Node coordinates and D* are finite, so "%.17g" writes them as
+            # the JSON output's ``_fmt`` does.
+            lines.append("%s,%s,%s,%.17g,%s,%s,0\n" % (row, columns[b], region.value, d, _csv_value(r1), _csv_value(r2)))
         axis.append(R1)
-    table = _GridTable(axis, nodes, tuple(_csv_prefix(node) for node in nodes))
     if n * n <= _KEPT_NODES:
         kept = n * n + sum(len(t.nodes) for t in _grid_tables.values())
         while kept > _KEPT_NODES:
@@ -295,41 +318,56 @@ def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridT
     return table
 
 
+def _node_or_r_star(instance: CeoInstance, table: _GridTable, R):
+    """The table's ``GridNode`` at R when R is a grid node, else
+    ``r_star(R)``; either carries R's ``r_star`` and ``d_star``."""
+    axis = table.axis
+    a, b = (bisect_left(axis, v) for v in R)
+    if a < len(axis) and b < len(axis) and axis[a] == R[0] and axis[b] == R[1]:
+        return table.nodes[a * len(axis) + b]
+    return r_star(instance, R)
+
+
 def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILITY_TOL) -> GridMap:
     """Reachability map over a rectangular rate grid (two encoders).
 
     ``grid`` is (min, max, step) applied to both axes: finite entries, a
-    positive step, at most ``MAX_GRID_NODES`` nodes and finite node
-    coordinates, checked before any node is visited.  Each node R is
-    inverted, tagged with its omega region, and tested for two-stage
-    refinement feasibility from ``R_from``; nodes that do not dominate
-    ``R_from`` are unreachable by definition (stage rates never decrease).
-    Nodes are emitted in row-major order (R1 outer, R2 inner).
+    positive step, at most ``MAX_GRID_NODES`` nodes, finite node
+    coordinates and a first node that ``r_star`` accepts, checked before
+    any node is visited.  Each node R is inverted, tagged with its omega
+    region, and tested for two-stage refinement feasibility from
+    ``R_from``; nodes that do not dominate ``R_from`` are unreachable by
+    definition (stage rates never decrease).  Nodes are emitted in
+    row-major order (R1 outer, R2 inner).
 
     This is ``check_refinement([R_from, R])`` at every dominating node,
-    evaluated in two parts.  The grid table, which does not depend on the
-    start, holds every node's ``GridNode`` fields and CSV row prefix.  It
-    is built once per (instance, min, step, node count): one ``r_star``
-    call per node, whose two-encoder answer (cached in the r* LRU) carries
-    the omega margins, so the region tag is ``omega_tag(inv.margins, R)``
-    with no second ``tilde_params`` solve.  Kept tables hold at most as
-    many nodes in all as the r* LRU holds answers, least recently used
-    dropped first; a larger grid's table is built, used and dropped.  The
-    per-start pass validates and inverts ``R_from`` and evaluates stage 1
-    (0 -> R_from) once.  A node whose minimum slack, min(stage 1,
-    stage 2), is at least -(tol + floor) is reachable, with floor the
-    rounding floor of its stage-2 end (``model.rate_floor``): the rule
-    ``check_refinement`` applies to the chain's last stage.  A node that
-    undershoots ``R_from`` by at most ``CHAIN_DROP`` in some coordinate is
-    tested at the coordinatewise maximum, as the chain test would see it.
+    evaluated in two parts.  The grid table (``_grid_table``), which does
+    not depend on the start, holds every node's ``GridNode`` fields, the
+    precision weights of its r* and its CSV line.  It is built once per
+    (instance, min, step, node count) in one pass: the first node's check
+    stands for all nodes, the minimum-sum-rate allocation is solved once
+    per distinct sum rate, and each node takes the two-encoder solve of
+    ``r_star``, whose answer carries the omega margins, so the region tag
+    is ``omega_tag(inv.margins, R)``.  Kept tables hold at most
+    ``_KEPT_NODES`` nodes in all, least recently used dropped first; a
+    larger grid's table is built, used and dropped.  The per-start pass
+    validates ``R_from``, reads the answers of the origin and of
+    ``R_from`` from the table (``r_star`` only where one is no grid node)
+    and evaluates stage 1 (0 -> R_from) once.  A node whose minimum
+    slack, min(stage 1, stage 2), is at least -(tol + floor) is
+    reachable, with floor the rounding floor of its stage-2 end
+    (``model.rate_floor``): the rule ``check_refinement`` applies to the
+    chain's last stage.  A node that undershoots ``R_from`` by at most
+    ``CHAIN_DROP`` in some coordinate is tested at the coordinatewise
+    maximum, as the chain test would see it.
 
     Stage 2 of a node is first tested by its two singletons alone, in
     scalar arithmetic: slack({i}) = c_i + (1/2) ln((p0 + u_i + w_j) D*),
     j the other encoder, c as ``_stage_min`` computes it, u the start's
-    weights and w and D* the node's.  A singleton below
-    cut = -2 (tol + F), F the rounding floor of the grid's top node,
-    rejects the node, and exactly so.  The threshold scan evaluates every
-    singleton, so its minimum is at most its own value of that singleton,
+    weights and w (kept in the table) and D* the node's.  A singleton
+    below cut = -2 (tol + F), F the rounding floor of the grid's top
+    node, rejects the node, and exactly so.  The threshold scan evaluates
+    every singleton, so its minimum is at most its own value of that singleton,
     which differs from the direct one only in rounding: the same c_i plus
     a few ulps of the slack and of log terms no larger than the node's
     rate sum (its precision is at most exp(2 sum R) / sigma_x2) or 745
@@ -340,10 +378,10 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     -(tol + floor): room for that rounding at every tol.  Every node the
     test does not reject, and every node tested at an off-grid target,
     takes the stage-2 minimum through ``_stage_min``, with no rows.  So a
-    cold map costs one r* per node, and a warm map per dominating node its
-    two precision weights and two logarithms; only a node that passes (a
-    few percent of them on the test instances) adds one threshold scan (one
-    sort and at most 2L + 1 logarithms) and one more logarithm.
+    warm map costs per dominating node two logarithms; only a node that
+    passes (a few percent of them on the test instances) adds one threshold
+    scan (one sort and at most 2L + 1 logarithms) and one more logarithm,
+    and only its CSV line is rewritten, in its last field.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -358,9 +396,10 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     if not math.isfinite(top):
         raise ArgumentError(f"grid {grid} has a node past the largest float")
     (R_from,) = _check_chain(instance, [R_from], "stage")
+    table = _grid_table(instance, lo, step, n)
     zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
-    origin = r_star(instance, zero).r_star
-    inv = r_star(instance, R_from)
+    origin = _node_or_r_star(instance, table, zero).r_star
+    inv = _node_or_r_star(instance, table, R_from)
     stage1, _, _, w_from = _stage_min(instance, p0, (zero, origin, _weights(instance, origin)), R_from, inv)
     start = (R_from, inv.r_star, w_from)
     # The singleton test's cut: a margin of band below the largest
@@ -369,23 +408,22 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     # docstring).
     band = tol + rate_floor((max(top, R_from[0]), max(top, R_from[1])))
     cut = -2.0 * band
-    sn1, sn2 = instance.sigma_n2
     (f1, f2), (s1, s2), (u1, u2) = start
-    table = _grid_table(instance, lo, step, n)
-    nodes = GridMap(table.nodes, table.prefixes)
+    axis, weights = table.axis, table.weights
+    nodes = GridMap(table.nodes, table.lines)
     # Node coordinates grow with their index, so the nodes that dominate the
     # start form the rectangle a >= a0, b >= b0.
-    a0 = bisect_left(table.axis, R_from[0] - CHAIN_DROP)
-    b0 = bisect_left(table.axis, R_from[1] - CHAIN_DROP)
-    ys = [max(y, R_from[1]) for y in table.axis[b0:]]
+    a0 = bisect_left(axis, R_from[0] - CHAIN_DROP)
+    b0 = bisect_left(axis, R_from[1] - CHAIN_DROP)
+    ys = [max(y, R_from[1]) for y in axis[b0:]]
     for a in range(a0, n):
-        x = max(table.axis[a], R_from[0])
+        x = max(axis[a], R_from[0])
         for k, y in zip(range(a * n + b0, (a + 1) * n), ys):
             node = nodes[k]
             target = (x, y)
             if target == node.R:
                 (r1, r2), d = node.r_star, node.d_star
-                w1, w2 = precision_weight(sn1, r1), precision_weight(sn2, r2)
+                w1, w2 = weights[k]
                 c1 = (0.0 if f1 == x else x - f1) - (r1 - s1)
                 c2 = (0.0 if f2 == y else y - f2) - (r2 - s2)
                 if c1 + 0.5 * math.log((p0 + u1 + w2) * d) < cut or c2 + 0.5 * math.log((p0 + w1 + u2) * d) < cut:
@@ -395,4 +433,5 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
                 inv = r_star(instance, target)
             if min(stage1, _stage_min(instance, p0, start, target, inv)[0]) >= -(tol + rate_floor(target)):
                 nodes[k] = GridNode(node.R, node.region, node.d_star, node.r_star, True)
+                nodes.lines[k] = nodes.lines[k][:-2] + "1\n"
     return nodes

@@ -408,12 +408,21 @@ class TestOmegaMap:
         assert (code, out) == (2, "")
         assert "largest float" in err.getvalue()
 
+    def test_negative_grid_exits_two_at_its_first_node(self, sym2_file):
+        # Nodes only grow from the first, so its check stands for all of
+        # them and reads as r_star's check of a negative rate.
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(["omega-map", "--instance", sym2_file, "--from=0.2,0.6", "--grid=-1,1,0.5"])
+        assert (code, out) == (2, "")
+        assert err.getvalue() == "error: rate vector entries must be >= 0, got -1.0\n"
+
     @pytest.fixture
     def no_node_visits(self, monkeypatch):
         """Make visiting a grid node raise, so that a grid the checks let
         through stops at its first node instead of running.  The region tag
-        is the one call the map makes per node and only per node: r_star
-        also runs for the origin and the start before any node is visited."""
+        is the one call the map makes per node and only per node: the
+        two-encoder solve also answers the origin and the start."""
 
         class NodeVisited(Exception):
             pass

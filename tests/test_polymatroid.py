@@ -308,7 +308,7 @@ class TestFaceIdentification:
         r = (0.5, 0.5, 0.0)
         R = vertex(inst, r, (0, 1, 2))[:2] + (5e-10,)
         assert identify_face(inst, r, R, 1e-9).dimension == 0
-        with pytest.raises(ArgumentError, match="zero allocation but rate 5e-10"):
+        with pytest.raises(ArgumentError, match="encoder 3 has zero allocation but rate 5e-10"):
             identify_face(inst, r, R, 0.0)
 
     def test_requires_dominant_face(self, sym2):

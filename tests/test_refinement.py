@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gceo import cli, inversion, polymatroid, refinement
 from gceo.errors import ArgumentError, ConvergenceError
-from gceo.model import MAX_ENCODERS, CeoInstance
+from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance
 from gceo.inversion import OmegaTag, classify_omega, omega_margins, r_star
 from gceo.refinement import (
     check_refinement,
@@ -344,14 +344,33 @@ class TestReachableGrid:
         nodes = reachable_set_l2(sym2, starts[-1], grid)
         assert [n.reachable for n in nodes if n.R == (0.5, 0.25)] == [True]
 
+    @pytest.mark.parametrize("grid, off", [((0.0, 120.0, 7.5), (48.01, 24.02)), ((0.05, 2.5, 0.07), (0.33, 0.21))])
+    def test_matches_per_node_oracle_past_the_cap_and_on_uneven_sums(self, sym2, grid, off):
+        # The first grid has nodes past R_MAX, whose rates are capped.  On
+        # the second, pairs with one exact sum R1 + R2 round to different
+        # float sums (129 of them, against 71 exact ones), so the table's
+        # per-sum solves are shared unevenly.  Starts on a node and off
+        # the grid, each with reachable nodes on every instance.
+        lo, hi, step = grid
+        starts = [(lo + 2 * step, lo + step), off]
+        for inst in (sym2, *ASYM_INSTANCES):
+            for start in starts:
+                for tol in (1e-6, 0.0):
+                    got = reachable_set_l2(inst, start, grid, tol)
+                    assert got == grid_map_oracle(inst, start, grid, tol), (inst, start, tol)
+        if step == 7.5:
+            assert any(node.r_star[0] >= R_MAX for node in got)
+        else:
+            assert len({R[0] + R[1] for R, *_ in got}) == 129
+
     def test_warm_map_solves_each_node_once(self, sym2, monkeypatch):
-        # A cold map solves each node once: one r_star call, whose margins
-        # give the tag, and no tilde_params solve.  Once the grid table is
-        # kept, a map makes only the origin and start r_star calls.  The
-        # start sits on the grid, so no node needs a second target.  Either
-        # map takes one stage minimum for stage 1 and one for each node
-        # that the singleton test passes: of the 42 nodes that dominate the
-        # start, only the one reachable node.
+        # A cold map solves the minimum-sum-rate allocation once per
+        # distinct sum rate and tags each node once; the origin and the
+        # start are grid nodes, so their answers come from the table and
+        # no r_star call is made.  A warm map solves and tags nothing.
+        # Either map takes one stage minimum for stage 1 and one for each
+        # node that the singleton test passes: of the 42 nodes that
+        # dominate the start, only the one reachable node.
         grid, start = (0.0, 2.0, 0.25), (0.5, 0.75)
         calls = {"r_star": 0, "tilde_params": 0, "omega_tag": 0, "_stage_min": 0}
 
@@ -373,12 +392,17 @@ class TestReachableGrid:
         passed = sum(node.reachable for node in cold)
         assert (dominating, passed) == (42, 1)
         stages = 1 + passed
-        assert calls["r_star"] == calls["omega_tag"] + 2 == len(cold) + 2
-        assert calls["_stage_min"] == stages
+        sums = len({R[0] + R[1] for R, *_ in cold})
+        assert sums == 17
+        assert calls == {"r_star": 0, "tilde_params": sums, "omega_tag": len(cold), "_stage_min": stages}
         calls.update(r_star=0, tilde_params=0, omega_tag=0, _stage_min=0)
         assert reachable_set_l2(sym2, start, grid) == cold
-        # Only the origin and the start are inverted.
-        assert calls == {"r_star": 2, "tilde_params": 0, "omega_tag": 0, "_stage_min": stages}
+        assert calls == {"r_star": 0, "tilde_params": 0, "omega_tag": 0, "_stage_min": stages}
+        # r_star runs only for points off the grid: here the start alone
+        # (no node undershoots it by less than 1e-12).
+        calls.update(r_star=0, tilde_params=0, omega_tag=0, _stage_min=0)
+        reachable_set_l2(sym2, (0.3, 1.1), grid)
+        assert (calls["r_star"], calls["omega_tag"]) == (1, 0)
 
     def test_warm_map_takes_two_logarithms_per_rejected_node(self, monkeypatch):
         # A warm map tests each dominating node by its two singleton slacks
