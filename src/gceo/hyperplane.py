@@ -17,10 +17,16 @@ yields a Lagrangian whose stationarity conditions solve in closed form:
 with S_i the running precision weight of the first i sorted encoders and
 [x]+ = max(x, 0).  Each r*_k increases with nu and with the earlier r*'s,
 so the precision of r*(nu) is nondecreasing in nu.  The multiplier is the
-least float nu whose allocation reaches the target precision 1/D, found in
-at most 64 halvings of the integers that order the floats.  It depends only
-on the data, so scaling every variance by a power of two scales nu by the
-same power and leaves the rates and phi bit-identical.
+least float nu whose allocation reaches the target precision 1/D.  The
+search keeps a bracket of the integers that order the floats, one end
+missing the target and one meeting it, and closes it with Newton points
+(the recursion carries the precision's derivative in nu) where they fit
+and with halvings otherwise: about 9 passes of the recursion on ordinary
+queries, and never more than SEARCH_PASSES + 1 = 72, the 64 halvings of
+[-NU_LIMIT, NU_LIMIT] and 8 more.  The precision is monotone, so every
+bracket closes on the float that bisection alone reaches.  That float
+depends only on the data, so scaling every variance by a power of two
+scales nu by the same power and leaves the rates and phi bit-identical.
 
 Zero-alpha encoders are free: their allocation is pushed to the cap
 (infinite rate).  If the capped encoders alone already beat the target
@@ -40,6 +46,10 @@ from .polymatroid import vertex
 
 # Bounds of the multiplier search: 2 nu stays finite.
 NU_LIMIT = sys.float_info.max / 4.0
+# Passes the multiplier search may spend before its last: 64 halvings
+# take the keys of [-NU_LIMIT, NU_LIMIT] to adjacent floats, and Newton
+# points may use the other 7.
+SEARCH_PASSES = 71
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,9 @@ def _float_key(x: float) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
 
 
+NU_KEY = _float_key(NU_LIMIT)
+
+
 def _key_float(key: int) -> float:
     """The float of a ``_float_key``."""
     (x,) = struct.unpack("<d", struct.pack("<q", abs(key)))
@@ -117,19 +130,27 @@ def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: 
     and r_k solves alpha_k sigma_n2[k] exp(2 r_k) = numerator.  ``fixed``
     replaces the solved allocation by a given one, so that the numerators
     are those the KKT check evaluates.  Returns the allocation, its
-    positive encoders' total weight and the numerators in sorted order.
+    positive encoders' total weight, the numerators in sorted order and
+    the total weight's derivative in nu, carried forward with the
+    correction term; a weight clamped at 0 or at ``R_MAX`` adds none.
     """
     r = list(fixed) if fixed is not None else [0.0] * instance.L
     nums = []
     running = 0.0  # sum of precision weights of earlier sorted encoders
     correction = 0.0  # accumulated (alpha gap) / (1/D - S_i) terms
+    d_running = d_correction = 0.0  # their derivatives in nu
     for k, idx in enumerate(order[:positive]):
         if k > 0:
             prev = order[k - 1]
             gap = alpha[prev] - alpha[idx]
+            room = inv_d - running
             # The floor is reached only above the root, where running
             # passes 1/D.
-            correction += gap / max(inv_d - running, math.ulp(inv_d))
+            if room > math.ulp(inv_d):
+                correction += gap / room
+                d_correction += gap / room * (d_running / room)
+            else:
+                correction += gap / math.ulp(inv_d)
         num = 2.0 * nu + correction
         nums.append(num)
         if fixed is None:
@@ -138,9 +159,83 @@ def _recursion(instance: CeoInstance, alpha, order, positive, nu: float, inv_d: 
             else:
                 rk = 0.5 * math.log(num / (alpha[idx] * instance.sigma_n2[idx]))
                 rk = min(max(rk, 0.0), R_MAX)
+                if 0.0 < rk < R_MAX:
+                    # The weight is 1/sigma_n2 - alpha / num here.
+                    d_running += alpha[idx] / num * ((2.0 + d_correction) / num)
             r[idx] = rk
         running += precision_weight(instance.sigma_n2[idx], r[idx])
-    return r, running, nums
+    return r, running, nums, d_running
+
+
+def _least_multiplier(instance: CeoInstance, alpha, order, positive, inv_d: float, target: float):
+    """The least float nu in [-NU_LIMIT, NU_LIMIT] whose allocation's
+    precision reaches ``target``, with that allocation, its total weight
+    and the number of ``_recursion`` passes spent.
+
+    The bracket (lo, hi] of ``_float_key`` integers keeps lo missing the
+    target and hi meeting it (the ends of the range are assumed to).  Each
+    pass tries a point inside it: first the multiplier at which the
+    weights would meet the target with every rate unclamped and no alpha
+    gap, then the Newton point of the last pass.  Newton runs in 1/num of
+    the first encoder with rate, whose weight 1/sigma_n2 - alpha/num bends
+    the most: from a miss that point lands past the root.  The point is
+    moved away from the side just seen by one float, or by the multiplier
+    step of one rounding of the precision (doubled while that side
+    repeats) if that is further, so that both ends close in.  A point may
+    leave the bracket as wide as it was, so one is tried only while the
+    key halvings still needed fit after it in SEARCH_PASSES; otherwise, and
+    when there is no point (no rate moves with nu) or it falls outside the
+    bracket, the pass halves the keys.  The search spends at most
+    SEARCH_PASSES passes, and one more when no point met the target.  The
+    precision is monotone in nu, so every such bracket closes on the float
+    that bisection alone reaches.
+    """
+    p0 = 1.0 / instance.sigma_x2
+    lo, hi = -NU_KEY, NU_KEY
+    p_lo = p0
+    allocation = running = None  # at hi, once evaluated
+    excess = p0 + sum(1.0 / instance.sigma_n2[i] for i in order[:positive]) - target
+    guess = sum(alpha) / (2.0 * excess) if excess > 0.0 else math.nan
+    missed, margin, shift = False, 0.0, 0.0
+    passes = 0
+    while hi - lo > 1:
+        key = (lo + hi) // 2
+        if (
+            passes + (hi - lo - 1).bit_length() < SEARCH_PASSES
+            and math.isfinite(guess)
+            and lo <= _float_key(guess) <= hi
+        ):
+            if missed:
+                key = max(_float_key(guess) + 1, _float_key(guess + shift))
+            else:
+                key = min(_float_key(guess) - 1, _float_key(guess - shift))
+            key = min(max(key, lo + 1), hi - 1)
+        nu = _key_float(key)
+        r_nu, run_nu, nums, slope = _recursion(instance, alpha, order, positive, nu, inv_d)
+        passes += 1
+        p_nu = p0 + run_nu
+        meets = p_nu >= target
+        if meets:
+            hi, allocation, running = key, r_nu, run_nu
+        elif 0.5 * math.log(p_lo / p_nu) > TOL_EQ:
+            raise InternalInconsistencyError("precision decreased along the multiplier bisection")
+        else:
+            lo, p_lo = key, p_nu
+        margin = max(2.0 * margin, 1.0) if missed != meets else 0.0
+        missed = not meets
+        guess = math.nan
+        if slope > 0.0:
+            step = (p_nu - target) / slope
+            shift = margin * math.ulp(target) / slope
+            # nu - t is the pole of the first weight with rate.
+            t = next((num / 2.0 for i, num in zip(order, nums) if r_nu[i] > 0.0), math.inf)
+            if step / t > -1.0:
+                guess = nu - step / (1.0 + step / t)
+    nu = _key_float(hi)
+    if allocation is None:
+        allocation, running, _, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
+        passes += 1
+    return nu, allocation, running, passes
 
 
 def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
@@ -149,9 +244,9 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
     Returns the optimal allocation, the multiplier, and the contact vertex
     in the descending-alpha decoding order.  The multiplier is the least
     float in [-NU_LIMIT, NU_LIMIT] whose allocation reaches the target
-    precision, bisected over ``_float_key`` in at most 64 halvings;
-    ConvergenceError is raised when its allocation misses D by more than
-    TOL_EQ nats, (1/2) |ln(precision D)|.
+    precision, found by ``_least_multiplier`` in at most SEARCH_PASSES + 1
+    passes; ConvergenceError is raised when its allocation misses D by
+    more than TOL_EQ nats, (1/2) |ln(precision D)|.
     """
     alpha = _normalize_alpha(alpha)
     if len(alpha) != instance.L:
@@ -173,24 +268,8 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         # Residual precision must come from positive-alpha encoders.  The
         # multiplier may take either sign (very uneven directions at loose
         # targets need nu < 0, with the leading allocations clamped at zero).
-        p0 = 1.0 / instance.sigma_x2
-        target = inv_d - (base - p0)
-        lo, hi = _float_key(-NU_LIMIT), _float_key(NU_LIMIT)
-        p_lo = p0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            _, running, _ = _recursion(instance, alpha, order, positive, _key_float(mid), inv_d)
-            passes += 1
-            p_mid = p0 + running
-            if p_mid >= target:
-                hi = mid
-            elif 0.5 * math.log(p_lo / p_mid) > TOL_EQ:
-                raise InternalInconsistencyError("precision decreased along the multiplier bisection")
-            else:
-                lo, p_lo = mid, p_mid
-        nu = _key_float(hi)
-        rpos, running, _ = _recursion(instance, alpha, order, positive, nu, inv_d)
-        passes += 1
+        target = inv_d - (base - 1.0 / instance.sigma_x2)
+        nu, rpos, running, passes = _least_multiplier(instance, alpha, order, positive, inv_d, target)
         # The allocation's distortion must be D to within TOL_EQ nats, the
         # rate tolerance of membership, faces and schedules.
         gap = 0.5 * math.log((base + running) / inv_d)
@@ -233,7 +312,7 @@ def kkt_residual(instance: CeoInstance, alpha, D: float, result: HyperplaneResul
     capped = result.pi_star[positive:]
     if capped_precision(instance, capped) >= 1.0 / D:
         return max(result.r_star[i] for i in result.pi_star[:positive])
-    _, _, nums = _recursion(instance, alpha, result.pi_star, positive, result.nu, 1.0 / D, result.r_star)
+    _, _, nums, _ = _recursion(instance, alpha, result.pi_star, positive, result.nu, 1.0 / D, result.r_star)
     worst = 0.0
     for idx, num in zip(result.pi_star, nums):
         grad = alpha[idx] - (exp_neg2r(result.r_star[idx]) / instance.sigma_n2[idx]) * num

@@ -41,7 +41,9 @@ Sampling.  Each call draws from one stream, SFC64 seeded by ``seed``, in
 chunks of ``SHARD_SIZE`` = 16384 samples (the last one shorter).  Each
 chunk makes one ``standard_normal`` block, one matrix product gives every
 distinct stage's errors, and the sums of e^2 and e^4 are two reductions,
-added in chunk order.  So a report depends only on (instance, chain, n,
+added in chunk order.  A single-stage draw map is 1x1, and there the
+block is scaled in place by its one entry instead, which gives the
+product's values without its call; the squares are taken in place.  So a report depends only on (instance, chain, n,
 seed), the chunks bound the memory a call holds, and equal stages get
 bit-identical reports.  Everything runs in the calling thread, and the
 module keeps no state between calls.
@@ -99,10 +101,20 @@ class SimReport:
 
 
 def _shard_sums(G, rng, m: int):
-    """Per row of G, the sums of e^2 and e^4 over the next m draws of rng."""
-    se = G @ rng.standard_normal((G.shape[1], m))
+    """Per row of G, the sums of e^2 and e^4 over the next m draws of rng.
+
+    A 1x1 map scales the normals in place, which is the product G @ z
+    without its call; both squares are taken in place.
+    """
+    se = rng.standard_normal((G.shape[1], m))
+    if G.shape == (1, 1):
+        se *= G[0, 0]
+    else:
+        se = G @ se
     se *= se
-    return se.sum(axis=1), (se * se).sum(axis=1)
+    sums = se.sum(axis=1)
+    se *= se
+    return sums, se.sum(axis=1)
 
 
 def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):

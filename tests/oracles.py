@@ -13,6 +13,10 @@ bound) only at desk scale:
   weights);
 * ``brute_force_phi``: the support value over a lattice of allocations
   (L <= 3), an upper bound on ``hyperplane.support_value``;
+* ``bisected_multiplier``: the least float multiplier that meets a
+  distortion target by 64 halvings of the integers that order the floats
+  in [-NU_LIMIT, NU_LIMIT], the reference for the Newton-guarded search
+  of ``hyperplane.support_value``;
 * ``pairwise_equivalence``: the full-chain refinement verdict against the
   AND of its adjacent-pair verdicts;
 * ``enumerate_stage_slacks``: the refinement stage inequality's slack at
@@ -80,6 +84,7 @@ import numpy as np
 from scipy.optimize import brentq, nnls
 
 from gceo.errors import ArgumentError, InternalInconsistencyError
+from gceo import hyperplane
 from gceo.hyperplane import _check_distortion, _normalize_alpha, _sort_order
 from gceo import inversion
 from gceo.model import (
@@ -332,6 +337,35 @@ def _masked_min(instance, alpha, order, rs: np.ndarray, inv_d: float) -> float:
         if gap != 0.0:
             value += gap * (0.5 * np.log(p_total / suffix) + prefix_rate)
     return float(value.min())
+
+
+def bisected_multiplier(instance: CeoInstance, alpha, D: float) -> tuple[float, float]:
+    """The least float nu in [-NU_LIMIT, NU_LIMIT] at which
+    ``hyperplane._recursion``'s allocation reaches the precision 1/D, with
+    the allocation's total precision, by halving the bracket of
+    ``_float_key`` integers until its ends are adjacent floats.  Zero-alpha
+    encoders are capped, as in ``support_value``; nu is 0.0 when they alone
+    reach 1/D."""
+    alpha = _normalize_alpha(alpha)
+    order = _sort_order(alpha)
+    positive = sum(1 for a in alpha if a > 0.0)
+    inv_d = 1.0 / D
+    p0 = 1.0 / instance.sigma_x2
+    base = p0 + sum(1.0 / instance.sigma_n2[i] for i in order[positive:])
+    if base >= inv_d:
+        return 0.0, base
+    target = inv_d - (base - p0)
+    lo, hi = -hyperplane.NU_KEY, hyperplane.NU_KEY
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        _, running, _, _ = hyperplane._recursion(instance, alpha, order, positive, hyperplane._key_float(mid), inv_d)
+        if p0 + running >= target:
+            hi = mid
+        else:
+            lo = mid
+    nu = hyperplane._key_float(hi)
+    _, running, _, _ = hyperplane._recursion(instance, alpha, order, positive, nu, inv_d)
+    return nu, base + running
 
 
 def pairwise_equivalence(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL) -> bool:

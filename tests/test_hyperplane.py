@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gceo import hyperplane, inversion
-from gceo.errors import ArgumentError, ConvergenceError, InfeasibleDistortionError
+from gceo.errors import ArgumentError, ConvergenceError, InfeasibleDistortionError, InternalInconsistencyError
 from gceo.model import TOL_EQ, CeoInstance, R_MAX, d_min, precision, precision_weight
 from gceo.hyperplane import kkt_residual, support_value
 from gceo.polymatroid import vertex
 
 from conftest import random_alloc, random_instance
-from oracles import brute_force_phi
+from oracles import bisected_multiplier, brute_force_phi
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PHI_SYM = 0.7351936076014103  # (3/2) ln 2 / sqrt(2)
@@ -71,9 +71,11 @@ class TestSupportValue:
                 assert precision(inst, res.r_star) == pytest.approx(1.0 / D, abs=1e-9)
 
     def test_bisection_stops_at_adjacent_floats(self, sym2, monkeypatch):
-        # The search halves the integers that order the floats in
-        # [-NU_LIMIT, NU_LIMIT], fewer than 2^64 of them: at most 64 halvings
-        # and one pass at the answer, whatever the scale of nu (~0.63 here).
+        # The search closes a bracket of the integers that order the floats
+        # in [-NU_LIMIT, NU_LIMIT], fewer than 2^64 of them: 64 halvings and
+        # the Newton points that fit beside them make at most
+        # SEARCH_PASSES passes, and one more when no point met the target,
+        # whatever the scale of nu (~0.63 here).
         calls = []
         recursion = hyperplane._recursion
 
@@ -104,6 +106,52 @@ class TestSupportValue:
         for alpha, D in (((0.0, 1.0), 0.6), ((0.6, 0.8), sym2.sigma_x2)):
             calls.clear()
             assert support_value(sym2, alpha, D).iterations == len(calls) == 0
+
+    def test_decreasing_precision_raises(self, sym2, monkeypatch):
+        # The search's bracket rests on precision rising with nu.  A
+        # recursion whose precision falls instead is caught at the first
+        # miss below an earlier one, not bisected into a wrong answer.
+        recursion = hyperplane._recursion
+
+        def falling(*args, **kwargs):
+            r, _, nums, slope = recursion(*args, **kwargs)
+            return r, 1.0 / (1.0 + abs(args[4])), nums, slope
+
+        monkeypatch.setattr(hyperplane, "_recursion", falling)
+        with pytest.raises(InternalInconsistencyError, match="precision decreased"):
+            support_value(sym2, (1.0, 0.5), 0.5)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, 1e-12, 1e12, math.inf, math.nan])
+    def test_a_wrong_slope_costs_passes_not_the_answer(self, factor, monkeypatch):
+        # The slope only places the Newton points inside the bracket: with
+        # it scaled, negated, zeroed or lost, the search still closes on the
+        # bisected float within its pass bound.
+        recursion = hyperplane._recursion
+
+        def skewed(*args, **kwargs):
+            r, running, nums, slope = recursion(*args, **kwargs)
+            return r, running, nums, slope * factor
+
+        monkeypatch.setattr(hyperplane, "_recursion", skewed)
+        rng = np.random.default_rng(35)
+        for _ in range(5):
+            inst, alpha, D = _ordinary_query(rng)
+            res = support_value(inst, alpha, D)
+            assert res.nu == bisected_multiplier(inst, alpha, D)[0]
+            assert res.iterations <= hyperplane.SEARCH_PASSES + 1
+
+    def test_search_takes_few_passes(self):
+        # Newton points close the bracket in ~9 passes on average where
+        # halving the float keys took 65, on the same floats.
+        rng = np.random.default_rng(4)
+        passes = []
+        for _ in range(300):
+            inst, alpha, D = _ordinary_query(rng)
+            res = support_value(inst, alpha, D)
+            assert res.nu == bisected_multiplier(inst, alpha, D)[0], (inst, alpha, D)
+            passes.append(res.iterations)
+        assert sum(passes) / len(passes) <= 16.0
+        assert max(passes) <= hyperplane.SEARCH_PASSES + 1
 
     def test_missed_distortion_raises(self):
         # At tiny noise the weight of a tiny rate, (num - alpha sigma_n2) /
@@ -173,6 +221,69 @@ class TestSupportValue:
         assert res.contact_vertex == pytest.approx(
             vertex(sym2, res.r_star, res.pi_star), abs=1e-12
         )
+
+
+def _ordinary_query(rng):
+    """A query of the design recipe: variances near 1, alpha in [0.1, 1]
+    and D between the source variance and the saturation floor."""
+    L = int(rng.integers(2, 9))
+    inst = CeoInstance(float(rng.uniform(0.5, 2.0)), tuple(float(v) for v in rng.uniform(0.3, 3.0, L)))
+    alpha = tuple(float(v) for v in rng.uniform(0.1, 1.0, L))
+    lo, hi = 1.0 / inst.sigma_x2, 1.0 / d_min(inst, L)
+    return inst, alpha, 1.0 / (lo + float(rng.uniform(0.1, 0.8)) * (hi - lo))
+
+
+@st.composite
+def _multiplier_queries(draw):
+    """Queries for the multiplier search: the design recipe, noise down to
+    1e-5, alpha spread down to 1e-4, one dominant alpha at loose targets
+    (negative multipliers), zero-alpha (capped) encoders, and every
+    variance and D scaled by a power of two."""
+    L = draw(st.integers(1, 8))
+    recipe = draw(st.sampled_from(["design", "tiny noise", "spread", "dominant", "capped"]))
+    sigma_x2 = 1.0 if recipe == "tiny noise" else draw(st.floats(0.5, 2.0))
+    if recipe == "tiny noise":
+        noise = [10.0 ** e for e in draw(st.lists(st.floats(-5.0, 2.0), min_size=L, max_size=L))]
+    else:
+        noise = draw(st.lists(st.floats(0.3, 3.0), min_size=L, max_size=L))
+    if recipe == "spread":
+        alpha = [10.0 ** e for e in draw(st.lists(st.floats(-4.0, 0.0), min_size=L, max_size=L))]
+    elif recipe == "dominant":
+        alpha = [1.0] + draw(st.lists(st.floats(0.01, 0.3), min_size=L - 1, max_size=L - 1))
+    elif recipe == "capped":
+        alpha = [1.0] + draw(st.lists(st.sampled_from([0.0, 0.2, 0.7]), min_size=L - 1, max_size=L - 1))
+    else:
+        alpha = draw(st.lists(st.floats(0.05, 1.0), min_size=L, max_size=L))
+    inst = CeoInstance(sigma_x2, tuple(noise))
+    lo, hi = 1.0 / sigma_x2, 1.0 / d_min(inst, L)
+    if recipe == "tiny noise":
+        # D uniform between the floor and sigma_x2, as in the pinned
+        # tiny-noise test: most of these multipliers are negative.
+        D = 1.0 / hi + draw(st.floats(0.001, 0.999)) * (sigma_x2 - 1.0 / hi)
+    else:
+        depth = draw(st.floats(0.001, 0.1) if recipe == "dominant" else st.floats(0.001, 0.999))
+        D = 1.0 / (lo + depth * (hi - lo))
+    c = math.ldexp(1.0, draw(st.integers(-40, 40)))
+    return CeoInstance(sigma_x2 * c, tuple(v * c for v in noise)), tuple(alpha), D * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_multiplier_queries())
+def test_multiplier_is_the_bisected_float(query):
+    """The Newton-guarded search returns the float that halving the float
+    keys of [-NU_LIMIT, NU_LIMIT] returns, bit for bit, and so the same
+    allocation: an answer that misses D is refused with that allocation's
+    precision."""
+    inst, alpha, D = query
+    want, p_want = bisected_multiplier(inst, alpha, D)
+    try:
+        res = support_value(inst, alpha, D)
+    except ConvergenceError as exc:
+        assert f"precision {p_want!r}," in str(exc)
+        assert 0.5 * abs(math.log(p_want * D)) > TOL_EQ
+    else:
+        assert repr(res.nu) == repr(want), (res.nu, want)
+        assert res.iterations <= hyperplane.SEARCH_PASSES + 1
 
 
 def _tangent_moves(instance, r, step):
