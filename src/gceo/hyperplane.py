@@ -218,7 +218,7 @@ def _least_multiplier(instance: CeoInstance, alpha, order, positive, inv_d: floa
         if meets:
             hi, allocation, running = key, r_nu, run_nu
         elif 0.5 * math.log(p_lo / p_nu) > TOL_EQ:
-            raise InternalInconsistencyError("precision decreased along the multiplier bisection")
+            raise InternalInconsistencyError("precision decreased along the multiplier search")
         else:
             lo, p_lo = key, p_nu
         margin = max(2.0 * margin, 1.0) if missed != meets else 0.0
@@ -275,7 +275,7 @@ def support_value(instance: CeoInstance, alpha, D: float) -> HyperplaneResult:
         gap = 0.5 * math.log((base + running) / inv_d)
         if not abs(gap) <= TOL_EQ:
             raise ConvergenceError(
-                f"multiplier bisection misses the distortion target by {gap:.3e} nats "
+                f"multiplier search misses the distortion target by {gap:.3e} nats "
                 f"(precision {base + running!r}, 1/D {inv_d!r})"
             )
         for i in order[:positive]:

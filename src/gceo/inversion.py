@@ -44,7 +44,11 @@ root-finder is involved.  Encoders are ordered by noise internally
 (sigma_n2[0] <= sigma_n2[1]); region tags refer to that ordering.  The
 one ``tilde_params`` solve that picks the branch also gives the two
 omega thresholds (``_thresholds``), which depend on R only through its
-sum rate.  The margins of R to them are what ``omega_margins`` returns
+sum rate.  A capped coordinate (>= R_MAX) counts as infinite there, as
+under the cap convention everywhere: the sum rate is then inf and that
+coordinate's margin inf (``_threshold_sum``, ``_margins``), so every
+spelling of a capped pair takes one tag.  The margins of R to the
+thresholds are what ``omega_margins`` returns
 and what the two-encoder answer (``_solve_l2``) records as ``margins``,
 so that an answer tags its region (``omega_tag``) with no second solve;
 a reachability grid solves the thresholds once per distinct sum rate
@@ -425,8 +429,14 @@ def _assemble(instance: CeoInstance, R, finite, r_finite, p0: float, method: str
     ``blocks``, must then also pass its KKT certificate
     (``_chain_kkt_residual``).  ``fields`` are the result's optional
     fields."""
-    finite_sn = [instance.sigma_n2[i] for i in finite]
-    finite_R = [R[i] for i in finite]
+    sn = instance.sigma_n2
+    if len(finite) == len(sn):
+        finite_sn, finite_R, r = sn, R, r_finite
+    else:
+        finite_sn, finite_R = [sn[i] for i in finite], [R[i] for i in finite]
+        r = [R_MAX if is_cap(v) else 0.0 for v in R]
+        for pos, i in enumerate(finite):
+            r[i] = r_finite[pos]
     # Sum-rate identity over the finite coordinates (capped encoders cancel
     # from both sides; their precision sits in the base p0).
     gap = abs(sum(finite_R) - joint_rate(finite_sn, r_finite, p0))
@@ -440,18 +450,20 @@ def _assemble(instance: CeoInstance, R, finite, r_finite, p0: float, method: str
         kkt = fields["kkt_residual"] = _chain_kkt_residual(finite_sn, finite_R, r_finite, blocks, p0)
         if not kkt <= KKT_LIMIT:
             raise ConvergenceError(f"decomposition fails its KKT certificate (residual {kkt:.3e} > {KKT_LIMIT:.0e})")
-    r = [R_MAX if is_cap(v) else 0.0 for v in R]
-    for pos, i in enumerate(finite):
-        r[i] = r_finite[pos]
-    d = 1.0 / (1.0 / instance.sigma_x2 + sum(precision_weight(s, v) for s, v in zip(instance.sigma_n2, r)))
+    d = 1.0 / (1.0 / instance.sigma_x2 + sum(map(precision_weight, sn, r)))
     return InversionResult(r_star=tuple(r), d_star=d, method=method, residuals=max(gap, -slack), **fields)
 
 
 def _split_rates(instance: CeoInstance, R):
     # Rates up to TOL_EQ nats are treated as zero: each moves the sum-rate
     # identity by at most TOL_EQ.
-    finite = [i for i in range(instance.L) if TOL_EQ < R[i] < R_MAX]
-    return finite, capped_precision(instance, [i for i in range(instance.L) if is_cap(R[i])])
+    finite, capped = [], []
+    for i, v in enumerate(R):
+        if is_cap(v):
+            capped.append(i)
+        elif v > TOL_EQ:
+            finite.append(i)
+    return finite, capped_precision(instance, capped)
 
 
 # ----------------------------------------------------------------------
@@ -501,10 +513,12 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     p1 = 1.0 / sx2 + 1.0 / sn1
     p2 = p1 + 1.0 / sn2
     inv_dc = p1 - 1.0 / sn2
-    gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2))
+    # g = 0 once t underflows (a sum rate past ~745 nats, or infinite),
+    # also where sn1 sn2 P2 / sx2 underflows too and the quotient reads 0/0.
+    gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2)) if t > 0.0 else 0.0
     if p2 - gap < inv_dc * (1.0 - 1e-12):
         l_d, r1, r2 = 1, _solve_l1(sn1, sum_rate, 1.0 / sx2), 0.0
-    else:  # gap = 0 only at an infinite sum rate
+    else:  # gap = 0 only where t underflows
         l_d = 2
         r1, r2 = (R_MAX if gap == 0.0 else min(max(0.5 * math.log(2.0 / (sn * gap)), 0.0), R_MAX) for sn in (sn1, sn2))
     d_tilde = 1.0 / (1.0 / sx2 + precision_weight(sn1, r1) + precision_weight(sn2, r2))
@@ -523,10 +537,25 @@ def _thresholds(instance: CeoInstance, sum_rate: float):
     )
 
 
+def _threshold_sum(R) -> float:
+    """The sum rate whose omega thresholds (``_thresholds``) a rate pair
+    takes: R_1 + R_2, or inf when a coordinate is capped (>= R_MAX), which
+    the cap convention of ``model`` counts as infinite.  ``_margins``
+    writes such a coordinate as inf too, so every spelling of a capped
+    rate tags alike."""
+    R1, R2 = R
+    return R1 + R2 if R1 < R_MAX and R2 < R_MAX else math.inf
+
+
 def _margins(instance: CeoInstance, R, thresholds) -> tuple[float, float]:
     """The omega margins R_a - threshold_a and R_b - threshold_b of a rate
-    pair, in the noise-sorted order."""
-    return tuple(R[i] - th for i, th in zip(_sorted_order(instance), thresholds))
+    pair, in the noise-sorted order; a capped coordinate's margin is inf."""
+    a, b = _sorted_order(instance)
+    th_a, th_b = thresholds
+    return (
+        R[a] - th_a if R[a] < R_MAX else math.inf,
+        R[b] - th_b if R[b] < R_MAX else math.inf,
+    )
 
 
 def _closed_form_l2(instance: CeoInstance, R, r_tilde, thresholds):
@@ -570,12 +599,14 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
     """Signed distances of a rate pair to the two branch thresholds.
 
     Returns (R_a - threshold_a, R_b - threshold_b) in the noise-sorted
-    encoder order; at most one can be positive.
+    encoder order; at most one can be positive unless both rates are
+    capped.  A capped rate (>= R_MAX) counts as infinite: its margin is
+    inf, and the thresholds are those of an infinite sum rate.
     """
     if instance.L != 2:
         raise ArgumentError("omega classification requires exactly two encoders")
     R = _check_allocation(instance, R, "rate vector")
-    return _margins(instance, R, _thresholds(instance, sum(R))[1])
+    return _margins(instance, R, _thresholds(instance, _threshold_sum(R))[1])
 
 
 def omega_tag(margins, R, tol: float = OMEGA_TOL) -> OmegaTag:
@@ -625,7 +656,7 @@ def _r_star_cached(instance: CeoInstance, R: tuple, method: str) -> InversionRes
     takes ``_solve_l2``.  Otherwise at most one finite positive rate takes
     the one-encoder closed form, and more take the decomposition."""
     if method == "auto" and instance.L == 2:
-        return _solve_l2(instance, R, *_thresholds(instance, sum(R)))
+        return _solve_l2(instance, R, *_thresholds(instance, _threshold_sum(R)))
     finite, p0 = _split_rates(instance, R)
     if len(finite) <= 1:
         r_finite = [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]

@@ -106,7 +106,7 @@ def is_cap(r: float) -> bool:
 def rate_floor(R) -> float:
     """Rounding floor of a comparison among the rates R, in nats:
     RATE_FLOOR * max(1, sum_i min(|R_i|, R_MAX))."""
-    return RATE_FLOOR * max(1.0, sum(min(abs(v), R_MAX) for v in R))
+    return RATE_FLOOR * max(1.0, sum([min(abs(v), R_MAX) for v in R]))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,11 @@ O(L log L).
 precision as p0 + u(A) + v(A^c), a sum of nonnegative terms: region
 membership and the inverse map's reduced regions pass u = 0 and v = w,
 and a refinement stage passes the weights of the coarser and the finer
-allocation, whose difference may have either sign.
+allocation, whose difference may have either sign.  At two members and
+u = 0 its candidates are the three nonempty subsets, which
+``_reduced_min_slack`` evaluates directly in the scan's arithmetic, to
+the bit: the two-encoder inverse map's acceptance rule and membership
+take no sort and at most three logarithms.
 
 Faces need no enumeration either.  On the dominant face the group rate
 of A never exceeds its unconditioned rank f(I, r) - f(A^c, r), and A is
@@ -226,7 +230,33 @@ def _prefix_values(c, w, members, p0: float):
 
 def _reduced_min_slack(sn, R, r, p0: float) -> float:
     """``min_slack`` of the region of noises ``sn`` and allocation ``r`` at
-    base precision p0 (the prior plus any descriptions already decoded)."""
+    base precision p0 (the prior plus any descriptions already decoded).
+
+    At two members with weights >= 0 the scan's candidates are the three
+    nonempty subsets, so they are evaluated directly, in the scan's
+    arithmetic: a singleton {i} with w_i > 0 is c_i + (1/2) ln((p0 + w_j) /
+    m), m = p0 + (w_0 + w_1), one with w_i = 0 is c_i itself (so a -0.0
+    survives), and the full set is c_0 + c_1 + (1/2) ln(p0 / m).  The
+    weighted singletons come first, then the zero-weight ones and the full
+    set, and a value replaces the minimum only when it is smaller: the
+    scan's ties and its -0.0, and a NaN never wins."""
+    if len(r) == 2:
+        (s0, s1), (R0, R1), (r0, r1) = sn, R, r
+        w0, w1 = precision_weight(s0, r0), precision_weight(s1, r1)
+        if w0 >= 0.0 and w1 >= 0.0:
+            c0, c1 = R0 - r0, R1 - r1
+            m = p0 + (w0 + w1)
+            low = math.inf
+            for value in (
+                c0 + 0.5 * math.log((p0 + w1) / m) if w0 > 0.0 else math.inf,
+                c1 + 0.5 * math.log((p0 + w0) / m) if w1 > 0.0 else math.inf,
+                c0 if w0 == 0.0 else math.inf,
+                c1 if w1 == 0.0 else math.inf,
+                c0 + c1 + 0.5 * math.log(p0 / m),
+            ):
+                if value < low:
+                    low = value
+            return low
     w = [precision_weight(s, v) for s, v in zip(sn, r)]
     return _scan_min_slack([a - b for a, b in zip(R, r)], [0.0] * len(w), w, p0)[0]
 

@@ -56,7 +56,7 @@ from .model import (
     precision_weight, rate_floor,
 )
 from .polymatroid import _scan_min_slack, mask_to_indices
-from .inversion import OmegaTag, _solve_l2, _thresholds, omega_tag, r_star
+from .inversion import OmegaTag, _solve_l2, _threshold_sum, _thresholds, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
 
 # Most nodes a reachability grid may have: no Python list holds more.
@@ -298,9 +298,10 @@ def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridT
             R = (R1, lo + b * step)
             if not a:
                 columns.append("%.17g" % R[1])
-            tilde = sums.get(R1 + R[1])
+            total = _threshold_sum(R)
+            tilde = sums.get(total)
             if tilde is None:
-                tilde = sums[R1 + R[1]] = _thresholds(instance, R1 + R[1])
+                tilde = sums[total] = _thresholds(instance, total)
             inv = _solve_l2(instance, R, *tilde)
             region = omega_tag(inv.margins, R)
             (r1, r2), d = inv.r_star, inv.d_star
@@ -377,11 +378,15 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     so the cut lies tol + F or more below the node's own threshold
     -(tol + floor): room for that rounding at every tol.  Every node the
     test does not reject, and every node tested at an off-grid target,
-    takes the stage-2 minimum through ``_stage_min``, with no rows.  So a
-    warm map costs per dominating node two logarithms; only a node that
-    passes (a few percent of them on the test instances) adds one threshold
-    scan (one sort and at most 2L + 1 logarithms) and one more logarithm,
-    and only its CSV line is rewritten, in its last field.
+    takes the stage-2 minimum through ``_stage_min``, with no rows.  The
+    rate increments x - R_from[0] of a row and y - R_from[1] of a column
+    are formed once each, and p0 + u_1 once per map, in the order of the
+    formula above; a node is its own target when both its row and its
+    column are, and then no target tuple is built.  So a warm map costs
+    per dominating node two logarithms and a few additions; only a node
+    that passes (a few percent of them on the test instances) adds one
+    threshold scan (one sort and at most 2L + 1 logarithms) and one more
+    logarithm, and only its CSV line is rewritten, in its last field.
     """
     if instance.L != 2:
         raise ArgumentError("grids are defined for two encoders")
@@ -415,23 +420,31 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     # start form the rectangle a >= a0, b >= b0.
     a0 = bisect_left(axis, R_from[0] - CHAIN_DROP)
     b0 = bisect_left(axis, R_from[1] - CHAIN_DROP)
-    ys = [max(y, R_from[1]) for y in axis[b0:]]
+    # Per column: the target's R2 (the start's where it exceeds the node's),
+    # whether that is the node's own, and its rate increment from the start.
+    columns = []
+    for v in axis[b0:]:
+        y = max(v, f2)
+        columns.append((y, y == v, 0.0 if f2 == y else y - f2))
+    pu1 = p0 + u1
     for a in range(a0, n):
-        x = max(axis[a], R_from[0])
-        for k, y in zip(range(a * n + b0, (a + 1) * n), ys):
-            node = nodes[k]
-            target = (x, y)
-            if target == node.R:
-                (r1, r2), d = node.r_star, node.d_star
+        x = max(axis[a], f1)
+        on_row, dx = x == axis[a], 0.0 if f1 == x else x - f1
+        for k, (y, on_column, dy) in zip(range(a * n + b0, (a + 1) * n), columns):
+            if on_row and on_column:
+                inv = nodes[k]
+                (r1, r2), d = inv.r_star, inv.d_star
                 w1, w2 = weights[k]
-                c1 = (0.0 if f1 == x else x - f1) - (r1 - s1)
-                c2 = (0.0 if f2 == y else y - f2) - (r2 - s2)
-                if c1 + 0.5 * math.log((p0 + u1 + w2) * d) < cut or c2 + 0.5 * math.log((p0 + w1 + u2) * d) < cut:
+                c1 = dx - (r1 - s1)
+                c2 = dy - (r2 - s2)
+                if c1 + 0.5 * math.log((pu1 + w2) * d) < cut or c2 + 0.5 * math.log((p0 + w1 + u2) * d) < cut:
                     continue
-                inv = node
+                target = inv.R
             else:
+                target = (x, y)
                 inv = r_star(instance, target)
             if min(stage1, _stage_min(instance, p0, start, target, inv)[0]) >= -(tol + rate_floor(target)):
+                node = nodes[k]
                 nodes[k] = GridNode(node.R, node.region, node.d_star, node.r_star, True)
                 nodes.lines[k] = nodes.lines[k][:-2] + "1\n"
     return nodes

@@ -341,6 +341,23 @@ class TestOmegaMap:
         code, out = run(["omega-map", "--instance", sym2_file, start, "--grid", "0,1,0.5"])
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("sigma_n2", [[1.0, 1.0], [0.6, 1.7], [1e-30, 1.0], [1.0, 1e-30]])
+    def test_capped_nodes_tag_as_their_infinite_spelling(self, tmp_path, sigma_n2):
+        # Nodes from 52.5 on have capped coordinates (>= R_MAX), which the
+        # cap convention counts as infinite.  On the 1e-30 instances the
+        # literal coordinates would give 82 of the 289 nodes another tag.
+        from gceo.inversion import classify_omega
+
+        instance = CeoInstance(1.0, tuple(sigma_n2))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance.to_dict()))
+        code, out = run(["omega-map", "--instance", str(path), "--from", "0.5,0.7", "--grid", "0,120,7.5"])
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 17 * 17
+        for R1, R2, tag, *_ in rows:
+            spelled = tuple(math.inf if float(v) >= R_MAX else float(v) for v in (R1, R2))
+            assert tag == classify_omega(instance, spelled).value, (R1, R2)
+
     def test_rows_as_fmt_writes_them(self, sym2_file, tmp_path):
         self.check_rows(sym2_file, tmp_path, "0,60,7.5")
 
@@ -935,8 +952,16 @@ class TestExtremeRatioRepros:
     def test_tilde_params_past_an_underflowing_t_squared_answers(self, tmp_path):
         # The one-level root divided by (sn1 + sx2) exp(-2 S), which
         # underflows to 0 at this sum rate S = 79.8; it is _solve_l1 now.
+        # R_1 is capped, so the tag takes the thresholds of an infinite sum
+        # rate, where sn1 sn2 P2 / sx2 underflows too: g is 0 there, not 0/0.
+        from gceo.inversion import tilde_params
+
+        instance = {"sigma_x2": 3.508705806646719e-270, "sigma_n2": [2.7702450534652542e-241, 6.381637675161741e-268]}
+        tiny = CeoInstance.from_dict(instance)
+        assert tilde_params(tiny, 54.65745318684737 + 25.185893369371996).r_tilde == (R_MAX, 0.0)
+        assert tilde_params(tiny, math.inf).r_tilde == (R_MAX, R_MAX)
         path = tmp_path / "tiny.json"
-        path.write_text(json.dumps({"sigma_x2": 3.508705806646719e-270, "sigma_n2": [2.7702450534652542e-241, 6.381637675161741e-268]}))
+        path.write_text(json.dumps(instance))
         argv = ["--instance", str(path), "--R", "54.65745318684737,25.185893369371996"]
         code, out = run(["invert"] + argv)
         answer = json.loads(out)

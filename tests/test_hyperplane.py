@@ -325,7 +325,7 @@ def test_hyperplane_answer_round_trips_and_is_stationary(data, L, sigma_x2, dept
 
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="multiplier bisection misses D at tiny noise")
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="multiplier search misses D at tiny noise")
 def test_hyperplane_meets_the_target_at_tiny_noise():
     """At noise variances down to 1e-5 every answer's precision is within
     TOL_EQ nats of 1/D.  A tiny rate's weight is a difference of O(1)

@@ -405,6 +405,23 @@ class TestOmega:
         with pytest.raises(ArgumentError):
             classify_omega(CeoInstance(1.0, (1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_capped_rate_tags_as_infinity(self, swap):
+        # The cap convention counts a rate >= R_MAX as infinite, so R_MAX,
+        # 55 and inf spell one point.  The capped less noisy encoder's
+        # threshold here is ~84.5 nats, above 55: read literally, (55, 0)
+        # tagged BOUNDARY_23 and (55, 1) OMEGA2 against OMEGA1 at inf.
+        # ``swap`` puts the less noisy encoder second.
+        order = (1, 0) if swap else (0, 1)
+        inst = CeoInstance(1.0, tuple((1e-30, 1.0)[i] for i in order))
+        for low in (0.0, 1.0):
+            spellings = [tuple((high, low)[i] for i in order) for high in (R_MAX, 55.0, math.inf)]
+            margins = {omega_margins(inst, R) for R in spellings}
+            assert len(margins) == 1 and margins.pop()[0] == math.inf
+            for R in spellings:
+                assert classify_omega(inst, R) is OmegaTag.OMEGA1
+                assert r_star(inst, R).margins == omega_margins(inst, R)
+
     def test_one_level_threshold_where_sn_over_sx2_underflows(self):
         # sn1 / sx2 ~ 3.6e-342 underflows.  With one level the less noisy
         # encoder's threshold is the sum rate itself, so its margin is

@@ -7,11 +7,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gceo import cli, polymatroid
 from gceo.errors import ArgumentError, ConvergenceError, InternalInconsistencyError
-from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision, rate_floor
+from gceo.model import MAX_ENCODERS, R_MAX, CeoInstance, precision, precision_weight, rate_floor
 from gceo.polymatroid import (
     _scan_min_slack,
     identify_face,
@@ -521,6 +521,23 @@ def signed_scan_cases(draw, min_n=1, max_n=7):
     return c, u, v, p0
 
 
+@st.composite
+def two_member_cases(draw):
+    """(sigma_n2, R, r, p0) of a two-member reduced region: noises and
+    base precision over 60 decades, allocations of 0, the cap, inf, tiny
+    or interior, and rates of 0, -0.0, +-inf, tiny, interior or the
+    allocation itself (a gap of zero).  A rate and an allocation both inf
+    have no slack."""
+    free = st.one_of(st.floats(1e-300, 1e-6), st.floats(0.0, 60.0))
+    sn, R, r = [], [], []
+    for _ in range(2):
+        sn.append(10.0 ** draw(st.floats(-30.0, 30.0)))
+        r.append(draw(st.sampled_from([0.0, R_MAX, math.inf]) | free))
+        R.append(draw(st.sampled_from([0.0, -0.0, math.inf, -math.inf, r[-1]]) | free))
+    assume(not any(math.isnan(a - b) for a, b in zip(R, r)))
+    return sn, R, r, 10.0 ** draw(st.floats(-30.0, 30.0))
+
+
 class TestThresholdScan:
     """The O(L log L) scan (one threshold sweep plus the singletons)
     against explicit enumeration of every subset and, past its reach,
@@ -549,6 +566,19 @@ class TestThresholdScan:
         else:
             assert low == pytest.approx(expect, abs=1e-12)
             assert scan_value(c, u, v, p0, subset) == pytest.approx(low, abs=1e-12)
+
+    @settings(max_examples=500)
+    @given(two_member_cases())
+    # A zero-weight singleton of gap -0.0 is the minimum (a log term added
+    # to it would print 0.0); the full set's gap inf - inf is NaN.
+    @example(([1.0, 1.0], [-0.0, 5.0], [0.0, 0.5], 1.0))
+    @example(([1.0, 2.0], [math.inf, -math.inf], [0.5, 0.5], 1.0))
+    def test_two_members_take_the_scans_value(self, case):
+        # The direct two-member form is the scan's value bit for bit.
+        sn, R, r, p0 = case
+        c = [a - b for a, b in zip(R, r)]
+        w = [precision_weight(s, v) for s, v in zip(sn, r)]
+        assert repr(polymatroid._reduced_min_slack(sn, R, r, p0)) == repr(_scan_min_slack(c, [0, 0], w, p0)[0])
 
     def test_logarithm_count_is_linear(self, monkeypatch):
         # One sweep plus the singletons takes at most 2L + 1 logarithms;
