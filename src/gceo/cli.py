@@ -37,18 +37,11 @@ seeded stream in the calling thread and starts no other (see
 ``montecarlo``).
 
 ``omega-map`` writes the CSV lines that ``refinement.reachable_set_l2``
-returns with its nodes.  A grid's start-independent part (inversions,
-precision weights, region tags, CSV lines) is a grid table, built in one
-pass and kept across maps in a bounded memo: a cold map solves the
-minimum-sum-rate allocation once per distinct sum rate and each node
-once, outside the r* cache.  A warm map tests each node that dominates
-``--from`` by its two singleton stage-2 slacks (two logarithms), which
-reject most nodes exactly; only the nodes they do not reject take the
-stage-2 minimum: one threshold scan (one sort and at most 2L + 1
-logarithms) and one more logarithm, with no rows built.  Only the lines
-of reachable nodes are rewritten.  One command runs one map, which is
-always cold; only a process that runs several maps of one grid (``main``
-or ``reachable_set_l2`` called in a loop) gets warm maps.
+returns with its nodes; that function's docstring and the ``refinement``
+module docstring describe the grid table, the per-start pass and their
+costs.  One command runs one map, which is always cold; only a process
+that runs several maps of one grid (``main`` or ``reachable_set_l2``
+called in a loop) gets warm maps.
 """
 
 from __future__ import annotations

@@ -31,28 +31,29 @@ identity (1/2) ln((p0 + w(r)) / p0) + r = R, the one description's
 For two, the plane splits into three parametric branches driven by the
 minimum-sum-rate allocation (``tilde_params``): a water-filling level
 count L_D, the unique distortion D~ matching the sum rate, and the
-allocation r~.  With two levels r~ is the root of the pair's quadratic
-in the precision gap 1/D_min(2) - 1/D~, written in exp(-sum rate) so
-that no sum rate overflows; with one level r~_1 is ``_solve_l1`` of the
-less noisy encoder at the sum rate.  When R_1 exceeds the unconditioned
-single-encoder rate at r~_1 (region Omega_1), encoder 1 is decoded first
-at exactly that rate, and encoder 2 follows as one encoder over the base
-precision 1/sigma_x2 + w_1(r_1), both by ``_solve_l1``; symmetrically
-for Omega_2; otherwise r* = r~ and R sits strictly inside the
-minimum-sum-rate segment (Omega_3).  Every branch is a closed form: no
-root-finder is involved.  Encoders are ordered by noise internally
-(sigma_n2[0] <= sigma_n2[1]); region tags refer to that ordering.  The
-one ``tilde_params`` solve that picks the branch also gives the two
-omega thresholds (``_thresholds``), which depend on R only through its
-sum rate.  A capped coordinate (>= R_MAX) counts as infinite there, as
-under the cap convention everywhere: the sum rate is then inf and that
-coordinate's margin inf (``_threshold_sum``, ``_margins``), so every
-spelling of a capped pair takes one tag.  The margins of R to the
-thresholds are what ``omega_margins`` returns
-and what the two-encoder answer (``_solve_l2``) records as ``margins``,
-so that an answer tags its region (``omega_tag``) with no second solve;
-a reachability grid solves the thresholds once per distinct sum rate
-and each node through ``_solve_l2``.
+allocation r~.  It is reverse water-filling: an encoder describes iff
+the water level is above its noise, so both describe iff the noisier
+encoder's two-level rate is nonnegative.  With two levels r~ is the root
+of the pair's quadratic in the precision gap 1/D_min(2) - 1/D~, written
+in exp(-sum rate) so that no sum rate overflows; with one level r~_1 is
+``_solve_l1`` of the less noisy encoder at the sum rate.  When R_1
+exceeds the unconditioned single-encoder rate at r~_1 (region Omega_1),
+encoder 1 is decoded first at exactly that rate, and encoder 2 follows
+as one encoder over the base precision 1/sigma_x2 + w_1(r_1), both by
+``_solve_l1``; symmetrically for Omega_2; otherwise r* = r~ and R sits
+strictly inside the minimum-sum-rate segment (Omega_3).  Every branch is
+a closed form: no root-finder is involved.  Encoders are ordered by
+noise internally (sigma_n2[0] <= sigma_n2[1]); region tags refer to that
+ordering.  The one ``tilde_params`` solve that picks the branch also
+gives the two omega thresholds (``_thresholds``), which depend on R only
+through its sum rate.  A capped coordinate (>= R_MAX) counts as
+infinite there, as under the cap convention everywhere: the sum rate is
+then inf and that coordinate's margin inf (``_threshold_sum``,
+``_margins``), so every spelling of a capped pair takes one tag.  The
+margins of R to the thresholds are what ``omega_margins`` returns and
+what ``omega_tag`` reads.  A reachability grid solves the thresholds once per distinct sum
+rate, and from them each node's answer (``_solve_l2``) and its tag, with
+no second solve; an answer itself carries no margins.
 
 General solver
 --------------
@@ -164,9 +165,6 @@ class InversionResult:
     residuals: float
     branch: str | None = None
     kkt_residual: float | None = None  # certificate of the general solver
-    # Omega margins of a two-encoder closed-form answer (``omega_margins``);
-    # not part of the serialized result.
-    margins: tuple[float, float] | None = None
     # Newton steps plus threshold scans of a decomposition answer, None for
     # a closed form; not part of the serialized result.
     iterations: int | None = None
@@ -490,9 +488,10 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
 
     With one level only the less noisy encoder describes, and r~_1 is the
     one-encoder root at the sum rate over the prior, ``_solve_l1(sn1,
-    sum_rate, 1/sx2)``.  Both encoders are active iff the two-level
-    solution has 1/D~ >= 1/D_c (up to 1e-12 relative), the precision at
-    which the noisier encoder starts to describe.  D~ is 1 / (1/sx2 + the
+    sum_rate, 1/sx2)``.  This is reverse water-filling: an encoder
+    describes iff the water level is above its noise, so both are active
+    iff the noisier encoder's two-level rate is nonnegative, sn2 g <= 2,
+    and then neither two-level rate is negative.  D~ is 1 / (1/sx2 + the
     precision weights of r~), which, unlike P2 - g, does not cancel.
     Rates follow the cap convention of ``model``: r~ is clamped at R_MAX,
     a one-level sum rate at or beyond R_MAX counts as infinite (as in
@@ -510,17 +509,15 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
         return TildeParams(l_d=1, d_tilde=sx2, r_tilde=(0.0, 0.0))
 
     t = math.exp(-sum_rate)
-    p1 = 1.0 / sx2 + 1.0 / sn1
-    p2 = p1 + 1.0 / sn2
-    inv_dc = p1 - 1.0 / sn2
+    p2 = 1.0 / sx2 + 1.0 / sn1 + 1.0 / sn2
     # g = 0 once t underflows (a sum rate past ~745 nats, or infinite),
     # also where sn1 sn2 P2 / sx2 underflows too and the quotient reads 0/0.
     gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2)) if t > 0.0 else 0.0
-    if p2 - gap < inv_dc * (1.0 - 1e-12):
+    if sn2 * gap > 2.0:
         l_d, r1, r2 = 1, _solve_l1(sn1, sum_rate, 1.0 / sx2), 0.0
     else:  # gap = 0 only where t underflows
         l_d = 2
-        r1, r2 = (R_MAX if gap == 0.0 else min(max(0.5 * math.log(2.0 / (sn * gap)), 0.0), R_MAX) for sn in (sn1, sn2))
+        r1, r2 = (R_MAX if gap == 0.0 else min(0.5 * math.log(2.0 / (sn * gap)), R_MAX) for sn in (sn1, sn2))
     d_tilde = 1.0 / (1.0 / sx2 + precision_weight(sn1, r1) + precision_weight(sn2, r2))
     return TildeParams(l_d=l_d, d_tilde=d_tilde, r_tilde=(r1, r2))
 
@@ -558,41 +555,33 @@ def _margins(instance: CeoInstance, R, thresholds) -> tuple[float, float]:
     )
 
 
-def _closed_form_l2(instance: CeoInstance, R, r_tilde, thresholds):
-    """(branch, r) of a rate pair with both rates finite and positive, from
-    the minimum-sum-rate allocation r~ and the omega thresholds of its sum
-    rate (``_thresholds``).
-
-    In Omega_1 (Omega_2) the pinned encoder, the less (more) noisy one, is
-    decoded first, alone; its partner is then one encoder over the prior
-    plus the pinned weight.  Otherwise r* = r~ (Omega_3)."""
-    a, b = _sorted_order(instance)
-    sn, p_prior = instance.sigma_n2, 1.0 / instance.sigma_x2
-    r = [0.0, 0.0]
-    for branch, first, second, threshold in (("omega1", a, b, thresholds[0]), ("omega2", b, a, thresholds[1])):
-        if R[first] >= threshold - RATE_FLOOR:
-            r[first] = _solve_l1(sn[first], R[first], p_prior)
-            r[second] = _solve_l1(sn[second], R[second], p_prior + precision_weight(sn[first], r[first]))
-            return branch, r
-    r[a], r[b] = r_tilde
-    return "omega3", r
-
-
 def _solve_l2(instance: CeoInstance, R, r_tilde, thresholds) -> InversionResult:
-    """The "auto" answer of a validated two-encoder rate pair, from r~ and
-    the omega thresholds of its sum rate (``_thresholds``).  At most one
-    finite positive rate takes the one-encoder closed form (branch
-    "reduced"), otherwise ``_closed_form_l2``.  The answer is labelled
-    ``closed_form_l2``, carries the omega margins of R and meets the
-    acceptance rule (``_assemble``).  ``_r_star_cached`` and the
-    reachability grid table (``refinement``) both solve a pair here."""
+    """The "auto" answer of a validated two-encoder rate pair, from the
+    minimum-sum-rate allocation r~ and the omega thresholds of its sum
+    rate (``_thresholds``).  At most one finite positive rate takes the
+    one-encoder closed form (branch "reduced").  Otherwise, in Omega_1
+    (Omega_2) the pinned encoder, the less (more) noisy one, is decoded
+    first, alone, and its partner is then one encoder over the prior plus
+    the pinned weight; elsewhere r* = r~ (Omega_3).  The answer is
+    labelled ``closed_form_l2`` and meets the acceptance rule
+    (``_assemble``).  ``_r_star_cached`` and the reachability grid table
+    (``refinement``) both solve a pair here; the grid tags its nodes from
+    the same thresholds (``_margins``, ``omega_tag``)."""
     finite, p0 = _split_rates(instance, R)
+    sn = instance.sigma_n2
     if len(finite) <= 1:
-        branch, r_finite = "reduced", [_solve_l1(instance.sigma_n2[i], R[i], p0) for i in finite]
+        branch, r_finite = "reduced", [_solve_l1(sn[i], R[i], p0) for i in finite]
     else:
-        branch, r_finite = _closed_form_l2(instance, R, r_tilde, thresholds)
-    margins = _margins(instance, R, thresholds)
-    return _assemble(instance, R, finite, r_finite, p0, "closed_form_l2", branch=branch, margins=margins)
+        a, b = _sorted_order(instance)
+        branch, r_finite = "omega3", [0.0, 0.0]
+        r_finite[a], r_finite[b] = r_tilde
+        for name, first, second, threshold in (("omega1", a, b, thresholds[0]), ("omega2", b, a, thresholds[1])):
+            if R[first] >= threshold - RATE_FLOOR:
+                r_finite[first] = _solve_l1(sn[first], R[first], p0)
+                r_finite[second] = _solve_l1(sn[second], R[second], p0 + precision_weight(sn[first], r_finite[first]))
+                branch = name
+                break
+    return _assemble(instance, R, finite, r_finite, p0, "closed_form_l2", branch=branch)
 
 
 def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
@@ -611,7 +600,7 @@ def omega_margins(instance: CeoInstance, R) -> tuple[float, float]:
 
 def omega_tag(margins, R, tol: float = OMEGA_TOL) -> OmegaTag:
     """Region tag of the rate pair R with omega margins ``margins``
-    (``omega_margins``, or the ``margins`` of its two-encoder r* answer);
+    (``omega_margins``, or ``_margins`` of thresholds already solved);
     within ``tol`` plus the rounding floor of R (``model.rate_floor``) of
     a threshold the separating BOUNDARY tag."""
     t1, t2 = margins

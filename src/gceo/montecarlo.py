@@ -78,8 +78,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.n_samples < 2**64:
-            raise ArgumentError(f"n_samples must be positive and fit in 64 bits, got {self.n_samples}")
+        # One sample has no standard error, so a report needs two.
+        if not 2 <= self.n_samples < 2**64:
+            raise ArgumentError(f"n_samples must be at least 2 and fit in 64 bits, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
             raise ArgumentError("seed must fit in 64 bits")
 
@@ -189,7 +190,7 @@ def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float
     mse, stderr, z = [], [], []
     for j, k in enumerate((2 * b[stage_row]).tolist()):
         m = sum_se[j] / n
-        var = (sum_se2[j] - n * m ** 2) / max(n - 1, 1)
+        var = (sum_se2[j] - n * m ** 2) / (n - 1)
         s = math.sqrt(max(var, 0.0) / n)
         mse.append(math.ldexp(m, k))
         stderr.append(math.ldexp(s, k))

@@ -33,9 +33,10 @@ per subset, as an independent cross-check of the inequality form.
 of a two-encoder rate grid.  What does not depend on the start (each
 node's inversion, precision weights, region tag and CSV line) is a grid
 table, built in one pass and kept in a bounded memo of its own.  A cold
-map solves the minimum-sum-rate allocation once per distinct sum rate
-and each node by the two-encoder closed form and acceptance rule of
-``r_star``, without the r* cache.  A warm map costs, per node that
+map solves the minimum-sum-rate allocation and the omega thresholds once
+per distinct sum rate, and each node by the two-encoder closed form and
+acceptance rule of ``r_star``, without the r* cache, tagged by its
+margins to those thresholds.  A warm map costs, per node that
 dominates the start, its two singleton stage-2 slacks (two logarithms),
 which reject most nodes exactly; only the nodes they do not reject take
 the stage-2 minimum (``_stage_min``).
@@ -56,7 +57,7 @@ from .model import (
     precision_weight, rate_floor,
 )
 from .polymatroid import _scan_min_slack, mask_to_indices
-from .inversion import OmegaTag, _solve_l2, _threshold_sum, _thresholds, omega_tag, r_star
+from .inversion import OmegaTag, _margins, _solve_l2, _threshold_sum, _thresholds, omega_tag, r_star
 from .scheduler import Description, gaussian_mi
 
 # Most nodes a reachability grid may have: no Python list holds more.
@@ -277,7 +278,8 @@ def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridT
     thresholds (``inversion._thresholds``) only through its sum, so they are
     solved once per distinct float sum rate; each node then takes the
     two-encoder solve that ``r_star`` runs (``inversion._solve_l2``), its
-    acceptance rule included, and one ``omega_tag``.  The row and column
+    acceptance rule included, and one ``omega_tag`` of its margins to
+    those thresholds (``inversion._margins``).  The row and column
     coordinates are written once each, the columns while the first row is
     built.  Nothing is built ahead of the node that needs it.
     """
@@ -303,7 +305,7 @@ def _grid_table(instance: CeoInstance, lo: float, step: float, n: int) -> _GridT
             if tilde is None:
                 tilde = sums[total] = _thresholds(instance, total)
             inv = _solve_l2(instance, R, *tilde)
-            region = omega_tag(inv.margins, R)
+            region = omega_tag(_margins(instance, R, tilde[1]), R)
             (r1, r2), d = inv.r_star, inv.d_star
             nodes.append(GridNode(R, region, d, inv.r_star, False))
             weights.append((precision_weight(sn1, r1), precision_weight(sn2, r2)))
@@ -346,19 +348,18 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     not depend on the start, holds every node's ``GridNode`` fields, the
     precision weights of its r* and its CSV line.  It is built once per
     (instance, min, step, node count) in one pass: the first node's check
-    stands for all nodes, the minimum-sum-rate allocation is solved once
-    per distinct sum rate, and each node takes the two-encoder solve of
-    ``r_star``, whose answer carries the omega margins, so the region tag
-    is ``omega_tag(inv.margins, R)``.  Kept tables hold at most
-    ``_KEPT_NODES`` nodes in all, least recently used dropped first; a
-    larger grid's table is built, used and dropped.  The per-start pass
-    validates ``R_from``, reads the answers of the origin and of
-    ``R_from`` from the table (``r_star`` only where one is no grid node)
-    and evaluates stage 1 (0 -> R_from) once.  A node whose minimum
-    slack, min(stage 1, stage 2), is at least -(tol + floor) is
-    reachable, with floor the rounding floor of its stage-2 end
-    (``model.rate_floor``): the rule ``check_refinement`` applies to the
-    chain's last stage.  A node that undershoots ``R_from`` by at most
+    stands for all nodes, the minimum-sum-rate allocation and the omega
+    thresholds are solved once per distinct sum rate, and each node takes
+    the two-encoder solve of ``r_star`` and the region tag of its margins
+    to those thresholds.  Kept tables hold at most ``_KEPT_NODES`` nodes
+    in all, least recently used dropped first; a larger grid's table is
+    built, used and dropped.  The per-start pass validates ``R_from``,
+    reads its answer from the table (``r_star`` where it is no grid node)
+    and evaluates stage 1 (0 -> R_from) once, from the origin's zero
+    allocation.  A node whose minimum slack, min(stage 1, stage 2), is at
+    least -(tol + floor) is reachable, with floor the rounding floor of
+    its stage-2 end (``model.rate_floor``): the rule ``check_refinement``
+    applies to the chain's last stage.  A node that undershoots ``R_from`` by at most
     ``CHAIN_DROP`` in some coordinate is tested at the coordinatewise
     maximum, as the chain test would see it.
 
@@ -403,9 +404,9 @@ def reachable_set_l2(instance: CeoInstance, R_from, grid, tol: float = FEASIBILI
     (R_from,) = _check_chain(instance, [R_from], "stage")
     table = _grid_table(instance, lo, step, n)
     zero, p0 = (0.0, 0.0), 1.0 / instance.sigma_x2
-    origin = _node_or_r_star(instance, table, zero).r_star
     inv = _node_or_r_star(instance, table, R_from)
-    stage1, _, _, w_from = _stage_min(instance, p0, (zero, origin, _weights(instance, origin)), R_from, inv)
+    # Stage 1 starts at the origin, whose r* and weights are zero.
+    stage1, _, _, w_from = _stage_min(instance, p0, (zero, zero, zero), R_from, inv)
     start = (R_from, inv.r_star, w_from)
     # The singleton test's cut: a margin of band below the largest
     # threshold of a dominating node, -band, so that it holds the rounding

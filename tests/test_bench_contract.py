@@ -14,6 +14,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,21 @@ def test_traced_layers_resolve():
     assert len(layers) >= 10
     for module, func in layers:
         assert callable(getattr(importlib.import_module(f"gceo.{module}"), func, None)), f"{module}.{func}"
+
+
+def test_bench_imports_load_every_traced_module():
+    # ``Tracer.install`` looks each traced module up in ``sys.modules``
+    # after the untraced pass, which on grid-map loads only what
+    # ``omega-map`` needs; a lazily imported module would make a traced run
+    # raise ``KeyError``.  So importing the harness's own modules must
+    # load every one of them.
+    src = BENCH.parent / "src"
+    code = (
+        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "import workloads, tracing\n"
+        "print(sorted({layer.module for layer in tracing.LAYERS if 'gceo.' + layer.module not in sys.modules}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(BENCH)], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

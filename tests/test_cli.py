@@ -634,6 +634,19 @@ class TestCommandPath:
         assert run(argv + [f"--chain={chain}", "--r=0.5,0.5"]) == (2, "")
         assert run(argv) == (2, "")
 
+    @pytest.mark.parametrize("source", ["--r=0.5,0.5", "--chain={chain}"], ids=["r", "chain"])
+    def test_simulate_one_sample_exits_two(self, sym2_file, tmp_path, source):
+        # One sample has no standard error: it printed "stderr": [0] and
+        # "z_scores": [Infinity] with exit 0.
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps([[0.5, 0.5], [0.7, 0.9]]))
+        argv = ["simulate", "--instance", sym2_file, source.format(chain=chain)]
+        assert run(argv + ["--n=2"])[0] == 0
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(argv + ["--n=1"]) == (2, "")
+        assert err.getvalue() == "error: n_samples must be at least 2 and fit in 64 bits, got 1\n"
+
     @pytest.mark.parametrize("argv, default", [
         pytest.param(["region", "check", "--r=0.5,0.5", NEAR_VERTEX], TOL_EQ, id="region check"),
         pytest.param(["region", "face", "--r=0.5,0.5", VERTEX], TOL_EQ, id="region face"),
@@ -969,6 +982,45 @@ class TestExtremeRatioRepros:
         assert (answer["r_star"], answer["method"], answer["branch"]) == ([50, 25.183151835349776], "closed_form_l2", "reduced")
         code, out = run(["omega"] + argv)
         assert (code, json.loads(out)["tag"]) == (0, "OMEGA2")
+
+    def test_two_encoder_closed_form_at_a_noise_ratio_of_1e_minus_430_answers(self, tmp_path):
+        # The noisier encoder's rate here is 0.09 nats, so it describes, but
+        # a level rule with a relative slack on a precision of size 1/sn1
+        # read the sum rate's water level as two-level there, clamped a
+        # negative rate at 0 and raised "math domain error".
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"sigma_x2": 8.394974948008668e132, "sigma_n2": [1.808559337741882e-163, 1.4535076851165435e267]}))
+        argv = ["--instance", str(path), "--R", "2.7042823728344505,0.09176994910066061"]
+        code, out = run(["invert"] + argv)
+        answer = json.loads(out)
+        assert (code, answer["method"], answer["branch"]) == (0, "closed_form_l2", "omega2")
+        code, out = run(["invert", "--method=bisection"] + argv)
+        bisection = json.loads(out)
+        assert code == 0
+        assert (answer["r_star"], answer["d_star"]) == (bisection["r_star"], bisection["d_star"])
+        code, out = run(["omega"] + argv)
+        assert (code, json.loads(out)["tag"]) == (0, "OMEGA2")
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["less-noisy-first", "less-noisy-second"])
+    def test_one_level_axis_tags_boundary_12_at_a_noise_ratio_of_1e_minus_30(self, tmp_path, swap):
+        # On the less noisy encoder's axis only that encoder describes, so
+        # R sits on both thresholds: every node below the cap tags
+        # BOUNDARY_12, as on moderate instances.  A level rule with a
+        # relative slack on 1/sn1 tagged the nodes at 30, 37.5 and 45 nats
+        # BOUNDARY_23, from a one-level r~ read as two levels.
+        sigma_n2 = [1e-30, 1.0]
+        path = tmp_path / "ratio.json"
+        path.write_text(json.dumps({"sigma_x2": 1.0, "sigma_n2": sigma_n2[::-1] if swap else sigma_n2}))
+        code, out = run(["omega-map", "--instance", str(path), "--from=0,0", "--grid=0,120,7.5"])
+        assert code == 0
+        axis = {}
+        for line in out.splitlines()[1:]:
+            R1, R2, region = line.split(",")[:3]
+            rate, other = (float(R2), float(R1)) if swap else (float(R1), float(R2))
+            if other == 0.0 and rate < R_MAX:
+                axis[rate] = region
+        assert {30.0, 37.5, 45.0} <= set(axis)
+        assert set(axis.values()) == {"BOUNDARY_12"}
 
     def test_kkt_certificate_of_underflowing_slopes_answers(self, tmp_path):
         # Both blocks' slopes exp(-2 r_i) / sigma_n2[i] underflow to 0, so

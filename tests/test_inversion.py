@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from gceo import inversion, polymatroid
 from gceo.errors import ArgumentError, ConvergenceError
-from gceo.model import CeoInstance, MAX_ENCODERS, R_MAX, d_min, distortion, exp_neg2r, precision, precision_weight
+from gceo.model import CeoInstance, MAX_ENCODERS, R_MAX, d_min, distortion, precision, precision_weight
 from gceo.inversion import (
     OmegaTag,
     classify_omega,
     d_star,
     omega_margins,
-    omega_tag,
     r_star,
     tilde_params,
     uniqueness_probe,
@@ -77,16 +76,24 @@ class TestTildeParams:
     @given(
         sigma_x2=st.floats(0.1, 10.0),
         sigma_n2=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+        decades=st.floats(0.0, 30.0),
         sum_rate=st.floats(0.0, 45.0),
     )
-    def test_certificate(self, sigma_x2, sigma_n2, sum_rate):
+    def test_certificate(self, sigma_x2, sigma_n2, decades, sum_rate):
         # Distortion identity, sum-rate identity and water-filling, checked
         # from the returned numbers alone (r~ is in noise-sorted order).
+        # The first noise shrinks by up to 30 decades, so noise ratios reach
+        # below 1e-30; no rate reaches R_MAX below a sum rate of 45 nats.  A
+        # level rule with a relative slack on a precision of size 1/sn1 took
+        # two levels at ratios below ~5e-13 and clamped the noisier rate at
+        # 0, overspending the sum rate.
+        sigma_n2 = (sigma_n2[0] * 10.0 ** -decades, sigma_n2[1])
         inst = CeoInstance(sigma_x2, sigma_n2)
         tp = tilde_params(inst, sum_rate)
         sn1, sn2 = sorted(sigma_n2)
         r1, r2 = tp.r_tilde
-        weights = (1.0 - exp_neg2r(r1)) / sn1 + (1.0 - exp_neg2r(r2)) / sn2
+        # expm1: a tiny rate of a tiny noise carries a large weight.
+        weights = -math.expm1(-2.0 * r1) / sn1 - math.expm1(-2.0 * r2) / sn2
         assert 1.0 / tp.d_tilde == pytest.approx(1.0 / sigma_x2 + weights, rel=1e-12)
         total = 0.5 * math.log(sigma_x2 / tp.d_tilde) + r1 + r2
         assert total == pytest.approx(sum_rate, abs=1e-12 * max(1.0, sum_rate))
@@ -255,21 +262,6 @@ class TestClosedForms:
             assert max(abs(x - y) for x, y in zip(res.r_star, expected)) <= 1e-13, (inst, R)
         assert branches == {"omega1", "omega2", "reduced"}
 
-    def test_margins_recorded(self):
-        # The margins an answer carries are omega_margins' exactly, reduced
-        # answers included; the serialized result leaves them out.
-        rng = np.random.default_rng(94)
-        for k in range(300):
-            inst = random_instance(rng, 2)
-            R = [float(v) for v in rng.uniform(0.0, 4.0, 2)]
-            if k % 3 == 0:
-                R[int(rng.integers(2))] = float(rng.choice([0.0, R_MAX]))
-            res = r_star(inst, R)
-            assert res.margins == omega_margins(inst, R)
-            assert omega_tag(res.margins, R) is classify_omega(inst, R)
-            assert "margins" not in res.to_dict()
-        assert r_star(inst, R, method="bisection").margins is None
-
 
 class TestRoundTrips:
     def test_boundary_vertex_round_trip(self):
@@ -420,7 +412,6 @@ class TestOmega:
             assert len(margins) == 1 and margins.pop()[0] == math.inf
             for R in spellings:
                 assert classify_omega(inst, R) is OmegaTag.OMEGA1
-                assert r_star(inst, R).margins == omega_margins(inst, R)
 
     def test_one_level_threshold_where_sn_over_sx2_underflows(self):
         # sn1 / sx2 ~ 3.6e-342 underflows.  With one level the less noisy

@@ -224,6 +224,8 @@ def test_kernel_agrees_with_the_literal_cascade(k):
 def test_config_validation():
     with pytest.raises(ArgumentError):
         SimConfig(n_samples=0, seed=1)
+    with pytest.raises(ArgumentError, match="at least 2"):
+        SimConfig(n_samples=1, seed=1)  # one sample has no standard error
     with pytest.raises(ArgumentError):
         SimConfig(n_samples=10, seed=-1)
 
@@ -243,7 +245,7 @@ def _sequential(instance, chain, n, seed):
     mse, stderr = [], []
     for j in row.tolist():
         mse.append(float(sum_se[j]) / n)
-        var = (float(sum_se2[j]) - n * mse[-1] ** 2) / max(n - 1, 1)
+        var = (float(sum_se2[j]) - n * mse[-1] ** 2) / (n - 1)
         stderr.append(math.sqrt(max(var, 0.0) / n))
     return tuple(mse), tuple(stderr)
 
@@ -283,13 +285,17 @@ def _in_callers(callers, fn):
         return list(pool.map(lambda _: outcome(), range(callers)))
 
 
-@pytest.mark.parametrize("n", [1, SHARD_SIZE, SHARD_SIZE + 1, 7 * SHARD_SIZE + 5])
+@pytest.mark.parametrize("n", [1, 2, SHARD_SIZE, SHARD_SIZE + 1, 7 * SHARD_SIZE + 5])
 @pytest.mark.parametrize("k", range(len(_SEQUENTIAL_CHAINS)))
 def test_pooled_shards_equal_the_sequential_loop(callers, n, k):
-    """Every caller's report equals the one-stream chunk loop."""
+    """Every caller's report equals the one-stream chunk loop.  One
+    sample has no standard error, so every caller refuses it."""
     inst, chain = _SEQUENTIAL_CHAINS[k]
-    expected = _sequential(inst, chain, n, seed=40 + k)
     reps = _in_callers(callers, lambda: _simulate(inst, chain, SimConfig(n, seed=40 + k)))
+    if n == 1:
+        assert all(isinstance(rep, ArgumentError) for rep in reps), reps
+        return
+    expected = _sequential(inst, chain, n, seed=40 + k)
     assert [(rep.empirical_mse, rep.stderr) for rep in reps] == [expected] * callers
 
 
