@@ -208,12 +208,14 @@ def _solve_l1(sn: float, rate: float, p0: float) -> float:
     exp(2r) = 1 + a expm1(2 rate) / (1 + a) with a = sn p0.  Where a is
     subnormal or 0, the product is formed as sn expm1(2 rate) p0 instead;
     p0 >= 1/sigma_x2 > 5.6e-309 then bounds sn by ~4, so sn expm1(2 rate)
-    cannot overflow."""
+    cannot overflow.  Where a overflows, a / (1 + a) is 1 and r = rate."""
     if rate <= 0.0:
         return 0.0
     if rate >= R_MAX:
         return R_MAX
     a = sn * p0
+    if a == math.inf:
+        return rate
     if a < sys.float_info.min:
         return 0.5 * math.log1p(sn * math.expm1(2.0 * rate) * p0)
     return 0.5 * math.log1p(a * math.expm1(2.0 * rate) / (1.0 + a))
@@ -295,7 +297,11 @@ def _top_block(sn, R, members, p: float):
     rates = [R[i] for i in members]
     tie = rate_floor(rates)
     top = max(sn[i] for i in members)
-    lift = [0.5 * math.log(top / sn[i]) for i in members]
+    # A ratio past the float range is a difference of logarithms.
+    lift = [
+        0.5 * math.log(q) if (q := top / sn[i]) < math.inf else 0.5 * (math.log(top) - math.log(sn[i]))
+        for i in members
+    ]
     a = [-math.expm1(-2.0 * v) / sn[i] for i, v in zip(members, lift)]
     b = [math.exp(-2.0 * v) / sn[i] for i, v in zip(members, lift)]
     levels = [_solve_l1(sn[i], u, p) - v for i, u, v in zip(members, rates, lift)]
@@ -512,7 +518,11 @@ def tilde_params(instance: CeoInstance, sum_rate: float) -> TildeParams:
     p2 = 1.0 / sx2 + 1.0 / sn1 + 1.0 / sn2
     # g = 0 once t underflows (a sum rate past ~745 nats, or infinite),
     # also where sn1 sn2 P2 / sx2 underflows too and the quotient reads 0/0.
-    gap = 2.0 * p2 * t / (t + math.sqrt(t * t + sn1 * sn2 * p2 / sx2)) if t > 0.0 else 0.0
+    # Where that product overflows, t^2 is lost beside it and its root is a
+    # product of roots.
+    q = sn1 * sn2 * p2 / sx2
+    root = math.sqrt(t * t + q) if q < math.inf else math.sqrt(sn1) * math.sqrt(sn2) * (math.sqrt(p2) / math.sqrt(sx2))
+    gap = 2.0 * p2 * t / (t + root) if t > 0.0 else 0.0
     if sn2 * gap > 2.0:
         l_d, r1, r2 = 1, _solve_l1(sn1, sum_rate, 1.0 / sx2), 0.0
     else:  # gap = 0 only where t underflows

@@ -118,14 +118,13 @@ def _shard_sums(G, rng, m: int):
     return sums, se.sum(axis=1)
 
 
-def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
+def _error_map(instance: CeoInstance, chain):
     """Error map G and the predicted distortions of an allocation chain.
 
     Stage j's estimation error is ``G[j] @ z`` for a vector z of independent
     standard normals, one entry per row of the draw plan (see the module
-    docstring); ``_draw_map`` reduces G to what is drawn.  With
-    ``coef_scale = 1`` the squares of row j sum to stage j's predicted
-    distortion.
+    docstring); ``_draw_map`` reduces G to what is drawn.  The squares of
+    row j sum to stage j's predicted distortion.
     """
     import numpy as np
 
@@ -150,7 +149,7 @@ def _error_map(instance: CeoInstance, chain, coef_scale: float = 1.0):
                 held = v
             # A variance below the held one (a rate drop within the chain
             # tolerance) reuses the held description: its increment is 0.
-            c = coef_scale * analytic[j] / (sn + v)
+            c = analytic[j] / (sn + v)
             x_weight[j] -= c
             for column, std in own:
                 column[j] = -c * std
@@ -173,10 +172,10 @@ def _draw_map(G):
     return np.linalg.qr(G.T, mode="r").T, stage_row.reshape(-1)  # stage_row is 2-D in numpy 2.0.0
 
 
-def _simulate(instance: CeoInstance, chain, config: SimConfig, coef_scale: float = 1.0) -> SimReport:
+def _simulate(instance: CeoInstance, chain, config: SimConfig) -> SimReport:
     import numpy as np
 
-    G, analytic = _error_map(instance, chain, coef_scale)
+    G, analytic = _error_map(instance, chain)
     G, stage_row = _draw_map(G)
     # Each row in units of 2^b (see "Scale" in the module docstring).
     b = np.frexp(np.abs(G).max(axis=1))[1]

@@ -61,7 +61,8 @@ one pass over those prefixes: one sort and one ``log1p`` per encoder
 gives g of each.  The scheduler's face step cuts its chain from it, with
 the base precision p0 of the descriptions decoded so far, and the inverse
 map's block search reads its minimum off it (the same g, with the
-precision p0 + w(A) inside A).  Within a caller's tolerance a tight set
+precision p0 + w(A) inside A).  The scheduler's grow stops take the best
+prefix of the same ``_threshold_order``.  Within a caller's tolerance a tight set
 need only nearly minimize g and can differ from a prefix in an encoder
 whose ratio sits near the threshold.  ``_tight_chain``, which serves only
 ``identify_face``, also tests every set one encoder away from a prefix,

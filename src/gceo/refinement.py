@@ -168,14 +168,15 @@ def check_refinement(instance: CeoInstance, stages, tol: float = FEASIBILITY_TOL
     )
 
 
-def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASIBILITY_TOL) -> bool:
+def dominant_face_form(instance: CeoInstance, R_prev, R_next) -> bool:
     """Stage feasibility via conditional-region membership of the increment.
 
     Builds the fine descriptions of r*(R_next) and the nested coarse
     descriptions of r*(R_prev), computes every conditional subset rank as a
     chain of ``scheduler.gaussian_mi`` step rates, and checks that the rate
-    increment sits on the dominant face.  A chain whose allocation is not nested (some r*
-    coordinate decreasing) admits no such construction and returns False.
+    increment sits on the dominant face, to ``model.FEASIBILITY_TOL``.  A
+    chain whose allocation is not nested (some r* coordinate decreasing)
+    admits no such construction and returns False.
     """
     stages = _check_chain(instance, [R_prev, R_next], "stage")
     R_prev, R_next = stages
@@ -203,11 +204,11 @@ def dominant_face_form(instance: CeoInstance, R_prev, R_next, tol: float = FEASI
 
     full = (1 << L) - 1
     increment = [b - a for a, b in zip(R_prev, R_next)]
-    if abs(sum(increment) - conditional_rank(full)) > max(tol, 1e-7):
+    if abs(sum(increment) - conditional_rank(full)) > FEASIBILITY_TOL:
         return False
     for mask in range(1, full + 1):
         lhs = sum(increment[i] for i in mask_to_indices(mask))
-        if lhs < conditional_rank(mask) - tol:
+        if lhs < conditional_rank(mask) - FEASIBILITY_TOL:
             return False
     return True
 

@@ -46,15 +46,23 @@ exactly:
       every other set loses slack, until a set A of the others is tight
       next to the piece.  From the top the piece is [y*, hi] with
       y* = max_A w(A) / -expm1(-2 e(A)); from the bottom it is [lo, y*]
-      with y* = min_A w(A) / expm1(2 e(A)).  Dinkelbach's iteration over
-      the threshold scan ``polymatroid._scan_min_slack`` finds y*.  The
-      face step then splits the rest into A and the remainder, which
-      keeps k.
+      with y* = min_A w(A) / expm1(2 e(A)).  The set A that stops it is
+      exactly tight and minimizes a modular plus concave slack, so by the
+      same lemma it is a prefix of one excess-per-weight order: e_i / w_i
+      ascending from the top, descending from the bottom (the face step's
+      order).  ``_stop`` takes the best prefix in one pass.  The face step
+      then splits the rest into A and the remainder, which keeps k.
 
 Choice rule: members are tried in ascending index, top before bottom, and
 the first (k, side) whose growth leaves k in a block with no other member
-that already has a piece is taken.  There is no proof that such a choice
-always exists; one did at every point tested, so a miss raises
+that already has a piece is taken.  The stop lemma settles that block
+condition in two cases, because the stopping set A is a nonempty prefix of
+the order without k and so holds the order's extreme member.  Where no
+member has a piece yet, every growth meets it; where the member with a
+piece has the largest (smallest) excess per weight, every other member's
+bottom (top) growth does, since A then holds that member.  Nothing proves
+that a choice exists when that member sits strictly inside the order; one
+did at almost every point tested, so a miss raises
 ``InternalInconsistencyError`` as a bug, not as a search miss.
 
 Bounds.  Each grow or face step splits its members into at least two
@@ -215,26 +223,28 @@ def _stop(e, w, top: bool) -> float:
     nonempty sets A of y_A = w(A) / -expm1(-2 e(A)) (top) or
     w(A) / expm1(2 e(A)) (bottom), for lists e and w.
 
-    Dinkelbach's iteration from A = every member: at the current y some set
-    beats y exactly when the threshold scan's slack of y is negative there,
-    so y moves to that set's y_A until no set improves on it.  The top scan
-    has base precision y - w(all), positive because y only grows from
-    y_all > w(all).
+    One pass over the prefixes of ``polymatroid._threshold_order`` with
+    c = e (top) or c = -e (bottom).  At y* every set has the slack
+    s(A) = c(A) + (1/2) ln(1 -+ w(A) / y*) >= 0 (minus at the top, plus at
+    the bottom) and the attaining set has s = 0, so it minimizes s, a
+    modular plus a strictly concave function of w(A).  Such exactly tight
+    minimizers are prefixes of the threshold order of c, which does not
+    depend on y: the lemma of the face step.  Ties go to the longer
+    prefix, and its y is re-summed over its members in index order.  A
+    prefix with no excess leaves no room: y* is then inf.
     """
-    zero, neg = [0.0] * len(e), [-v for v in e]
-    y, A = None, range(len(e))
-    while True:
-        e_A, w_A = sum(e[i] for i in A), sum(w[i] for i in A)
+    sign = -1.0 if top else 1.0  # c = -sign e, y_A = w(A) / (sign expm1(2 sign e(A)))
+    order = polymatroid._threshold_order([-sign * v for v in e], w, range(len(e)))
+    best, n, e_A, w_A = None, 0, 0.0, 0.0
+    for k, i in enumerate(order, 1):
+        e_A, w_A = e_A + e[i], w_A + w[i]
         if e_A == 0.0:
-            return math.inf  # a set with weight and no excess leaves no room
-        y_A = w_A / -math.expm1(-2.0 * e_A) if top else w_A / math.expm1(2.0 * e_A)
-        if y is not None and (y_A <= y if top else y_A >= y):
-            return y
-        y = y_A
-        if top:
-            _, A = polymatroid._scan_min_slack(e, zero, w, y - sum(w))
-        else:
-            _, A = polymatroid._scan_min_slack(neg, w, zero, y)
+            return math.inf
+        y = w_A / (sign * math.expm1(2.0 * sign * e_A))
+        if best is None or (y >= best if top else y <= best):
+            best, n = y, k
+    A = sorted(order[:n])
+    return sum(w[i] for i in A) / (sign * math.expm1(2.0 * sign * sum(e[i] for i in A)))
 
 
 def _grow(members, lo, hi, e, w, grown, tie):
@@ -263,7 +273,7 @@ def _grow(members, lo, hi, e, w, grown, tie):
     for k in members:
         if e[k] <= 0.0:
             raise ArgumentError(f"encoder {k + 1} has no rate left above its allocation for a piece of the schedule")
-    raise InternalInconsistencyError(f"no member of {members} can grow a piece")
+    raise InternalInconsistencyError(f"no member of {[k + 1 for k in members]} can grow a piece")
 
 
 def _tile(members, lo, hi, e, w, grown, tie):
@@ -363,23 +373,23 @@ def validate_schedule(instance: CeoInstance, schedule: Schedule, R, tol: float =
         recomputed, p_next = _rate(instance, enc, t, finest[enc], p)
         if not abs(recomputed - step.rate) <= tol:
             diags.append(
-                f"step {idx} (encoder {enc}, stage {step.description.stage}): "
+                f"step {idx} (encoder {enc + 1}, stage {step.description.stage}): "
                 f"stored rate {step.rate:.12f} != recomputed {recomputed:.12f}"
             )
         stages = seen_stages.setdefault(enc, [])
         if step.description.stage == 2 and 1 in stages and not t < finest[enc]:
-            diags.append(f"encoder {enc}: fine stage is not strictly finer than coarse stage")
+            diags.append(f"encoder {enc + 1}: fine stage is not strictly finer than coarse stage")
         if step.description.stage == 1 and 2 in stages:
-            diags.append(f"encoder {enc}: coarse stage decoded after fine stage")
+            diags.append(f"encoder {enc + 1}: coarse stage decoded after fine stage")
         if step.description.stage in stages:
-            diags.append(f"encoder {enc}: stage {step.description.stage} scheduled twice")
+            diags.append(f"encoder {enc + 1}: stage {step.description.stage} scheduled twice")
         stages.append(step.description.stage)
         p, finest[enc] = p_next, min(t, finest[enc])
 
     sums = schedule.per_encoder_rate(L)
     for i in range(L):
         if not abs(sums[i] - R[i]) <= tol:
-            diags.append(f"encoder {i}: rate sum {sums[i]:.12f} != target {R[i]:.12f}")
+            diags.append(f"encoder {i + 1}: rate sum {sums[i]:.12f} != target {R[i]:.12f}")
     if schedule.total_steps > 2 * L - 1:
         diags.append(f"{schedule.total_steps} steps exceeds bound {2 * L - 1}")
 

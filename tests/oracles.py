@@ -50,7 +50,7 @@ bound) only at desk scale:
   determined pivot and is exact up to the final logarithm;
 * ``exhaustive_stop``: where a piece grown in the scheduler's precision
   axis stops, over every subset (2^n), the reference for
-  ``scheduler._stop``'s Dinkelbach iteration;
+  ``scheduler._stop``'s one pass over the prefixes of one order;
 * ``reference_simulate``: every stage's Monte Carlo MSE from the literal
   cascade of observations and test channels, the reference for the draw
   plan of ``montecarlo._simulate``;

@@ -886,7 +886,10 @@ def _keeps_the_exit_code_contract(scale_dir, data, L, variance):
     """Every command exits 0-3 without raising, and no answer (exit 0 or
     1) holds NaN.  A ``hyperplane`` answer at exit 0 also meets D: the
     precision of its printed allocation is within TOL_EQ nats of 1/D.  A
-    ``simulate`` answer has a positive standard error and a finite z."""
+    ``simulate`` answer has a positive standard error and a finite z.  A
+    ``schedule`` runs at a mixture of two vertices of r (none where a vertex
+    raises), and its steps sum to R per encoder within the validator's
+    1e-7 nats."""
     sigma_x2 = data.draw(variance)
     sigma_n2 = data.draw(st.lists(variance, min_size=L, max_size=L))
     r, R, step, alpha = (data.draw(st.lists(_RATE, min_size=L, max_size=L)) for _ in range(4))
@@ -906,6 +909,15 @@ def _keeps_the_exit_code_contract(scale_dir, data, L, variance):
     ]
     if L == 2:
         commands.append(["omega", f"--R={vec(R)}"])
+    orders = [data.draw(st.permutations(range(L))) for _ in range(2)]
+    lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    try:
+        a, b = (vertex(CeoInstance(sigma_x2, tuple(sigma_n2)), r, pi) for pi in orders)
+    except (ArithmeticError, ValueError):
+        pass
+    else:
+        R_face = [lam * x + (1.0 - lam) * y for x, y in zip(a, b)]
+        commands.append(["schedule", f"--r={vec(r)}", f"--R={vec(R_face)}"])
     for argv in commands:
         argv = argv + ["--instance", str(instance)]
         err = io.StringIO()
@@ -921,6 +933,11 @@ def _keeps_the_exit_code_contract(scale_dir, data, L, variance):
         if code == 0 and argv[0] == "simulate":
             report = json.loads(out)
             assert report["stderr"][0] > 0.0 and math.isfinite(report["z_scores"][0]), (argv, out)
+        if code == 0 and argv[0] == "schedule":
+            sums = [0.0] * L
+            for step in json.loads(out)["steps"]:
+                sums[step["encoder"] - 1] += step["rate"]
+            assert all(abs(s - t) <= 1e-7 for s, t in zip(sums, R_face)), (argv, out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -982,6 +999,35 @@ class TestExtremeRatioRepros:
         assert (answer["r_star"], answer["method"], answer["branch"]) == ([50, 25.183151835349776], "closed_form_l2", "reduced")
         code, out = run(["omega"] + argv)
         assert (code, json.loads(out)["tag"]) == (0, "OMEGA2")
+
+    def test_two_encoder_closed_form_past_an_overflowing_root_answers(self, tmp_path):
+        # sn1 sn2 P2 / sx2 overflows here, so the root of t^2 plus it read
+        # inf, g read 0 and r~ = (R_MAX, R_MAX) at a sum rate of 3.2: the
+        # closed form failed its acceptance rule by 96.8 nats.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"sigma_x2": 9.06e-61, "sigma_n2": [1.04e228, 1.37e155]}))
+        argv = ["--instance", str(path), "--R", "1.6,1.6"]
+        code, out = run(["invert"] + argv)
+        answer = json.loads(out)
+        assert (code, answer["method"], answer["branch"]) == (0, "closed_form_l2", "omega2")
+        code, out = run(["invert", "--method=bisection"] + argv)
+        bisection = json.loads(out)
+        assert code == 0
+        assert (answer["r_star"], answer["d_star"]) == (bisection["r_star"], bisection["d_star"])
+
+    def test_block_search_past_an_overflowing_noise_ratio_answers(self, tmp_path):
+        # The largest over the smallest noise is ~2e428, past the float
+        # range: a member's lift, half the log of that ratio, read inf and
+        # the prefix scan raised "math domain error".  The noisiest
+        # member's one-encoder root also meets sn p0 = inf.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"sigma_x2": 7.915928936805347e-216, "sigma_n2": [5.115174127696542e-264, 1.342249240191722e-144, 1.0391118581701353e165]}
+        ))
+        argv = ["--instance", str(path), "--R", "0.6245338496678718,2.590420521218605,0.12078305189790961"]
+        code, out = run(["invert"] + argv)
+        assert (code, json.loads(out)["method"]) == (0, "decomposition")
+        assert run(["invert", "--method=bisection"] + argv) == (code, out)
 
     def test_two_encoder_closed_form_at_a_noise_ratio_of_1e_minus_430_answers(self, tmp_path):
         # The noisier encoder's rate here is 0.09 nats, so it describes, but

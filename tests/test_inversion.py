@@ -245,6 +245,11 @@ class TestClosedForms:
             rate = _log_uniform_rate(rng)
             assert abs(inversion._solve_l1(sn, rate, p0) - solve_l1_root(sn, rate, p0)) <= 1e-13
 
+    def test_single_encoder_rate_where_sn_p0_overflows(self):
+        # a = sn p0 is inf, so a / (1 + a) read inf / inf = NaN; it is 1
+        # there, and r equals the rate (a block search meets this at L = 3).
+        assert inversion._solve_l1(1.0391118581701353e165, 0.12078305189790961, 1.2632756155130074e215) == 0.12078305189790961
+
     def test_r_star_l2_matches_the_roots(self):
         # Every fourth node is reduced: one rate zero or capped.
         rng = np.random.default_rng(92)

@@ -99,12 +99,14 @@ class TestRefinementChain:
 
 class TestEstimatorOptimality:
     def test_scaled_coefficients_increase_mse(self, sym2):
-        cfg = SimConfig(n_samples=N_FAST, seed=11)
-        base = _simulate(sym2, [(0.5, 0.7)], cfg).empirical_mse[0]
-        up = _simulate(sym2, [(0.5, 0.7)], cfg, coef_scale=1.01).empirical_mse[0]
-        down = _simulate(sym2, [(0.5, 0.7)], cfg, coef_scale=0.99).empirical_mse[0]
-        assert up > base
-        assert down > base
+        # The estimator with its coefficients scaled by s has the error map
+        # G(s)[:, 0] = sx - s (sx - G[:, 0]), G(s)[:, 1:] = s G[:, 1:]; its
+        # exact MSE, the row's sum of squares, exceeds D on either side of 1.
+        G, analytic = _error_map(sym2, [(0.5, 0.7)])
+        sx = math.sqrt(sym2.sigma_x2)
+        for s in (0.99, 1.01):
+            scaled = np.concatenate([sx - s * (sx - G[:, :1]), s * G[:, 1:]], axis=1)
+            assert float((scaled[0] ** 2).sum()) > analytic[0]
 
 
 def _calibration_battery():

@@ -165,10 +165,10 @@ class TestValidateSchedule:
         r = (0.5, 0.5)
         mid = tuple((x + y) / 2 for x, y in zip(vertex(sym2, r, (0, 1)), vertex(sym2, r, (1, 0))))
         coarse, other, fine = build_schedule(sym2, r, mid).steps
-        enc = fine.description.encoder
+        enc = fine.description.encoder + 1  # messages number encoders from 1
         cases = {
             (fine, other, coarse): f"encoder {enc}: coarse stage decoded after fine stage",
-            (coarse, other, WzStep(Description(enc, coarse.description.sigma_t2_total), fine.rate)):
+            (coarse, other, WzStep(Description(enc - 1, coarse.description.sigma_t2_total), fine.rate)):
                 f"encoder {enc}: fine stage is not strictly finer than coarse stage",
             (coarse, other, fine, fine): f"encoder {enc}: stage 2 scheduled twice",
         }
@@ -547,18 +547,30 @@ class TestScalarRate:
         assert near <= 1e-10
 
     def test_grow_stop_matches_every_subset(self):
-        # Dinkelbach's iteration over the threshold scan against the best
-        # y_A over all subsets, for arbitrary positive excesses and weights.
-        rng = np.random.default_rng(32)
+        # The best prefix of one threshold order against the best y_A over
+        # all subsets, for arbitrary positive excesses and weights.  The
+        # second range passes ~18.72 nats, where -expm1(-2 e) rounds to 1
+        # and a base precision y - w(all) keeps no digit.
         worst = 0.0
-        for _ in range(300):
-            n = int(rng.integers(1, 8))
-            e = [float(v) for v in np.exp(rng.uniform(math.log(1e-6), math.log(7.0), n))]
-            w = [float(v) for v in np.exp(rng.uniform(math.log(1e-6), math.log(3.0), n))]
-            for top in (True, False):
-                want = exhaustive_stop(e, w, top)
-                worst = max(worst, abs(_stop(e, w, top) - want) / want)
+        for seed, most in ((32, 7.0), (33, 40.0)):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                n = int(rng.integers(1, 8))
+                e = [float(v) for v in np.exp(rng.uniform(math.log(1e-6), math.log(most), n))]
+                w = [float(v) for v in np.exp(rng.uniform(math.log(1e-6), math.log(3.0), n))]
+                for top in (True, False):
+                    want = exhaustive_stop(e, w, top)
+                    worst = max(worst, abs(_stop(e, w, top) - want) / want)
         assert worst <= 1e-12
+
+    def test_a_choice_rule_miss_names_encoders_from_one(self, sym2, monkeypatch):
+        # With no proper set ever tight, no growth leaves a block: every
+        # (k, side) misses, and the message counts encoders from 1.
+        monkeypatch.setattr(scheduler, "_tight_blocks", lambda members, *args: (tuple(members),))
+        r = (0.5, 0.5)
+        mid = tuple((x + y) / 2 for x, y in zip(vertex(sym2, r, (0, 1)), vertex(sym2, r, (1, 0))))
+        with pytest.raises(InternalInconsistencyError, match=r"no member of \[1, 2\] can grow a piece"):
+            build_schedule(sym2, r, mid)
 
 
 def test_mixed_high_rate_midpoint_builds():
@@ -594,6 +606,42 @@ def test_roadmap_repro_through_the_cli(tmp_path):
     payload = json.loads(out.getvalue())
     assert payload["total_steps"] == 7
     assert [s["encoder"] - 1 for s in payload["steps"]] == [1, 3, 0, 3, 1, 2, 0]
+
+
+def _schedule_through_the_cli(tmp_path, instance, r, R):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["schedule", "--instance", str(path), "--r", ",".join(map(repr, r)), "--R", ",".join(map(repr, R))])
+    return code, out.getvalue()
+
+
+def test_midpoint_at_a_noise_ratio_of_1e_minus_20_schedules(tmp_path):
+    # The midpoint of the two vertices: the grow from the top over the
+    # second encoder stops at y* = w / -expm1(-2 e) with e ~ 22.6 nats,
+    # where a base precision y - w cancels to 0 ("math domain error").
+    R = (1.155770315099916, 23.79737388590611)
+    code, out = _schedule_through_the_cli(tmp_path, {"sigma_x2": 1, "sigma_n2": [1, 1e-20]}, (1, 1), R)
+    assert code == 0
+    sums = [0.0, 0.0]
+    for step in json.loads(out)["steps"]:
+        sums[step["encoder"] - 1] += step["rate"]
+    assert all(abs(s - t) <= 1e-12 * t for s, t in zip(sums, R))
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInconsistencyError, reason="ROADMAP item 2: no (k, side) satisfies the choice rule")
+def test_choice_rule_miss_at_a_moderate_six_encoder_point():
+    # The second grow's interval holds encoders 1, 2, 3, 5 and 6, and
+    # encoder 1, which has a piece, is fourth of five in their
+    # excess-per-weight order: neither case that the stop lemma settles.
+    inst = CeoInstance(1.0, (
+        3.2122668975464807e-10, 0.002071962324812211, 0.0015855967248555587,
+        1.1971649263762263e-07, 1.6781842090067107e-06, 1.594243906860654e-10,
+    ))
+    r = (0.11467512839420381, 1.8586149480602303, 1.8104091623957639, 0.10664138658340311, 1.9756200384851537, 1.6004234524273668)
+    R = (4.31352319005155, 3.2087474594847833, 3.7071141640804113, 0.10676190595617865, 3.34321106814668, 4.096517114404458)
+    assert validate_schedule(inst, build_schedule(inst, r, R), R).ok
 
 
 def test_two_vertex_point_at_max_encoders():
