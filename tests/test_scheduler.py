@@ -608,24 +608,20 @@ def test_roadmap_repro_through_the_cli(tmp_path):
     assert [s["encoder"] - 1 for s in payload["steps"]] == [1, 3, 0, 3, 1, 2, 0]
 
 
-def _schedule_through_the_cli(tmp_path, instance, r, R):
+def test_midpoint_at_a_noise_ratio_of_1e_minus_20_schedules(tmp_path):
+    # The midpoint of the two vertices: the first encoder's piece from the
+    # top stops at y* = w / -expm1(-2 e) for the second, whose excess is
+    # e = 22.8 nats; a base precision y - w cancels to 0 there ("math
+    # domain error").
+    R = (1.155770315099916, 23.79737388590611)
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance))
+    path.write_text(json.dumps({"sigma_x2": 1, "sigma_n2": [1, 1e-20]}))
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.main(["schedule", "--instance", str(path), "--r", ",".join(map(repr, r)), "--R", ",".join(map(repr, R))])
-    return code, out.getvalue()
-
-
-def test_midpoint_at_a_noise_ratio_of_1e_minus_20_schedules(tmp_path):
-    # The midpoint of the two vertices: the grow from the top over the
-    # second encoder stops at y* = w / -expm1(-2 e) with e ~ 22.6 nats,
-    # where a base precision y - w cancels to 0 ("math domain error").
-    R = (1.155770315099916, 23.79737388590611)
-    code, out = _schedule_through_the_cli(tmp_path, {"sigma_x2": 1, "sigma_n2": [1, 1e-20]}, (1, 1), R)
+        code = cli.main(["schedule", "--instance", str(path), "--r", "1,1", "--R", ",".join(map(repr, R))])
     assert code == 0
     sums = [0.0, 0.0]
-    for step in json.loads(out)["steps"]:
+    for step in json.loads(out.getvalue())["steps"]:
         sums[step["encoder"] - 1] += step["rate"]
     assert all(abs(s - t) <= 1e-12 * t for s, t in zip(sums, R))
 
